@@ -46,13 +46,14 @@ let figure2 () =
   let index = Bgl_predict.Failure_index.of_log failures in
   show_grid "torus (A, B = running jobs; node (2,0,0) will fail at t=500):" grid;
   let job = { Bgl_trace.Job_log.id = 1; arrival = 0.; size = 4; run_time = 1000.; estimate = 1000. } in
-  let candidates = Bgl_partition.Finder.find Bgl_partition.Finder.Prefix grid ~volume:4 in
+  let cache = Bgl_partition.Finder.Cache.create grid in
+  let candidates = Bgl_partition.Finder.Cache.find cache ~volume:4 in
   Format.printf "candidates for the 4-node job: %d partitions@." (List.length candidates);
   List.iter
     (fun confidence ->
       let predictor = Bgl_predict.Predictor.balancing ~confidence index in
       let policy = Bgl_sched.Placement.balancing ~predictor () in
-      let ctx = Bgl_sim.Policy.make_ctx ~now:0. grid in
+      let ctx = Bgl_sim.Policy.make_ctx ~cache ~now:0. grid in
       match policy.choose ctx ~job ~volume:4 ~candidates with
       | Some box ->
           let doomed = List.exists (fun n -> List.mem n (Box.indices dims box)) doomed_nodes in
@@ -80,10 +81,11 @@ let figure2_tiebreak () =
   let index = Bgl_predict.Failure_index.of_log failures in
   show_grid "torus (free columns x=0 and x=3; x=0 will fail):" grid;
   let job = { Bgl_trace.Job_log.id = 2; arrival = 0.; size = 2; run_time = 600.; estimate = 600. } in
-  let candidates = Bgl_partition.Finder.find Bgl_partition.Finder.Prefix grid ~volume:2 in
+  let cache = Bgl_partition.Finder.Cache.create grid in
+  let candidates = Bgl_partition.Finder.Cache.find cache ~volume:2 in
   let predictor = Bgl_predict.Predictor.tie_breaking ~accuracy:1.0 ~seed:3 index in
   let policy = Bgl_sched.Placement.tie_breaking ~predictor () in
-  let ctx = Bgl_sim.Policy.make_ctx ~now:0. grid in
+  let ctx = Bgl_sim.Policy.make_ctx ~cache ~now:0. grid in
   (match policy.choose ctx ~job ~volume:2 ~candidates with
   | Some box ->
       Format.printf "tie-breaking picks %a (avoids the doomed column)@." Box.pp box;

@@ -1,27 +1,13 @@
 open Bgl_torus
 
-type algo = Naive | Pop | Shape_search | Prefix | Auto
-
-let all_algos = [ Naive; Pop; Shape_search; Prefix; Auto ]
-
-let algo_name = function
-  | Naive -> "naive"
-  | Pop -> "pop"
-  | Shape_search -> "shape-search"
-  | Prefix -> "prefix"
-  | Auto -> "auto"
-
 (* ------------------------------------------------------------------ *)
-(* Scale selection: machine-volume thresholds for the finder
-   front-end. Supernode-scale grids (the paper's 4x4x8) scan directly
-   with no table; mid-size grids use the summed-area table; at
-   [summary_gate_volume] and above every scan first consults the
-   grid's Summary to reject shapes without enumerating bases — on the
-   full 64x32x32 machine a shape has up to 65,536 bases, so the O(nx +
-   ny + nz + #blocks) summary probe is the difference between a
-   feasibility check and a machine-size scan. *)
+(* Scale selection: at [summary_gate_volume] and above every scan first
+   consults the grid's Summary to reject shapes without enumerating
+   bases — on the full 64x32x32 machine a shape has up to 65,536 bases,
+   so the O(nx + ny + nz + #blocks) summary probe is the difference
+   between a feasibility check and a machine-size scan. Below the gate
+   the probe would cost more than the scan it saves. *)
 
-let direct_volume_max = 128
 let summary_gate_volume = 512
 
 let summary_gated grid = Grid.volume grid >= summary_gate_volume
@@ -30,21 +16,19 @@ let shape_possible grid shape =
   (not (summary_gated grid))
   || Summary.shape_feasible (Grid.summary grid) ~wrap:(Grid.wrap grid) shape
 
-let compute_bases (d : Dims.t) ~wrap (s : Shape.t) =
-  let range extent dim =
-    if wrap then if extent = dim then [ 0 ] else List.init dim Fun.id
-    else List.init (dim - extent + 1) Fun.id
-  in
-  let xs = range s.sx d.nx and ys = range s.sy d.ny and zs = range s.sz d.nz in
-  List.concat_map (fun z -> List.concat_map (fun y -> List.map (fun x -> Coord.make x y z) xs) ys) zs
+(* Inclusive upper base bound along one axis: every coordinate with
+   wraparound (collapsed to 0 when the shape spans the whole axis), or
+   only non-overflowing bases without. *)
+let base_hi ~wrap extent dim =
+  if wrap then if extent = dim then 0 else dim - 1 else dim - extent
 
-(* Non-allocating base enumeration in the same order as
-   [compute_bases] (x fastest, then y, then z): the scan paths iterate
-   bases instead of materializing them, because at full machine scale
-   a single shape's base array is ~65k coordinates. *)
+(* Non-allocating base enumeration, x fastest, then y, then z: at full
+   machine scale a single shape has ~65k bases, so nothing
+   materialises them. *)
 let iter_bases (d : Dims.t) ~wrap (s : Shape.t) ~f =
-  let hi extent dim = if wrap then if extent = dim then 0 else dim - 1 else dim - extent in
-  let x_hi = hi s.sx d.nx and y_hi = hi s.sy d.ny and z_hi = hi s.sz d.nz in
+  let x_hi = base_hi ~wrap s.sx d.nx
+  and y_hi = base_hi ~wrap s.sy d.ny
+  and z_hi = base_hi ~wrap s.sz d.nz in
   for z = 0 to z_hi do
     for y = 0 to y_hi do
       for x = 0 to x_hi do
@@ -53,95 +37,19 @@ let iter_bases (d : Dims.t) ~wrap (s : Shape.t) ~f =
     done
   done
 
-(* Base sets depend only on (dims, wrap, shape); the schedulers query
-   them millions of times per simulation, so they are cached as
-   arrays. The cache is domain-local: a global [Hashtbl] would race
-   (and can corrupt its buckets) under parallel sweeps, and a mutex
-   would serialise the hottest lookup in the code base — so each
-   domain fills its own table, at the cost of one recomputation per
-   (key, domain). The cache is capped: a sweep over many machine
-   sizes or a long-lived process probing odd shapes would otherwise
-   accumulate base arrays without bound, and at 64x32x32 each one is
-   ~65k coordinates. Eviction is wholesale ([Hashtbl.reset]) — the
-   arrays are pure functions of the key, so dropping a warm entry
-   costs one recomputation, never correctness. *)
-let bases_cache_cap = 256
-
-let bases_cache : (int * int * int * bool * int * int * int, Coord.t array) Hashtbl.t Domain.DLS.key
-    =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
-
-let bases_cache_stats () = (Hashtbl.length (Domain.DLS.get bases_cache), bases_cache_cap)
-
-let bases_arr (d : Dims.t) ~wrap (s : Shape.t) =
-  let cache = Domain.DLS.get bases_cache in
-  let key = (d.nx, d.ny, d.nz, wrap, s.sx, s.sy, s.sz) in
-  match Hashtbl.find_opt cache key with
-  | Some arr -> arr
-  | None ->
-      let arr = Array.of_list (compute_bases d ~wrap s) in
-      if Hashtbl.length cache >= bases_cache_cap then Hashtbl.reset cache;
-      Hashtbl.replace cache key arr;
-      arr
-
-let bases d ~wrap s = Array.to_list (bases_arr d ~wrap s)
-
 let sort_boxes = List.sort Box.compare
 
-(* Node-by-node freeness with early exit: the practical reading of the
-   appendix's "no need to search further once we hit the value for that
-   dimension". *)
-let box_free_scan grid (box : Box.t) =
-  let d = Grid.dims grid in
-  let b = box.base and s = box.shape in
-  let rec go dx dy dz =
-    if dz = s.sz then true
-    else if dy = s.sy then go 0 0 (dz + 1)
-    else if dx = s.sx then go 0 (dy + 1) dz
-    else
-      let c = Coord.wrap d (Coord.make (b.x + dx) (b.y + dy) (b.z + dz)) in
-      Grid.is_free grid (Coord.index d c) && go (dx + 1) dy dz
-  in
-  go 0 0 0
+(* ------------------------------------------------------------------ *)
+(* Production scans over a summed-area table. The table argument is
+   lazy so a query whose every shape is rejected by the summary never
+   builds or syncs the table at all — the common case for ghost-grid
+   feasibility probes on a busy machine. [Prefix.box_is_free] syncs
+   internally, so force order does not matter for correctness.
+   [~gate:false] is the differential reference's independent path. *)
 
-let find_naive grid ~volume =
-  let d = Grid.dims grid in
-  let wrap = Grid.wrap grid in
-  let acc = ref [] in
-  (* Enumerate boxes of every size, then filter: the O(M^9) strawman. *)
-  List.iter
-    (fun shape ->
-      List.iter
-        (fun base ->
-          let box = Box.make base shape in
-          if box_free_scan grid box then acc := box :: !acc)
-        (bases d ~wrap shape))
-    (Shapes.shapes_desc d);
-  List.filter (fun b -> Box.volume b = volume) !acc |> sort_boxes
-
-let find_shape_search grid ~volume =
-  let d = Grid.dims grid in
-  let wrap = Grid.wrap grid in
-  let acc = ref [] in
-  List.iter
-    (fun shape ->
-      List.iter
-        (fun base ->
-          let box = Box.make base shape in
-          if box_free_scan grid box then acc := box :: !acc)
-        (bases d ~wrap shape))
-    (Shapes.shapes_of_volume d volume);
-  sort_boxes !acc
-
-(* The table argument is lazy so a query whose every shape is rejected
-   by the summary never builds or syncs the summed-area table at all —
-   the common case for ghost-grid feasibility probes on a busy
-   machine. [Prefix.box_is_free] syncs internally, so force order does
-   not matter for correctness. *)
 let find_prefix_scan ?(gate = true) grid table ~volume =
   let d = Grid.dims grid in
   let wrap = Grid.wrap grid in
-  let gate = gate && summary_gated grid in
   let acc = ref [] in
   List.iter
     (fun shape ->
@@ -153,9 +61,6 @@ let find_prefix_scan ?(gate = true) grid table ~volume =
       end)
     (Shapes.shapes_of_volume d volume);
   sort_boxes !acc
-
-let find_prefix_with grid table ~volume = find_prefix_scan grid (Lazy.from_val table) ~volume
-let find_prefix grid ~volume = find_prefix_scan grid (lazy (Prefix.build grid)) ~volume
 
 exception Found_base
 
@@ -169,225 +74,9 @@ let exists_base_free table d ~wrap shape =
 let exists_free_scan grid table ~volume =
   let d = Grid.dims grid in
   let wrap = Grid.wrap grid in
-  let gate = summary_gated grid in
   List.exists
-    (fun shape ->
-      ((not gate) || shape_possible grid shape)
-      && exists_base_free (Lazy.force table) d ~wrap shape)
+    (fun shape -> shape_possible grid shape && exists_base_free (Lazy.force table) d ~wrap shape)
     (Shapes.shapes_of_volume d volume)
-
-(* ------------------------------------------------------------------ *)
-(* Differential mode: cross-check accelerated queries against an
-   independent reference finder. Global and atomic so parallel sweep
-   domains share one switch; the check is orders of magnitude slower
-   than the query it guards, so it is strictly a debug/CI facility.
-   On machines too large for the naive O(M^9) oracle the reference is
-   a freshly built, summary-ungated table scan: an independent
-   occupancy representation exercising none of the incremental
-   maintenance, memoization or summary gating under test. A sampling
-   rate makes the mode affordable on full-machine runs: [sample = n]
-   checks every nth guarded query. *)
-
-exception Divergence of string
-
-let () = Printexc.register_printer (function Divergence msg -> Some msg | _ -> None)
-
-(* 0 = off; n >= 1 = cross-check every nth guarded query. *)
-let differential = Atomic.make 0
-let diff_tick = Atomic.make 0
-
-let set_differential ?(sample = 1) on =
-  if sample < 1 then invalid_arg "Finder.set_differential: sample must be >= 1";
-  Atomic.set differential (if on then sample else 0);
-  Atomic.set diff_tick 0
-
-let differential_enabled () = Atomic.get differential > 0
-
-(* Whether this particular guarded query gets checked. *)
-let differential_armed () =
-  match Atomic.get differential with
-  | 0 -> false
-  | 1 -> true
-  | n -> Atomic.fetch_and_add diff_tick 1 mod n = 0
-
-let naive_oracle_max = 128
-
-let reference_find grid ~volume =
-  if Grid.volume grid <= naive_oracle_max then find_naive grid ~volume
-  else find_prefix_scan ~gate:false grid (lazy (Prefix.build grid)) ~volume
-
-let pp_box_list ppf boxes =
-  if boxes = [] then Format.fprintf ppf "(none)"
-  else Format.(pp_print_list ~pp_sep:pp_print_space Box.pp) ppf boxes
-
-(* A full ASCII dump of a 64x32x32 grid helps nobody; keep it for the
-   supernode-scale grids where it is actually readable. *)
-let pp_grid_capped ppf grid =
-  if Grid.volume grid <= 4096 then Grid.pp ppf grid
-  else
-    Format.fprintf ppf "(grid dump suppressed: %a, %d nodes free)" Dims.pp (Grid.dims grid)
-      (Grid.free_count grid)
-
-let divergence ~site grid ~volume ~fast ~reference =
-  raise
-    (Divergence
-       (Format.asprintf
-          "@[<v>finder divergence at %s: volume=%d dims=%a wrap=%b@ accelerated (%d boxes): \
-           @[<hov>%a@]@ reference (%d boxes): @[<hov>%a@]@ grid:@ %a@]"
-          site volume Dims.pp (Grid.dims grid) (Grid.wrap grid) (List.length fast) pp_box_list
-          fast (List.length reference) pp_box_list reference pp_grid_capped grid))
-
-let check_counter () =
-  Bgl_obs.Registry.counter
-    (Bgl_obs.Runtime.registry ())
-    ~help:"accelerated finder queries cross-checked against the reference finder"
-    "bgl_finder_differential_checks_total"
-
-(* The accelerated result must be equal to the reference enumeration
-   AND pass direct validity checks (free, in-bounds, exact volume) so a
-   bug shared by both paths — e.g. in the base enumeration — still has
-   a chance to surface. *)
-let differential_check ~site grid ~volume fast =
-  Bgl_obs.Registry.inc (check_counter ());
-  let reference = reference_find grid ~volume in
-  if not (List.equal Box.equal fast reference) then divergence ~site grid ~volume ~fast ~reference;
-  let d = Grid.dims grid in
-  List.iter
-    (fun (b : Box.t) ->
-      if
-        (not (Coord.in_bounds d b.base))
-        || Box.volume b <> volume
-        || not (Grid.box_is_free grid b)
-      then
-        raise
-          (Divergence
-             (Format.asprintf "finder divergence at %s: invalid box %a (volume %d, dims %a)" site
-                Box.pp b volume Dims.pp d)))
-    fast
-
-let differential_check_exists ~site grid ~volume fast =
-  Bgl_obs.Registry.inc (check_counter ());
-  let reference = reference_find grid ~volume <> [] in
-  if fast <> reference then
-    raise
-      (Divergence
-         (Format.asprintf
-            "@[<v>finder divergence at %s: exists_free volume=%d returned %b, reference says \
-             %b@ grid:@ %a@]"
-            site volume fast reference pp_grid_capped grid))
-
-(* Span guards sit outside Span.time so the disabled path allocates no
-   closure: candidate enumeration runs millions of times per sweep. *)
-let find_with table grid ~volume =
-  if volume <= 0 then invalid_arg "Finder.find_with: volume must be positive";
-  Bgl_resilience.Budget.check ~site:"finder.find_with";
-  if volume > Grid.volume grid then []
-  else begin
-    let result =
-      if Bgl_obs.Span.enabled () then
-        Bgl_obs.Span.time ~name:"finder.find_with" (fun () -> find_prefix_with grid table ~volume)
-      else find_prefix_with grid table ~volume
-    in
-    if differential_armed () then differential_check ~site:"find_with" grid ~volume result;
-    result
-  end
-
-let exists_free_with table grid ~volume =
-  if volume <= 0 then invalid_arg "Finder.exists_free_with: volume must be positive";
-  Bgl_resilience.Budget.check ~site:"finder.exists_free";
-  if volume > Grid.volume grid then false
-  else begin
-    let table = Lazy.from_val table in
-    let result =
-      if Bgl_obs.Span.enabled () then
-        Bgl_obs.Span.time ~name:"finder.exists_free" (fun () ->
-            exists_free_scan grid table ~volume)
-      else exists_free_scan grid table ~volume
-    in
-    if differential_armed () then
-      differential_check_exists ~site:"exists_free_with" grid ~volume result;
-    result
-  end
-
-(* Projection of partitions: for every z-extent starting at z0, keep a
-   2-D map of columns that are free across the whole extent (AND-ed in
-   incrementally as the extent grows), and find free rectangles in it
-   with 2-D prefix sums. *)
-let find_pop grid ~volume =
-  let d = Grid.dims grid in
-  let wrap = Grid.wrap grid in
-  let ex = if wrap then 2 * d.nx else d.nx in
-  let ey = if wrap then 2 * d.ny else d.ny in
-  let cum = Array.make ((ex + 1) * (ey + 1)) 0 in
-  let free2d = Array.make (d.nx * d.ny) true in
-  let rebuild_cum () =
-    (* cum.(i + (ex+1)*j) = #blocked columns in [0,i) x [0,j) of the
-       (possibly doubled) 2-D space. *)
-    for j = 1 to ey do
-      for i = 1 to ex do
-        let blocked = if free2d.((i - 1) mod d.nx + (d.nx * ((j - 1) mod d.ny))) then 0 else 1 in
-        cum.(i + ((ex + 1) * j)) <-
-          blocked
-          + cum.(i - 1 + ((ex + 1) * j))
-          + cum.(i + ((ex + 1) * (j - 1)))
-          - cum.(i - 1 + ((ex + 1) * (j - 1)))
-      done
-    done
-  in
-  let rect_free x0 y0 sx sy =
-    let at i j = cum.(i + ((ex + 1) * j)) in
-    at (x0 + sx) (y0 + sy) - at x0 (y0 + sy) - at (x0 + sx) y0 + at x0 y0 = 0
-  in
-  let acc = ref [] in
-  (* Every z is a candidate base whether or not the torus wraps; the
-     wrap distinction lives in [max_sz] and the canonical rule below. *)
-  let z_starts = List.init d.nz Fun.id in
-  List.iter
-    (fun z0 ->
-      Array.fill free2d 0 (Array.length free2d) true;
-      let max_sz = if wrap then d.nz else d.nz - z0 in
-      for sz = 1 to max_sz do
-        (* Grow the projection by layer z0 + sz - 1. *)
-        let z = (z0 + sz - 1) mod d.nz in
-        for y = 0 to d.ny - 1 do
-          for x = 0 to d.nx - 1 do
-            if not (Grid.is_free grid (Coord.index d (Coord.make x y z))) then
-              free2d.(x + (d.nx * y)) <- false
-          done
-        done;
-        (* Canonical rule: a full wrap of the z dimension is only
-           reported at base z = 0. *)
-        let z_canonical = (not wrap) || sz < d.nz || z0 = 0 in
-        if volume mod sz = 0 && z_canonical then begin
-          rebuild_cum ();
-          let area = volume / sz in
-          List.iter
-            (fun sx ->
-              if sx <= d.nx && area / sx <= d.ny then begin
-                let sy = area / sx in
-                let xs =
-                  if wrap then if sx = d.nx then [ 0 ] else List.init d.nx Fun.id
-                  else List.init (d.nx - sx + 1) Fun.id
-                in
-                let ys =
-                  if wrap then if sy = d.ny then [ 0 ] else List.init d.ny Fun.id
-                  else List.init (d.ny - sy + 1) Fun.id
-                in
-                List.iter
-                  (fun y0 ->
-                    List.iter
-                      (fun x0 ->
-                        if rect_free x0 y0 sx sy then
-                          acc :=
-                            Box.make (Coord.make x0 y0 z0) (Shape.make sx sy sz) :: !acc)
-                      xs)
-                  ys
-              end)
-            (Shapes.divisors area)
-        end
-      done)
-    z_starts;
-  sort_boxes !acc
 
 (* ------------------------------------------------------------------ *)
 (* Counted enumeration: answer capped candidate queries without ever
@@ -399,15 +88,15 @@ let find_pop grid ~volume =
    and emits those boxes directly.
 
    The load-bearing invariant is that both passes enumerate in exactly
-   the order of the sorted materialised list: [Box.compare] orders by
+   the order of [Cache.find]'s sorted list: [Box.compare] orders by
    base (z, then y, then x — [Coord.compare]) and then by shape
    ([Shape.compare]), so rows ascend in (z, y), bases within a row
    ascend in x, and shapes within a base follow [Shapes.shapes_of_volume],
    which is sorted by [Shape.compare]. Under that invariant the rank-r
-   box of the counted walk IS element r of [find]'s sorted result, so
-   the engine's deterministic even subsample [i*n/cap] reproduces
-   byte-identically — proven by the qcheck equivalence layer and the
-   differential oracle rather than trusted. *)
+   box of the counted walk IS element r of that list, so the engine's
+   deterministic even subsample [i*n/cap] reproduces byte-identically
+   — proven by the qcheck equivalence layer and the differential
+   oracle rather than trusted. *)
 
 type counted_shape = {
   cs : Shape.t;
@@ -428,9 +117,6 @@ type count_plan = {
   p_total : int;
   p_skips : int;  (* shapes + base rows the summary ruled out *)
 }
-
-let base_hi ~wrap extent dim =
-  if wrap then if extent = dim then 0 else dim - 1 else dim - extent
 
 let plane_ok mask i = match mask with None -> true | Some m -> m.(i)
 
@@ -617,28 +303,172 @@ let select_scan grid table ~volume ~cap =
   in
   (plan, boxes)
 
-let counted_queries_counter () =
-  Bgl_obs.Registry.counter
-    (Bgl_obs.Runtime.registry ())
-    ~help:"counted (count-then-select) finder queries" "bgl_finder_counted_queries_total"
+(* ------------------------------------------------------------------ *)
+(* The paper's Appendix 9 finders, kept as the oracle the production
+   scans are validated against. None of them shares the summed-area
+   table, the summary gate or the counted walk. *)
 
-let counted_skips_counter () =
-  Bgl_obs.Registry.counter
-    (Bgl_obs.Runtime.registry ())
-    ~help:"shapes and base rows the summary let counted queries skip"
-    "bgl_finder_counted_skips_total"
+module Reference = struct
+  type algo = Naive | Pop | Shape_search
 
-let note_counted ?queries ?skips plan =
-  Bgl_obs.Registry.inc (match queries with Some c -> c | None -> counted_queries_counter ());
-  if plan.p_skips > 0 then
-    Bgl_obs.Registry.add
-      (match skips with Some c -> c | None -> counted_skips_counter ())
-      (float_of_int plan.p_skips)
+  let all = [ Naive; Pop; Shape_search ]
+  let name = function Naive -> "naive" | Pop -> "pop" | Shape_search -> "shape-search"
 
-(* Differential checks for the counted paths: the reference is the
-   independent materialising finder plus a literal transcription of
-   the historical subsample, so a counted-walk bug cannot hide behind
-   shared code. *)
+  (* Node-by-node freeness with early exit: the practical reading of
+     the appendix's "no need to search further once we hit the value
+     for that dimension". *)
+  let box_free_scan grid (box : Box.t) =
+    let d = Grid.dims grid in
+    let b = box.base and s = box.shape in
+    let rec go dx dy dz =
+      if dz = s.sz then true
+      else if dy = s.sy then go 0 0 (dz + 1)
+      else if dx = s.sx then go 0 (dy + 1) dz
+      else
+        let c = Coord.wrap d (Coord.make (b.x + dx) (b.y + dy) (b.z + dz)) in
+        Grid.is_free grid (Coord.index d c) && go (dx + 1) dy dz
+    in
+    go 0 0 0
+
+  let scan_shapes grid shapes =
+    let d = Grid.dims grid in
+    let wrap = Grid.wrap grid in
+    let acc = ref [] in
+    List.iter
+      (fun shape ->
+        iter_bases d ~wrap shape ~f:(fun x y z ->
+            let box = Box.make (Coord.make x y z) shape in
+            if box_free_scan grid box then acc := box :: !acc))
+      shapes;
+    !acc
+
+  (* Enumerate boxes of every size, then filter: the O(M^9) strawman. *)
+  let find_naive grid ~volume =
+    scan_shapes grid (Shapes.shapes_desc (Grid.dims grid))
+    |> List.filter (fun b -> Box.volume b = volume)
+    |> sort_boxes
+
+  (* Only the divisor shapes of the requested volume. *)
+  let find_shape_search grid ~volume =
+    sort_boxes (scan_shapes grid (Shapes.shapes_of_volume (Grid.dims grid) volume))
+
+  (* Projection of partitions: for every z-extent starting at z0, keep a
+     2-D map of columns that are free across the whole extent (AND-ed in
+     incrementally as the extent grows), and find free rectangles in it
+     with 2-D prefix sums. *)
+  let find_pop grid ~volume =
+    let d = Grid.dims grid in
+    let wrap = Grid.wrap grid in
+    let ex = if wrap then 2 * d.nx else d.nx in
+    let ey = if wrap then 2 * d.ny else d.ny in
+    let cum = Array.make ((ex + 1) * (ey + 1)) 0 in
+    let free2d = Array.make (d.nx * d.ny) true in
+    let rebuild_cum () =
+      (* cum.(i + (ex+1)*j) = #blocked columns in [0,i) x [0,j) of the
+         (possibly doubled) 2-D space. *)
+      for j = 1 to ey do
+        for i = 1 to ex do
+          let blocked = if free2d.((i - 1) mod d.nx + (d.nx * ((j - 1) mod d.ny))) then 0 else 1 in
+          cum.(i + ((ex + 1) * j)) <-
+            blocked
+            + cum.(i - 1 + ((ex + 1) * j))
+            + cum.(i + ((ex + 1) * (j - 1)))
+            - cum.(i - 1 + ((ex + 1) * (j - 1)))
+        done
+      done
+    in
+    let rect_free x0 y0 sx sy =
+      let at i j = cum.(i + ((ex + 1) * j)) in
+      at (x0 + sx) (y0 + sy) - at x0 (y0 + sy) - at (x0 + sx) y0 + at x0 y0 = 0
+    in
+    let acc = ref [] in
+    (* Every z is a candidate base whether or not the torus wraps; the
+       wrap distinction lives in [max_sz] and the canonical rule below.
+       Within a plane, (x, y) bases follow [iter_bases]. *)
+    let plane = Dims.make d.nx d.ny 1 in
+    for z0 = 0 to d.nz - 1 do
+      Array.fill free2d 0 (Array.length free2d) true;
+      let max_sz = if wrap then d.nz else d.nz - z0 in
+      for sz = 1 to max_sz do
+        (* Grow the projection by layer z0 + sz - 1. *)
+        let z = (z0 + sz - 1) mod d.nz in
+        for y = 0 to d.ny - 1 do
+          for x = 0 to d.nx - 1 do
+            if not (Grid.is_free grid (Coord.index d (Coord.make x y z))) then
+              free2d.(x + (d.nx * y)) <- false
+          done
+        done;
+        (* Canonical rule: a full wrap of the z dimension is only
+           reported at base z = 0. *)
+        let z_canonical = (not wrap) || sz < d.nz || z0 = 0 in
+        if volume mod sz = 0 && z_canonical then begin
+          rebuild_cum ();
+          let area = volume / sz in
+          List.iter
+            (fun sx ->
+              if sx <= d.nx && area / sx <= d.ny then begin
+                let rect = Shape.make sx (area / sx) 1 in
+                iter_bases plane ~wrap rect ~f:(fun x0 y0 _ ->
+                    if rect_free x0 y0 rect.sx rect.sy then
+                      acc := Box.make (Coord.make x0 y0 z0) { rect with sz } :: !acc)
+              end)
+            (Shapes.divisors area)
+        end
+      done
+    done;
+    sort_boxes !acc
+
+  let find algo grid ~volume =
+    if volume <= 0 then invalid_arg "Finder.Reference.find: volume must be positive";
+    match algo with
+    | Naive -> find_naive grid ~volume
+    | Pop -> find_pop grid ~volume
+    | Shape_search -> find_shape_search grid ~volume
+end
+
+(* ------------------------------------------------------------------ *)
+(* Differential mode: cross-check every cache query against an
+   independent reference finder. Global and atomic so parallel sweep
+   domains share one switch; the check is orders of magnitude slower
+   than the query it guards, so it is strictly a debug/CI facility.
+   On machines too large for the naive O(M^9) oracle the reference is
+   a freshly built, summary-ungated table scan: an independent
+   occupancy representation exercising none of the incremental
+   maintenance, memoization or summary gating under test. A sampling
+   rate makes the mode affordable on full-machine runs: [sample = n]
+   checks every nth guarded query. *)
+
+exception Divergence of string
+
+let () = Printexc.register_printer (function Divergence msg -> Some msg | _ -> None)
+
+(* 0 = off; n >= 1 = cross-check every nth guarded query. *)
+let differential = Atomic.make 0
+let diff_tick = Atomic.make 0
+
+let set_differential ?(sample = 1) on =
+  if sample < 1 then invalid_arg "Finder.set_differential: sample must be >= 1";
+  Atomic.set differential (if on then sample else 0);
+  Atomic.set diff_tick 0
+
+let differential_enabled () = Atomic.get differential > 0
+
+(* Whether this particular guarded query gets checked. *)
+let differential_armed () =
+  match Atomic.get differential with
+  | 0 -> false
+  | 1 -> true
+  | n -> Atomic.fetch_and_add diff_tick 1 mod n = 0
+
+let naive_oracle_max = 128
+
+let reference_find grid ~volume =
+  if Grid.volume grid <= naive_oracle_max then Reference.find_naive grid ~volume
+  else find_prefix_scan ~gate:false grid (lazy (Prefix.build grid)) ~volume
+
+(* The engine's candidate cap, transcribed literally from the
+   historical materialise-then-subsample path so a counted-walk bug
+   cannot hide behind shared code. *)
 let reference_cap ~cap boxes =
   let n = List.length boxes in
   if n <= cap then boxes
@@ -646,105 +476,69 @@ let reference_cap ~cap boxes =
     let arr = Array.of_list boxes in
     List.init cap (fun i -> arr.(i * n / cap))
 
-let differential_check_count ~site grid ~volume fast =
-  Bgl_obs.Registry.inc (check_counter ());
-  let reference = List.length (reference_find grid ~volume) in
-  if fast <> reference then
-    raise
-      (Divergence
-         (Format.asprintf
-            "@[<v>finder divergence at %s: count volume=%d returned %d, reference says %d@ \
-             grid:@ %a@]"
-            site volume fast reference pp_grid_capped grid))
+(* What a query answered, in a form the reference can be projected
+   onto. *)
+type answer = Boxes of Box.t list | Exists of bool
 
-let differential_check_select ~site grid ~volume ~cap fast =
+let pp_answer ppf = function
+  | Exists b -> Format.fprintf ppf "exists=%b" b
+  | Boxes [] -> Format.fprintf ppf "0 boxes: (none)"
+  | Boxes boxes ->
+      Format.fprintf ppf "%d boxes: @[<hov>%a@]" (List.length boxes)
+        Format.(pp_print_list ~pp_sep:pp_print_space Box.pp)
+        boxes
+
+(* A full ASCII dump of a 64x32x32 grid helps nobody; keep it for the
+   supernode-scale grids where it is actually readable. *)
+let pp_grid_capped ppf grid =
+  if Grid.volume grid <= 4096 then Grid.pp ppf grid
+  else
+    Format.fprintf ppf "(grid dump suppressed: %a, %d nodes free)" Dims.pp (Grid.dims grid)
+      (Grid.free_count grid)
+
+let check_counter () =
+  Bgl_obs.Registry.counter
+    (Bgl_obs.Runtime.registry ())
+    ~help:"accelerated finder queries cross-checked against the reference finder"
+    "bgl_finder_differential_checks_total"
+
+(* The one checker: the query's answer must equal [project] applied to
+   the reference enumeration, AND every box it returns must pass direct
+   validity checks (free, in-bounds, exact volume), so a bug shared by
+   both paths — e.g. in the base enumeration — still has a chance to
+   surface. *)
+let differential_check ~site grid ~volume ~project fast =
   Bgl_obs.Registry.inc (check_counter ());
-  let reference = reference_cap ~cap (reference_find grid ~volume) in
-  if not (List.equal Box.equal fast reference) then divergence ~site grid ~volume ~fast ~reference;
   let d = Grid.dims grid in
-  List.iter
-    (fun (b : Box.t) ->
-      if
-        (not (Coord.in_bounds d b.base))
-        || Box.volume b <> volume
-        || not (Grid.box_is_free grid b)
-      then
-        raise
-          (Divergence
-             (Format.asprintf "finder divergence at %s: invalid box %a (volume %d, dims %a)" site
-                Box.pp b volume Dims.pp d)))
-    fast
-
-let count_with table grid ~volume =
-  if volume <= 0 then invalid_arg "Finder.count_with: volume must be positive";
-  Bgl_resilience.Budget.check ~site:"finder.count";
-  if volume > Grid.volume grid then 0
-  else begin
-    let plan = count_scan grid (Lazy.from_val table) ~volume in
-    note_counted plan;
-    if differential_armed () then differential_check_count ~site:"count_with" grid ~volume plan.p_total;
-    plan.p_total
-  end
-
-let count grid ~volume =
-  if volume <= 0 then invalid_arg "Finder.count: volume must be positive";
-  Bgl_resilience.Budget.check ~site:"finder.count";
-  if volume > Grid.volume grid then 0
-  else begin
-    let plan = count_scan grid (lazy (Prefix.build grid)) ~volume in
-    note_counted plan;
-    if differential_armed () then differential_check_count ~site:"count" grid ~volume plan.p_total;
-    plan.p_total
-  end
-
-let nth grid ~volume ~rank =
-  if volume <= 0 then invalid_arg "Finder.nth: volume must be positive";
-  if rank < 0 then invalid_arg "Finder.nth: rank must be >= 0";
-  Bgl_resilience.Budget.check ~site:"finder.nth";
-  if volume > Grid.volume grid then None
-  else begin
-    let table = lazy (Prefix.build grid) in
-    let plan = count_scan grid table ~volume in
-    note_counted plan;
-    if rank >= plan.p_total then None
-    else
-      match select_from_plan plan grid table ~targets:[| rank |] with
-      | [ box ] -> Some box
-      | _ -> None
-  end
-
-let select_with table grid ~volume ~cap =
-  if volume <= 0 then invalid_arg "Finder.select_with: volume must be positive";
-  if cap < 1 then invalid_arg "Finder.select_with: cap must be >= 1";
-  Bgl_resilience.Budget.check ~site:"finder.select";
-  if volume > Grid.volume grid then []
-  else begin
-    let plan, boxes = select_scan grid (Lazy.from_val table) ~volume ~cap in
-    note_counted plan;
-    if differential_armed () then
-      differential_check_select ~site:"select_with" grid ~volume ~cap boxes;
-    boxes
-  end
-
-let select grid ~volume ~cap =
-  if volume <= 0 then invalid_arg "Finder.select: volume must be positive";
-  if cap < 1 then invalid_arg "Finder.select: cap must be >= 1";
-  Bgl_resilience.Budget.check ~site:"finder.select";
-  if volume > Grid.volume grid then []
-  else begin
-    let plan, boxes = select_scan grid (lazy (Prefix.build grid)) ~volume ~cap in
-    note_counted plan;
-    if differential_armed () then differential_check_select ~site:"select" grid ~volume ~cap boxes;
-    boxes
-  end
+  let diverge fmt = Format.kasprintf (fun msg -> raise (Divergence msg)) fmt in
+  let reference = project (reference_find grid ~volume) in
+  if fast <> reference then
+    diverge
+      "@[<v>finder divergence at %s: volume=%d dims=%a wrap=%b@ accelerated %a@ reference %a@ \
+       grid:@ %a@]"
+      site volume Dims.pp d (Grid.wrap grid) pp_answer fast pp_answer reference pp_grid_capped
+      grid;
+  match fast with
+  | Exists _ -> ()
+  | Boxes boxes ->
+      List.iter
+        (fun (b : Box.t) ->
+          if
+            (not (Coord.in_bounds d b.base))
+            || Box.volume b <> volume
+            || not (Grid.box_is_free grid b)
+          then
+            diverge "finder divergence at %s: invalid box %a (volume %d, dims %a)" site Box.pp b
+              volume Dims.pp d)
+        boxes
 
 (* ------------------------------------------------------------------ *)
-(* Per-pass candidate cache: memoise finder results keyed on the grid's
-   occupancy fingerprint, over an incrementally maintained summed-area
-   table. Within one scheduling pass the engine re-queries the same
-   volumes many times (head retry, backfill scan, MFP probes restore
-   the fingerprint), so repeated enumeration work collapses into a
-   hash lookup; any occupancy change flips the fingerprint and
+(* The one production surface: memoise finder results keyed on the
+   grid's occupancy fingerprint, over an incrementally maintained
+   summed-area table. Within one scheduling pass the engine re-queries
+   the same volumes many times (head retry, backfill scan, MFP probes
+   restore the fingerprint), so repeated enumeration work collapses
+   into a hash lookup; any occupancy change flips the fingerprint and
    invalidates exactly the stale entries. *)
 
 module Cache = struct
@@ -760,7 +554,6 @@ module Cache = struct
            touch the table at all. *)
     find_memo : (int, int * Box.t list) Hashtbl.t;  (* volume -> fingerprint, result *)
     exists_memo : (int, int * bool) Hashtbl.t;
-    count_memo : (int, int * int) Hashtbl.t;  (* volume -> fingerprint, count *)
     select_memo : (int * int, int * Box.t list) Hashtbl.t;
         (* (volume, cap) -> fingerprint, subsample *)
     mutable mfp_slot : (int * Box.t option) option;
@@ -783,7 +576,6 @@ module Cache = struct
       table = lazy (Prefix.track grid);
       find_memo = Hashtbl.create 32;
       exists_memo = Hashtbl.create 32;
-      count_memo = Hashtbl.create 32;
       select_memo = Hashtbl.create 32;
       mfp_slot = None;
       counters = { hits = 0; misses = 0 };
@@ -842,30 +634,37 @@ module Cache = struct
   let stats t = (t.counters.hits, t.counters.misses)
   let table_stats t = Prefix.stats (Lazy.force t.table)
 
+  (* Serve [key] from [memo] while the occupancy fingerprint matches,
+     else run [compute] and remember its result. *)
+  let memoised t memo key ~compute =
+    let fp = Grid.fingerprint t.grid in
+    match Hashtbl.find_opt memo key with
+    | Some (fp', r) when fp' = fp ->
+        hit t;
+        r
+    | _ ->
+        miss t;
+        let r = compute () in
+        Hashtbl.replace memo key (fp, r);
+        r
+
   let find t ~volume =
     if volume <= 0 then invalid_arg "Finder.Cache.find: volume must be positive";
     Bgl_resilience.Budget.check ~site:"finder.cache.find";
     let result =
       if volume > Grid.volume t.grid then []
       else
-        let fp = Grid.fingerprint t.grid in
-        match Hashtbl.find_opt t.find_memo volume with
-        | Some (fp', boxes) when fp' = fp ->
-            hit t;
-            boxes
-        | _ ->
-            miss t;
+        memoised t t.find_memo volume ~compute:(fun () ->
             let table = lazy_table t in
-            let boxes =
-              if Bgl_obs.Span.enabled () then
-                Bgl_obs.Span.time ~name:"finder.cache.find" (fun () ->
-                    find_prefix_scan t.grid table ~volume)
-              else find_prefix_scan t.grid table ~volume
-            in
-            Hashtbl.replace t.find_memo volume (fp, boxes);
-            boxes
+            if Bgl_obs.Span.enabled () then
+              Bgl_obs.Span.time ~name:"finder.cache.find" (fun () ->
+                  find_prefix_scan t.grid table ~volume)
+            else find_prefix_scan t.grid table ~volume)
     in
-    if differential_armed () then differential_check ~site:"cache.find" t.grid ~volume result;
+    if differential_armed () then
+      differential_check ~site:"cache.find" t.grid ~volume
+        ~project:(fun r -> Boxes r)
+        (Boxes result);
     result
 
   let exists_free t ~volume =
@@ -874,51 +673,21 @@ module Cache = struct
     let result =
       if volume > Grid.volume t.grid then false
       else
-        let fp = Grid.fingerprint t.grid in
-        match Hashtbl.find_opt t.exists_memo volume with
-        | Some (fp', r) when fp' = fp ->
-            hit t;
-            r
-        | _ ->
-            miss t;
+        memoised t t.exists_memo volume ~compute:(fun () ->
             let table = lazy_table t in
-            let r =
-              if Bgl_obs.Span.enabled () then
-                Bgl_obs.Span.time ~name:"finder.cache.exists_free" (fun () ->
-                    exists_free_scan t.grid table ~volume)
-              else exists_free_scan t.grid table ~volume
-            in
-            Hashtbl.replace t.exists_memo volume (fp, r);
-            r
+            if Bgl_obs.Span.enabled () then
+              Bgl_obs.Span.time ~name:"finder.cache.exists_free" (fun () ->
+                  exists_free_scan t.grid table ~volume)
+            else exists_free_scan t.grid table ~volume)
     in
     if differential_armed () then
-      differential_check_exists ~site:"cache.exists_free" t.grid ~volume result;
-    result
-
-  let count t ~volume =
-    if volume <= 0 then invalid_arg "Finder.Cache.count: volume must be positive";
-    Bgl_resilience.Budget.check ~site:"finder.cache.count";
-    let result =
-      if volume > Grid.volume t.grid then 0
-      else
-        let fp = Grid.fingerprint t.grid in
-        match Hashtbl.find_opt t.count_memo volume with
-        | Some (fp', n) when fp' = fp ->
-            hit t;
-            n
-        | _ ->
-            miss t;
-            let plan = count_scan t.grid (lazy_table t) ~volume in
-            note_counted ~queries:t.obs_counted ~skips:t.obs_counted_skips plan;
-            Hashtbl.replace t.count_memo volume (fp, plan.p_total);
-            plan.p_total
-    in
-    if differential_armed () then differential_check_count ~site:"cache.count" t.grid ~volume result;
+      differential_check ~site:"cache.exists_free" t.grid ~volume
+        ~project:(fun r -> Exists (r <> []))
+        (Exists result);
     result
 
   (* The capped engine query: count, pick the historical even-subsample
-     ranks, and emit only those boxes. Also seeds the count memo — the
-     count pass already ran. *)
+     ranks, and emit only those boxes. *)
   let select t ~volume ~cap =
     if volume <= 0 then invalid_arg "Finder.Cache.select: volume must be positive";
     if cap < 1 then invalid_arg "Finder.Cache.select: cap must be >= 1";
@@ -926,22 +695,17 @@ module Cache = struct
     let result =
       if volume > Grid.volume t.grid then []
       else
-        let fp = Grid.fingerprint t.grid in
-        match Hashtbl.find_opt t.select_memo (volume, cap) with
-        | Some (fp', boxes) when fp' = fp ->
-            hit t;
-            boxes
-        | _ ->
-            miss t;
-            let table = lazy_table t in
-            let plan, boxes = select_scan t.grid table ~volume ~cap in
-            note_counted ~queries:t.obs_counted ~skips:t.obs_counted_skips plan;
-            Hashtbl.replace t.count_memo volume (fp, plan.p_total);
-            Hashtbl.replace t.select_memo (volume, cap) (fp, boxes);
-            boxes
+        memoised t t.select_memo (volume, cap) ~compute:(fun () ->
+            let plan, boxes = select_scan t.grid (lazy_table t) ~volume ~cap in
+            Bgl_obs.Registry.inc t.obs_counted;
+            if plan.p_skips > 0 then
+              Bgl_obs.Registry.add t.obs_counted_skips (float_of_int plan.p_skips);
+            boxes)
     in
     if differential_armed () then
-      differential_check_select ~site:"cache.select" t.grid ~volume ~cap result;
+      differential_check ~site:"cache.select" t.grid ~volume
+        ~project:(fun r -> Boxes (reference_cap ~cap r))
+        (Boxes result);
     result
 
   (* MFP search does not fit the per-volume memo (its result is a box,
@@ -961,48 +725,3 @@ module Cache = struct
         t.mfp_slot <- Some (fp, r);
         r
 end
-
-let find algo grid ~volume =
-  if volume <= 0 then invalid_arg "Finder.find: volume must be positive";
-  Bgl_resilience.Budget.check ~site:"finder.find";
-  if volume > Grid.volume grid then []
-  else
-    let run () =
-      match algo with
-      | Naive -> find_naive grid ~volume
-      | Pop -> find_pop grid ~volume
-      | Shape_search -> find_shape_search grid ~volume
-      | Prefix -> find_prefix grid ~volume
-      | Auto ->
-          (* Scale-selected: direct scan on supernode-scale grids (no
-             table to amortise), summed-area table above that, with
-             summary gating kicking in automatically past
-             [summary_gate_volume] inside the prefix scan. *)
-          if Grid.volume grid <= direct_volume_max then find_shape_search grid ~volume
-          else find_prefix grid ~volume
-    in
-    let result =
-      if Bgl_obs.Span.enabled () then Bgl_obs.Span.time ~name:"finder.find" run else run ()
-    in
-    if differential_armed () && algo <> Naive then
-      differential_check ~site:(algo_name algo) grid ~volume result;
-    result
-
-let find_for_size algo grid ~size =
-  match Shapes.round_up_volume (Grid.dims grid) size with
-  | None -> []
-  | Some volume -> find algo grid ~volume
-
-let exists_free grid ~volume =
-  if volume <= 0 then invalid_arg "Finder.exists_free: volume must be positive";
-  Bgl_resilience.Budget.check ~site:"finder.exists_free";
-  if volume > Grid.volume grid then false
-  else
-    let run () = exists_free_scan grid (lazy (Prefix.build grid)) ~volume in
-    let result =
-      if Bgl_obs.Span.enabled () then Bgl_obs.Span.time ~name:"finder.exists_free" run
-      else run ()
-    in
-    if differential_armed () then
-      differential_check_exists ~site:"exists_free" grid ~volume result;
-    result

@@ -1,162 +1,37 @@
 (** Free-partition finders.
 
-    Five algorithms with identical observable behaviour — they return
-    the same canonical set of free boxes — but very different running
-    times, matching the lineage in the paper's Appendix 9:
+    A query asks for every free partition (box) of exactly [volume]
+    nodes. Results are canonical ({!Bgl_torus.Box.canonical}) and
+    sorted by {!Bgl_torus.Box.compare}, so finder outputs compare
+    structurally.
 
-    - {!Naive}: enumerate every box of every size, check node by node,
-      filter by volume. O(M⁹) on an empty M×M×M torus. The reference
-      the others are validated against.
-    - {!Pop}: a Krevat-style Projection-of-Partitions dynamic program —
-      project each z-extent onto a 2-D free map maintained
-      incrementally, then scan rectangles with 2-D prefix sums. O(M⁵)
-      flavour.
-    - {!Shape_search}: the paper's algorithm — only divisor shapes of
-      the requested volume, scanning bases with early exit on the
-      first occupied node.
-    - {!Prefix}: the shape search with a 3-D summed-area table so each
-      candidate box costs O(1) (this repository's refinement; used by
-      the schedulers). At machine volumes of 512 and above, shapes are
-      first filtered through the grid's {!Bgl_torus.Summary} so
-      infeasible shapes never pay for a base scan or a table sync.
-    - {!Auto}: scale-selected front-end — direct shape scan on
-      supernode-scale grids (volume ≤ 128), summed-area table above
-      that, summary-guided table at full machine scale.
+    {b Production.} Every query the simulator makes goes through
+    {!Cache}: one memoised implementation per query over an
+    incrementally maintained summed-area table. At machine volumes of
+    512 and above ({!summary_gated}) shapes are first filtered through
+    the grid's {!Bgl_torus.Summary}, so infeasible shapes never pay for
+    a base scan or a table sync, and capped candidate queries run as a
+    count-then-select walk that never materialises the full list.
 
-    All results are canonical ({!Bgl_torus.Box.canonical}) and sorted,
-    so finder outputs can be compared structurally. *)
+    {b Reference.} The paper's Appendix 9 lineage lives in {!Reference}:
+    the naive O(M⁹) enumeration, Krevat's projection of partitions and
+    the divisor-shape search. They share none of the production
+    machinery and serve as the oracle the production path is tested
+    and (in {!section-differential} mode) cross-checked against. *)
 
 open Bgl_torus
 
-type algo = Naive | Pop | Shape_search | Prefix | Auto
-
-val all_algos : algo list
-val algo_name : algo -> string
-
-val bases : Dims.t -> wrap:bool -> Shape.t -> Coord.t list
-(** Base coordinates to try for a shape: every in-bounds coordinate
-    with wraparound (collapsed to 0 along dimensions the shape spans
-    fully), or only non-overflowing bases without. *)
-
-val bases_arr : Dims.t -> wrap:bool -> Shape.t -> Coord.t array
-(** Cached array view of {!bases}; callers must not mutate it. *)
-
-val iter_bases : Dims.t -> wrap:bool -> Shape.t -> f:(int -> int -> int -> unit) -> unit
-(** [iter_bases d ~wrap s ~f] calls [f x y z] for every base of
-    {!bases}, in the same order, without materializing the set — at
-    full machine scale a shape has up to 65k bases, so the scan paths
-    iterate instead of allocating. *)
-
-val bases_cache_stats : unit -> int * int
-(** [(entries, cap)] of the calling domain's base-array cache. The
-    cache is evicted wholesale when an insertion would exceed the cap,
-    so [entries <= cap] always holds. *)
-
-val summary_gated : Grid.t -> bool
-(** Whether finder scans on this grid consult the occupancy summary
-    before enumerating bases (machine volume ≥ 512). *)
-
-val shape_possible : Grid.t -> Shape.t -> bool
-(** [false] only when the grid's {!Bgl_torus.Summary} proves no free
-    box of the shape exists; always [true] below the gating volume.
-    The fast pre-filter used by the scan paths and {!Bgl_partition.Mfp}. *)
-
-val find : algo -> Grid.t -> volume:int -> Box.t list
-(** All free partitions of exactly [volume] nodes, canonical and
-    sorted. [volume] must be positive; an unrealisable volume yields
-    []. *)
-
-val find_with : Prefix.t -> Grid.t -> volume:int -> Box.t list
-(** {!Prefix}-algorithm search reusing a prebuilt summed-area table
-    (which must reflect the grid's current occupancy) — the engine
-    shares one table across a scheduling pass. *)
-
-val exists_free_with : Prefix.t -> Grid.t -> volume:int -> bool
-
-val find_for_size : algo -> Grid.t -> size:int -> Box.t list
-(** Candidates for a job of [size] nodes: the free partitions of the
-    rounded-up volume ({!Shapes.round_up_volume}). *)
-
-val exists_free : Grid.t -> volume:int -> bool
-(** Whether at least one free partition of exactly [volume] exists
-    (prefix-based, with early exit). *)
-
-(** {1 Counted enumeration}
-
-    Capped candidate queries without materialising the full candidate
-    list. A count pass computes the exact number of free boxes per
-    (z, y) base row — O(1) summed-area queries per row on mostly-free
-    grids, with whole shapes, planes and rows skipped through the grid
-    {!Bgl_torus.Summary} — and a select pass walks only the rows
-    holding the requested ranks.
-
-    The invariant all three functions share: ranks are taken in the
-    canonical sorted order of {!find}'s result ({!Bgl_torus.Box.compare}:
-    base z, y, x, then shape), so [select ~cap] is {e definitionally}
-    equal to capping the materialised list with the engine's historical
-    even subsample [i*n/cap] — the equality the qcheck layer and the
-    differential oracle enforce. Counted queries are observable as
-    [bgl_finder_counted_queries_total] / [bgl_finder_counted_skips_total]
-    and the [finder.count.scan] / [finder.count.select] spans. *)
-
-val count : Grid.t -> volume:int -> int
-(** [count grid ~volume = List.length (find Prefix grid ~volume)],
-    computed without allocating the list. *)
-
-val count_with : Prefix.t -> Grid.t -> volume:int -> int
-(** As {!count}, reusing a prebuilt summed-area table that must
-    reflect the grid's current occupancy. *)
-
-val nth : Grid.t -> volume:int -> rank:int -> Box.t option
-(** [nth grid ~volume ~rank = List.nth_opt (find Prefix grid ~volume) rank]
-    without materialising the list. [rank] must be ≥ 0. *)
-
-val select : Grid.t -> volume:int -> cap:int -> Box.t list
-(** The deterministic even subsample over the sorted candidate list:
-    the whole list when its length [n] ≤ [cap], else the [cap] boxes
-    at ranks [i*n/cap]. [cap] must be ≥ 1. *)
-
-val select_with : Prefix.t -> Grid.t -> volume:int -> cap:int -> Box.t list
-
-(** {1 Differential mode}
-
-    A global debug switch: while enabled, accelerated queries ({!find}
-    with a non-naive algorithm, {!find_with}, {!exists_free_with},
-    {!exists_free}, and all {!Cache} queries) are cross-checked
-    against an independent reference on the same grid, and the
-    returned boxes are independently validated (in-bounds, exact
-    volume, actually free). The reference is the {!Naive} enumeration
-    on supernode-scale grids (volume ≤ 128) and a freshly built,
-    summary-ungated table scan above that — an independent occupancy
-    representation exercising none of the incremental maintenance,
-    memoization or summary gating under test. Any disagreement raises
-    {!Divergence}. Orders of magnitude slower than the queries it
-    guards — meant for CI smoke runs and bug hunts, never production
-    sweeps. The flag is atomic and process-wide, so parallel sweep
-    domains all honour it. *)
-
-exception Divergence of string
-(** Raised when an accelerated finder disagrees with the reference.
-    The payload is a human-readable report including both result sets
-    and (on small grids) an ASCII dump of the grid. *)
-
-val set_differential : ?sample:int -> bool -> unit
-(** [set_differential ~sample:n true] cross-checks every nth guarded
-    query (default 1 = every query) — sampling makes differential mode
-    affordable on full-machine runs. [sample] must be ≥ 1. *)
-
-val differential_enabled : unit -> bool
-
 (** {1 Candidate cache}
 
-    A per-engine cache that accelerates repeated finder queries against
-    one long-lived grid. It owns an incrementally maintained
-    summed-area table ({!Bgl_torus.Prefix.track}) — callers report each
-    grid mutation via {!Cache.note_box}/{!Cache.note_node} — and
-    memoises query results keyed on the grid's occupancy
+    A per-engine cache that answers finder queries against one
+    long-lived grid. It owns an incrementally maintained summed-area
+    table ({!Bgl_torus.Prefix.track}) — callers report each grid
+    mutation via {!Cache.note_box}/{!Cache.note_node} — and memoises
+    query results keyed on the grid's occupancy
     {!Bgl_torus.Grid.fingerprint}, so a repeated query on unchanged
     occupancy is a hash lookup. MFP what-if probes (occupy then vacate)
-    restore the fingerprint, so they do not evict entries. *)
+    restore the fingerprint, so they do not evict entries. A one-off
+    query on any grid is [Cache.create grid] followed by the query. *)
 
 module Cache : sig
   type t
@@ -186,20 +61,25 @@ module Cache : sig
       occupancy — for callers that scan it directly (MFP search). *)
 
   val find : t -> volume:int -> Box.t list
-  (** As {!Finder.find_with} on the cached grid, memoised per volume on
-      the occupancy fingerprint. *)
+  (** All free partitions of exactly [volume] nodes, canonical and
+      sorted, memoised per volume on the occupancy fingerprint.
+      [volume] must be positive; an unrealisable volume yields []. *)
 
   val exists_free : t -> volume:int -> bool
-
-  val count : t -> volume:int -> int
-  (** As {!Finder.count} on the cached grid, memoised per volume on the
-      occupancy fingerprint. *)
+  (** Whether {!find} would be non-empty, with early exit on the first
+      free box; memoised like {!find}. *)
 
   val select : t -> volume:int -> cap:int -> Box.t list
-  (** As {!Finder.select} on the cached grid, memoised per
-      (volume, cap) on the occupancy fingerprint. The engine's capped
-      candidate query: byte-identical to
-      [cap ∘ {!find}] but never materialises the full list. *)
+  (** The engine's capped candidate query: the whole {!find} list when
+      its length [n] ≤ [cap], else the [cap] boxes at sorted ranks
+      [i*n/cap]. Byte-identical to capping {!find}, but computed by a
+      count pass (exact free-box counts per base row, whole rows and
+      planes skipped through the summary) and a select pass that walks
+      only the rows holding those ranks. Memoised per (volume, cap).
+      [cap] must be ≥ 1. Counted queries are observable as
+      [bgl_finder_counted_queries_total] /
+      [bgl_finder_counted_skips_total] and the [finder.count.scan] /
+      [finder.count.select] spans. *)
 
   val mfp_cached : t -> compute:(unit -> Box.t option) -> Box.t option
   (** One-deep memo for the maximal-free-partition search: returns the
@@ -207,9 +87,79 @@ module Cache : sig
       runs [compute] and remembers it. *)
 
   val stats : t -> int * int
-  (** [(hits, misses)] across {!find}, {!exists_free} and
+  (** [(hits, misses)] across {!find}, {!exists_free}, {!select} and
       {!mfp_cached}. *)
 
   val table_stats : t -> Prefix.stats
   (** Incremental-vs-full update counts of the underlying table. *)
+end
+
+(** {1 Scan building blocks} *)
+
+val iter_bases : Dims.t -> wrap:bool -> Shape.t -> f:(int -> int -> int -> unit) -> unit
+(** [iter_bases d ~wrap s ~f] calls [f x y z] for every base coordinate
+    of shape [s] (x fastest, then y, then z): every in-bounds
+    coordinate with wraparound (collapsed to 0 along dimensions the
+    shape spans fully), or only non-overflowing bases without. *)
+
+val summary_gated : Grid.t -> bool
+(** Whether finder scans on this grid consult the occupancy summary
+    before enumerating bases (machine volume ≥ 512). *)
+
+val shape_possible : Grid.t -> Shape.t -> bool
+(** [false] only when the grid's {!Bgl_torus.Summary} proves no free
+    box of the shape exists; always [true] below the gating volume.
+    The fast pre-filter used by the scan paths and {!Bgl_partition.Mfp}. *)
+
+(** {1:differential Differential mode}
+
+    A global debug switch: while enabled, every {!Cache} query
+    ({!Cache.find}, {!Cache.exists_free}, {!Cache.select}) is
+    cross-checked against an independent reference on the same grid,
+    and the returned boxes are independently validated (in-bounds,
+    exact volume, actually free). The reference is the {!Reference.Naive}
+    enumeration on supernode-scale grids (volume ≤ 128) and a freshly
+    built, summary-ungated table scan above that — an independent
+    occupancy representation exercising none of the incremental
+    maintenance, memoization, counted walk or summary gating under
+    test. Any disagreement raises {!Divergence}. Orders of magnitude
+    slower than the queries it guards — meant for CI smoke runs and bug
+    hunts, never production sweeps. The flag is atomic and
+    process-wide, so parallel sweep domains all honour it. *)
+
+exception Divergence of string
+(** Raised when a cache query disagrees with the reference. The
+    payload is a human-readable report including both answers and (on
+    small grids) an ASCII dump of the grid. *)
+
+val set_differential : ?sample:int -> bool -> unit
+(** [set_differential ~sample:n true] cross-checks every nth guarded
+    query (default 1 = every query) — sampling makes differential mode
+    affordable on full-machine runs. [sample] must be ≥ 1. *)
+
+val differential_enabled : unit -> bool
+
+(** {1 Reference finders}
+
+    The paper's Appendix 9 lineage, with identical observable
+    behaviour but very different running times:
+
+    - [Naive]: enumerate every box of every size, check node by node,
+      filter by volume. O(M⁹) on an empty M×M×M torus.
+    - [Pop]: a Krevat-style Projection-of-Partitions dynamic program —
+      project each z-extent onto a 2-D free map maintained
+      incrementally, then scan rectangles with 2-D prefix sums. O(M⁵)
+      flavour.
+    - [Shape_search]: the paper's algorithm — only divisor shapes of
+      the requested volume, scanning bases with early exit on the first
+      occupied node. *)
+
+module Reference : sig
+  type algo = Naive | Pop | Shape_search
+
+  val all : algo list
+  val name : algo -> string
+
+  val find : algo -> Grid.t -> volume:int -> Box.t list
+  (** Same contract as {!Cache.find}, uncached. *)
 end

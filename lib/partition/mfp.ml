@@ -2,12 +2,10 @@ open Bgl_torus
 
 exception Found of Box.t
 
-(* The table is lazy so a search whose every shape is skipped — too
-   large for the free count, or rejected by the grid's summary — never
-   builds it; ghost-grid probes on a busy full-scale machine hit that
-   case constantly. Shape and base order are unchanged from the eager
-   scan, so the returned box is identical. *)
-let search_lazy table grid =
+(* Shape and base order fix which maximal box is returned, so keep
+   them: levels by decreasing volume, shapes and bases in catalogue
+   order. *)
+let search table grid =
   if Grid.free_count grid = 0 then None
   else
     let d = Grid.dims grid in
@@ -17,12 +15,10 @@ let search_lazy table grid =
       try
         Array.iter
           (fun shape ->
-            if Finder.shape_possible grid shape then begin
-              let tbl = Lazy.force table in
+            if Finder.shape_possible grid shape then
               Finder.iter_bases d ~wrap shape ~f:(fun x y z ->
                   let box = Box.make (Coord.make x y z) shape in
-                  if Prefix.box_is_free tbl box then raise (Found box))
-            end)
+                  if Prefix.box_is_free table box then raise (Found box)))
           shapes;
         None
       with Found b -> Some b
@@ -38,22 +34,16 @@ let search_lazy table grid =
     in
     scan_levels (Shapes.levels_desc d)
 
-let search_with table grid = search_lazy (Lazy.from_val table) grid
-let search grid = search_lazy (lazy (Prefix.build grid)) grid
-
-(* With a cache the search scans the cache's incrementally maintained
-   table, and the result is memoised on the occupancy fingerprint via
-   the cache's one-deep MFP slot. *)
 (* A cache only applies to the very grid it is bound to: callers probe
-   ghost copies too (reservation feasibility, migration planning), and
-   those must fall back to cold searches. *)
+   ghost copies too, and those get a fresh cache of their own. *)
 let cache_for cache grid =
-  match cache with Some c when Finder.Cache.grid c == grid -> Some c | _ -> None
+  match cache with
+  | Some c when Finder.Cache.grid c == grid -> c
+  | _ -> Finder.Cache.create grid
 
 let box ?cache grid =
-  match cache_for cache grid with
-  | None -> search grid
-  | Some c -> Finder.Cache.mfp_cached c ~compute:(fun () -> search_with (Finder.Cache.table c) grid)
+  let c = cache_for cache grid in
+  Finder.Cache.mfp_cached c ~compute:(fun () -> search (Finder.Cache.table c) grid)
 
 let volume ?cache grid = match box ?cache grid with None -> 0 | Some b -> Box.volume b
 
@@ -62,25 +52,17 @@ let volume ?cache grid = match box ?cache grid with None -> 0 | Some b -> Box.vo
 let probe_owner = max_int
 
 let volume_after ?cache grid candidate =
-  let cache = cache_for cache grid in
+  let c = cache_for cache grid in
   Grid.occupy grid candidate ~owner:probe_owner;
-  (match cache with Some c -> Finder.Cache.note_box c candidate | None -> ());
+  Finder.Cache.note_box c candidate;
   Fun.protect
     ~finally:(fun () ->
       Grid.vacate grid candidate ~owner:probe_owner;
-      match cache with Some c -> Finder.Cache.note_box c candidate | None -> ())
+      Finder.Cache.note_box c candidate)
     (fun () ->
-      match cache with
-      | None -> volume grid
-      | Some c -> (
-          (* Probe states are transient (the vacate in [finally]
-             restores the fingerprint), so bypass the MFP memo slot —
-             it must keep the stable pre-probe result — but do reuse
-             the incremental table: the probe box is noted going in and
-             coming out, so both syncs are dirty-block updates. *)
-          match search_with (Finder.Cache.table c) grid with
-          | None -> 0
-          | Some b -> Box.volume b))
-
-let loss ?cache grid candidate = volume ?cache grid - volume_after ?cache grid candidate
-let loss_given ?cache ~before grid candidate = before - volume_after ?cache grid candidate
+      (* Probe states are transient (the vacate in [finally] restores
+         the fingerprint), so bypass the MFP memo slot — it must keep
+         the stable pre-probe result — but do reuse the incremental
+         table: the probe box is noted going in and coming out, so both
+         syncs are dirty-block updates. *)
+      match search (Finder.Cache.table c) grid with None -> 0 | Some b -> Box.volume b)

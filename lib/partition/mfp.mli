@@ -8,12 +8,12 @@
     order over a summed-area table, so it stops at the first volume
     level that still has a free box.
 
-    Every entry point takes an optional {!Finder.Cache.t}. When the
-    cache is bound to the queried grid, the search reuses the cache's
-    incrementally maintained summed-area table instead of building a
-    fresh one per call, and whole-grid results are memoised on the
-    occupancy fingerprint. A cache bound to a different grid (the
-    schedulers probe ghost copies) is ignored. *)
+    Every entry point takes an optional {!Finder.Cache.t}. A cache
+    bound to the queried grid lends the search its incrementally
+    maintained summed-area table, and whole-grid results are memoised
+    on the occupancy fingerprint in its MFP slot. Without one, or with
+    a cache bound to a different grid (the schedulers probe ghost
+    copies), the call runs on a fresh [Finder.Cache.create grid]. *)
 
 open Bgl_torus
 
@@ -23,20 +23,8 @@ val volume : ?cache:Finder.Cache.t -> Grid.t -> int
 val box : ?cache:Finder.Cache.t -> Grid.t -> Box.t option
 (** Some maximal free partition (the first in scan order), if any. *)
 
-val search_with : Prefix.t -> Grid.t -> Box.t option
-(** MFP search over a caller-supplied summed-area table (which must
-    reflect the grid's current occupancy). *)
-
 val volume_after : ?cache:Finder.Cache.t -> Grid.t -> Box.t -> int
 (** [volume_after grid candidate] is the MFP volume once [candidate]
     (which must be free) is occupied. The grid is mutated temporarily
-    and restored before returning; with a cache, the probe is noted on
-    the way in and out so the table updates stay incremental. *)
-
-val loss : ?cache:Finder.Cache.t -> Grid.t -> Box.t -> int
-(** [loss grid candidate = volume grid - volume_after grid candidate]:
-    the L_MFP term of the balancing algorithm. *)
-
-val loss_given : ?cache:Finder.Cache.t -> before:int -> Grid.t -> Box.t -> int
-(** Same as {!loss} with the pre-placement MFP volume already known —
-    the schedulers compute it once per scheduling decision. *)
+    and restored before returning; the probe is noted in the cache on
+    the way in and out, so its table updates stay incremental. *)

@@ -31,7 +31,7 @@ let mfp_loss (ctx : Policy.ctx) candidate =
     List.exists (fun b -> not (Box.overlap dims b candidate)) (Lazy.force ctx.mfp_boxes)
   in
   if survives then 0
-  else before - Bgl_partition.Mfp.volume_after ?cache:ctx.cache ctx.grid candidate
+  else before - Bgl_partition.Mfp.volume_after ~cache:ctx.cache ctx.grid candidate
 
 (* Choose the candidate minimising [score]; earlier candidates win
    ties. [stop] is a known lower bound on the score: the scan ends at

@@ -1,9 +1,10 @@
 open Bgl_torus
+module Cache = Bgl_partition.Finder.Cache
 
 type ctx = {
   now : float;
   grid : Grid.t;
-  cache : Bgl_partition.Finder.Cache.t option;
+  cache : Cache.t;
   mfp_before : int Lazy.t;
   mfp_boxes : Box.t list Lazy.t;
 }
@@ -15,15 +16,13 @@ type t = {
 }
 
 let make_ctx ?cache ~now grid =
-  let mfp_before = lazy (Bgl_partition.Mfp.volume ?cache grid) in
+  let cache =
+    match cache with Some c when Cache.grid c == grid -> c | _ -> Cache.create grid
+  in
+  let mfp_before = lazy (Bgl_partition.Mfp.volume ~cache grid) in
   let mfp_boxes =
     lazy
       (let v = Lazy.force mfp_before in
-       if v = 0 then []
-       else
-         match cache with
-         | Some c when Bgl_partition.Finder.Cache.grid c == grid ->
-             Bgl_partition.Finder.Cache.find c ~volume:v
-         | _ -> Bgl_partition.Finder.find Bgl_partition.Finder.Prefix grid ~volume:v)
+       if v = 0 then [] else Cache.find cache ~volume:v)
   in
   { now; grid; cache; mfp_before; mfp_boxes }

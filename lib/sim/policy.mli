@@ -15,10 +15,11 @@ type ctx = {
       (** current occupancy; policies may probe it (e.g. via
           [Mfp.volume_after], which restores the grid) but must leave
           it unchanged *)
-  cache : Bgl_partition.Finder.Cache.t option;
-      (** the engine's finder cache over [grid], when one exists —
-          policies should thread it into [Mfp] probes so MFP searches
-          reuse the incremental summed-area table *)
+  cache : Bgl_partition.Finder.Cache.t;
+      (** a finder cache bound to [grid]: the engine's own when it
+          built the context, else a fresh one — policies thread it into
+          [Mfp] probes so MFP searches reuse its incremental
+          summed-area table *)
   mfp_before : int Lazy.t;  (** MFP volume before the placement *)
   mfp_boxes : Box.t list Lazy.t;
       (** all free boxes achieving [mfp_before] — lets policies skip
@@ -36,6 +37,6 @@ type t = {
 }
 
 val make_ctx : ?cache:Bgl_partition.Finder.Cache.t -> now:float -> Grid.t -> ctx
-(** Build a context with lazily computed MFP data. When [cache] is the
-    engine's finder cache over [grid], the MFP data is served from (and
-    memoised in) the cache. *)
+(** Build a context with lazily computed MFP data, served from (and
+    memoised in) [cache] when it is bound to [grid], else in a fresh
+    [Finder.Cache.create grid]. *)

@@ -4,9 +4,9 @@
     because every wrapping dimension is virtually doubled); afterwards
     the number of occupied nodes in any box — wrapped or not — is read
     in O(1). This is what turns the shape-driven partition finder of
-    the paper's Appendix into the O(1)-per-candidate {!Finder.prefix}
-    variant and makes maximal-free-partition search cheap enough to
-    evaluate for every candidate placement.
+    the paper's Appendix into the O(1)-per-candidate production finder
+    ([Bgl_partition.Finder.Cache]) and makes maximal-free-partition
+    search cheap enough to evaluate for every candidate placement.
 
     Two flavours exist. {!build} is a snapshot: it reflects the grid at
     build time and never changes. {!track} is an incrementally

@@ -173,13 +173,18 @@ let rebuild_bcum t ~wrap =
 (* A box of shape s spans at most ceil(s/B)+1 blocks per axis (one for
    each full stripe plus the two clipped ends), so if no block window of
    that many blocks holds [volume s] free nodes anywhere, no placement
-   can either. *)
+   can either. The bound assumes every block is B wide, which fails on
+   a wrapped axis whose length is not a multiple of B: a box crossing
+   the seam passes through the short edge block and can touch one block
+   more. There the window takes the whole axis, which holds every box. *)
 let block_window_ok t ~wrap (s : Shape.t) =
   let vol = Shape.volume s in
-  let span extent grid_blocks =
-    min grid_blocks (((extent + t.block - 1) / t.block) + 1)
+  let span extent n grid_blocks =
+    if wrap && n mod t.block <> 0 then grid_blocks
+    else min grid_blocks (((extent + t.block - 1) / t.block) + 1)
   in
-  let wx = span s.sx t.bx and wy = span s.sy t.by and wz = span s.sz t.bz in
+  let d = t.dims in
+  let wx = span s.sx d.nx t.bx and wy = span s.sy d.ny t.by and wz = span s.sz d.nz t.bz in
   let ebx = if wrap then 2 * t.bx else t.bx in
   let eby = if wrap then 2 * t.by else t.by in
   let sy = ebx + 1 in

@@ -349,7 +349,7 @@ let test_fig3_golden_parallel () =
     (render_fig3 ~domains:2)
 
 (* ------------------------------------------------------------------ *)
-(* Candidate-cap ablation pin: the counted enumeration (Finder.select)
+(* Candidate-cap ablation pin: the counted enumeration (Cache.select)
    must reproduce the engine's historical materialise-then-subsample
    byte-for-byte, so the cap ablation figure — which exercises every
    cap setting including the uncapped one — is pinned against fixtures

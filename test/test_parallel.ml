@@ -98,10 +98,12 @@ let test_spans_merge_across_domains () =
   | Some s -> check_int "calls from every domain merged" 24 s.count
 
 (* ------------------------------------------------------------------ *)
-(* Finder cache under concurrency *)
+(* Finder cache under concurrency: every domain binds its own cache to
+   one shared grid and must agree with the sequential reference. *)
 
 let test_finder_cache_across_domains () =
   let open Bgl_torus in
+  let open Bgl_partition in
   let d = Dims.make 4 4 4 in
   let g = Grid.create d in
   let rng = Bgl_stats.Rng.create ~seed:5 in
@@ -110,12 +112,10 @@ let test_finder_cache_across_domains () =
       Grid.occupy_node g node ~owner:(node mod 7)
   done;
   let volumes = Array.init 16 (fun i -> i + 1) in
-  let sequential =
-    Array.map (fun volume -> Bgl_partition.Finder.find Bgl_partition.Finder.Pop g ~volume) volumes
-  in
+  let sequential = Array.map (fun volume -> Finder.Reference.find Pop g ~volume) volumes in
   let parallel =
     Bgl_parallel.Pool.map ~domains:4
-      (fun volume -> Bgl_partition.Finder.find Bgl_partition.Finder.Pop g ~volume)
+      (fun volume -> Finder.Cache.find (Finder.Cache.create g) ~volume)
       volumes
   in
   check_bool "same boxes from every domain" true (parallel = sequential)

@@ -71,26 +71,32 @@ let test_shapes_desc_order () =
 (* ------------------------------------------------------------------ *)
 (* Finders: hand-built scenarios *)
 
+(* A one-off production query: a fresh cache, so no memo answers it. *)
+let cache_find g ~volume = Finder.Cache.find (Finder.Cache.create g) ~volume
+let cache_select g ~volume ~cap = Finder.Cache.select (Finder.Cache.create g) ~volume ~cap
+let ref_find = Finder.Reference.find
+
+(* Every finder under test: the production cache and the paper's
+   reference lineage. *)
+let finders =
+  ("cache", cache_find)
+  :: List.map (fun algo -> (Finder.Reference.name algo, ref_find algo)) Finder.Reference.all
+
 let test_find_empty_torus_singletons () =
   let g = Grid.create Dims.bgl in
   List.iter
-    (fun algo ->
-      check_int
-        (Finder.algo_name algo ^ " singletons")
-        128
-        (List.length (Finder.find algo g ~volume:1)))
-    Finder.all_algos
+    (fun (name, find) -> check_int (name ^ " singletons") 128 (List.length (find g ~volume:1)))
+    finders
 
 let test_find_full_torus () =
   let g = Grid.create Dims.bgl in
   List.iter
-    (fun algo ->
+    (fun (name, find) ->
       (* Exactly one canonical box covers the whole torus. *)
-      Alcotest.check boxes
-        (Finder.algo_name algo ^ " full box")
+      Alcotest.check boxes (name ^ " full box")
         [ Box.make (Coord.make 0 0 0) (Shape.make 4 4 8) ]
-        (Finder.find algo g ~volume:128))
-    Finder.all_algos
+        (find g ~volume:128))
+    finders
 
 let test_find_respects_occupancy () =
   let g = Grid.create Dims.bgl in
@@ -101,17 +107,14 @@ let test_find_respects_occupancy () =
     done
   done;
   List.iter
-    (fun algo ->
-      let found = Finder.find algo g ~volume:16 in
-      check_bool
-        (Finder.algo_name algo ^ " avoids z=0")
-        true
+    (fun (name, find) ->
+      let found = find g ~volume:16 in
+      check_bool (name ^ " avoids z=0") true
         (List.for_all
-           (fun b ->
-             List.for_all (fun (c : Coord.t) -> c.z <> 0) (Box.cells Dims.bgl b))
+           (fun b -> List.for_all (fun (c : Coord.t) -> c.z <> 0) (Box.cells Dims.bgl b))
            found);
-      check_bool (Finder.algo_name algo ^ " finds some") true (found <> []))
-    Finder.all_algos
+      check_bool (name ^ " finds some") true (found <> []))
+    finders
 
 let test_find_no_wrap_smaller () =
   let dwrap = Grid.create ~wrap:true (Dims.make 4 1 1) in
@@ -124,46 +127,48 @@ let test_find_no_wrap_smaller () =
       Grid.occupy_node g 2 ~owner:1)
     [ dwrap; gnow ];
   List.iter
-    (fun algo ->
-      check_int (Finder.algo_name algo ^ " wrap finds") 1
-        (List.length (Finder.find algo dwrap ~volume:2));
-      check_int (Finder.algo_name algo ^ " no-wrap finds none") 0
-        (List.length (Finder.find algo gnow ~volume:2)))
-    Finder.all_algos
+    (fun (name, find) ->
+      check_int (name ^ " wrap finds") 1 (List.length (find dwrap ~volume:2));
+      check_int (name ^ " no-wrap finds none") 0 (List.length (find gnow ~volume:2)))
+    finders
 
 let test_find_infeasible_volume () =
   let g = Grid.create Dims.bgl in
   List.iter
-    (fun algo ->
-      Alcotest.check boxes (Finder.algo_name algo ^ " volume 11") [] (Finder.find algo g ~volume:11);
-      Alcotest.check boxes (Finder.algo_name algo ^ " beyond torus") []
-        (Finder.find algo g ~volume:129))
-    Finder.all_algos
+    (fun (name, find) ->
+      Alcotest.check boxes (name ^ " volume 11") [] (find g ~volume:11);
+      Alcotest.check boxes (name ^ " beyond torus") [] (find g ~volume:129))
+    finders
 
-let test_find_for_size_rounds_up () =
+let test_rounded_up_size_candidates () =
   let g = Grid.create Dims.bgl in
-  let for_11 = Finder.find_for_size Finder.Prefix g ~size:11 in
+  let for_11 =
+    match Shapes.round_up_volume Dims.bgl 11 with
+    | Some volume -> cache_find g ~volume
+    | None -> []
+  in
   check_bool "non-empty" true (for_11 <> []);
   check_bool "all volume 12" true (List.for_all (fun b -> Box.volume b = 12) for_11)
 
 let test_exists_free () =
   let g = Grid.create Dims.bgl in
-  check_bool "empty torus has 128" true (Finder.exists_free g ~volume:128);
+  let cache = Finder.Cache.create g in
+  check_bool "empty torus has 128" true (Finder.Cache.exists_free cache ~volume:128);
   Grid.occupy_node g 0 ~owner:1;
-  check_bool "no longer 128" false (Finder.exists_free g ~volume:128);
-  check_bool "still 64" true (Finder.exists_free g ~volume:64)
+  Finder.Cache.note_node cache 0;
+  check_bool "no longer 128" false (Finder.Cache.exists_free cache ~volume:128);
+  check_bool "still 64" true (Finder.Cache.exists_free cache ~volume:64)
 
 let test_canonical_dedup_full_dim () =
   (* With wraparound, a shape spanning a full dimension must appear
      only with base 0 in that dimension. *)
   let g = Grid.create (Dims.make 4 1 1) in
   List.iter
-    (fun algo ->
-      Alcotest.check boxes
-        (Finder.algo_name algo ^ " full-x dedup")
+    (fun (name, find) ->
+      Alcotest.check boxes (name ^ " full-x dedup")
         [ Box.make (Coord.make 0 0 0) (Shape.make 4 1 1) ]
-        (Finder.find algo g ~volume:4))
-    Finder.all_algos
+        (find g ~volume:4))
+    finders
 
 (* ------------------------------------------------------------------ *)
 (* Finder.Cache: hand-built scenarios *)
@@ -171,7 +176,7 @@ let test_canonical_dedup_full_dim () =
 let test_cache_basic () =
   let g = Grid.create Dims.bgl in
   let cache = Finder.Cache.create g in
-  let direct = Finder.find Finder.Prefix g ~volume:8 in
+  let direct = ref_find Shape_search g ~volume:8 in
   Alcotest.check boxes "cold query" direct (Finder.Cache.find cache ~volume:8);
   Alcotest.check boxes "memo hit" direct (Finder.Cache.find cache ~volume:8);
   let hits, misses = Finder.Cache.stats cache in
@@ -181,7 +186,7 @@ let test_cache_basic () =
   let b = List.hd direct in
   Grid.occupy g b ~owner:3;
   Finder.Cache.note_box cache b;
-  Alcotest.check boxes "after occupy" (Finder.find Finder.Prefix g ~volume:8)
+  Alcotest.check boxes "after occupy" (ref_find Shape_search g ~volume:8)
     (Finder.Cache.find cache ~volume:8);
   check_bool "table stayed incremental" true
     ((Finder.Cache.table_stats cache).Prefix.full_rebuilds = 0);
@@ -208,7 +213,7 @@ let test_cache_self_heals_unnoted () =
      result must still be correct. *)
   Grid.occupy_node g 0 ~owner:9;
   Alcotest.check boxes "correct despite missing note"
-    (Finder.find Finder.Prefix g ~volume:4)
+    (ref_find Shape_search g ~volume:4)
     (Finder.Cache.find cache ~volume:4);
   check_bool "healed by full rebuild" true
     ((Finder.Cache.table_stats cache).Prefix.full_rebuilds >= 1)
@@ -224,10 +229,11 @@ let test_differential_mode_toggle () =
       let g = Grid.create Dims.bgl in
       Grid.occupy g (Box.make (Coord.make 0 0 0) (Shape.make 2 2 2)) ~owner:1;
       let cache = Finder.Cache.create g in
-      Alcotest.check boxes "checked cache query"
-        (Finder.find Finder.Naive g ~volume:8)
-        (Finder.Cache.find cache ~volume:8);
-      check_bool "checked exists_free" true (Finder.exists_free g ~volume:64));
+      let naive = ref_find Naive g ~volume:8 in
+      Alcotest.check boxes "checked cache query" naive (Finder.Cache.find cache ~volume:8);
+      Alcotest.check boxes "checked select" [ List.hd naive ]
+        (Finder.Cache.select cache ~volume:8 ~cap:1);
+      check_bool "checked exists_free" true (Finder.Cache.exists_free cache ~volume:64));
   check_bool "restored" false (Finder.differential_enabled ())
 
 let test_differential_sampling () =
@@ -245,22 +251,10 @@ let test_differential_sampling () =
       Grid.occupy g (Box.make (Coord.make 1 1 1) (Shape.make 2 2 2)) ~owner:1;
       let cache = Finder.Cache.create g in
       for _ = 1 to 7 do
-        Alcotest.check boxes "sampled cache query"
-          (Finder.find Finder.Naive g ~volume:8)
+        Alcotest.check boxes "sampled cache query" (ref_find Naive g ~volume:8)
           (Finder.Cache.find cache ~volume:8)
       done);
   check_bool "restored" false (Finder.differential_enabled ())
-
-let test_bases_cache_cap () =
-  let d = Dims.make 1 1 512 in
-  for z = 1 to 300 do
-    ignore (Finder.bases d ~wrap:false (Shape.make 1 1 z))
-  done;
-  let len, cap = Finder.bases_cache_stats () in
-  check_bool "cap positive" true (cap > 0);
-  check_bool "length within cap" true (len <= cap);
-  (* A re-request after eviction still answers correctly. *)
-  check_int "recomputed entry correct" 512 (List.length (Finder.bases d ~wrap:false (Shape.make 1 1 1)))
 
 let test_orientations_non_cubic () =
   let d = Dims.make 2 3 4 in
@@ -285,14 +279,14 @@ let test_gated_find_agrees_at_scale () =
   Grid.vacate g (Box.make (Coord.make 4 4 8) (Shape.make 2 2 4)) ~owner:1;
   List.iter
     (fun v ->
+      let naive = ref_find Naive g ~volume:v in
       Alcotest.check boxes
-        (Printf.sprintf "gated prefix = naive at volume %d" v)
-        (Finder.find Finder.Naive g ~volume:v)
-        (Finder.find Finder.Prefix g ~volume:v);
+        (Printf.sprintf "gated cache = naive at volume %d" v)
+        naive (cache_find g ~volume:v);
       check_bool
         (Printf.sprintf "gated exists agrees at volume %d" v)
-        (Finder.find Finder.Naive g ~volume:v <> [])
-        (Finder.exists_free g ~volume:v))
+        (naive <> [])
+        (Finder.Cache.exists_free (Finder.Cache.create g) ~volume:v))
     [ 1; 4; 8; 16; 32 ];
   check_int "gated MFP finds the larger pocket" 16 (Mfp.volume g)
 
@@ -321,8 +315,12 @@ let test_mfp_after_restores_grid () =
 let test_mfp_loss () =
   let g = Grid.create Dims.bgl in
   let candidate = Box.make (Coord.make 0 0 0) (Shape.make 2 2 2) in
-  check_int "loss" (128 - 96) (Mfp.loss g candidate);
-  check_int "loss_given" (Mfp.loss g candidate) (Mfp.loss_given ~before:(Mfp.volume g) g candidate)
+  let cache = Finder.Cache.create g in
+  let before = Mfp.volume ~cache g in
+  check_int "loss" (128 - 96) (before - Mfp.volume_after ~cache g candidate);
+  check_int "cached and fresh probes agree" (Mfp.volume_after g candidate)
+    (Mfp.volume_after ~cache g candidate);
+  check_int "probes kept the memoised volume" before (Mfp.volume ~cache g)
 
 let test_mfp_figure1_intuition () =
   (* Figure 1 of the paper: placing a job flush against existing jobs
@@ -367,10 +365,8 @@ let prop_finders_agree =
     QCheck.(pair arb_scenario (int_range 1 40))
     (fun (scenario, volume) ->
       let g = build_grid scenario in
-      let reference = Finder.find Finder.Naive g ~volume in
-      List.for_all
-        (fun algo -> Finder.find algo g ~volume = reference)
-        [ Finder.Pop; Finder.Shape_search; Finder.Prefix ])
+      let reference = ref_find Naive g ~volume in
+      List.for_all (fun (_, find) -> find g ~volume = reference) finders)
 
 let prop_found_boxes_are_free =
   QCheck.Test.make ~name:"found boxes are free and sized" ~count:150
@@ -379,7 +375,7 @@ let prop_found_boxes_are_free =
       let g = build_grid scenario in
       List.for_all
         (fun b -> Box.volume b = volume && Grid.box_is_free g b)
-        (Finder.find Finder.Prefix g ~volume))
+        (cache_find g ~volume))
 
 let prop_finder_complete =
   (* Every free canonical box of the requested volume is found. *)
@@ -388,16 +384,14 @@ let prop_finder_complete =
     (fun (scenario, volume) ->
       let ((d, _, wrap, _) as sc) = scenario in
       let g = build_grid sc in
-      let found = Finder.find Finder.Prefix g ~volume in
+      let found = cache_find g ~volume in
       let all_free = ref true in
       List.iter
         (fun shape ->
-          List.iter
-            (fun base ->
-              let b = Box.canonical d ~wrap (Box.make base shape) in
+          Finder.iter_bases d ~wrap shape ~f:(fun x y z ->
+              let b = Box.canonical d ~wrap (Box.make (Coord.make x y z) shape) in
               if Grid.box_is_free g b && not (List.exists (Box.equal b) found) then
-                all_free := false)
-            (Finder.bases d ~wrap shape))
+                all_free := false))
         (Shapes.shapes_of_volume d volume);
       !all_free)
 
@@ -409,7 +403,7 @@ let prop_mfp_matches_naive =
       let naive_best =
         List.fold_left
           (fun best v ->
-            if v > best && Finder.find Finder.Naive g ~volume:v <> [] then v else best)
+            if v > best && ref_find Naive g ~volume:v <> [] then v else best)
           0
           (Shapes.feasible_volumes d)
       in
@@ -428,16 +422,20 @@ let prop_exists_free_agrees =
     QCheck.(pair arb_scenario (int_range 1 40))
     (fun (scenario, volume) ->
       let g = build_grid scenario in
-      Finder.exists_free g ~volume = (Finder.find Finder.Prefix g ~volume <> []))
+      Finder.Cache.exists_free (Finder.Cache.create g) ~volume = (cache_find g ~volume <> []))
 
-let prop_find_with_matches_find =
-  QCheck.Test.make ~name:"find_with over a fresh table equals find" ~count:100
+let prop_shared_cache_matches_fresh =
+  (* One cache answering every query kind in turn must answer like a
+     fresh cache per query: the memos are keyed per query kind. *)
+  QCheck.Test.make ~name:"a shared cache answers like fresh ones" ~count:100
     QCheck.(pair arb_scenario (int_range 1 30))
     (fun (scenario, volume) ->
       let g = build_grid scenario in
-      let table = Prefix.build g in
-      Finder.find_with table g ~volume = Finder.find Finder.Prefix g ~volume
-      && Finder.exists_free_with table g ~volume = Finder.exists_free g ~volume)
+      let shared = Finder.Cache.create g in
+      Finder.Cache.find shared ~volume = cache_find g ~volume
+      && Finder.Cache.exists_free shared ~volume
+         = Finder.Cache.exists_free (Finder.Cache.create g) ~volume
+      && Finder.Cache.select shared ~volume ~cap:3 = cache_select g ~volume ~cap:3)
 
 let prop_finders_agree_both_wraps =
   (* Same occupancy, both torus modes, every algorithm: all four must
@@ -450,14 +448,12 @@ let prop_finders_agree_both_wraps =
       List.for_all
         (fun wrap ->
           let g = build_grid (d, seed, wrap, p) in
-          let reference = Finder.find Finder.Naive g ~volume in
+          let reference = ref_find Naive g ~volume in
           let sorted_dedup l =
             List.sort_uniq Box.compare l = l && List.sort Box.compare l = l
           in
           sorted_dedup reference
-          && List.for_all
-               (fun algo -> Finder.find algo g ~volume = reference)
-               [ Finder.Pop; Finder.Shape_search; Finder.Prefix ])
+          && List.for_all (fun (_, find) -> find g ~volume = reference) finders)
         [ false; true ])
 
 let prop_pop_wrap_canonical =
@@ -473,7 +469,7 @@ let prop_pop_wrap_canonical =
           (b.shape.sx < d.nx || b.base.x = 0)
           && (b.shape.sy < d.ny || b.base.y = 0)
           && (b.shape.sz < d.nz || b.base.z = 0))
-        (Finder.find Finder.Pop g ~volume))
+        (ref_find Pop g ~volume))
 
 (* ------------------------------------------------------------------ *)
 (* Differential properties: random alloc/free sequences, every finder
@@ -538,16 +534,12 @@ let prop_differential_all_finders =
     arb_op_scenario
     (fun (d, wrap, ops, volume) ->
       let g, cache = replay_ops (d, wrap, ops) in
-      let reference = Finder.find Finder.Naive g ~volume in
+      let reference = ref_find Naive g ~volume in
       (* Feasibility and exact result agreement, every flavour. *)
-      List.for_all
-        (fun algo -> Finder.find algo g ~volume = reference)
-        [ Finder.Pop; Finder.Shape_search; Finder.Prefix ]
-      && Finder.find_with (Prefix.build g) g ~volume = reference
+      List.for_all (fun (_, find) -> find g ~volume = reference) finders
       && Finder.Cache.find cache ~volume = reference
       && Finder.Cache.find cache ~volume = reference (* memo-hit path *)
       && Finder.Cache.exists_free cache ~volume = (reference <> [])
-      && Finder.exists_free g ~volume = (reference <> [])
       (* Validity of every returned partition: free, in-bounds base,
          exact volume. *)
       && List.for_all
@@ -576,10 +568,10 @@ let prop_cache_mfp_agrees =
           && Mfp.volume ~cache g = plain (* memo survived the probes *))
 
 (* ------------------------------------------------------------------ *)
-(* Counted enumeration: count/nth/select must agree with the
-   materialised list — count with its length, select with the engine's
-   historical even subsample (transcribed literally below so a shared
-   bug cannot hide), nth with positional lookup — on arbitrary
+(* Counted enumeration: Cache.select must agree with the materialised
+   list — its uncapped length with the list's length, capped with the
+   engine's historical even subsample (transcribed literally below so a
+   shared bug cannot hide), a cap of 1 with the head — on arbitrary
    occupancies, both torus modes, non-cubic dims, and the cap >= n /
    cap = 1 / n = 0 edges. Counterexamples shrink to a short op list
    and print the replayed grid, like the differential properties. *)
@@ -596,45 +588,44 @@ let prop_count_equals_find_length =
     arb_op_scenario
     (fun (d, wrap, ops, volume) ->
       let g, cache = replay_ops (d, wrap, ops) in
-      let reference = List.length (Finder.find Finder.Naive g ~volume) in
-      Finder.count g ~volume = reference
-      && Finder.count_with (Prefix.build g) g ~volume = reference
-      && Finder.Cache.count cache ~volume = reference
-      && Finder.Cache.count cache ~volume = reference (* memo-hit path *))
+      let reference = List.length (ref_find Naive g ~volume) in
+      let count () = List.length (Finder.Cache.select cache ~volume ~cap:max_int) in
+      count () = reference
+      && List.length (cache_select g ~volume ~cap:max_int) = reference
+      && count () = reference (* memo-hit path *))
 
 let prop_select_equals_capped_find =
   QCheck.Test.make ~name:"select equals even-capped find after random ops" ~count:150
     (QCheck.pair arb_op_scenario (QCheck.int_range 1 50))
     (fun ((d, wrap, ops, volume), cap) ->
       let g, cache = replay_ops (d, wrap, ops) in
-      let sorted = Finder.find Finder.Naive g ~volume in
+      let sorted = ref_find Naive g ~volume in
       let reference = cap_oracle cap sorted in
-      Finder.select g ~volume ~cap = reference
-      && Finder.select_with (Prefix.build g) g ~volume ~cap = reference
+      cache_select g ~volume ~cap = reference
       && Finder.Cache.select cache ~volume ~cap = reference
       && Finder.Cache.select cache ~volume ~cap = reference (* memo-hit path *)
-      && Finder.select g ~volume ~cap:1 = cap_oracle 1 sorted
-      && Finder.nth g ~volume ~rank:0 = (match sorted with [] -> None | b :: _ -> Some b)
-      && Finder.nth g ~volume ~rank:(cap - 1) = List.nth_opt sorted (cap - 1)
-      && Finder.nth g ~volume ~rank:(List.length sorted) = None)
+      && Finder.Cache.select cache ~volume ~cap:1
+         = (match sorted with [] -> [] | b :: _ -> [ b ]))
 
 let test_counted_edges () =
   let d = Dims.make 3 3 4 in
   let g = Grid.create ~wrap:true d in
   (* n = 0: volume 7 has no divisor shape fitting 3x3x4 *)
-  check_int "unrealisable volume counts zero" 0 (Finder.count g ~volume:7);
-  check_bool "unrealisable volume selects nothing" true (Finder.select g ~volume:7 ~cap:5 = []);
-  check_bool "nth on empty result" true (Finder.nth g ~volume:7 ~rank:0 = None);
-  check_int "volume beyond the machine" 0 (Finder.count g ~volume:1000);
-  let all = Finder.find Finder.Naive g ~volume:4 in
-  check_int "count on a live volume" (List.length all) (Finder.count g ~volume:4);
-  check_bool "cap >= n is the identity" true (Finder.select g ~volume:4 ~cap:10_000 = all);
-  check_bool "cap = 1 is the sorted head" true
-    (Finder.select g ~volume:4 ~cap:1 = [ List.hd all ]);
-  check_bool "nth walks the sorted order" true
-    (List.for_all
-       (fun r -> Finder.nth g ~volume:4 ~rank:r = List.nth_opt all r)
-       [ 0; 1; 2; List.length all - 1; List.length all ])
+  let cache = Finder.Cache.create g in
+  let select ~volume ~cap = Finder.Cache.select cache ~volume ~cap in
+  check_bool "unrealisable volume selects nothing" true (select ~volume:7 ~cap:5 = []);
+  check_bool "unrealisable volume, cap 1" true (select ~volume:7 ~cap:1 = []);
+  check_bool "volume beyond the machine" true (select ~volume:1000 ~cap:max_int = []);
+  let all = ref_find Naive g ~volume:4 in
+  let n = List.length all in
+  check_int "uncapped length on a live volume" n (List.length (select ~volume:4 ~cap:max_int));
+  check_bool "cap >= n is the identity" true (select ~volume:4 ~cap:10_000 = all);
+  check_bool "cap = n is the identity" true (select ~volume:4 ~cap:n = all);
+  check_bool "cap = 1 is the sorted head" true (select ~volume:4 ~cap:1 = [ List.hd all ]);
+  check_bool "cap = 2 takes ranks 0 and n/2" true
+    (select ~volume:4 ~cap:2 = [ List.hd all; List.nth all (n / 2) ]);
+  check_bool "cap = n-1 walks the sorted order" true
+    (select ~volume:4 ~cap:(n - 1) = List.init (n - 1) (fun i -> List.nth all (i * n / (n - 1))))
 
 (* Same agreement above the summary-gating threshold, where the
    counted passes additionally use per-axis feasible-start masks and
@@ -646,16 +637,17 @@ let test_counted_agrees_at_scale () =
   let check_all_volumes () =
     List.iter
       (fun v ->
-        let sorted = Finder.find Finder.Prefix g ~volume:v in
+        let sorted = cache_find g ~volume:v in
         check_int
           (Printf.sprintf "gated count agrees at volume %d" v)
-          (List.length sorted) (Finder.count g ~volume:v);
+          (List.length sorted)
+          (List.length (cache_select g ~volume:v ~cap:max_int));
         List.iter
           (fun cap ->
             check_bool
               (Printf.sprintf "gated select agrees at volume %d cap %d" v cap)
               true
-              (Finder.select g ~volume:v ~cap = cap_oracle cap sorted))
+              (cache_select g ~volume:v ~cap = cap_oracle cap sorted))
           [ 1; 3; 24 ])
       [ 1; 4; 8; 16; 32 ]
   in
@@ -667,10 +659,109 @@ let test_counted_agrees_at_scale () =
   Grid.occupy g (Box.make (Coord.make 0 0 8) (Shape.make 8 8 8)) ~owner:3;
   check_all_volumes ()
 
+(* ------------------------------------------------------------------ *)
+(* The summary-gated regime on awkward sizes: machines of at least 512
+   nodes (so every scan consults the Summary) whose axes are not
+   multiples of the 8-node summary block, so edge blocks are clipped.
+   Every proof of absence the summary offers must hold there, in both
+   wrap modes. *)
+
+(* Regression: on a wrapped 28-wide axis the 4-wide edge block let a
+   box crossing the seam span one block more than the block-window
+   bound allowed, so the summary rejected a free 14x1x1 strip. *)
+let test_clipped_seam_strip () =
+  let d = Dims.make 28 8 8 in
+  let g = Grid.create d in
+  let strip = Box.make (Coord.make 15 0 0) (Shape.make 14 1 1) in
+  let free = Box.indices d strip in
+  for node = 0 to Dims.volume d - 1 do
+    if not (List.mem node free) then Grid.occupy_node g node ~owner:1
+  done;
+  check_bool "summary admits the strip" true
+    (Summary.shape_feasible (Grid.summary g) ~wrap:true strip.shape);
+  let naive = ref_find Naive g ~volume:14 in
+  Alcotest.check boxes "naive finds the strip" [ strip ] naive;
+  Alcotest.check boxes "cache = naive" naive (cache_find g ~volume:14)
+
+let gated_dims = [| Dims.make 9 8 8; Dims.make 12 7 7; Dims.make 20 8 4; Dims.make 28 8 8 |]
+
+(* A mostly occupied grid with one random free box carved into it —
+   wrapping across the seam when the torus wraps — plus a few freed
+   nodes elsewhere. *)
+type gated_case = {
+  g_dims : Dims.t;
+  g_wrap : bool;
+  g_box : Box.t;
+  g_extra : int list;
+}
+
+let gated_gen =
+  QCheck.Gen.(
+    let* d = oneofa gated_dims in
+    let* wrap = bool in
+    (* Extents lean large and, on a torus, bases lean onto the seam:
+       a box crossing it is where a clipped edge block does damage. *)
+    let extent n = oneof [ int_range 1 n; int_range ((n + 1) / 2) n ] in
+    let base e n =
+      if not wrap then int_range 0 (n - e)
+      else if e = 1 || e = n then int_range 0 (n - 1)
+      else oneof [ int_range 0 (n - 1); int_range (n - e + 1) (n - 1) ]
+    in
+    let* sx = extent d.nx and* sy = extent d.ny and* sz = extent d.nz in
+    let* x = base sx d.nx and* y = base sy d.ny and* z = base sz d.nz in
+    let* extra = list_size (int_range 0 4) (int_range 0 (Dims.volume d - 1)) in
+    return
+      {
+        g_dims = d;
+        g_wrap = wrap;
+        g_box = Box.make (Coord.make x y z) (Shape.make sx sy sz);
+        g_extra = extra;
+      })
+
+let print_gated c =
+  Format.asprintf "dims=%s wrap=%b box=%a extra=[%s]" (Dims.to_string c.g_dims) c.g_wrap Box.pp
+    c.g_box
+    (String.concat ";" (List.map string_of_int c.g_extra))
+
+let build_gated c =
+  let g = Grid.create ~wrap:c.g_wrap c.g_dims in
+  let carved = Array.make (Dims.volume c.g_dims) false in
+  List.iter (fun node -> carved.(node) <- true) (Box.indices c.g_dims c.g_box @ c.g_extra);
+  Array.iteri (fun node free -> if not free then Grid.occupy_node g node ~owner:1) carved;
+  g
+
+let prop_gated_proofs_of_absence =
+  QCheck.Test.make ~name:"summary proofs hold on clipped sizes" ~count:1000
+    (QCheck.make ~print:print_gated gated_gen)
+    (fun c ->
+      let g = build_gated c in
+      let d = c.g_dims and wrap = c.g_wrap in
+      let summary = Grid.summary g in
+      let volume = Box.volume c.g_box in
+      (* Shape_search shares no summary, table or counted walk with the
+         production path: the ungated reference. *)
+      let reference = ref_find Shape_search g ~volume in
+      let shape_sound (s : Shape.t) =
+        let of_shape = List.filter (fun (b : Box.t) -> Shape.equal b.shape s) reference in
+        let starts_sound axis extent threshold coord =
+          let ok = Summary.feasible_starts summary ~wrap ~axis ~extent ~threshold in
+          List.for_all (fun (b : Box.t) -> ok.(coord b.base)) of_shape
+        in
+        (Summary.shape_feasible summary ~wrap s || of_shape = [])
+        && starts_sound `X s.sx (s.sy * s.sz) (fun c -> c.Coord.x)
+        && starts_sound `Y s.sy (s.sx * s.sz) (fun c -> c.Coord.y)
+        && starts_sound `Z s.sz (s.sx * s.sy) (fun c -> c.Coord.z)
+      in
+      Finder.summary_gated g
+      && List.mem (Box.canonical d ~wrap c.g_box) reference
+      && List.for_all shape_sound (Shapes.shapes_of_volume d volume)
+      && cache_find g ~volume = reference
+      && List.length (cache_select g ~volume ~cap:max_int) = List.length reference)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_find_with_matches_find;
+      prop_shared_cache_matches_fresh;
       prop_finders_agree;
       prop_finders_agree_both_wraps;
       prop_pop_wrap_canonical;
@@ -683,6 +774,7 @@ let props =
       prop_cache_mfp_agrees;
       prop_count_equals_find_length;
       prop_select_equals_capped_find;
+      prop_gated_proofs_of_absence;
     ]
 
 let () =
@@ -707,13 +799,13 @@ let () =
           tc "respects occupancy" test_find_respects_occupancy;
           tc "wraparound matters" test_find_no_wrap_smaller;
           tc "infeasible volume" test_find_infeasible_volume;
-          tc "find_for_size rounds up" test_find_for_size_rounds_up;
+          tc "rounded-up size finds candidates" test_rounded_up_size_candidates;
           tc "exists_free" test_exists_free;
           tc "canonical dedup" test_canonical_dedup_full_dim;
-          tc "bases cache capped" test_bases_cache_cap;
           tc "gating never changes results" test_gated_find_agrees_at_scale;
           tc "counted enumeration edges" test_counted_edges;
           tc "counted agrees above the gate" test_counted_agrees_at_scale;
+          tc "clipped seam strip is found" test_clipped_seam_strip;
         ] );
       ( "cache",
         [

@@ -15,7 +15,13 @@ let index_of events =
     (Bgl_trace.Failure_log.make ~name:"t"
        (List.map (fun (time, node) -> { Bgl_trace.Failure_log.time; node }) events))
 
-let candidates_for grid volume = Bgl_partition.Finder.find Bgl_partition.Finder.Prefix grid ~volume
+let candidates_for grid volume =
+  Bgl_partition.Finder.Cache.find (Bgl_partition.Finder.Cache.create grid) ~volume
+
+(* The L_MFP term computed directly: MFP volume before minus after,
+   with none of the policy's maximal-box shortcut. *)
+let direct_loss grid candidate =
+  Bgl_partition.Mfp.volume grid - Bgl_partition.Mfp.volume_after grid candidate
 
 let choose policy grid ?(j = job ()) volume =
   let ctx = Policy.make_ctx ~now:0. grid in
@@ -47,7 +53,7 @@ let test_empty_candidates () =
 
 let test_mfp_loss_shortcut_agrees () =
   (* mfp_loss with the maximal-box shortcut must equal the direct
-     Mfp.loss computation for every candidate. *)
+     loss computation for every candidate. *)
   let rng = Bgl_stats.Rng.create ~seed:5 in
   for _ = 1 to 20 do
     let grid = Grid.create Dims.bgl in
@@ -58,7 +64,7 @@ let test_mfp_loss_shortcut_agrees () =
     List.iter
       (fun candidate ->
         check_int "shortcut = direct"
-          (Bgl_partition.Mfp.loss grid candidate)
+          (direct_loss grid candidate)
           (Bgl_sched.Placement.mfp_loss ctx candidate))
       (candidates_for grid 4)
   done
@@ -74,9 +80,9 @@ let test_mfp_minimises_loss () =
   match Bgl_sched.Placement.mfp.choose ctx ~job:(job ~size:2 ()) ~volume:2 ~candidates with
   | None -> Alcotest.fail "no placement"
   | Some best ->
-      let best_loss = Bgl_partition.Mfp.loss grid best in
+      let best_loss = direct_loss grid best in
       List.iter
-        (fun c -> check_bool "no candidate beats it" true (Bgl_partition.Mfp.loss grid c >= best_loss))
+        (fun c -> check_bool "no candidate beats it" true (direct_loss grid c >= best_loss))
         candidates
 
 let test_balancing_equals_mfp_without_prediction () =
@@ -315,7 +321,7 @@ let test_mfp_picks_loss_free_orientation () =
   | None -> Alcotest.fail "no placement"
   | Some box ->
       Alcotest.check shape_t "2x2 orientation" (Shape.make 2 2 1) box.Box.shape;
-      check_int "zero MFP loss" 0 (Bgl_partition.Mfp.loss grid box)
+      check_int "zero MFP loss" 0 (direct_loss grid box)
 
 (* ------------------------------------------------------------------ *)
 (* Tie-breaking order: when scores tie, the earliest candidate in list
@@ -336,10 +342,10 @@ let test_mfp_tie_goes_to_earliest () =
     let ctx = Policy.make_ctx ~now:0. grid in
     Bgl_sched.Placement.mfp.choose ctx ~job:(job ~size:1 ()) ~volume:1 ~candidates
   in
-  check_int "end cells tie" (Bgl_partition.Mfp.loss grid (cell 0))
-    (Bgl_partition.Mfp.loss grid (cell 3));
+  check_int "end cells tie" (direct_loss grid (cell 0))
+    (direct_loss grid (cell 3));
   check_bool "middle costs more" true
-    (Bgl_partition.Mfp.loss grid (cell 1) > Bgl_partition.Mfp.loss grid (cell 0));
+    (direct_loss grid (cell 1) > direct_loss grid (cell 0));
   Alcotest.(check (option box_t)) "forward order: first tied wins" (Some (cell 0))
     (pick line_candidates);
   Alcotest.(check (option box_t)) "reversed order: the other end wins" (Some (cell 3))
@@ -436,7 +442,7 @@ let prop_mfp_early_exit_matches_exhaustive =
         match candidates with
         | [] -> None
         | first :: rest ->
-            let score c = Bgl_partition.Mfp.loss grid c in
+            let score c = direct_loss grid c in
             let best, _ =
               List.fold_left
                 (fun (b, bs) c ->
@@ -462,8 +468,8 @@ let prop_mfp_choice_minimises =
       match Bgl_sched.Placement.mfp.choose ctx ~job:(job ~size:volume ()) ~volume ~candidates with
       | None -> candidates = []
       | Some best ->
-          let best_loss = Bgl_partition.Mfp.loss grid best in
-          List.for_all (fun c -> Bgl_partition.Mfp.loss grid c >= best_loss) candidates)
+          let best_loss = direct_loss grid best in
+          List.for_all (fun c -> direct_loss grid c >= best_loss) candidates)
 
 let props =
   List.map QCheck_alcotest.to_alcotest
