@@ -128,10 +128,10 @@ let inspect path kind =
           (fun (s : Bgl_audit.Trace.section) ->
             let span =
               match s.summary with
-              | Some (_, t_end) -> t_end -. s.meta_time
+              | Some (_, t_end) -> t_end -. s.meta.time
               | None -> (
                   match List.rev s.events with
-                  | last :: _ -> last.time -. s.meta_time
+                  | last :: _ -> Bgl_sim.Recorder.time last.entry -. s.meta.time
                   | [] -> 0.)
             in
             Format.printf "section %s: schema %d, policy %s, %d jobs, %.0f s%s@."
@@ -141,7 +141,7 @@ let inspect path kind =
             let counts = Hashtbl.create 8 in
             List.iter
               (fun (it : Bgl_audit.Trace.item) ->
-                let k = Bgl_audit.Trace.ev_name it.event in
+                let k = Bgl_sim.Recorder.name it.entry in
                 Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
               s.events;
             Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []

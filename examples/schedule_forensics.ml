@@ -22,9 +22,6 @@ let () =
       ()
   in
   let outcome = Bgl_sim.Engine.run ~recorder ~policy ~log ~failures () in
-  (* The replay accessors below (entries/kills_of/busiest_victim) only
-     work on a buffered recorder; streaming ones raise. *)
-  assert (Bgl_sim.Recorder.is_buffered recorder);
   Format.printf "%a@.@." Bgl_sim.Metrics.pp_report outcome.report;
 
   (* 1. The raw execution trace (first few entries). *)
@@ -33,33 +30,41 @@ let () =
     (fun i entry -> if i < 12 then Format.printf "%a@." Bgl_sim.Recorder.pp_entry entry)
     (Bgl_sim.Recorder.entries recorder);
 
-  (* 2. Kill forensics: who suffered, and on which nodes? *)
+  (* 2. Kill forensics: who suffered, and on which nodes? Every tenancy
+     a failure cut short is a segment ending in [Killed node]. *)
   Format.printf "@.== kill forensics ==@.";
-  (match Bgl_sim.Recorder.busiest_victim recorder with
-  | None -> Format.printf "no job was ever killed@."
-  | Some (job, kills) ->
-      Format.printf "most-killed job: %d (%d kills)@." job kills;
-      List.iter
-        (fun (time, node) -> Format.printf "  killed at %.0f by node %d@." time node)
-        (Bgl_sim.Recorder.kills_of recorder ~job));
-  let node_kills = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Bgl_sim.Recorder.Node_failed { node; victim = Some _; _ } ->
-          Hashtbl.replace node_kills node
-            (1 + Option.value ~default:0 (Hashtbl.find_opt node_kills node))
-      | _ -> ())
-    (Bgl_sim.Recorder.entries recorder);
-  let ranked =
-    Hashtbl.fold (fun node kills acc -> (node, kills) :: acc) node_kills []
-    |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
+  let segments = Bgl_core.Timeline.segments recorder in
+  let kills =
+    List.filter_map
+      (fun (s : Bgl_core.Timeline.segment) ->
+        match s.ending with Killed node -> Some (s.job, s.ended, node) | _ -> None)
+      segments
   in
+  let tally key =
+    let counts = Hashtbl.create 16 in
+    List.iter
+      (fun k ->
+        Hashtbl.replace counts (key k) (1 + Option.value ~default:0 (Hashtbl.find_opt counts (key k))))
+      kills;
+    (* Most kills first, ties by id. *)
+    Hashtbl.fold (fun id n acc -> (id, n) :: acc) counts []
+    |> List.sort (fun (a, m) (b, n) -> match Int.compare n m with 0 -> Int.compare a b | c -> c)
+  in
+  (match tally (fun (job, _, _) -> job) with
+  | [] -> Format.printf "no job was ever killed@."
+  | (job, n) :: _ ->
+      Format.printf "most-killed job: %d (%d kills)@." job n;
+      List.iter
+        (fun (j, time, node) ->
+          if j = job then Format.printf "  killed at %.0f by node %d@." time node)
+        kills);
   Format.printf "deadliest nodes:@.";
-  List.iteri (fun i (node, k) -> if i < 5 then Format.printf "  node %3d: %d job kills@." node k) ranked;
+  List.iteri
+    (fun i (node, k) -> if i < 5 then Format.printf "  node %3d: %d job kills@." node k)
+    (tally (fun (_, _, node) -> node));
 
   (* 3. The machine's utilisation timeline, reconstructed from the
      trace. *)
-  let segments = Bgl_core.Timeline.segments recorder in
   Format.printf "@.== utilisation timeline (%d tenancies) ==@.|%s|@."
     (List.length segments)
     (Bgl_core.Timeline.render segments ~volume:128 ~width:72);

@@ -1,4 +1,5 @@
 open Bgl_torus
+module Recorder = Bgl_sim.Recorder
 
 (* Relative float tolerance for cross-checking recomputed metrics
    against the engine's totals. The engine integrates piecewise in
@@ -65,19 +66,19 @@ let section (s : Trace.section) =
 
   (* A2: schema version *)
   check ();
-  if m.schema < 2 || m.schema > Bgl_sim.Recorder.schema_version then
+  if m.schema < 2 || m.schema > Recorder.schema_version then
     viol_meta A2
       (Printf.sprintf "trace schema %d not supported (auditor understands 2..%d)" m.schema
-         Bgl_sim.Recorder.schema_version);
+         Recorder.schema_version);
 
   (* A3: monotone timestamps *)
   check ();
-  let prev = ref s.meta_time in
+  let prev = ref m.time in
   List.iter
     (fun (it : Trace.item) ->
-      if it.time < !prev then
-        viol A3 it (Printf.sprintf "time %.17g regresses below %.17g" it.time !prev)
-      else prev := it.time)
+      let t = Recorder.time it.entry in
+      if t < !prev then viol A3 it (Printf.sprintf "time %.17g regresses below %.17g" t !prev)
+      else prev := t)
     s.events;
   (match s.summary with
   | Some (_, stime) when stime < !prev ->
@@ -150,16 +151,16 @@ let section (s : Trace.section) =
     busy := !busy - (List.length idx - !bad)
   in
   let handle_item (it : Trace.item) =
-    match it.event with
-    | Trace.Arrive { job; size; work } -> (
+    match it.entry with
+    | Job_arrived { job; time; size; run_time = work } -> (
         match Hashtbl.find_opt jobs job with
         | Some _ -> viol A6 it (Printf.sprintf "job %d arrives twice" job)
         | None ->
             Hashtbl.replace jobs job
-              { arrival = it.time; size; work; state = Queued; first_start = None; kills = 0 };
+              { arrival = time; size; work; state = Queued; first_start = None; kills = 0 };
             incr arrived;
             demand := !demand + size)
-    | Trace.Start { job; box; restart } -> (
+    | Job_started { job; time; box; restart } -> (
         ignore (check_box it box);
         match job_of it job with
         | None -> ()
@@ -177,9 +178,9 @@ let section (s : Trace.section) =
                 (Printf.sprintf "job %d restart flag is %b after %d kill(s)" job restart info.kills);
             occupy it job box;
             if info.state = Queued then demand := !demand - info.size;
-            if info.first_start = None then info.first_start <- Some it.time;
-            info.state <- Running { box; started = it.time })
-    | Trace.Kill { job; node; lost_node_s } -> (
+            if info.first_start = None then info.first_start <- Some time;
+            info.state <- Running { box; started = time })
+    | Job_killed { job; time; node; lost_node_seconds = lost_node_s } -> (
         match job_of it job with
         | None -> ()
         | Some info -> (
@@ -194,13 +195,13 @@ let section (s : Trace.section) =
                 demand := !demand + info.size;
                 incr kills_total;
                 lost_sum := !lost_sum +. lost_node_s;
-                last_kill := Some (it.time, node, job);
+                last_kill := Some (time, node, job);
                 (* A8: per-kill lost work is bounded by the tenancy *)
-                let cap = float_of_int (Box.volume box) *. (it.time -. started) in
+                let cap = float_of_int (Box.volume box) *. (time -. started) in
                 let slack =
                   float_of_int (Box.volume box)
                   *. time_quantum
-                  *. (Float.abs it.time +. Float.abs started)
+                  *. (Float.abs time +. Float.abs started)
                 in
                 if m.checkpointed then begin
                   if lost_node_s < -.tol || lost_node_s > cap +. slack +. (tol *. Float.max 1. cap)
@@ -215,7 +216,7 @@ let section (s : Trace.section) =
                        "job %d lost %.17g node-s but the uncheckpointed tenancy held %.17g" job
                        lost_node_s cap)
             | Queued | Done -> viol A6 it (Printf.sprintf "job %d killed while not running" job)))
-    | Trace.Finish { job } -> (
+    | Job_finished { job; time } -> (
         match job_of it job with
         | None -> ()
         | Some info -> (
@@ -228,10 +229,11 @@ let section (s : Trace.section) =
                 waits :=
                   (match info.first_start with Some fs -> fs -. info.arrival | None -> 0.)
                   :: !waits;
-                responses := (it.time -. info.arrival) :: !responses
+                responses := (time -. info.arrival) :: !responses
             | Queued | Done -> viol A6 it (Printf.sprintf "job %d finishes while not running" job)))
-    | Trace.Migrate _ -> assert false (* handled in batches below *)
-    | Trace.Node_fail { node; victim } ->
+    | Job_migrated _ -> assert false (* handled in batches below *)
+    | Run_meta _ | Run_summary _ -> () (* framing; never among a section's events *)
+    | Node_failed { time; node; victim } ->
         if node < 0 || node >= nodes then
           viol A5 it (Printf.sprintf "failure on node %d outside the %d-node torus" node nodes)
         else begin
@@ -239,7 +241,7 @@ let section (s : Trace.section) =
           (match victim with
           | Some j -> (
               match !last_kill with
-              | Some (t, n, k) when t = it.time && n = node && k = j -> ()
+              | Some (t, n, k) when t = time && n = node && k = j -> ()
               | Some _ | None ->
                   viol A5 it
                     (Printf.sprintf
@@ -254,7 +256,7 @@ let section (s : Trace.section) =
             incr busy
           end
         end
-    | Trace.Node_repair { node } ->
+    | Node_repaired { node; _ } ->
         if node < 0 || node >= nodes then
           viol A5 it (Printf.sprintf "repair of node %d outside the %d-node torus" node nodes)
         else if owner.(node) = down_owner then begin
@@ -270,8 +272,8 @@ let section (s : Trace.section) =
     let moves =
       List.filter_map
         (fun (it : Trace.item) ->
-          match it.event with
-          | Trace.Migrate { job; from_box; to_box } -> (
+          match it.entry with
+          | Job_migrated { job; from_box; to_box; _ } -> (
               ignore (check_box it to_box);
               match job_of it job with
               | None -> None
@@ -307,7 +309,7 @@ let section (s : Trace.section) =
   let first_arrival =
     List.find_map
       (fun (it : Trace.item) ->
-        match it.event with Trace.Arrive _ -> Some it.time | _ -> None)
+        match it.entry with Job_arrived { time; _ } -> Some time | _ -> None)
       s.events
   in
   let batch_end t =
@@ -331,25 +333,23 @@ let section (s : Trace.section) =
         snap_demand := !demand
     | Some _ | None -> ()
   in
+  let is_migration (it : Trace.item) = match it.entry with Job_migrated _ -> true | _ -> false in
   let rec run_events = function
     | [] -> ()
     | (it : Trace.item) :: _ as items ->
-        let t = it.time in
+        let t = Recorder.time it.entry in
         let batch, rest =
           let rec split acc = function
-            | (x : Trace.item) :: tl when x.time = t -> split (x :: acc) tl
+            | (x : Trace.item) :: tl when Recorder.time x.entry = t -> split (x :: acc) tl
             | tl -> (List.rev acc, tl)
           in
           split [] items
         in
         let rec go = function
           | [] -> ()
-          | (x : Trace.item) :: _ as l when (match x.event with Trace.Migrate _ -> true | _ -> false)
-            ->
+          | (x : Trace.item) :: _ as l when is_migration x ->
               let rec take acc = function
-                | (y : Trace.item) :: tl
-                  when match y.event with Trace.Migrate _ -> true | _ -> false ->
-                    take (y :: acc) tl
+                | y :: tl when is_migration y -> take (y :: acc) tl
                 | tl -> (List.rev acc, tl)
               in
               let migrations, tl = take [] l in
@@ -360,7 +360,7 @@ let section (s : Trace.section) =
               handle_item x;
               (* A kill certifies only the node_fail recorded right
                  after it; any other event invalidates the pairing. *)
-              (match x.event with Trace.Kill _ -> () | _ -> last_kill := None);
+              (match x.entry with Job_killed _ -> () | _ -> last_kill := None);
               go tl
         in
         go batch;
@@ -444,10 +444,8 @@ let section (s : Trace.section) =
    section (crashed sweep) is only certifiable when a complete sibling
    — the journal-resumed re-run — replays it event for event. *)
 
-let meta_eq_sans_parent (a : Trace.meta) (b : Trace.meta) =
-  a.schema = b.schema && a.log = b.log && a.failures = b.failures && a.policy = b.policy
-  && Dims.equal a.dims b.dims && a.wrap = b.wrap && a.jobs = b.jobs && a.seed = b.seed
-  && a.repair_time = b.repair_time && a.checkpointed = b.checkpointed
+let meta_eq_sans_parent (a : Recorder.meta) (b : Recorder.meta) =
+  { a with time = 0.; parent = None } = { b with time = 0.; parent = None }
 
 let events_prefix (short : Trace.item list) (long : Trace.item list) =
   let rec go a b =
@@ -455,7 +453,7 @@ let events_prefix (short : Trace.item list) (long : Trace.item list) =
     | [], _ -> true
     | _, [] -> false
     | (x : Trace.item) :: xs, (y : Trace.item) :: ys ->
-        x.time = y.time && x.event = y.event && go xs ys
+        x.entry = y.entry && go xs ys
   in
   go short long
 

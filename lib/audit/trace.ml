@@ -1,43 +1,10 @@
-open Bgl_torus
+module Recorder = Bgl_sim.Recorder
 
-type meta = {
-  schema : int;
-  log : string;
-  failures : string;
-  policy : string;
-  dims : Dims.t;
-  wrap : bool;
-  jobs : int;
-  seed : int option;
-  parent : string option;
-  repair_time : float;
-  checkpointed : bool;
-}
-
-type ev =
-  | Arrive of { job : int; size : int; work : float }
-  | Start of { job : int; box : Box.t; restart : bool }
-  | Kill of { job : int; node : int; lost_node_s : float }
-  | Finish of { job : int }
-  | Migrate of { job : int; from_box : Box.t; to_box : Box.t }
-  | Node_fail of { node : int; victim : int option }
-  | Node_repair of { node : int }
-
-let ev_name = function
-  | Arrive _ -> "job_arrive"
-  | Start _ -> "job_start"
-  | Kill _ -> "job_kill"
-  | Finish _ -> "job_finish"
-  | Migrate _ -> "job_migrate"
-  | Node_fail _ -> "node_fail"
-  | Node_repair _ -> "node_repair"
-
-type item = { file : string; lineno : int; len : int; time : float; event : ev }
+type item = { file : string; lineno : int; len : int; entry : Recorder.entry }
 
 type section = {
   run : string option;
-  meta : meta;
-  meta_time : float;
+  meta : Recorder.meta;
   meta_file : string;
   meta_line : int;
   events : item list;
@@ -56,175 +23,20 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Line parsing *)
-
-let ( let* ) = Result.bind
-
-let field name v =
-  Option.to_result ~none:(Printf.sprintf "missing member %S" name) (Bgl_obs.Jsonl.member name v)
-
-let num name v =
-  let* x = field name v in
-  match x with
-  | Bgl_obs.Jsonl.Number f -> Ok f
-  | _ -> Error (Printf.sprintf "member %S is not a number" name)
-
-let intm name v = Result.map int_of_float (num name v)
-
-let strm name v =
-  let* x = field name v in
-  match x with
-  | Bgl_obs.Jsonl.String s -> Ok s
-  | _ -> Error (Printf.sprintf "member %S is not a string" name)
-
-let boolm name v =
-  let* x = field name v in
-  match x with
-  | Bgl_obs.Jsonl.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "member %S is not a bool" name)
-
-let opt_intm name v =
-  let* x = field name v in
-  match x with
-  | Bgl_obs.Jsonl.Null -> Ok None
-  | Bgl_obs.Jsonl.Number f -> Ok (Some (int_of_float f))
-  | _ -> Error (Printf.sprintf "member %S is not a number or null" name)
-
-let opt_strm name v =
-  let* x = field name v in
-  match x with
-  | Bgl_obs.Jsonl.Null -> Ok None
-  | Bgl_obs.Jsonl.String s -> Ok (Some s)
-  | _ -> Error (Printf.sprintf "member %S is not a string or null" name)
-
-let boxm name v =
-  let* b = field name v in
-  let* x = intm "x" b in
-  let* y = intm "y" b in
-  let* z = intm "z" b in
-  let* sx = intm "sx" b in
-  let* sy = intm "sy" b in
-  let* sz = intm "sz" b in
-  match Box.make (Coord.make x y z) (Shape.make sx sy sz) with
-  | box -> Ok box
-  | exception Invalid_argument m -> Error (Printf.sprintf "member %S: %s" name m)
-
-type payload = P_meta of meta | P_ev of ev | P_summary of Bgl_sim.Metrics.report
-
-type parsed = { p_run : string option; p_time : float; p_payload : payload }
-
-let parse_line raw =
-  let* v = Bgl_obs.Jsonl.parse raw in
-  let* evname = strm "ev" v in
-  let* time = num "t" v in
-  let run =
-    match Bgl_obs.Jsonl.member "run" v with Some (Bgl_obs.Jsonl.String s) -> Some s | _ -> None
-  in
-  let* payload =
-    match evname with
-    | "run_meta" ->
-        let* schema = intm "schema" v in
-        let* log = strm "log" v in
-        let* failures = strm "failures" v in
-        let* policy = strm "policy" v in
-        let* dims_s = strm "dims" v in
-        let* dims = Dims.of_string dims_s in
-        let* wrap = boolm "wrap" v in
-        let* jobs = intm "jobs" v in
-        let* seed = opt_intm "seed" v in
-        let* parent = opt_strm "parent" v in
-        let* repair_time = num "repair_time" v in
-        let* checkpointed = boolm "checkpointed" v in
-        Ok
-          (P_meta
-             {
-               schema;
-               log;
-               failures;
-               policy;
-               dims;
-               wrap;
-               jobs;
-               seed;
-               parent;
-               repair_time;
-               checkpointed;
-             })
-    | "job_arrive" ->
-        let* job = intm "job" v in
-        let* size = intm "size" v in
-        let* work = num "work" v in
-        Ok (P_ev (Arrive { job; size; work }))
-    | "job_start" ->
-        let* job = intm "job" v in
-        let* box = boxm "box" v in
-        let* restart = boolm "restart" v in
-        Ok (P_ev (Start { job; box; restart }))
-    | "job_kill" ->
-        let* job = intm "job" v in
-        let* node = intm "node" v in
-        let* lost_node_s = num "lost_node_s" v in
-        Ok (P_ev (Kill { job; node; lost_node_s }))
-    | "job_finish" ->
-        let* job = intm "job" v in
-        Ok (P_ev (Finish { job }))
-    | "job_migrate" ->
-        let* job = intm "job" v in
-        let* from_box = boxm "from" v in
-        let* to_box = boxm "to" v in
-        Ok (P_ev (Migrate { job; from_box; to_box }))
-    | "node_fail" ->
-        let* node = intm "node" v in
-        let* victim = opt_intm "victim" v in
-        Ok (P_ev (Node_fail { node; victim }))
-    | "node_repair" ->
-        let* node = intm "node" v in
-        Ok (P_ev (Node_repair { node }))
-    | "run_summary" ->
-        let* report = field "report" v in
-        let* report = Bgl_sim.Metrics.report_of_json report in
-        Ok (P_summary report)
-    | other -> Error (Printf.sprintf "unknown event %S" other)
-  in
-  Ok { p_run = run; p_time = time; p_payload = payload }
-
-(* ------------------------------------------------------------------ *)
 (* Sectioning: demultiplex the (possibly interleaved) line stream by
    run id, and split each run's stream into sections at run_meta
    boundaries. A parallel sweep interleaves whole lines from many
    domains; a stitched kill-then-resume audit concatenates files, so
    one run id may open several sections (a truncated first attempt
-   followed by the resumed complete one). *)
+   followed by the resumed complete one). Open sections hold their
+   events newest first. *)
 
-type open_section = {
-  o_run : string option;
-  o_meta : meta;
-  o_meta_time : float;
-  o_meta_file : string;
-  o_meta_line : int;
-  mutable o_events : item list;  (* reversed *)
-  mutable o_summary : (Bgl_sim.Metrics.report * float) option;
-  mutable o_last_file : string;
-  mutable o_last_line : int;
-}
-
-let close (o : open_section) =
-  {
-    run = o.o_run;
-    meta = o.o_meta;
-    meta_time = o.o_meta_time;
-    meta_file = o.o_meta_file;
-    meta_line = o.o_meta_line;
-    events = List.rev o.o_events;
-    summary = o.o_summary;
-    last_file = o.o_last_file;
-    last_line = o.o_last_line;
-  }
+let close (o : section) = { o with events = List.rev o.events }
 
 let of_lines files =
   let findings = ref [] in
   let emit f = findings := f :: !findings in
-  let open_by_run : (string, open_section) Hashtbl.t = Hashtbl.create 16 in
+  let open_by_run : (string, section) Hashtbl.t = Hashtbl.create 16 in
   let closed = ref [] in
   let order = ref [] in  (* open-section keys in first-seen order *)
   let key = function None -> "" | Some r -> r in
@@ -232,7 +44,7 @@ let of_lines files =
   let dropped_tail = ref 0 in
   let handle_line file lineno raw ~is_last =
     incr lines_total;
-    match parse_line raw with
+    match Recorder.entry_of_json raw with
     | Error msg ->
         (* A truncated final line is the expected signature of a killed
            writer (the journal reader tolerates the same); anything
@@ -242,54 +54,44 @@ let of_lines files =
           emit
             (Finding.make A1 ~file ~line:lineno ~end_col:(String.length raw)
                (Printf.sprintf "unparseable trace line: %s" msg))
-    | Ok { p_run; p_time; p_payload } -> (
-        let k = key p_run in
-        match p_payload with
-        | P_meta m ->
-            (match Hashtbl.find_opt open_by_run k with
-            | Some o ->
-                (* New header for a run that never closed: the previous
-                   attempt was truncated (crash); keep it for the
-                   stitch check. *)
-                closed := close o :: !closed;
-                Hashtbl.remove open_by_run k
-            | None -> ());
+    | Ok (run, entry) -> (
+        let k = key run in
+        match (entry, Hashtbl.find_opt open_by_run k) with
+        | Run_meta meta, previous ->
+            (* A new header for a run that never closed: the previous
+               attempt was truncated (crash); keep it for the stitch
+               check. *)
+            Option.iter (fun o -> closed := close o :: !closed) previous;
             if not (List.mem k !order) then order := !order @ [ k ];
             Hashtbl.replace open_by_run k
               {
-                o_run = p_run;
-                o_meta = m;
-                o_meta_time = p_time;
-                o_meta_file = file;
-                o_meta_line = lineno;
-                o_events = [];
-                o_summary = None;
-                o_last_file = file;
-                o_last_line = lineno;
+                run;
+                meta;
+                meta_file = file;
+                meta_line = lineno;
+                events = [];
+                summary = None;
+                last_file = file;
+                last_line = lineno;
               }
-        | P_ev event -> (
-            match Hashtbl.find_opt open_by_run k with
-            | None ->
-                emit
-                  (Finding.make A2 ~file ~line:lineno ~end_col:(String.length raw) ?run:p_run
-                     (Printf.sprintf "%s line outside any run (no run_meta seen)" (ev_name event)))
-            | Some o ->
-                o.o_events <-
-                  { file; lineno; len = String.length raw; time = p_time; event } :: o.o_events;
-                o.o_last_file <- file;
-                o.o_last_line <- lineno)
-        | P_summary report -> (
-            match Hashtbl.find_opt open_by_run k with
-            | None ->
-                emit
-                  (Finding.make A2 ~file ~line:lineno ~end_col:(String.length raw) ?run:p_run
-                     "run_summary outside any run (no run_meta seen)")
-            | Some o ->
-                o.o_summary <- Some (report, p_time);
-                o.o_last_file <- file;
-                o.o_last_line <- lineno;
-                closed := close o :: !closed;
-                Hashtbl.remove open_by_run k))
+        | _, None ->
+            emit
+              (Finding.make A2 ~file ~line:lineno ~end_col:(String.length raw) ?run
+                 (Printf.sprintf "%s line outside any run (no run_meta seen)"
+                    (Recorder.name entry)))
+        | Run_summary { report; time }, Some o ->
+            closed :=
+              close { o with summary = Some (report, time); last_file = file; last_line = lineno }
+              :: !closed;
+            Hashtbl.remove open_by_run k
+        | _, Some o ->
+            Hashtbl.replace open_by_run k
+              {
+                o with
+                events = { file; lineno; len = String.length raw; entry } :: o.events;
+                last_file = file;
+                last_line = lineno;
+              })
   in
   List.iter
     (fun (file, lines) ->
@@ -300,10 +102,7 @@ let of_lines files =
     files;
   (* Runs still open at end of stream are truncated sections. *)
   List.iter
-    (fun k ->
-      match Hashtbl.find_opt open_by_run k with
-      | Some o -> closed := close o :: !closed
-      | None -> ())
+    (fun k -> Option.iter (fun o -> closed := close o :: !closed) (Hashtbl.find_opt open_by_run k))
     !order;
   {
     sections = List.rev !closed;

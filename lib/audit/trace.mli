@@ -1,53 +1,29 @@
-(** Trace loading: JSONL lines → demultiplexed run sections.
+(** Trace sectioning: parsed JSONL lines → demultiplexed run sections.
 
-    The recorder's schema-2 trace frames every run with a [run_meta]
-    header and a [run_summary] trailer, and tags every line of a
-    multiplexed stream (parallel sweeps share one writer) with its run
-    id. This module parses lines totally ({!parse_line} never raises),
-    demuxes them by run id, and splits each run's stream into
-    {!section}s at [run_meta] boundaries — so a stitched
-    kill-then-resume audit sees the truncated first attempt and the
-    resumed complete run as two sections of the same id. *)
+    Parsing is not done here: every line goes through
+    {!Bgl_sim.Recorder.entry_of_json}, the inverse of the printer the
+    engine writes with, and sections hold {!Bgl_sim.Recorder.entry}
+    values as they are. This module only demuxes the stream by run id
+    (parallel sweeps share one writer and tag every line) and splits
+    each run's stream into {!section}s at [run_meta] boundaries — so a
+    stitched kill-then-resume audit sees the truncated first attempt
+    and the resumed complete run as two sections of the same id. *)
 
-open Bgl_torus
-
-type meta = {
-  schema : int;
-  log : string;
-  failures : string;
-  policy : string;
-  dims : Dims.t;
-  wrap : bool;
-  jobs : int;
-  seed : int option;
-  parent : string option;
-  repair_time : float;
-  checkpointed : bool;
-}
-
-type ev =
-  | Arrive of { job : int; size : int; work : float }
-  | Start of { job : int; box : Box.t; restart : bool }
-  | Kill of { job : int; node : int; lost_node_s : float }
-  | Finish of { job : int }
-  | Migrate of { job : int; from_box : Box.t; to_box : Box.t }
-  | Node_fail of { node : int; victim : int option }
-  | Node_repair of { node : int }
-
-val ev_name : ev -> string
-(** The wire name (["job_start"], ...). *)
-
-type item = { file : string; lineno : int; len : int; time : float; event : ev }
+type item = { file : string; lineno : int; len : int; entry : Bgl_sim.Recorder.entry }
+(** One lifecycle line: where it came from, its byte length (the
+    findings' end column), and the parsed entry. *)
 
 type section = {
   run : string option;  (** the stream's run tag; [None] for untagged traces *)
-  meta : meta;
-  meta_time : float;
+  meta : Bgl_sim.Recorder.meta;
   meta_file : string;
   meta_line : int;
-  events : item list;  (** lifecycle events between header and trailer *)
+  events : item list;
+      (** entries between header and trailer; never a [Run_meta] or
+          [Run_summary] *)
   summary : (Bgl_sim.Metrics.report * float) option;
-      (** absent iff the section was truncated (crash or new header) *)
+      (** report and time; absent iff the section was truncated (crash
+          or new header) *)
   last_file : string;
   last_line : int;
 }
@@ -63,13 +39,6 @@ type t = {
       (** truncated final lines dropped as crash tails, like the
           journal reader does — at most one per file *)
 }
-
-type payload = P_meta of meta | P_ev of ev | P_summary of Bgl_sim.Metrics.report
-type parsed = { p_run : string option; p_time : float; p_payload : payload }
-
-val parse_line : string -> (parsed, string) result
-(** Total: malformed JSON, unknown events and missing or ill-typed
-    members are [Error]s. *)
 
 val of_lines : (string * string list) list -> t
 (** [(filename, lines)] pairs, concatenated in order; blank lines are

@@ -4,15 +4,6 @@ type t = {
   trace_channel : out_channel option;
 }
 
-(* The trailer marker never occurs elsewhere: event names are fixed
-   and no trace field embeds the quoted ["ev":] fragment. *)
-let contains_summary line =
-  let needle = {|"ev":"run_summary"|} in
-  let n = String.length needle and h = String.length line in
-  let rec hit i j = j = n || (line.[i + j] = needle.[j] && hit i (j + 1)) in
-  let rec go i = i + n <= h && (hit i 0 || go (i + 1)) in
-  go 0
-
 let setup ?metrics_out ?trace_out ?progress () =
   Option.iter
     (fun every ->
@@ -44,7 +35,7 @@ let setup ?metrics_out ?trace_out ?progress () =
           (Some
              (fun line ->
                output_string oc (line ^ "\n");
-               if contains_summary line then flush oc));
+               if Bgl_sim.Recorder.is_summary_line line then flush oc));
         oc)
       trace_out
   in

@@ -30,25 +30,16 @@ let segments recorder =
   let last_time = ref 0. in
   List.iter
     (fun entry ->
-      (match entry with
-      | Job_started s ->
-          last_time := Float.max !last_time s.time;
-          Hashtbl.replace open_tenancies s.job (s.time, s.box)
-      | Job_killed k ->
-          last_time := Float.max !last_time k.time;
-          close k.job k.time (Killed k.node)
-      | Job_finished f ->
-          last_time := Float.max !last_time f.time;
-          close f.job f.time Finished
+      last_time := Float.max !last_time (time entry);
+      match entry with
+      | Job_started s -> Hashtbl.replace open_tenancies s.job (s.time, s.box)
+      | Job_killed k -> close k.job k.time (Killed k.node)
+      | Job_finished f -> close f.job f.time Finished
       | Job_migrated m ->
-          last_time := Float.max !last_time m.time;
           close m.job m.time Migrated;
           Hashtbl.replace open_tenancies m.job (m.time, m.to_box)
-      | Node_failed n -> last_time := Float.max !last_time n.time
-      | Node_repaired n -> last_time := Float.max !last_time n.time
-      (* Framing and arrival entries carry no tenancy. *)
-      | Run_meta _ | Job_arrived _ | Run_summary _ -> ());
-      ())
+      (* Framing, arrival and node entries carry no tenancy. *)
+      | Run_meta _ | Job_arrived _ | Node_failed _ | Node_repaired _ | Run_summary _ -> ())
     (entries recorder);
   Hashtbl.iter
     (fun job (started, box) ->

@@ -12,7 +12,9 @@ type ending =
   | Finished
   | Killed of int  (** the node whose failure ended the tenancy *)
   | Migrated
-  | Truncated  (** the trace ended while the job was still running *)
+  | Truncated
+      (** the trace ended while the job was still running; the segment
+          ends at the time of the trace's last entry *)
 
 type segment = {
   job : int;

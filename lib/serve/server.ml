@@ -118,20 +118,13 @@ let send_opt t job frame =
 
 (* --- per-request traces ----------------------------------------- *)
 
-(* Same flush discipline as Obs_cli: force the line buffer out at each
-   section trailer so trace durability stays ahead of the journal
-   append that follows it. *)
-let contains_summary line =
-  let needle = {|"ev":"run_summary"|} in
-  let n = String.length needle and h = String.length line in
-  let rec hit i j = j = n || (line.[i + j] = needle.[j] && hit i (j + 1)) in
-  let rec go i = i + n <= h && (hit i 0 || go (i + 1)) in
-  go 0
-
 (* Each execution attempt of a request writes its own numbered trace
    file; after a kill-and-resume, [fp.trace.1 fp.trace.2 ...] audit as
    one stitched stream (the resumed attempt declares its parent via
-   the journal digest {!Bgl_core.Sweep.run} installs). *)
+   the journal digest {!Bgl_core.Sweep.run} installs). Same flush
+   discipline as Obs_cli: force the line buffer out at each section
+   trailer so trace durability stays ahead of the journal append that
+   follows it. *)
 let with_trace t ~fp f =
   let rec fresh n =
     let path =
@@ -144,7 +137,7 @@ let with_trace t ~fp f =
     (Some
        (fun line ->
          output_string oc (line ^ "\n");
-         if contains_summary line then flush oc));
+         if Bgl_sim.Recorder.is_summary_line line then flush oc));
   Fun.protect
     ~finally:(fun () ->
       Bgl_obs.Runtime.set_trace_writer None;

@@ -585,6 +585,7 @@ let run ?(config = Config.default) ?(predictor = Bgl_predict.Predictor.null) ?re
     (Recorder.Run_meta
        {
          time = st.now;
+         schema = Recorder.schema_version;
          log = log.name;
          failures = failures.name;
          policy = policy.name;

@@ -244,6 +244,44 @@ let test_detects_omega_mismatch () =
   in
   expect_rule Finding.A8 seeded
 
+let findings_of rule (c : Driver.certificate) =
+  List.filter (fun (f : Finding.t) -> f.rule = rule) c.findings
+
+let test_detects_non_integral_id () =
+  (* JSON numbers parse as floats; an id member a float cannot hold as
+     an exact integer is malformed, never truncated to some other id. *)
+  let lines = corrupted () in
+  List.iter
+    (fun (ev, name, value) ->
+      let target = find_line ev lines in
+      let lineno =
+        let rec go i = function
+          | [] -> Alcotest.fail "target line vanished"
+          | l :: rest -> if l = target then i else go (i + 1) rest
+        in
+        go 1 lines
+      in
+      let seeded = edit_first (( = ) target) (fun l -> [ patch_member name value l ]) lines in
+      match findings_of Finding.A1 (Driver.audit_lines seeded) with
+      | [ f ] -> check_int (Printf.sprintf "%s %s=%s flagged at its line" ev name value) lineno f.line
+      | fs -> Alcotest.failf "%s %s=%s: expected one A1, got %d" ev name value (List.length fs))
+    [ ("job_finish", "job", "7.9"); ("job_finish", "job", "1e300"); ("node_fail", "node", "-0.5") ]
+
+let test_schema_version () =
+  let _, lines = capture ~n_jobs:20 () in
+  List.iter
+    (fun (schema, expected) ->
+      let seeded =
+        edit_first
+          (fun l -> ev_of l = "run_meta")
+          (fun l -> [ patch_member "schema" (string_of_int schema) l ])
+          lines
+      in
+      let a2 = findings_of Finding.A2 (Driver.audit_lines seeded) in
+      check_int (Printf.sprintf "A2 findings for schema %d" schema) expected (List.length a2);
+      List.iter (fun (f : Finding.t) -> check_int "anchored at the run_meta line" 1 f.line) a2)
+    [ (1, 1); (2, 0); (3, 1) ]
+
 (* ------------------------------------------------------------------ *)
 (* Stitched kill-then-resume audits *)
 
@@ -337,6 +375,8 @@ let () =
           Alcotest.test_case "lifecycle (A6)" `Quick test_detects_lifecycle;
           Alcotest.test_case "lost job (A7)" `Quick test_detects_lost_job;
           Alcotest.test_case "omega mismatch (A8)" `Quick test_detects_omega_mismatch;
+          Alcotest.test_case "non-integral id (A1)" `Quick test_detects_non_integral_id;
+          Alcotest.test_case "schema version (A2)" `Quick test_schema_version;
         ] );
       ( "stitch",
         [

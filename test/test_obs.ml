@@ -189,7 +189,7 @@ let test_recorder_trace_schema () =
     [
       ( Run_meta
           {
-            time = 0.; log = "l"; failures = "f"; policy = "p";
+            time = 0.; schema = 2; log = "l"; failures = "f"; policy = "p";
             dims = Bgl_torus.Dims.make 4 4 8; wrap = true; jobs = 3; seed = Some 42;
             parent = None; repair_time = 0.; checkpointed = false;
           },
@@ -237,6 +237,186 @@ let test_recorder_streaming () =
   check_int "entries empty for streaming sinks" 0 (List.length (Bgl_sim.Recorder.entries r));
   check_int "two lines written" 2 (List.length !lines);
   List.iter (fun l -> check_bool "streamed line valid" true (Jsonl.valid l)) !lines
+
+(* ------------------------------------------------------------------ *)
+(* Recorder: the parser beside the printer *)
+
+let sample_report =
+  {
+    Bgl_sim.Metrics.total_jobs = 3; completed_jobs = 2; avg_wait = 1.5; avg_response = 20.25;
+    avg_bounded_slowdown = Float.nan; median_bounded_slowdown = 1.; p90_bounded_slowdown = 2.;
+    util = 0.5; unused = 0.25; lost = 0.25; busy_fraction = 0.75; makespan = 100.;
+    failures_injected = 4; job_kills = 1; restarts = 1; lost_work = 96.; migrations = 0;
+    checkpoints = 0;
+  }
+
+let test_recorder_summary_line () =
+  let open Bgl_sim.Recorder in
+  let meta =
+    {
+      time = 0.; schema = 2; log = {|"ev":"run_summary"|}; failures = "f"; policy = "p";
+      dims = Bgl_torus.Dims.make 4 4 8; wrap = true; jobs = 3; seed = None; parent = None;
+      repair_time = 0.; checkpointed = false;
+    }
+  in
+  let b = box 0 0 0 1 1 1 in
+  let one_of_each =
+    [
+      Run_meta meta;
+      Job_arrived { job = 1; time = 1.; size = 1; run_time = 1. };
+      Job_started { job = 1; time = 1.; box = b; restart = false };
+      Job_killed { job = 1; time = 2.; node = 0; lost_node_seconds = 1. };
+      Job_finished { job = 1; time = 3. };
+      Job_migrated { job = 1; time = 3.; from_box = b; to_box = b };
+      Node_failed { time = 2.; node = 0; victim = Some 1 };
+      Node_repaired { time = 4.; node = 0 };
+      Run_summary { time = 5.; report = sample_report };
+    ]
+  in
+  (* The last tag smuggles the trailer's fragment into a string member;
+     escaping keeps it from matching. *)
+  List.iter
+    (fun run ->
+      List.iter
+        (fun e ->
+          let expected = match e with Run_summary _ -> true | _ -> false in
+          check_bool
+            (Printf.sprintf "%s, run %s" (name e) (Option.value ~default:"none" run))
+            expected
+            (is_summary_line (entry_to_json ?run e)))
+        one_of_each)
+    [ None; Some "abc"; Some {|","ev":"run_summary|} ]
+
+(* Generators for every constructor. [exact] floats are the ones the
+   trace's 12-significant-digit rendering reproduces bit for bit. *)
+let finite_float = QCheck.Gen.map (fun x -> if Float.is_finite x then x else 0.) QCheck.Gen.float
+let exact_float = QCheck.Gen.map (fun x -> float_of_string (Printf.sprintf "%.12g" x)) finite_float
+
+(* Ids within the 2^53 range a JSON number holds exactly. *)
+let gen_id = QCheck.Gen.map (fun x -> x asr 10) QCheck.Gen.int
+
+let gen_entry real =
+  let open QCheck.Gen in
+  let open Bgl_sim.Recorder in
+  let str = string_size (int_bound 8) in
+  let gen_box =
+    let+ x = gen_id and+ y = gen_id and+ z = gen_id and+ sx = int_range 1 64
+    and+ sy = int_range 1 64 and+ sz = int_range 1 64 in
+    box x y z sx sy sz
+  in
+  (* Report floats print with 17 digits: any finite value or nan
+     (written as null) round-trips. *)
+  let gen_report =
+    let report_float = frequency [ (9, finite_float); (1, return Float.nan) ] in
+    let+ i = list_repeat 7 (int_bound 100_000) and+ f = list_repeat 11 report_float in
+    match (i, f) with
+    | [ total_jobs; completed_jobs; failures_injected; job_kills; restarts; migrations; checkpoints ],
+      [ avg_wait; avg_response; avg_bounded_slowdown; median_bounded_slowdown;
+        p90_bounded_slowdown; util; unused; lost; busy_fraction; makespan; lost_work ] ->
+        {
+          Bgl_sim.Metrics.total_jobs; completed_jobs; avg_wait; avg_response;
+          avg_bounded_slowdown; median_bounded_slowdown; p90_bounded_slowdown; util; unused;
+          lost; busy_fraction; makespan; failures_injected; job_kills; restarts; lost_work;
+          migrations; checkpoints;
+        }
+    | _ -> assert false
+  in
+  oneof
+    [
+      (let+ time = real and+ schema = gen_id and+ log = str and+ failures = str and+ policy = str
+       and+ nx = int_range 1 64 and+ ny = int_range 1 64 and+ nz = int_range 1 64 and+ wrap = bool
+       and+ jobs = gen_id and+ seed = opt gen_id and+ parent = opt str
+       and+ repair_time = real and+ checkpointed = bool in
+       Run_meta
+         {
+           time; schema; log; failures; policy; dims = Bgl_torus.Dims.make nx ny nz; wrap; jobs;
+           seed; parent; repair_time; checkpointed;
+         });
+      (let+ job = gen_id and+ time = real and+ size = gen_id and+ run_time = real in
+       Job_arrived { job; time; size; run_time });
+      (let+ job = gen_id and+ time = real and+ box = gen_box and+ restart = bool in
+       Job_started { job; time; box; restart });
+      (let+ job = gen_id and+ time = real and+ node = gen_id and+ lost_node_seconds = real in
+       Job_killed { job; time; node; lost_node_seconds });
+      (let+ job = gen_id and+ time = real in
+       Job_finished { job; time });
+      (let+ job = gen_id and+ time = real and+ from_box = gen_box and+ to_box = gen_box in
+       Job_migrated { job; time; from_box; to_box });
+      (let+ time = real and+ node = gen_id and+ victim = opt gen_id in
+       Node_failed { time; node; victim });
+      (let+ time = real and+ node = gen_id in
+       Node_repaired { time; node });
+      (let+ time = real and+ report = gen_report in
+       Run_summary { time; report });
+    ]
+
+let arb_tagged real =
+  QCheck.make
+    ~print:(fun (run, e) -> Bgl_sim.Recorder.entry_to_json ?run e)
+    QCheck.Gen.(pair (opt (string_size (int_bound 8))) (gen_entry real))
+
+let prop_trace_round_trip =
+  QCheck.Test.make ~name:"entry_of_json inverts entry_to_json" ~count:500 (arb_tagged exact_float)
+    (fun (run, e) ->
+      (* [compare], not [=]: a report may hold nan. *)
+      compare
+        (Bgl_sim.Recorder.entry_of_json (Bgl_sim.Recorder.entry_to_json ?run e))
+        (Ok (run, e))
+      = 0)
+
+(* With arbitrary floats one print-parse pass normalises the line, and
+   the normalised line is a fixed point. The first pass itself may
+   rewrite bytes: a non-integral time such as 123456789012.5 prints as
+   "123456789012" at 12 digits, parses back as an integral value, and
+   then prints as "123456789012.0". *)
+let prop_trace_normal_form =
+  QCheck.Test.make ~name:"print . parse is idempotent on trace lines" ~count:500
+    (arb_tagged finite_float) (fun (run, e) ->
+      let reprint line =
+        match Bgl_sim.Recorder.entry_of_json line with
+        | Ok (run, e) -> Bgl_sim.Recorder.entry_to_json ?run e
+        | Error msg -> QCheck.Test.fail_reportf "%s: %s" line msg
+      in
+      let once = reprint (Bgl_sim.Recorder.entry_to_json ?run e) in
+      reprint once = once)
+
+let rec json_of_value = function
+  | Jsonl.Null -> "null"
+  | Bool b -> Jsonl.bool b
+  | Number f -> Printf.sprintf "%.17g" f
+  | String s -> Jsonl.string s
+  | Array l -> "[" ^ String.concat "," (List.map json_of_value l) ^ "]"
+  | Object fields -> Jsonl.obj (List.map (fun (k, v) -> (k, json_of_value v)) fields)
+
+(* Every value obtained by deleting exactly one object member, at any
+   depth. *)
+let rec deletions = function
+  | Jsonl.Object fields ->
+      List.concat
+        (List.mapi
+           (fun i (_, v) ->
+             let without = List.filteri (fun j _ -> j <> i) fields in
+             let with_child c = List.mapi (fun j (k, x) -> (k, if j = i then c else x)) fields in
+             Jsonl.Object without
+             :: List.map (fun c -> Jsonl.Object (with_child c)) (deletions v))
+           fields)
+  | Null | Bool _ | Number _ | String _ | Array _ -> []
+
+let prop_trace_parser_total =
+  QCheck.Test.make ~name:"entry_of_json is total and needs every member" ~count:300
+    QCheck.(pair string (make (QCheck.Gen.pair (gen_entry finite_float) QCheck.Gen.nat)))
+    (fun (junk, (e, cut)) ->
+      let line = Bgl_sim.Recorder.entry_to_json e in
+      let total s = match Bgl_sim.Recorder.entry_of_json s with Ok _ | Error _ -> true in
+      total junk
+      && total (String.sub line 0 (cut mod (String.length line + 1)))
+      &&
+      match Jsonl.parse line with
+      | Error msg -> QCheck.Test.fail_reportf "printer wrote invalid JSON: %s" msg
+      | Ok v ->
+          List.for_all
+            (fun d -> Result.is_error (Bgl_sim.Recorder.entry_of_json (json_of_value d)))
+            (deletions v))
 
 (* ------------------------------------------------------------------ *)
 (* Heartbeat *)
@@ -349,6 +529,10 @@ let () =
         [
           Alcotest.test_case "trace schema" `Quick test_recorder_trace_schema;
           Alcotest.test_case "streaming sink" `Quick test_recorder_streaming;
+          Alcotest.test_case "summary line detector" `Quick test_recorder_summary_line;
+          QCheck_alcotest.to_alcotest prop_trace_round_trip;
+          QCheck_alcotest.to_alcotest prop_trace_normal_form;
+          QCheck_alcotest.to_alcotest prop_trace_parser_total;
         ] );
       ("heartbeat", [ Alcotest.test_case "beats every N ticks" `Quick test_heartbeat ]);
       ( "engine",
