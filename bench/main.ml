@@ -1,29 +1,13 @@
-(* Benchmark & reproduction harness.
+(* Bechamel micro-benchmark harness. Sub-commands pick the groups:
 
-   With no arguments this regenerates every figure of the paper at the
-   quick scale, runs the ablation suite, and runs the Bechamel
-   micro-benchmarks of the partition finders (the paper's Appendix 9
-   comparison). Sub-commands restrict the run:
+     main.exe [micro]   partition finders (the paper's Appendix 9
+                        lineage), engine kernels, obs overhead, pool,
+                        service kernels (default)
+     main.exe scale     machine-size scaling group
+     main.exe serve     bgl-served request-path kernels only
 
-     main.exe figs [--full]       all paper figures
-     main.exe fig <id> [--full]   one paper figure (3..10, intro)
-     main.exe ablate [<id>]       ablation suite (or one ablation)
-     main.exe micro               Bechamel micro-benchmarks only
-     main.exe scale               machine-size scaling group only
-     main.exe all [--full]        everything (default)
-
-   CSVs are written to ./results/. *)
-
-let results_dir = "results"
-
-let ensure_results_dir () =
-  if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755
-
-let emit_figure fig =
-  ensure_results_dir ();
-  Format.printf "%a@." Bgl_core.Series.pp_figure fig;
-  let path = Bgl_core.Series.save_csv fig ~dir:results_dir in
-  Format.printf "  (csv: %s)@.@." path
+   The paper's figures, ablations and baseline study are regenerated
+   by bgl-sweep (e.g. [bgl-sweep 3], [bgl-sweep ablate]). *)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: the partition-finder lineage *)
@@ -307,19 +291,20 @@ let obs_tests () =
       Bechamel.Test.make ~name:"counter/inc-1k/live" (inc_1k live_counter);
     ]
 
-(* Domain-pool overhead/scaling on a CPU-bound kernel. On a single-core
-   host d>1 only measures the spawn+join cost; on a multi-core one it
+(* Domain-pool overhead/scaling on a CPU-bound kernel, one pool per
+   domain count, spawned before timing starts. On a single-core host
+   d>1 only measures the batch hand-off cost; on a multi-core one it
    shows the scaling headroom of parallel sweeps. *)
-let parallel_tests () =
+let parallel_tests pools =
   let half = busy_grid ~seed:3 ~fraction:0.5 in
   let items = Array.make 16 half in
-  let map_d d =
+  let map_on pool =
     Bechamel.Test.make
-      ~name:(Printf.sprintf "pool/map-mfp-16/d=%d" d)
+      ~name:(Printf.sprintf "pool/map-mfp-16/d=%d" (Bgl_parallel.Pool.size pool))
       (Bechamel.Staged.stage (fun () ->
-           ignore (Bgl_parallel.Pool.map ~domains:d (fun g -> Mfp.volume g) items)))
+           ignore (Bgl_parallel.Pool.map_supervised pool (fun g -> Mfp.volume g) items)))
   in
-  Bechamel.Test.make_grouped ~name:"parallel" [ map_d 1; map_d 2; map_d 4 ]
+  Bechamel.Test.make_grouped ~name:"parallel" (List.map map_on pools)
 
 (* Service-layer kernels: the fixed per-request costs bgl-served pays
    before any simulation runs — frame codec round-trip over a
@@ -389,16 +374,20 @@ let run_micro_groups ?cfg ~banner groups =
   Format.printf "@."
 
 let run_micro () =
-  run_micro_groups
-    ~banner:"micro: partition finders (Appendix 9 lineage), engine kernels, obs overhead"
-    [
-      finder_tests ();
-      finder_incremental_tests ();
-      event_queue_tests ();
-      obs_tests ();
-      parallel_tests ();
-      serve_tests ();
-    ]
+  let pools = List.map (fun domains -> Bgl_parallel.Pool.create ~domains) [ 1; 2; 4 ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Bgl_parallel.Pool.shutdown pools)
+    (fun () ->
+      run_micro_groups
+        ~banner:"micro: partition finders (Appendix 9 lineage), engine kernels, obs overhead"
+        [
+          finder_tests ();
+          finder_incremental_tests ();
+          event_queue_tests ();
+          obs_tests ();
+          parallel_tests pools;
+          serve_tests ();
+        ])
 
 (* The scaling group keeps tens of megabytes of grid state live, so
    bechamel's default per-sample GC stabilisation (a compaction each
@@ -410,86 +399,14 @@ let run_scale_micro () =
     ~banner:"micro: machine-size scaling (4x4x8 .. 64x32x32)"
     [ torus_scale_tests (); finder_counted_tests () ]
 
-(* ------------------------------------------------------------------ *)
-
-let scale_of_args args =
-  if List.mem "--full" args then Bgl_core.Figures.full else Bgl_core.Figures.quick
-
-(* [--jobs N] must come out of the argument list before the positional
-   split below, or its value would be read as a sub-command. *)
-let parse_jobs args =
-  let rec go acc = function
-    | [] -> (1, List.rev acc)
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some 0 -> (Bgl_parallel.Pool.recommended (), List.rev_append acc rest)
-        | Some d when d > 0 -> (d, List.rev_append acc rest)
-        | Some _ | None ->
-            Format.eprintf "--jobs expects a non-negative integer (got %S)@." n;
-            exit 1)
-    | [ "--jobs" ] ->
-        Format.eprintf "--jobs expects a value@.";
-        exit 1
-    | a :: rest -> go (a :: acc) rest
-  in
-  go [] args
-
-let run_figs ~domains scale =
-  Format.printf "=== paper figures (%d jobs/run, %d seeds) ===@.@." scale.Bgl_core.Figures.n_jobs
-    (List.length scale.Bgl_core.Figures.seeds);
-  List.iter
-    (fun (_, f) -> List.iter emit_figure (Bgl_core.Figures.produce ~domains f scale))
-    Bgl_core.Figures.producers
-
-let run_one_fig ~domains scale id =
-  match Bgl_core.Figures.by_id id with
-  | Some f -> List.iter emit_figure (Bgl_core.Figures.produce ~domains f scale)
-  | None ->
-      Format.eprintf "unknown figure %S (try 3..10 or intro)@." id;
-      exit 1
-
-let run_baseline ~domains scale =
-  List.iter emit_figure
-    (Bgl_core.Figures.produce ~domains (fun scale -> Bgl_core.Baseline.all scale) scale)
-
-let run_ablations ~domains scale = function
-  | None ->
-      List.iter emit_figure
-        (Bgl_core.Figures.produce ~domains (fun scale -> Bgl_core.Ablations.all scale) scale)
-  | Some id -> (
-      match Bgl_core.Ablations.by_id id with
-      | Some f ->
-          List.iter emit_figure
-            (Bgl_core.Figures.produce ~domains (fun scale -> [ f scale ]) scale)
-      | None ->
-          Format.eprintf "unknown ablation %S@." id;
-          exit 1)
-
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
   let t0 = Unix.gettimeofday () in
-  let domains, args = parse_jobs args in
-  let positional =
-    List.filter (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--")) args
-  in
-  (match positional with
-  | [] | [ "all" ] ->
-      run_micro ();
-      run_figs ~domains (scale_of_args args);
-      run_baseline ~domains (scale_of_args args);
-      run_ablations ~domains (scale_of_args args) None
-  | [ "micro" ] -> run_micro ()
+  (match List.tl (Array.to_list Sys.argv) with
+  | [] | [ "micro" ] -> run_micro ()
   | [ "scale" ] -> run_scale_micro ()
   | [ "serve" ] ->
       run_micro_groups ~banner:"micro: bgl-served request-path kernels" [ serve_tests () ]
-  | [ "figs" ] -> run_figs ~domains (scale_of_args args)
-  | [ "fig"; id ] -> run_one_fig ~domains (scale_of_args args) id
-  | [ "ablate" ] -> run_ablations ~domains (scale_of_args args) None
-  | [ "ablate"; id ] -> run_ablations ~domains (scale_of_args args) (Some id)
-  | [ "baseline" ] -> run_baseline ~domains (scale_of_args args)
   | _ ->
-      Format.eprintf
-        "usage: main.exe [all|micro|scale|serve|figs|fig <id>|ablate [<id>]|baseline] [--full] [--jobs \
-         N]@.";
+      Format.eprintf "usage: main.exe [micro|scale|serve]@.";
       exit 1);
   Format.printf "total wall time: %.1f s@." (Unix.gettimeofday () -. t0)

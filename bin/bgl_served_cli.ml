@@ -92,20 +92,9 @@ let fail_specs =
            pool.cell:index=3,once. Repeatable. Injected faults degrade to \
            per-request or per-connection errors, never a server exit.")
 
-let arm_failpoints specs =
-  List.fold_left
-    (fun acc spec ->
-      Result.bind acc (fun () ->
-          match Failpoint.of_string spec with
-          | Ok s ->
-              Failpoint.arm s;
-              Ok ()
-          | Error e -> Error.usagef "bad --fail %s: %s" spec e))
-    (Ok ()) specs
-
 let start listen state_dir domains queue_cap memo_cap retry_after progress specs =
   Error.run ~prog:"bgl-served" @@ fun () ->
-  Result.bind (arm_failpoints specs) @@ fun () ->
+  Result.bind (Bgl_core.Cli_flags.arm_failpoints specs) @@ fun () ->
   if queue_cap < 1 then Error.usagef "--queue must be >= 1 (got %d)" queue_cap
   else if memo_cap < 1 then Error.usagef "--memo must be >= 1 (got %d)" memo_cap
   else begin

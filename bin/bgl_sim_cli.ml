@@ -99,23 +99,12 @@ let differential =
                with a value, only every Nth query is checked, the affordable mode at full \
                machine scale.")
 
-let arm_failpoints specs =
-  List.fold_left
-    (fun acc spec ->
-      Result.bind acc (fun () ->
-          match Bgl_resilience.Failpoint.of_string spec with
-          | Ok s ->
-              Bgl_resilience.Failpoint.arm s;
-              Ok ()
-          | Error msg -> Bgl_resilience.Error.usagef "--fail %s" msg))
-    (Ok ()) specs
-
 let run profile swf failure_log n_jobs load failures algo seed dims no_backfill migration repair
     checkpoint per_job timeline metrics_out trace_out progress quiet fail differential audit =
   Bgl_resilience.Error.run ~prog:"bgl-sim" @@ fun () ->
   Bgl_core.Cli_flags.set_quiet quiet;
   let ( let* ) = Result.bind in
-  let* () = arm_failpoints fail in
+  let* () = Bgl_core.Cli_flags.arm_failpoints fail in
   let* () =
     if audit && trace_out = None then
       Bgl_resilience.Error.usagef "--audit needs --trace-out (it re-reads the trace file)"

@@ -1,6 +1,5 @@
 (* bgl-sweep: regenerate the paper's figures or the ablation studies as
-   text tables + CSV files. A cmdliner front-end over Bgl_core.Sweep
-   (bench/main.exe is the no-flags batch driver).
+   text tables + CSV files. A cmdliner front-end over Bgl_core.Sweep.
 
    Sweeps are crash-safe and supervised: --journal records every
    completed cell durably, --resume skips the journaled cells of an
@@ -13,8 +12,10 @@ open Cmdliner
 
 let ids =
   Arg.(value & pos_all string [] & info [] ~docv:"ID"
-         ~doc:"Figure ids (intro, 3..10) and/or ablation ids (combine, fpos, checkpoint, \
-               adaptive, backfill, migration, failure-model, repair, candidates). Empty = all \
+         ~doc:"Figure ids (intro, 3..10), ablation ids (combine, fpos, checkpoint, adaptive, \
+               backfill, migration, failure-model, repair, candidates, history, zoo) and/or \
+               baseline ids (baseline-slowdown, baseline-util, baseline-failures); $(b,ablate) \
+               is every ablation and $(b,baseline) the whole baseline study. Empty = all \
                figures.")
 
 let full = Arg.(value & flag & info [ "full" ] ~doc:"Full scale: 3000 jobs, 3 seeds.")
@@ -99,17 +100,6 @@ let differential =
 
 let ( let* ) = Result.bind
 
-let arm_failpoints specs =
-  List.fold_left
-    (fun acc spec ->
-      let* () = acc in
-      match Bgl_resilience.Failpoint.of_string spec with
-      | Ok s ->
-          Bgl_resilience.Failpoint.arm s;
-          Ok ()
-      | Error msg -> Bgl_resilience.Error.usagef "--fail %s" msg)
-    (Ok ()) specs
-
 let run ids full n_jobs jobs seeds dims out chart metrics_out trace_out progress journal resume
     fail retries cell_fuel cell_deadline differential audit =
   Bgl_resilience.Error.run ~prog:"bgl-sweep" @@ fun () ->
@@ -162,7 +152,7 @@ let run ids full n_jobs jobs seeds dims out chart metrics_out trace_out progress
         else Result.error (Error.Io { path; detail = "no such journal" })
     | None, None -> Ok Bgl_core.Sweep.No_journal
   in
-  let* () = arm_failpoints fail in
+  let* () = Bgl_core.Cli_flags.arm_failpoints fail in
   let policy =
     {
       Supervise.default with
@@ -183,9 +173,11 @@ let run ids full n_jobs jobs seeds dims out chart metrics_out trace_out progress
   in
   let* producer =
     let resolve id =
-      match Bgl_core.Figures.by_id id with
-      | Some f -> Ok f
-      | None -> (
+      match (String.lowercase_ascii (String.trim id), Bgl_core.Figures.by_id id) with
+      | "ablate", _ -> Ok Bgl_core.Ablations.all
+      | "baseline", _ -> Ok Bgl_core.Baseline.all
+      | _, Some f -> Ok f
+      | _, None -> (
           match Bgl_core.Ablations.by_id id with
           | Some f -> Ok (fun scale -> [ f scale ])
           | None -> (
@@ -194,7 +186,7 @@ let run ids full n_jobs jobs seeds dims out chart metrics_out trace_out progress
               | None -> Error.usagef "unknown id %S" id))
     in
     match ids with
-    | [] -> Ok (fun scale -> Bgl_core.Figures.all ~domains:1 scale)
+    | [] -> Ok Bgl_core.Figures.all
     | ids ->
         let* fs =
           List.fold_left
@@ -209,7 +201,12 @@ let run ids full n_jobs jobs seeds dims out chart metrics_out trace_out progress
   in
   if not (Sys.file_exists out) then Sys.mkdir out 0o755;
   let obs = Bgl_core.Obs_cli.setup ?metrics_out ?trace_out ?progress () in
-  let result = Bgl_core.Sweep.run ~policy ~journal:journal_mode ~domains producer scale in
+  let pool = Bgl_parallel.Pool.create ~domains in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Bgl_parallel.Pool.shutdown pool)
+      (fun () -> Bgl_core.Sweep.run ~policy ~journal:journal_mode ~pool producer scale)
+  in
   let* outcome =
     match result with
     | Error e ->

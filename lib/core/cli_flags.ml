@@ -61,3 +61,12 @@ let write_registry ~path reg =
     (if Filename.check_suffix path ".csv" then Bgl_obs.Registry.to_csv reg
      else Bgl_obs.Registry.to_prometheus reg);
   close_out oc
+
+let arm_failpoints specs =
+  List.fold_left
+    (fun acc spec ->
+      Result.bind acc (fun () ->
+          match Bgl_resilience.Failpoint.of_string spec with
+          | Ok s -> Ok (Bgl_resilience.Failpoint.arm s)
+          | Error msg -> Bgl_resilience.Error.usagef "bad --fail %s: %s" spec msg))
+    (Ok ()) specs

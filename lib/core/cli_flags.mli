@@ -47,3 +47,7 @@ val write_registry : path:string -> Bgl_obs.Registry.t -> unit
 (** Write a metrics snapshot; the [.csv] extension selects CSV,
     anything else Prometheus text (the convention every tool's
     [--metrics-out] documents). *)
+
+val arm_failpoints : string list -> (unit, Bgl_resilience.Error.t) result
+(** Parse and arm every [--fail SPEC] ({!Bgl_resilience.Failpoint.of_string}),
+    stopping at the first bad spec with a [Usage] error (exit 2). *)

@@ -40,11 +40,11 @@ let clear_cache () = Hashtbl.reset cache
    "collect" pass runs it with simulation stubbed out — [report_of]
    records each scenario it is asked for and answers with a dummy
    report — which yields the cell list without running anything. The
-   cells are then simulated on a domain pool, their reports installed
-   in [cache] from the main domain only (no locking, no cross-domain
-   table), and the producer re-runs normally, all hits. Scenario runs
-   are deterministic in the scenario value, so the result is
-   bit-identical to a sequential sweep. *)
+   cells are then simulated on the domain pool ({!Sweep.run}), their
+   reports installed in [cache] from the main domain only (no locking,
+   no cross-domain table), and the producer re-runs normally, all
+   hits. Scenario runs are deterministic in the scenario value, so the
+   result is bit-identical to a sequential sweep. *)
 let collecting : Scenario.t list ref option ref = ref None
 
 let dummy_report : Bgl_sim.Metrics.report =
@@ -83,10 +83,10 @@ let report_of scenario =
           Hashtbl.replace cache key r;
           r)
 
-let collect thunk =
+let cells_of f scale =
   let acc = ref [] in
   collecting := Some acc;
-  Fun.protect ~finally:(fun () -> collecting := None) thunk;
+  Fun.protect ~finally:(fun () -> collecting := None) (fun () -> ignore (f scale));
   (* Dedupe cells the producer asks for repeatedly (and any already
      cached): one simulation per distinct scenario label. *)
   let seen = Hashtbl.create 256 in
@@ -101,14 +101,8 @@ let collect thunk =
     (List.rev !acc)
   |> Array.of_list
 
-let cells_of f scale = collect (fun () -> ignore (f scale))
 let install_report s r = Hashtbl.replace cache (Scenario.label s) r
 let placeholder_report = dummy_report
-
-let prefetch ~domains thunk =
-  let cells = collect (fun () -> ignore (thunk ())) in
-  let reports = Bgl_parallel.Pool.map ~domains (fun s -> (Scenario.run s).report) cells in
-  Array.iteri (fun i s -> install_report s reports.(i)) cells
 
 let cached_report = report_of
 let mean = Bgl_stats.Summary.mean
@@ -338,9 +332,4 @@ let producers =
     ("fig10", fig10);
   ]
 
-let produce ?(domains = 1) f scale =
-  if domains > 1 then prefetch ~domains (fun () -> f scale);
-  f scale
-
-let all ?(domains = 1) scale =
-  produce ~domains (fun scale -> List.concat_map (fun (_, f) -> f scale) producers) scale
+let all scale = List.concat_map (fun (_, f) -> f scale) producers

@@ -21,8 +21,8 @@ type scale = {
 }
 
 val quick : scale
-(** 1200 jobs, one seed: minutes for the full set. The default for
-    [bench/main.exe]. *)
+(** 1500 jobs, two seeds: minutes for the full set. The default for
+    [bgl-sweep]. *)
 
 val full : scale
 (** 3000 jobs, three seeds, the paper's full 0.1-step grids. *)
@@ -52,23 +52,13 @@ val fig10 : scale -> Series.figure list
 val by_id : string -> (scale -> Series.figure list) option
 (** Lookup by ["3"], ["fig3"], ["intro"], ... *)
 
-val all : ?domains:int -> scale -> Series.figure list
-(** Every figure, in paper order. [domains] > 1 simulates the sweep
-    cells on that many OCaml domains; the output is bit-identical to
-    [domains = 1] (default) because scenario runs are deterministic in
-    the scenario value and the shared memo cache is only written from
-    the calling domain. *)
-
-val produce : ?domains:int -> (scale -> Series.figure list) -> scale -> Series.figure list
-(** [produce ~domains f scale] evaluates a figure producer with its
-    scenario cells pre-simulated on [domains] domains (a first pass
-    replays [f] with simulation stubbed out to discover the cells,
-    then [f] re-runs against the warmed cache). [~domains:1] is just
-    [f scale]. *)
+val all : scale -> Series.figure list
+(** Every figure, in paper order. Called directly it simulates
+    sequentially; {!Sweep.run} runs it with the cells on a domain pool. *)
 
 val producers : (string * (scale -> Series.figure list)) list
-(** The figures as named thunks, in paper order — lets drivers render
-    each figure as soon as it is computed. *)
+(** The figures as named producers, in paper order; {!all}
+    concatenates them and every name resolves through {!by_id}. *)
 
 val cached_report : Scenario.t -> Bgl_sim.Metrics.report
 (** Run a scenario through the shared memo table (used by the ablation
@@ -82,8 +72,8 @@ val cells_of : (scale -> Series.figure list) -> scale -> Scenario.t array
 
 val install_report : Scenario.t -> Bgl_sim.Metrics.report -> unit
 (** Install a report in the memo table, so a subsequent producer run
-    replays it instead of simulating (journal resume, prefetched
-    parallel cells). Call from the main domain only. *)
+    replays it instead of simulating (journal resume, cells simulated
+    on the pool). Call from the main domain only. *)
 
 val placeholder_report : Bgl_sim.Metrics.report
 (** The all-zero report the collect pass answers with; {!Sweep}

@@ -44,7 +44,7 @@ let restore entries cells =
   in
   (remaining, !bad)
 
-let run ?(policy = Supervise.default) ?(journal = No_journal) ?pool ?on_cell ~domains f scale =
+let run ?(policy = Supervise.default) ?(journal = No_journal) ?on_cell ~pool f scale =
   (* Resumed runs advertise the journal they continue in every trace
      header, so an auditor can tie the stitched halves together. *)
   (match journal with
@@ -109,12 +109,11 @@ let run ?(policy = Supervise.default) ?(journal = No_journal) ?pool ?on_cell ~do
                domain completed it — same contract as [on_complete]. *)
             match on_cell with None -> () | Some g -> g remaining.(i) report
           in
-          let map_cells g items =
-            match pool with
-            | Some p -> Bgl_parallel.Pool.Persistent.map_supervised p ~policy ~on_complete g items
-            | None -> Bgl_parallel.Pool.map_supervised ~policy ~on_complete ~domains g items
-          in
-          match map_cells (fun s -> (Scenario.run s).report) remaining with
+          match
+            Bgl_parallel.Pool.map_supervised pool ~policy ~on_complete
+              (fun s -> (Scenario.run s).report)
+              remaining
+          with
           | exception e ->
               finish ();
               Error (Error.of_exn e)

@@ -1,9 +1,13 @@
-(** Crash-safe, supervised figure sweeps.
+(** Crash-safe, supervised figure sweeps — the one way a figure
+    producer runs in parallel.
 
-    {!run} drives a figure producer the way {!Figures.produce} does —
-    collect the scenario cells, simulate them on a domain pool, replay
-    the producer against the warmed memo table — but wraps the
-    simulation pass in the resilience machinery:
+    {!run} collects the producer's scenario cells
+    ({!Figures.cells_of}), simulates them on a domain pool, installs
+    the reports in the memo table from the calling domain, and replays
+    the producer against the warmed table. Scenario runs are
+    deterministic in the scenario value, so the figures are
+    bit-identical for every pool size. The simulation pass runs under
+    the resilience machinery:
 
     - each completed cell is appended to a {!Bgl_resilience.Journal}
       as one fsync'd JSONL record keyed by the cell {!fingerprint}, so
@@ -49,9 +53,8 @@ val fingerprint : Scenario.t -> string
 val run :
   ?policy:Bgl_resilience.Supervise.policy ->
   ?journal:journal_mode ->
-  ?pool:Bgl_parallel.Pool.Persistent.t ->
   ?on_cell:(Scenario.t -> Bgl_sim.Metrics.report -> unit) ->
-  domains:int ->
+  pool:Bgl_parallel.Pool.t ->
   (Figures.scale -> Series.figure list) ->
   Figures.scale ->
   (outcome, Bgl_resilience.Error.t) result
@@ -59,9 +62,8 @@ val run :
     failed append); cell failures are never an [Error] — they come
     back as [quarantined].
 
-    [pool] shards the cells across a persistent domain pool instead of
-    spawning domains for this sweep ([domains] is then ignored for
-    execution) — the service's steady-state path. [on_cell] is invoked
+    [pool] runs the cells; its size is the sweep's parallelism and
+    never changes the output. [on_cell] is invoked
     for every cell right after it completes and is journaled, from
     whichever domain ran it (must be domain-safe and must not raise) —
     the hook for streaming per-cell progress to a client. *)

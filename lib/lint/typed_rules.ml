@@ -43,7 +43,6 @@ let default =
         "Bgl_sim.Engine.run";
         "Bgl_core.Scenario.run";
         "Bgl_core.Sweep.run";
-        "Bgl_core.Figures.produce";
         "Bgl_partition.Finder";
       ];
     sinks =
@@ -63,12 +62,8 @@ let default =
       [
         "Domain.spawn";
         "Thread.create";
-        "Pool.map";
         "Pool.map_supervised";
-        "Pool.supervised";
-        "Pool.run_workers";
-        "Persistent.run_batch";
-        "Persistent.map_supervised";
+        "Pool.run_batch";
       ];
     protected_exns = [ "Budget_exceeded"; "Injected"; "Divergence" ];
     protocols = [ ("Job.t", "state", "Job.transition") ];

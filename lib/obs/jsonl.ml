@@ -209,6 +209,13 @@ let to_float = function
   | Number v -> Some v
   | Null | Bool _ | String _ | Array _ | Object _ -> None
 
+(* Integers travel as JSON numbers, which [parse] reads as floats:
+   accept only values a float holds exactly, so no decoder silently
+   truncates (2.7 -> 2) or wraps (1e19 -> 0) an integer. *)
+let to_int = function
+  | Number v when Float.is_integer v && Float.abs v <= 0x1p53 -> Some (int_of_float v)
+  | Null | Bool _ | Number _ | String _ | Array _ | Object _ -> None
+
 let to_string_opt = function
   | String s -> Some s
   | Null | Bool _ | Number _ | Array _ | Object _ -> None

@@ -40,6 +40,13 @@ val member : string -> value -> value option
 (** Field lookup; [None] on non-objects and missing keys. *)
 
 val to_float : value -> float option
+
+val to_int : value -> int option
+(** The one integer rule every decoder shares: [Some n] only for a
+    [Number] that is integral with [|n| <= 2{^53}] (the range a float
+    holds exactly); fractions, larger magnitudes and non-numbers are
+    [None]. *)
+
 val to_string_opt : value -> string option
 
 val valid : string -> bool

@@ -1,69 +1,131 @@
 let recommended () = Domain.recommended_domain_count ()
 
-(* Shared claim cursor: each domain grabs the next unclaimed item, so
-   load balances itself whatever the per-item cost spread. [cell i]
-   must store its own result; it must not raise. *)
-let run_workers ~domains ~n cell =
-  let workers = min domains n in
-  if workers <= 1 then
-    for i = 0 to n - 1 do
-      cell i
-    done
-  else begin
-    let obs = Bgl_obs.Runtime.snapshot () in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec claim () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          cell i;
-          claim ()
-        end
-      in
-      claim ()
-    in
-    let spawned =
-      Array.init (workers - 1) (fun _ ->
-          Domain.spawn (fun () ->
-              Bgl_obs.Runtime.install obs;
-              worker ()))
-    in
-    worker ();
-    Array.iter Domain.join spawned
+(* Worker domains are spawned once and reused across batches: a
+   long-running service must not pay a spawn per request, and a CLI
+   sweep is just one batch. Inside a batch every domain (the submitter
+   included) grabs the next unclaimed cell from a shared atomic cursor,
+   so load balances itself whatever the per-cell cost spread. *)
+
+type batch = {
+  n : int;
+  cell : int -> unit;
+  next : int Atomic.t;
+  completed : int Atomic.t;
+  obs : Bgl_obs.Runtime.snapshot;
+}
+
+type t = {
+  lock : Mutex.t;
+  work : Condition.t;  (* workers wait here for a new batch *)
+  finished : Condition.t;  (* submitters wait here for batch completion *)
+  mutable batch : batch option;
+  mutable generation : int;  (* bumped per batch; a worker joins each generation once *)
+  mutable stop : bool;
+  size : int;
+  mutable workers : unit Domain.t array;
+}
+
+let size t = t.size
+
+let finish_cell t b =
+  if Atomic.fetch_and_add b.completed 1 = b.n - 1 then begin
+    Mutex.lock t.lock;
+    Condition.broadcast t.finished;
+    Mutex.unlock t.lock
   end
 
-let map ~domains f items =
-  if domains < 1 then invalid_arg "Pool.map: domains must be >= 1";
-  let n = Array.length items in
-  if min domains n <= 1 then Array.map f items
-  else begin
-    let slots = Array.make n None in
-    run_workers ~domains ~n (fun i ->
-        slots.(i) <-
-          (match f items.(i) with
-          | v -> Some (Ok v)
-          | exception e -> Some (Error (e, Printexc.get_raw_backtrace ()))));
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-        | None -> assert false (* every index below [n] was claimed *))
-      slots
+let claim t b =
+  let rec go () =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.n then begin
+      b.cell i;
+      finish_cell t b;
+      go ()
+    end
+  in
+  go ()
+
+let worker t =
+  let seen = ref 0 in
+  let rec loop () =
+    Mutex.lock t.lock;
+    while (not t.stop) && (t.batch = None || t.generation = !seen) do
+      Condition.wait t.work t.lock
+    done;
+    if t.stop then Mutex.unlock t.lock
+    else begin
+      let b = Option.get t.batch in
+      seen := t.generation;
+      Mutex.unlock t.lock;
+      (* Each batch carries the submitter's observability config so
+         metrics/traces from worker domains land in the right place
+         whatever was reconfigured between batches. *)
+      Bgl_obs.Runtime.install b.obs;
+      claim t b;
+      loop ()
+    end
+  in
+  loop ()
+
+let create ~domains =
+  if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
+  let t =
+    {
+      lock = Mutex.create ();
+      work = Condition.create ();
+      finished = Condition.create ();
+      batch = None;
+      generation = 0;
+      stop = false;
+      size = domains;
+      workers = [||];
+    }
+  in
+  t.workers <- Array.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker t));
+  t
+
+(* [cell i] must store its own result and must not raise; returns once
+   every [i < n] has run. *)
+let run_batch t ~n cell =
+  if n > 0 then begin
+    let b =
+      { n; cell; next = Atomic.make 0; completed = Atomic.make 0; obs = Bgl_obs.Runtime.snapshot () }
+    in
+    Mutex.lock t.lock;
+    if t.stop then begin
+      Mutex.unlock t.lock;
+      invalid_arg "Pool: pool is shut down"
+    end;
+    while t.batch <> None do
+      Condition.wait t.finished t.lock
+    done;
+    t.batch <- Some b;
+    t.generation <- t.generation + 1;
+    Condition.broadcast t.work;
+    Mutex.unlock t.lock;
+    (* The submitter claims cells too: with [domains = 1] no worker
+       domain exists and the batch runs entirely here. *)
+    claim t b;
+    Mutex.lock t.lock;
+    while Atomic.get b.completed < n do
+      Condition.wait t.finished t.lock
+    done;
+    t.batch <- None;
+    (* Wake any submitter queued behind this batch for the slot. *)
+    Condition.broadcast t.finished;
+    Mutex.unlock t.lock
   end
 
-(* The supervised-cell wrapper shared by the spawning and persistent
-   pools: run every item under Supervise, store outcomes in item order,
-   stream completions, export degradation counters. [runner ~n cell]
-   must call [cell i] exactly once for each [i < n] and return only
-   when all calls have; [cell] never raises (Supervise absorbs). *)
-let supervised ~runner ?(policy = Bgl_resilience.Supervise.default) ?on_complete f items =
+(* Run every item under Supervise, store outcomes in item order, stream
+   completions, export degradation counters. *)
+let map_supervised t ?(policy = Bgl_resilience.Supervise.default) ?on_complete f items =
   let open Bgl_resilience in
   let n = Array.length items in
   let outcomes =
     Array.make n
       (Supervise.Quarantined { message = "unclaimed"; attempts = 0; transient = false })
   in
-  runner ~n (fun i ->
+  run_batch t ~n (fun i ->
       let outcome =
         Supervise.run policy (fun () ->
             Failpoint.hit ~index:i "pool.cell";
@@ -88,141 +150,10 @@ let supervised ~runner ?(policy = Bgl_resilience.Supervise.default) ?on_complete
   end;
   (outcomes, degradation)
 
-let map_supervised ?policy ?on_complete ~domains f items =
-  if domains < 1 then invalid_arg "Pool.map_supervised: domains must be >= 1";
-  supervised ~runner:(run_workers ~domains) ?policy ?on_complete f items
-
-(* ------------------------------------------------------------------ *)
-(* Persistent pool: worker domains spawned once and reused across
-   batches — the execution substrate of a long-running service, where
-   spawning (and tearing down) domains per request would dominate
-   small-request latency. Work claiming inside a batch is the same
-   atomic cursor as [run_workers], so results are bit-identical to the
-   spawning pool. *)
-
-module Persistent = struct
-  type batch = {
-    n : int;
-    cell : int -> unit;
-    next : int Atomic.t;
-    completed : int Atomic.t;
-    obs : Bgl_obs.Runtime.snapshot;
-  }
-
-  type t = {
-    lock : Mutex.t;
-    work : Condition.t;  (* workers wait here for a new batch *)
-    finished : Condition.t;  (* submitters wait here for batch completion *)
-    mutable batch : batch option;
-    mutable generation : int;  (* bumped per batch; a worker joins each generation once *)
-    mutable stop : bool;
-    size : int;
-    mutable workers : unit Domain.t array;
-  }
-
-  let size t = t.size
-
-  let finish_cell t b =
-    if Atomic.fetch_and_add b.completed 1 = b.n - 1 then begin
-      Mutex.lock t.lock;
-      Condition.broadcast t.finished;
-      Mutex.unlock t.lock
-    end
-
-  let claim t b =
-    let rec go () =
-      let i = Atomic.fetch_and_add b.next 1 in
-      if i < b.n then begin
-        b.cell i;
-        finish_cell t b;
-        go ()
-      end
-    in
-    go ()
-
-  let worker t =
-    let seen = ref 0 in
-    let rec loop () =
-      Mutex.lock t.lock;
-      while (not t.stop) && (t.batch = None || t.generation = !seen) do
-        Condition.wait t.work t.lock
-      done;
-      if t.stop then Mutex.unlock t.lock
-      else begin
-        let b = Option.get t.batch in
-        seen := t.generation;
-        Mutex.unlock t.lock;
-        (* Each batch carries the submitter's observability config so
-           metrics/traces from worker domains land in the right place
-           whatever was reconfigured between batches. *)
-        Bgl_obs.Runtime.install b.obs;
-        claim t b;
-        loop ()
-      end
-    in
-    loop ()
-
-  let create ~domains =
-    if domains < 1 then invalid_arg "Pool.Persistent.create: domains must be >= 1";
-    let t =
-      {
-        lock = Mutex.create ();
-        work = Condition.create ();
-        finished = Condition.create ();
-        batch = None;
-        generation = 0;
-        stop = false;
-        size = domains;
-        workers = [||];
-      }
-    in
-    t.workers <- Array.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker t));
-    t
-
-  let run_batch t ~n cell =
-    if n > 0 then begin
-      let b =
-        {
-          n;
-          cell;
-          next = Atomic.make 0;
-          completed = Atomic.make 0;
-          obs = Bgl_obs.Runtime.snapshot ();
-        }
-      in
-      Mutex.lock t.lock;
-      if t.stop then begin
-        Mutex.unlock t.lock;
-        invalid_arg "Pool.Persistent: pool is shut down"
-      end;
-      while t.batch <> None do
-        Condition.wait t.finished t.lock
-      done;
-      t.batch <- Some b;
-      t.generation <- t.generation + 1;
-      Condition.broadcast t.work;
-      Mutex.unlock t.lock;
-      (* The submitter claims cells too: with [domains = 1] no worker
-         domain exists and the batch runs entirely here. *)
-      claim t b;
-      Mutex.lock t.lock;
-      while Atomic.get b.completed < n do
-        Condition.wait t.finished t.lock
-      done;
-      t.batch <- None;
-      (* Wake any submitter queued behind this batch for the slot. *)
-      Condition.broadcast t.finished;
-      Mutex.unlock t.lock
-    end
-
-  let map_supervised t ?policy ?on_complete f items =
-    supervised ~runner:(fun ~n cell -> run_batch t ~n cell) ?policy ?on_complete f items
-
-  let shutdown t =
-    Mutex.lock t.lock;
-    t.stop <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.lock;
-    Array.iter Domain.join t.workers;
-    t.workers <- [||]
-end
+let shutdown t =
+  Mutex.lock t.lock;
+  t.stop <- true;
+  Condition.broadcast t.work;
+  Mutex.unlock t.lock;
+  Array.iter Domain.join t.workers;
+  t.workers <- [||]

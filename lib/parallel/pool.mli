@@ -1,101 +1,70 @@
 (** A fixed-size domain pool for embarrassingly-parallel sweeps.
 
-    {!map} fans an array of independent work items out over [domains]
-    OCaml 5 domains. Items are claimed from a shared atomic cursor —
-    effectively single-item work stealing — so a slow cell (a large
-    simulation) never leaves the other domains idle behind a static
-    block partition.
+    Worker domains are spawned once by {!create} and reused by every
+    {!map_supervised} batch until {!shutdown}, so a long-running
+    service never pays a spawn per request and a CLI sweep is one
+    batch. Items are claimed from a shared atomic cursor — effectively
+    single-item work stealing — so a slow cell (a large simulation)
+    never leaves the other domains idle behind a static block
+    partition.
 
-    Determinism contract: [map ~domains:n f items] returns exactly
-    [Array.map f items] for every [n], provided each [f items.(i)] is
-    self-contained — it must not read mutable state another call
-    writes. The simulator's per-scenario RNG derivation and the
-    domain-local caches/observability state are designed to satisfy
-    this, which is what makes parallel figure sweeps bit-identical to
-    sequential ones. *)
+    Determinism contract: [map_supervised pool f items] completes each
+    item with exactly [f items.(i)] for every pool size, provided each
+    [f items.(i)] is self-contained — it must not read mutable state
+    another call writes. The simulator's per-scenario RNG derivation
+    and the domain-local caches/observability state are designed to
+    satisfy this, which is what makes parallel figure sweeps
+    bit-identical to sequential ones. *)
 
-val map : domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~domains f items] applies [f] to every item and returns the
-    results in item order. At most [domains] domains run at once
-    (clamped to at least 1 and at most [Array.length items]); with
-    [domains = 1], or fewer than two items, no domain is spawned and
-    this is plain [Array.map].
+type t
 
-    Worker domains inherit the calling domain's observability
-    configuration ({!Bgl_obs.Runtime.snapshot}). If any [f] raises,
-    the first exception (in item order) is re-raised with its original
-    backtrace after all workers have joined.
-
+val create : domains:int -> t
+(** Spawn [domains - 1] worker domains (the submitting thread
+    participates in every batch, so total parallelism is [domains];
+    with [domains = 1] no domain is spawned and batches run inline).
     @raise Invalid_argument if [domains < 1]. *)
 
+val size : t -> int
+(** The [domains] the pool was created with. *)
+
 val map_supervised :
+  t ->
   ?policy:Bgl_resilience.Supervise.policy ->
   ?on_complete:(int -> 'b -> unit) ->
-  domains:int ->
   ('a -> 'b) ->
   'a array ->
   'b Bgl_resilience.Supervise.outcome array * Bgl_resilience.Supervise.degradation
-(** [on_complete i v] is called as soon as item [i] completes with
-    [v], from whichever domain ran it — the hook for incremental
-    durability (journaling a sweep cell the moment it finishes, not
-    when the whole map returns). It must be domain-safe and must not
-    raise; quarantined items never reach it.
+(** Apply [f] to every item on the pool's domains and return the
+    outcomes in item order. Blocks until the whole batch completes;
+    one batch runs at a time, and concurrent submitters queue on the
+    batch slot. Worker domains inherit the submitter's observability
+    configuration ({!Bgl_obs.Runtime.snapshot}) per batch.
 
-    Fault-tolerant {!map}: each item runs under
-    {!Bgl_resilience.Supervise.run} with [policy] (default
-    {!Bgl_resilience.Supervise.default}), so a raising item is retried
-    with deterministic backoff and, if it keeps failing, reported as
-    [Quarantined] instead of killing the sweep — every other item
-    still completes and is returned. The degradation summary counts
-    completions, retries and quarantines; when the ambient
-    {!Bgl_obs.Runtime} registry is live they are also exported as
-    [bgl_pool_cells_total{outcome=...}] counters.
+    Each item runs under {!Bgl_resilience.Supervise.run} with [policy]
+    (default {!Bgl_resilience.Supervise.default}), so a raising item
+    is retried with deterministic backoff and, if it keeps failing,
+    reported as [Quarantined] instead of killing the sweep — every
+    other item still completes and is returned. The degradation
+    summary counts completions, retries and quarantines; when the
+    ambient {!Bgl_obs.Runtime} registry is live they are also exported
+    as [bgl_pool_cells_total{outcome=...}] counters.
 
     Each attempt passes the item's index to the ["pool.cell"] failpoint
     ({!Bgl_resilience.Failpoint}), so tests and CLIs can deterministically
     fail one chosen cell.
 
-    @raise Invalid_argument if [domains < 1]. *)
+    [on_complete i v] is called as soon as item [i] completes with
+    [v], from whichever domain ran it — the hook for incremental
+    durability (journaling a sweep cell the moment it finishes, not
+    when the whole batch returns). It must be domain-safe and must not
+    raise; quarantined items never reach it.
+
+    @raise Invalid_argument if the pool has been {!shutdown}. *)
+
+val shutdown : t -> unit
+(** Stop the workers and join them. Idempotent; submitting to a
+    shut-down pool raises [Invalid_argument]. *)
 
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()] — a sensible default for a
     [--jobs] flag's auto mode. *)
-
-(** A pool whose worker domains are spawned once and reused across
-    batches — the substrate for a long-running service, where spawning
-    domains per request would dominate small-request latency.
-
-    A batch is executed exactly like {!map_supervised}'s (shared
-    atomic-cursor claiming, supervised cells, per-batch observability
-    snapshot propagation), so the results are bit-identical to the
-    spawning pool for the same policy and items. One batch runs at a
-    time; concurrent submitters queue on the batch slot. *)
-module Persistent : sig
-  type t
-
-  val create : domains:int -> t
-  (** Spawn [domains - 1] worker domains (the submitting thread
-      participates in every batch, so total parallelism is [domains];
-      with [domains = 1] no domain is spawned and batches run
-      inline).
-      @raise Invalid_argument if [domains < 1]. *)
-
-  val size : t -> int
-  (** The [domains] the pool was created with. *)
-
-  val map_supervised :
-    t ->
-    ?policy:Bgl_resilience.Supervise.policy ->
-    ?on_complete:(int -> 'b -> unit) ->
-    ('a -> 'b) ->
-    'a array ->
-    'b Bgl_resilience.Supervise.outcome array * Bgl_resilience.Supervise.degradation
-  (** {!map_supervised} on the persistent workers. Blocks until the
-      whole batch completes; [on_complete] has the same contract as
-      the spawning pool's (domain-safe, must not raise).
-      @raise Invalid_argument if the pool has been {!shutdown}. *)
-
-  val shutdown : t -> unit
-  (** Stop the workers and join them. Idempotent; submitting to a
-      shut-down pool raises [Invalid_argument]. *)
-end

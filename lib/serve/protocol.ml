@@ -27,11 +27,12 @@ let str_field name v = Option.bind (Jsonl.member name v) Jsonl.to_string_opt
 let num_field name v = Option.bind (Jsonl.member name v) Jsonl.to_float
 
 let int_field name v =
-  match num_field name v with
+  match Jsonl.member name v with
   | None -> Ok None
-  | Some f ->
-      if Float.is_integer f then Ok (Some (int_of_float f))
-      else Error (Printf.sprintf "field %S must be an integer" name)
+  | Some x -> (
+      match Jsonl.to_int x with
+      | Some n -> Ok (Some n)
+      | None -> Error (Printf.sprintf "field %S must be an integer" name))
 
 let pos_int_field name v =
   let* n = int_field name v in

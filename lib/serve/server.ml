@@ -74,7 +74,7 @@ type t = {
   store : Store.t;
   memo : Memo.t;
   queue : job Admission.t;
-  pool : Bgl_parallel.Pool.Persistent.t;
+  pool : Bgl_parallel.Pool.t;
   stopping : bool Atomic.t;
   heartbeat : Bgl_obs.Heartbeat.t option;
   registry : Bgl_obs.Registry.t;
@@ -201,8 +201,7 @@ let exec_sweep t job policy (s : Protocol.sweep) =
           (Protocol.cell ~req:job.fp ~label:(Bgl_core.Scenario.label sc) ~report)
   in
   match
-    Bgl_core.Sweep.run ~policy ~journal ~pool:t.pool ~on_cell ~domains:1
-      producer s.scale
+    Bgl_core.Sweep.run ~policy ~journal ~on_cell ~pool:t.pool producer s.scale
   with
   | Error e ->
       (Protocol.error ~req:job.fp ~code:(Error.exit_code e) (Error.to_string e), false)
@@ -458,7 +457,7 @@ let run config =
       store;
       memo = Memo.create ~capacity:config.memo_capacity;
       queue = Admission.create ~capacity:config.queue_capacity;
-      pool = Bgl_parallel.Pool.Persistent.create ~domains:config.domains;
+      pool = Bgl_parallel.Pool.create ~domains:config.domains;
       stopping = Atomic.make false;
       heartbeat;
       registry;
@@ -482,7 +481,7 @@ let run config =
   let finish () =
     Sys.set_signal Sys.sigterm prev_term;
     Sys.set_signal Sys.sigint prev_int;
-    Bgl_parallel.Pool.Persistent.shutdown t.pool;
+    Bgl_parallel.Pool.shutdown t.pool;
     Bgl_obs.Runtime.reset ()
   in
   (* Finish what a killed predecessor acknowledged before taking new
@@ -506,7 +505,7 @@ let run config =
       let executor = Thread.create executor_loop t in
       logf t "listening on %s (pool=%d queue=%d)"
         (listen_to_string config.listen)
-        (Bgl_parallel.Pool.Persistent.size t.pool)
+        (Bgl_parallel.Pool.size t.pool)
         (Admission.capacity t.queue);
       accept_loop t lfd;
       (* Drain: stop accepting, finish everything admitted, then close

@@ -207,7 +207,14 @@ let report_of_json v =
     | Some _ -> Error (Printf.sprintf "report member %s is not a number" name)
     | None -> Error (Printf.sprintf "report member %s missing" name)
   in
-  let i name = Result.map int_of_float (f name) in
+  let i name =
+    match Bgl_obs.Jsonl.member name v with
+    | Some x ->
+        Option.to_result
+          ~none:(Printf.sprintf "report member %s is not an integer" name)
+          (Bgl_obs.Jsonl.to_int x)
+    | None -> Error (Printf.sprintf "report member %s missing" name)
+  in
   let* total_jobs = i "total_jobs" in
   let* completed_jobs = i "completed_jobs" in
   let* avg_wait = f "avg_wait" in

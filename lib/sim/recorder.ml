@@ -116,16 +116,12 @@ let num key v =
   | Bgl_obs.Jsonl.Number f -> Ok f
   | _ -> Error (Printf.sprintf "member %S is not a number" key)
 
-(* Integers travel as JSON numbers, which the parser reads as floats:
-   accept only values a float holds exactly, so no id is silently
-   truncated or wrapped. *)
-let int_of_number key f =
-  if Float.is_integer f && Float.abs f <= 0x1p53 then Ok (int_of_float f)
-  else Error (Printf.sprintf "member %S is not an integer" key)
+let int_of_value key x =
+  Option.to_result ~none:(Printf.sprintf "member %S is not an integer" key) (Bgl_obs.Jsonl.to_int x)
 
 let intm key v =
-  let* f = num key v in
-  int_of_number key f
+  let* x = member key v in
+  int_of_value key x
 
 let strm key v =
   let* x = member key v in
@@ -143,8 +139,7 @@ let opt_intm key v =
   let* x = member key v in
   match x with
   | Bgl_obs.Jsonl.Null -> Ok None
-  | Bgl_obs.Jsonl.Number f -> Result.map Option.some (int_of_number key f)
-  | _ -> Error (Printf.sprintf "member %S is not a number or null" key)
+  | x -> Result.map Option.some (int_of_value key x)
 
 let opt_strm key v =
   let* x = member key v in

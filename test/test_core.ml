@@ -304,8 +304,8 @@ let test_baseline_backfill_wins () =
 
 (* ------------------------------------------------------------------ *)
 (* Golden-file regression: the fig-3 sweep summary must render
-   byte-identically to the committed fixture — sequentially AND with
-   the sweep cells pre-simulated on 2 domains. This locks down both
+   byte-identically to the committed fixture — swept on a 1-domain AND
+   a 2-domain pool. This locks down both
    the incremental-finder engine results and the deterministic
    parallel decomposition in one place.
 
@@ -326,9 +326,7 @@ let golden_path =
   | None -> List.hd candidates
 
 let render_fig3 ~domains =
-  Figures.clear_cache ();
-  let figs = Figures.produce ~domains (fun s -> [ Figures.fig3 s ]) golden_scale in
-  Figures.clear_cache ();
+  let figs = Pool_helpers.sweep_figures ~domains (fun s -> [ Figures.fig3 s ]) golden_scale in
   String.concat "" (List.map (Format.asprintf "%a@." Series.pp_figure) figs)
 
 let read_golden () =

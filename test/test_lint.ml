@@ -299,7 +299,19 @@ let test_r8 () =
      let run (g : guarded) = Domain.spawn (fun () -> g.n <- 1)";
   check_typed_silent "R8" "let run (a : int array) = Domain.spawn (fun () -> a.(0) <- 1)";
   (* Capturing immutable data is the point of closures. *)
-  check_typed_silent "R8" "let run xs = Domain.spawn (fun () -> List.length xs)"
+  check_typed_silent "R8" "let run xs = Domain.spawn (fun () -> List.length xs)";
+  (* The domain pool is a spawn site too: a cell closure handed to
+     [Pool.map_supervised] runs on worker domains. *)
+  let pool_fixture counter bump =
+    Printf.sprintf
+      "module Pool = struct let map_supervised _ f xs = Array.map f xs end\n\
+       let run pool =\n\
+      \  let hits = %s in\n\
+      \  Pool.map_supervised pool (fun x -> %s; x) [| 1; 2 |]"
+      counter bump
+  in
+  check_typed_fires "R8" (pool_fixture "ref 0" "incr hits");
+  check_typed_silent "R8" (pool_fixture "Atomic.make 0" "Atomic.incr hits")
 
 let test_r9 () =
   (* The raisable set is interprocedural: the raise is two calls away. *)

@@ -1,12 +1,24 @@
 (* Tests for the domain pool and the parallel-sweep plumbing: result
-   order and exception propagation, domain-safe observability
-   (counters summed across domains, spans merged), the domain-local
-   finder cache, and bit-identical parallel vs sequential figures. *)
+   order, domain-safe observability (counters summed across domains,
+   spans merged), the domain-local finder cache, and bit-identical
+   parallel vs sequential figures. A raising item is the quarantine
+   tests' business (test_resilience). *)
 
 open Bgl_core
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* [f] over [items] on a fresh [domains]-sized pool, every cell
+   unwrapped from its [Completed] outcome. *)
+let map_on ~domains f items =
+  Pool_helpers.with_pool ~domains (fun pool ->
+      Array.map
+        (function
+          | Bgl_resilience.Supervise.Completed { value; _ } -> value
+          | Bgl_resilience.Supervise.Quarantined e ->
+              Alcotest.failf "cell quarantined: %s" e.message)
+        (fst (Bgl_parallel.Pool.map_supervised pool f items)))
 
 (* ------------------------------------------------------------------ *)
 (* Pool *)
@@ -19,30 +31,18 @@ let test_map_order () =
       Alcotest.(check (array int))
         (Printf.sprintf "squares with %d domains" domains)
         expect
-        (Bgl_parallel.Pool.map ~domains (fun i -> i * i) items))
+        (map_on ~domains (fun i -> i * i) items))
     [ 1; 2; 4; 7 ]
 
 let test_map_edge_shapes () =
-  Alcotest.(check (array int)) "empty" [||] (Bgl_parallel.Pool.map ~domains:4 (fun i -> i) [||]);
+  Alcotest.(check (array int)) "empty" [||] (map_on ~domains:4 (fun i -> i) [||]);
   Alcotest.(check (array int))
     "more domains than items" [| 10; 20 |]
-    (Bgl_parallel.Pool.map ~domains:8 (fun i -> 10 * i) [| 1; 2 |])
+    (map_on ~domains:8 (fun i -> 10 * i) [| 1; 2 |])
 
 let test_map_invalid_domains () =
-  Alcotest.check_raises "0 domains" (Invalid_argument "Pool.map: domains must be >= 1")
-    (fun () -> ignore (Bgl_parallel.Pool.map ~domains:0 Fun.id [| 1 |]))
-
-exception Boom of int
-
-let test_map_propagates_exception () =
-  check_bool "first failing item's exception" true
-    (try
-       ignore
-         (Bgl_parallel.Pool.map ~domains:4
-            (fun i -> if i mod 3 = 0 then raise (Boom i) else i)
-            (Array.init 32 (fun i -> i + 1)));
-       false
-     with Boom 3 -> true)
+  Alcotest.check_raises "0 domains" (Invalid_argument "Pool.create: domains must be >= 1")
+    (fun () -> ignore (Bgl_parallel.Pool.create ~domains:0))
 
 (* ------------------------------------------------------------------ *)
 (* Observability across domains *)
@@ -52,7 +52,7 @@ let test_counters_sum_across_domains () =
   let c = Bgl_obs.Registry.counter reg "test_parallel_total" in
   let n = 64 in
   ignore
-    (Bgl_parallel.Pool.map ~domains:4
+    (map_on ~domains:4
        (fun _ ->
          for _ = 1 to 100 do
            Bgl_obs.Registry.inc c
@@ -75,7 +75,7 @@ let test_engine_counters_after_parallel_runs () =
                  Scenario.First_fit)
              [ 21; 22; 23; 24 ])
       in
-      ignore (Bgl_parallel.Pool.map ~domains:4 (fun s -> (Scenario.run s).report) scenarios);
+      ignore (map_on ~domains:4 (fun s -> (Scenario.run s).report) scenarios);
       let arrivals =
         Bgl_obs.Registry.counter reg "bgl_sim_events_total{kind=\"arrival\"}"
       in
@@ -87,7 +87,7 @@ let test_spans_merge_across_domains () =
   Bgl_obs.Span.set_enabled true;
   Fun.protect ~finally:(fun () -> Bgl_obs.Span.set_enabled false) (fun () ->
       ignore
-        (Bgl_parallel.Pool.map ~domains:4
+        (map_on ~domains:4
            (fun i -> Bgl_obs.Span.time ~name:"test.pool-span" (fun () -> i * 2))
            (Array.init 24 Fun.id)));
   match
@@ -114,7 +114,7 @@ let test_finder_cache_across_domains () =
   let volumes = Array.init 16 (fun i -> i + 1) in
   let sequential = Array.map (fun volume -> Finder.Reference.find Pop g ~volume) volumes in
   let parallel =
-    Bgl_parallel.Pool.map ~domains:4
+    map_on ~domains:4
       (fun volume -> Finder.Cache.find (Finder.Cache.create g) ~volume)
       volumes
   in
@@ -128,12 +128,9 @@ let test_fig3_deterministic_across_domains () =
     { Figures.n_jobs = 300; seeds = [ 11; 12 ]; a_values = [ 0.; 0.5; 1. ];
       fail_fracs = [ 0.; 0.5; 1. ]; dims = Bgl_torus.Dims.bgl }
   in
-  let produce domains =
-    Figures.clear_cache ();
-    Figures.produce ~domains (fun scale -> [ Figures.fig3 scale ]) scale
-  in
-  let sequential = produce 1 in
-  let parallel = produce 4 in
+  let sweep domains = Pool_helpers.sweep_figures ~domains (fun s -> [ Figures.fig3 s ]) scale in
+  let sequential = sweep 1 in
+  let parallel = sweep 4 in
   check_bool "fig3 identical with 1 and 4 domains" true (parallel = sequential)
 
 let () =
@@ -145,7 +142,6 @@ let () =
           tc "map preserves order" test_map_order;
           tc "edge shapes" test_map_edge_shapes;
           tc "invalid domains" test_map_invalid_domains;
-          tc "exception propagation" test_map_propagates_exception;
         ] );
       ( "obs",
         [

@@ -120,6 +120,17 @@ let test_failpoint_modes () =
   Failpoint.disarm "t.always";
   check_int "disarmed site is silent" 0 (count_failures (fun () -> Failpoint.hit "t.always") 5)
 
+(* The one --fail parser every CLI shares: a bad spec is a Usage
+   error (exit 2), a good one arms its site. *)
+let test_cli_arm_failpoints () =
+  (match Bgl_core.Cli_flags.arm_failpoints [ "t.cli:index=oops" ] with
+  | Error e -> check_int "bad spec exits 2" 2 (Error.exit_code e)
+  | Ok () -> Alcotest.fail "bad --fail spec accepted");
+  (match Bgl_core.Cli_flags.arm_failpoints [ "t.cli" ] with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "good --fail spec rejected: %s" (Error.to_string e));
+  check_int "armed site fires" 1 (count_failures (fun () -> Failpoint.hit "t.cli") 1)
+
 let test_failpoint_prob_deterministic () =
   let sample () =
     Failpoint.arm { site = "t.p"; mode = Prob { p = 0.3; seed = 42 } };
@@ -234,8 +245,8 @@ let test_pool_map_supervised_partial () =
   List.iter
     (fun domains ->
       let outcomes, d =
-        Bgl_parallel.Pool.map_supervised ~policy ~domains (fun i -> i * i)
-          (Array.init 12 Fun.id)
+        Pool_helpers.with_pool ~domains (fun pool ->
+            Bgl_parallel.Pool.map_supervised pool ~policy (fun i -> i * i) (Array.init 12 Fun.id))
       in
       check_int (Printf.sprintf "total with %d domains" domains) 12 d.Supervise.total;
       check_int "one quarantined" 1 (List.length d.quarantined);
@@ -366,7 +377,8 @@ let quiet_policy = fst (test_policy ())
 
 let run_sweep ?policy ?journal () =
   Bgl_core.Figures.clear_cache ();
-  Bgl_core.Sweep.run ?policy ?journal ~domains:2 intro tiny_scale
+  Pool_helpers.with_pool ~domains:2 (fun pool ->
+      Bgl_core.Sweep.run ?policy ?journal ~pool intro tiny_scale)
 
 let expect_ok = function
   | Ok o -> o
@@ -437,6 +449,33 @@ let test_sweep_degraded_then_fixed () =
     (figures_text clean.figures) (figures_text fixed.figures);
   Sys.remove path
 
+(* A journaled report whose integer field is not an integer is
+   rejected like a corrupt line, not truncated into a wrong replay:
+   the record counts as dropped and its cell is simulated again. *)
+let test_sweep_rejects_fractional_count () =
+  let path = temp_path "bgl_test_sweep_frac.jsonl" in
+  let clean = expect_ok (run_sweep ~journal:(Fresh path) ()) in
+  let tamper field =
+    if String.starts_with ~prefix:{|"completed_jobs":|} field then {|"completed_jobs":2.7|}
+    else field
+  in
+  let lines = String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) in
+  let lines =
+    List.mapi
+      (fun i line ->
+        if i = 0 then String.concat "," (List.map tamper (String.split_on_char ',' line))
+        else line)
+      lines
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (String.concat "\n" lines));
+  let resumed = expect_ok (run_sweep ~journal:(Resume path) ()) in
+  check_int "fractional record dropped" 1 resumed.journal_dropped;
+  check_int "its cell re-simulated" 1 resumed.simulated;
+  check_string "figures still byte-identical" (figures_text clean.figures)
+    (figures_text resumed.figures);
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: parsers never raise on corrupt bytes *)
 
@@ -489,6 +528,7 @@ let () =
           t "spec strings" test_failpoint_spec_strings;
           t "firing modes" test_failpoint_modes;
           t "prob is deterministic" test_failpoint_prob_deterministic;
+          t "cli --fail arming" test_cli_arm_failpoints;
         ] );
       ( "budget",
         [
@@ -516,6 +556,8 @@ let () =
         [
           Alcotest.test_case "kill and resume equality" `Slow (wrap test_sweep_resume_equality);
           Alcotest.test_case "degraded then fixed" `Slow (wrap test_sweep_degraded_then_fixed);
+          Alcotest.test_case "fractional count re-simulated" `Slow
+            (wrap test_sweep_rejects_fractional_count);
         ] );
       ("qcheck", qcheck_tests);
     ]

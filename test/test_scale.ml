@@ -96,9 +96,7 @@ let sweep_identical dims () =
     }
   in
   let produce domains =
-    Figures.clear_cache ();
-    let figs = Figures.produce ~domains (fun s -> [ Figures.fig3 s ]) scale in
-    Figures.clear_cache ();
+    let figs = Pool_helpers.sweep_figures ~domains (fun s -> [ Figures.fig3 s ]) scale in
     String.concat "" (List.map (Format.asprintf "%a@." Series.pp_figure) figs)
   in
   Alcotest.(check string) "1 vs 2 domains identical" (produce 1) (produce 2)

@@ -173,6 +173,9 @@ let test_protocol_rejects () =
   bad {|{"op":"sweep","figure":"42"}|};
   bad {|{"op":"sim","failure_log":"x"}|};
   bad {|{"op":"sim","fuel":-3}|};
+  (* 1e19 is not an integer a float holds exactly; int_of_float would
+     wrap it to 0 and serve seed 0's memoised result *)
+  bad {|{"op":"sim","algo":"mfp","jobs":50,"seed":1e19}|};
   bad {|{"op":"sim","swf":"definitely not swf"}|}
 
 let test_protocol_fingerprint_semantics () =
