@@ -536,13 +536,15 @@ let differential_check ~site grid ~volume ~project fast =
 (* The one production surface: memoise finder results keyed on the
    grid's occupancy fingerprint, over an incrementally maintained
    summed-area table. Within one scheduling pass the engine re-queries
-   the same volumes many times (head retry, backfill scan, MFP probes
-   restore the fingerprint), so repeated enumeration work collapses
+   the same volumes many times (head retry, backfill scan, every MFP
+   probe of a placement), so repeated enumeration work collapses
    into a hash lookup; any occupancy change flips the fingerprint and
    invalidates exactly the stale entries. *)
 
 module Cache = struct
   type counters = { mutable hits : int; mutable misses : int }
+
+  type mfp_level = { volume : int; shapes : Shape.t array; boxes : int array Lazy.t }
 
   type t = {
     grid : Grid.t;
@@ -556,8 +558,7 @@ module Cache = struct
     exists_memo : (int, int * bool) Hashtbl.t;
     select_memo : (int * int, int * Box.t list) Hashtbl.t;
         (* (volume, cap) -> fingerprint, subsample *)
-    mutable mfp_slot : (int * Box.t option) option;
-        (* one-deep MFP memo: the stable (unprobed) occupancy state *)
+    mutable mfp_index : (int * mfp_level list) option;  (* fingerprint, levels *)
     counters : counters;
     obs_hits : Bgl_obs.Registry.counter;
     obs_misses : Bgl_obs.Registry.counter;
@@ -577,7 +578,7 @@ module Cache = struct
       find_memo = Hashtbl.create 32;
       exists_memo = Hashtbl.create 32;
       select_memo = Hashtbl.create 32;
-      mfp_slot = None;
+      mfp_index = None;
       counters = { hits = 0; misses = 0 };
       obs_hits = counter reg ~help:"finder candidate-cache hits" "bgl_finder_cache_hits_total";
       obs_misses =
@@ -708,20 +709,42 @@ module Cache = struct
         (Boxes result);
     result
 
-  (* MFP search does not fit the per-volume memo (its result is a box,
-     found by scanning volume levels), so it gets a one-deep slot:
-     callers like [Mfp.box ~cache] pass the actual search as [compute].
-     What-if probes bypass this slot so the stable pre-probe state is
-     not evicted by transient fingerprints. *)
-  let mfp_cached t ~compute =
+  (* The MFP level index. One index serves every MFP query on one
+     occupancy: a what-if probe reads the same levels with a
+     disjointness filter instead of mutating the grid, so a placement
+     pass scans each level at most once. A level's boxes are packed
+     four ints apiece, which keeps a large level's footprint flat. *)
+  let mfp_levels t =
     let fp = Grid.fingerprint t.grid in
-    match t.mfp_slot with
-    | Some (fp', r) when fp' = fp ->
+    match t.mfp_index with
+    | Some (fp', levels) when fp' = fp ->
         hit t;
-        r
+        levels
     | _ ->
         miss t;
-        let r = compute () in
-        t.mfp_slot <- Some (fp, r);
-        r
+        let d = Grid.dims t.grid and wrap = Grid.wrap t.grid in
+        let scan shapes =
+          let table = lazy_table t in
+          let acc = ref [] in
+          Array.iteri
+            (fun i shape ->
+              if shape_possible t.grid shape then begin
+                let tbl = Lazy.force table in
+                iter_bases d ~wrap shape ~f:(fun x0 y0 z0 ->
+                    if
+                      Prefix.occupied_in_range tbl ~x0 ~y0 ~z0 ~sx:shape.sx ~sy:shape.sy
+                        ~sz:shape.sz
+                      = 0
+                    then acc := z0 :: y0 :: x0 :: i :: !acc)
+              end)
+            shapes;
+          Array.of_list (List.rev !acc)
+        in
+        let levels =
+          List.map
+            (fun (volume, shapes) -> { volume; shapes; boxes = lazy (scan shapes) })
+            (Shapes.levels_desc d)
+        in
+        t.mfp_index <- Some (fp, levels);
+        levels
 end

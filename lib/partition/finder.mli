@@ -29,9 +29,10 @@ open Bgl_torus
     mutation via {!Cache.note_box}/{!Cache.note_node} — and memoises
     query results keyed on the grid's occupancy
     {!Bgl_torus.Grid.fingerprint}, so a repeated query on unchanged
-    occupancy is a hash lookup. MFP what-if probes (occupy then vacate)
-    restore the fingerprint, so they do not evict entries. A one-off
-    query on any grid is [Cache.create grid] followed by the query. *)
+    occupancy is a hash lookup. Nothing in the cache mutates the grid:
+    MFP what-if probes read the {!Cache.mfp_levels} index with a
+    disjointness filter instead. A one-off query on any grid is
+    [Cache.create grid] followed by the query. *)
 
 module Cache : sig
   type t
@@ -81,14 +82,24 @@ module Cache : sig
       [bgl_finder_counted_skips_total] and the [finder.count.scan] /
       [finder.count.select] spans. *)
 
-  val mfp_cached : t -> compute:(unit -> Box.t option) -> Box.t option
-  (** One-deep memo for the maximal-free-partition search: returns the
-      remembered result if the fingerprint still matches, otherwise
-      runs [compute] and remembers it. *)
+  type mfp_level = {
+    volume : int;
+    shapes : Shape.t array;  (** the level's shapes, in catalogue order *)
+    boxes : int array Lazy.t;
+        (** every free box of the level, packed as consecutive
+            (index into [shapes], x, y, z) quadruples in scan order:
+            shapes in array order, bases in {!iter_bases} order *)
+  }
+
+  val mfp_levels : t -> mfp_level list
+  (** The MFP level index: one entry per level of
+      {!Shapes.levels_desc}, volumes descending, each level scanned from
+      the synced table on first force. Memoised on the occupancy
+      fingerprint, so every MFP query on one occupancy shares it. *)
 
   val stats : t -> int * int
   (** [(hits, misses)] across {!find}, {!exists_free}, {!select} and
-      {!mfp_cached}. *)
+      {!mfp_levels}. *)
 
   val table_stats : t -> Prefix.stats
   (** Incremental-vs-full update counts of the underlying table. *)

@@ -1,39 +1,5 @@
 open Bgl_torus
 
-exception Found of Box.t
-
-(* Shape and base order fix which maximal box is returned, so keep
-   them: levels by decreasing volume, shapes and bases in catalogue
-   order. *)
-let search table grid =
-  if Grid.free_count grid = 0 then None
-  else
-    let d = Grid.dims grid in
-    let wrap = Grid.wrap grid in
-    let free = Grid.free_count grid in
-    let first_free_in shapes =
-      try
-        Array.iter
-          (fun shape ->
-            if Finder.shape_possible grid shape then
-              Finder.iter_bases d ~wrap shape ~f:(fun x y z ->
-                  let box = Box.make (Coord.make x y z) shape in
-                  if Prefix.box_is_free table box then raise (Found box)))
-          shapes;
-        None
-      with Found b -> Some b
-    in
-    (* Levels are sorted by decreasing volume; no box larger than the
-       free-node count can be free, so those levels are skipped, and
-       the first level with any free box yields the MFP. *)
-    let rec scan_levels = function
-      | [] -> None
-      | (volume, shapes) :: rest ->
-          if volume > free then scan_levels rest
-          else (match first_free_in shapes with Some b -> Some b | None -> scan_levels rest)
-    in
-    scan_levels (Shapes.levels_desc d)
-
 (* A cache only applies to the very grid it is bound to: callers probe
    ghost copies too, and those get a fresh cache of their own. *)
 let cache_for cache grid =
@@ -41,28 +7,40 @@ let cache_for cache grid =
   | Some c when Finder.Cache.grid c == grid -> c
   | _ -> Finder.Cache.create grid
 
+(* The first box in scan order satisfying [ok], on the highest level at
+   or below [at_most] that holds one. Levels above the free count hold
+   no free box, so [at_most] also skips their scans. *)
+let first_box c ~at_most ~ok =
+  let rec levels = function
+    | [] -> None
+    | { Finder.Cache.volume; shapes; boxes } :: rest ->
+        if volume > at_most then levels rest
+        else
+          let packed = Lazy.force boxes in
+          let rec scan k =
+            if k = Array.length packed then levels rest
+            else
+              let b =
+                Box.make (Coord.make packed.(k + 1) packed.(k + 2) packed.(k + 3)) shapes.(packed.(k))
+              in
+              if ok b then Some b else scan (k + 4)
+          in
+          scan 0
+  in
+  levels (Finder.Cache.mfp_levels c)
+
 let box ?cache grid =
-  let c = cache_for cache grid in
-  Finder.Cache.mfp_cached c ~compute:(fun () -> search (Finder.Cache.table c) grid)
+  first_box (cache_for cache grid) ~at_most:(Grid.free_count grid) ~ok:(fun _ -> true)
 
 let volume ?cache grid = match box ?cache grid with None -> 0 | Some b -> Box.volume b
 
-(* A distinct owner id out of the job-id space; Grid forbids negative
-   owners other than its own sentinels, so use a huge positive id. *)
-let probe_owner = max_int
-
+(* Once [candidate] is placed, a box is free iff it is free now and
+   misses the candidate, and nothing larger than the current MFP or the
+   remaining free count can be. *)
 let volume_after ?cache grid candidate =
   let c = cache_for cache grid in
-  Grid.occupy grid candidate ~owner:probe_owner;
-  Finder.Cache.note_box c candidate;
-  Fun.protect
-    ~finally:(fun () ->
-      Grid.vacate grid candidate ~owner:probe_owner;
-      Finder.Cache.note_box c candidate)
-    (fun () ->
-      (* Probe states are transient (the vacate in [finally] restores
-         the fingerprint), so bypass the MFP memo slot — it must keep
-         the stable pre-probe result — but do reuse the incremental
-         table: the probe box is noted going in and coming out, so both
-         syncs are dirty-block updates. *)
-      match search (Finder.Cache.table c) grid with None -> 0 | Some b -> Box.volume b)
+  let d = Grid.dims grid in
+  let at_most = min (volume ~cache:c grid) (Grid.free_count grid - Box.volume candidate) in
+  match first_box c ~at_most ~ok:(fun b -> not (Box.overlap d b candidate)) with
+  | None -> 0
+  | Some b -> Box.volume b

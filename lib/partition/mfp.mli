@@ -4,16 +4,16 @@
     torus (Section 5.1, Figure 1). Krevat's heuristic prefers
     placements that leave the largest MFP behind; the balancing
     algorithm's L_MFP term is the drop in MFP volume caused by a
-    candidate placement. The search scans shapes in decreasing-volume
-    order over a summed-area table, so it stops at the first volume
-    level that still has a free box.
+    candidate placement. Every query reads the cache's MFP level index
+    ({!Finder.Cache.mfp_levels}): free boxes grouped by volume, levels
+    descending, so a query answers from the first level holding a box
+    it accepts. No query mutates the grid.
 
     Every entry point takes an optional {!Finder.Cache.t}. A cache
-    bound to the queried grid lends the search its incrementally
-    maintained summed-area table, and whole-grid results are memoised
-    on the occupancy fingerprint in its MFP slot. Without one, or with
-    a cache bound to a different grid (the schedulers probe ghost
-    copies), the call runs on a fresh [Finder.Cache.create grid]. *)
+    bound to the queried grid lends its index, which every query on
+    one occupancy shares. Without one, or with a cache bound to a
+    different grid (the schedulers probe ghost copies), the call runs
+    on a fresh [Finder.Cache.create grid]. *)
 
 open Bgl_torus
 
@@ -25,6 +25,5 @@ val box : ?cache:Finder.Cache.t -> Grid.t -> Box.t option
 
 val volume_after : ?cache:Finder.Cache.t -> Grid.t -> Box.t -> int
 (** [volume_after grid candidate] is the MFP volume once [candidate]
-    (which must be free) is occupied. The grid is mutated temporarily
-    and restored before returning; the probe is noted in the cache on
-    the way in and out, so its table updates stay incremental. *)
+    (which must be free) is occupied: the largest free box disjoint
+    from it. The grid is only read. *)

@@ -23,27 +23,19 @@ let first_fit =
   }
 
 let mfp_loss (ctx : Policy.ctx) candidate =
-  let dims = Grid.dims ctx.grid in
-  let before = Lazy.force ctx.mfp_before in
-  (* If a maximal free partition survives the placement untouched, the
-     MFP cannot shrink. *)
-  let survives =
-    List.exists (fun b -> not (Box.overlap dims b candidate)) (Lazy.force ctx.mfp_boxes)
-  in
-  if survives then 0
-  else before - Bgl_partition.Mfp.volume_after ~cache:ctx.cache ctx.grid candidate
+  Lazy.force ctx.mfp_before - Bgl_partition.Mfp.volume_after ~cache:ctx.cache ctx.grid candidate
 
-(* Choose the candidate minimising [score]; earlier candidates win
-   ties. [stop] is a known lower bound on the score: the scan ends at
-   the first candidate reaching it (placement can never enlarge the
+(* The candidate minimising [score], with its score; earlier candidates
+   win ties. [stop] is a known lower bound on the score: the scan ends
+   at the first candidate reaching it (placement can never enlarge the
    MFP, so 0 is a valid bound for loss-based scores), which returns the
    same candidate a full scan would. *)
 let argmin ?(stop = neg_infinity) score candidates =
   let rec go best best_score = function
-    | [] -> Some best
+    | [] -> Some (best, best_score)
     | candidate :: rest ->
         let s = score candidate in
-        if s <= stop then Some candidate
+        if s <= stop then Some (candidate, s)
         else if s < best_score then go candidate s rest
         else go best best_score rest
   in
@@ -51,7 +43,7 @@ let argmin ?(stop = neg_infinity) score candidates =
   | [] -> None
   | first :: rest ->
       let s = score first in
-      if s <= stop then Some first else go first s rest
+      if s <= stop then Some (first, s) else go first s rest
 
 let mfp =
   instrument "placement.mfp"
@@ -59,7 +51,7 @@ let mfp =
     Policy.name = "mfp";
     choose =
       (fun ctx ~job:_ ~volume:_ ~candidates ->
-        argmin ~stop:0. (fun c -> float_of_int (mfp_loss ctx c)) candidates);
+        Option.map fst (argmin ~stop:0. (fun c -> float_of_int (mfp_loss ctx c)) candidates));
   }
 
 let balancing ?(combine = `Product) ?decline_threshold ~predictor () =
@@ -80,12 +72,9 @@ let balancing ?(combine = `Product) ?decline_threshold ~predictor () =
           in
           l_mfp +. (p_f *. float_of_int job.size)
         in
-        match argmin ~stop:0. e_loss candidates with
-        | None -> None
-        | Some best -> (
-            match decline_threshold with
-            | Some threshold when e_loss best > threshold *. float_of_int job.size -> None
-            | Some _ | None -> Some best));
+        match (argmin ~stop:0. e_loss candidates, decline_threshold) with
+        | Some (_, loss), Some threshold when loss > threshold *. float_of_int job.size -> None
+        | best, _ -> Option.map fst best);
   }
 
 let tie_breaking ~predictor () =
@@ -143,5 +132,5 @@ let safest ~predictor () =
           Bgl_predict.Predictor.partition_prob predictor ~combine:`Product
             ~nodes:(Box.indices dims candidate) ~now:ctx.now ~horizon:job.estimate
         in
-        argmin ~stop:0. p_f candidates);
+        Option.map fst (argmin ~stop:0. p_f candidates));
   }

@@ -53,7 +53,7 @@ val safest : predictor:Bgl_predict.Predictor.t -> unit -> Policy.t
     both terms. *)
 
 val mfp_loss : Policy.ctx -> Bgl_torus.Box.t -> int
-(** The L_MFP of one candidate in a context, with the shortcut: if some
-    maximal free partition does not intersect the candidate, the MFP
-    survives placement and the loss is 0 without recomputation.
+(** The L_MFP of one candidate in a context: [mfp_before] minus
+    [Mfp.volume_after] on the context's cache, so every candidate of a
+    pass reads one MFP level index and the grid is never mutated.
     Exposed for tests and benches. *)

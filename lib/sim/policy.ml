@@ -6,7 +6,6 @@ type ctx = {
   grid : Grid.t;
   cache : Cache.t;
   mfp_before : int Lazy.t;
-  mfp_boxes : Box.t list Lazy.t;
 }
 
 type t = {
@@ -19,10 +18,4 @@ let make_ctx ?cache ~now grid =
   let cache =
     match cache with Some c when Cache.grid c == grid -> c | _ -> Cache.create grid
   in
-  let mfp_before = lazy (Bgl_partition.Mfp.volume ~cache grid) in
-  let mfp_boxes =
-    lazy
-      (let v = Lazy.force mfp_before in
-       if v = 0 then [] else Cache.find cache ~volume:v)
-  in
-  { now; grid; cache; mfp_before; mfp_boxes }
+  { now; grid; cache; mfp_before = lazy (Bgl_partition.Mfp.volume ~cache grid) }

@@ -12,19 +12,15 @@ open Bgl_torus
 type ctx = {
   now : float;
   grid : Grid.t;
-      (** current occupancy; policies may probe it (e.g. via
-          [Mfp.volume_after], which restores the grid) but must leave
-          it unchanged *)
+      (** current occupancy, read-only: a policy reads it and never
+          mutates it, what-if probes included ([Mfp.volume_after] only
+          reads) *)
   cache : Bgl_partition.Finder.Cache.t;
       (** a finder cache bound to [grid]: the engine's own when it
           built the context, else a fresh one — policies thread it into
-          [Mfp] probes so MFP searches reuse its incremental
-          summed-area table *)
+          [Mfp] probes so every probe of a placement pass shares its
+          MFP level index *)
   mfp_before : int Lazy.t;  (** MFP volume before the placement *)
-  mfp_boxes : Box.t list Lazy.t;
-      (** all free boxes achieving [mfp_before] — lets policies skip
-          the expensive MFP recomputation for candidates that do not
-          intersect every maximal box *)
 }
 
 type t = {

@@ -42,7 +42,7 @@ val fingerprint : t -> int
     nodes. Equal fingerprints mean (with overwhelming probability)
     equal free/occupied sets — owner ids do not contribute — and a
     probe that occupies then vacates a box restores the fingerprint
-    exactly, so finder caches keyed on it survive MFP what-if probes. *)
+    exactly, so finder caches keyed on it re-hit after the round trip. *)
 
 val summary : t -> Summary.t
 (** The coarse occupancy summary maintained inline by every mutation

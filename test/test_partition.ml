@@ -301,16 +301,25 @@ let test_mfp_empty_and_full () =
   check_int "full torus MFP" 0 (Mfp.volume g);
   Alcotest.(check (option box_t)) "no box" None (Mfp.box g)
 
-let test_mfp_after_restores_grid () =
+(* A whole placement pass of probes only reads: neither the occupancy
+   version and fingerprint nor the table's update counts move. *)
+let test_mfp_probes_only_read () =
   let g = Grid.create Dims.bgl in
-  let candidate = Box.make (Coord.make 0 0 0) (Shape.make 2 2 2) in
-  let free_before = Grid.free_count g in
-  let v = Mfp.volume_after g candidate in
-  check_int "grid restored" free_before (Grid.free_count g);
-  check_bool "MFP shrank" true (v < 128);
-  (* Occupying a 2x2x2 corner of a 4x4x8 torus leaves the 4x4x6 slab at
-     z in [2, 8) entirely free, so the MFP after placement is 96. *)
-  check_int "expected 96" 96 v
+  let cache = Finder.Cache.create g in
+  let job = Box.make (Coord.make 1 1 1) (Shape.make 2 2 3) in
+  Grid.occupy g job ~owner:1;
+  Finder.Cache.note_box cache job;
+  let candidates = Finder.Cache.select cache ~volume:8 ~cap:24 in
+  let version = Grid.version g and fp = Grid.fingerprint g in
+  let table = Finder.Cache.table_stats cache in
+  let before = Mfp.volume ~cache g in
+  let after = List.map (Mfp.volume_after ~cache g) candidates in
+  check_int "24 probes" 24 (List.length after);
+  check_bool "some probe shrinks the MFP" true (List.exists (fun v -> v < before) after);
+  check_int "version unchanged" version (Grid.version g);
+  check_int "fingerprint unchanged" fp (Grid.fingerprint g);
+  check_bool "table untouched" true (table = Finder.Cache.table_stats cache);
+  check_int "MFP unchanged" before (Mfp.volume ~cache g)
 
 let test_mfp_loss () =
   let g = Grid.create Dims.bgl in
@@ -564,8 +573,79 @@ let prop_cache_mfp_agrees =
           let after_plain = Mfp.volume_after g candidate in
           let after_cached = Mfp.volume_after ~cache g candidate in
           after_plain = after_cached
-          && Grid.fingerprint g = fp (* probes restored the grid *)
-          && Mfp.volume ~cache g = plain (* memo survived the probes *))
+          && Grid.fingerprint g = fp (* probes left the grid alone *)
+          && Mfp.volume ~cache g = plain (* the index survived the probes *))
+
+(* The MFP by its definition, sharing none of the level index, table or
+   summary: the first box in scan order (levels descending, shapes in
+   level order, bases in [iter_bases] order) whose every node is free. *)
+let reference_mfp g =
+  let d = Grid.dims g and wrap = Grid.wrap g in
+  let free (b : Box.t) =
+    let s = b.shape in
+    let rec go i =
+      i = Shape.volume s
+      || Grid.is_free g
+           (Coord.index d
+              (Coord.wrap d
+                 (Coord.make (b.base.x + (i mod s.sx)) (b.base.y + (i / s.sx mod s.sy))
+                    (b.base.z + (i / (s.sx * s.sy))))))
+         && go (i + 1)
+    in
+    go 0
+  in
+  let first_free shape =
+    let found = ref None in
+    Finder.iter_bases d ~wrap shape ~f:(fun x y z ->
+        let b = Box.make (Coord.make x y z) shape in
+        if !found = None && free b then found := Some b);
+    !found
+  in
+  List.find_map
+    (fun (volume, shapes) ->
+      if volume > Grid.free_count g then None else List.find_map first_free (Array.to_list shapes))
+    (Shapes.levels_desc d)
+
+(* The mutate-and-rescan definition of a probe: occupy the candidate
+   on a copy and rescan it with a fresh cache. *)
+let reference_after g candidate =
+  let copy = Grid.copy g in
+  Grid.occupy copy candidate ~owner:7;
+  Mfp.volume copy
+
+(* The paper's 4x4x8 torus, and the summary-gated 12x8x8 whose x axis
+   is not a multiple of the 8-node block; both wrapped and not. *)
+let mfp_sizes = [| Dims.bgl; Dims.make 12 8 8 |]
+
+let arb_mfp_scenario =
+  QCheck.(
+    set_print
+      (fun (size, wrap, (p, ops), (seed, cap)) ->
+        Printf.sprintf "dims=%s wrap=%b p=%.2f seed=%d cap=%d ops=%s"
+          (Dims.to_string mfp_sizes.(size))
+          wrap p seed cap
+          (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) ops)))
+      (quad (int_range 0 (Array.length mfp_sizes - 1)) bool
+         (pair (float_range 0.3 0.9) (small_list (pair (int_range 0 999) (int_range 0 999))))
+         (pair small_int (int_range 1 4))))
+
+let build_mfp_scenario (size, wrap, (p, ops), (seed, cap)) =
+  let d = mfp_sizes.(size) in
+  let g = build_grid (d, seed, wrap, p) in
+  let cache = Finder.Cache.create g in
+  List.iter (apply_cache_op g cache) ops;
+  let volumes = Array.of_list (Shapes.feasible_volumes d) in
+  let volume = volumes.(seed mod min 20 (Array.length volumes)) in
+  (g, cache, Finder.Cache.select cache ~volume ~cap)
+
+let prop_mfp_probes_match_reference =
+  QCheck.Test.make ~name:"MFP box, volume and probes match the rescan reference" ~count:120
+    arb_mfp_scenario (fun scenario ->
+      let g, cache, candidates = build_mfp_scenario scenario in
+      let expected = reference_mfp g in
+      Mfp.box ~cache g = expected
+      && Mfp.volume ~cache g = Option.fold ~none:0 ~some:Box.volume expected
+      && List.for_all (fun c -> Mfp.volume_after ~cache g c = reference_after g c) candidates)
 
 (* ------------------------------------------------------------------ *)
 (* Counted enumeration: Cache.select must agree with the materialised
@@ -772,6 +852,7 @@ let props =
       prop_exists_free_agrees;
       prop_differential_all_finders;
       prop_cache_mfp_agrees;
+      prop_mfp_probes_match_reference;
       prop_count_equals_find_length;
       prop_select_equals_capped_find;
       prop_gated_proofs_of_absence;
@@ -817,7 +898,7 @@ let () =
       ( "mfp",
         [
           tc "empty and full" test_mfp_empty_and_full;
-          tc "volume_after restores" test_mfp_after_restores_grid;
+          tc "probes only read" test_mfp_probes_only_read;
           tc "loss" test_mfp_loss;
           tc "figure 1 intuition" test_mfp_figure1_intuition;
         ] );

@@ -19,7 +19,7 @@ let candidates_for grid volume =
   Bgl_partition.Finder.Cache.find (Bgl_partition.Finder.Cache.create grid) ~volume
 
 (* The L_MFP term computed directly: MFP volume before minus after,
-   with none of the policy's maximal-box shortcut. *)
+   each on a fresh cache rather than the context's shared one. *)
 let direct_loss grid candidate =
   Bgl_partition.Mfp.volume grid - Bgl_partition.Mfp.volume_after grid candidate
 
@@ -52,8 +52,8 @@ let test_empty_candidates () =
     ]
 
 let test_mfp_loss_shortcut_agrees () =
-  (* mfp_loss with the maximal-box shortcut must equal the direct
-     loss computation for every candidate. *)
+  (* mfp_loss through the context's shared MFP level index must equal
+     the direct loss computation for every candidate. *)
   let rng = Bgl_stats.Rng.create ~seed:5 in
   for _ = 1 to 20 do
     let grid = Grid.create Dims.bgl in
@@ -68,6 +68,29 @@ let test_mfp_loss_shortcut_agrees () =
           (Bgl_sched.Placement.mfp_loss ctx candidate))
       (candidates_for grid 4)
   done
+
+let test_policies_only_read_grid () =
+  let grid = Grid.create Dims.bgl in
+  let rng = Bgl_stats.Rng.create ~seed:9 in
+  for node = 0 to 127 do
+    if Bgl_stats.Rng.unit_float rng < 0.3 then Grid.occupy_node grid node ~owner:1
+  done;
+  let version = Grid.version grid in
+  let predictor = Bgl_predict.Predictor.oracle (index_of [ (10., 0); (20., 37) ]) in
+  List.iter
+    (fun (policy : Policy.t) ->
+      ignore (choose policy grid 4);
+      check_int (policy.name ^ " left the grid alone") version (Grid.version grid))
+    Bgl_sched.Placement.
+      [
+        first_fit;
+        mfp;
+        balancing ~predictor ();
+        balancing ~decline_threshold:0. ~predictor ();
+        tie_breaking ~predictor ();
+        random ~seed:3;
+        safest ~predictor ();
+      ]
 
 let test_mfp_minimises_loss () =
   (* Figure 1 setup: the MFP policy must pick a placement with minimal
@@ -489,6 +512,7 @@ let () =
           tc "first-fit" test_first_fit_picks_first;
           tc "empty candidates" test_empty_candidates;
           tc "mfp_loss shortcut" test_mfp_loss_shortcut_agrees;
+          tc "policies only read the grid" test_policies_only_read_grid;
           tc "mfp minimises loss" test_mfp_minimises_loss;
           tc "balancing = mfp without prediction" test_balancing_equals_mfp_without_prediction;
           tc "balancing avoids doomed tie" test_balancing_avoids_doomed_when_tied;

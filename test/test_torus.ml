@@ -378,15 +378,24 @@ let prop_box_cells_distinct =
       && List.for_all (Coord.in_bounds d) cells)
 
 let prop_overlap_matches_cells =
-  QCheck.Test.make ~name:"Box.overlap agrees with cell intersection" ~count:300
+  (* Without wrap the boxes are clipped: each base keeps its box inside
+     the machine, as the finders place them on an unwrapped grid. *)
+  QCheck.Test.make ~name:"Box.overlap agrees with cell intersection" ~count:600
     QCheck.(
-      pair arb_dims (pair (pair (int_range 0 999) (int_range 0 999)) (pair (int_range 1 216) (int_range 1 216))))
-    (fun (d, ((b1, b2), (s1, s2))) ->
+      triple arb_dims bool
+        (pair (pair (int_range 0 999) (int_range 0 999)) (pair (int_range 1 216) (int_range 1 216))))
+    (fun (d, wrap, ((b1, b2), (s1, s2))) ->
       let mk bseed sseed =
         let base = Coord.of_index d (bseed mod Dims.volume d) in
         let sx = 1 + (sseed mod d.nx) in
         let sy = 1 + (sseed / 7 mod d.ny) in
         let sz = 1 + (sseed / 49 mod d.nz) in
+        let base =
+          if wrap then base
+          else
+            Coord.make (base.x mod (d.nx - sx + 1)) (base.y mod (d.ny - sy + 1))
+              (base.z mod (d.nz - sz + 1))
+        in
         Box.make base (Shape.make sx sy sz)
       in
       let bx1 = mk b1 s1 and bx2 = mk b2 s2 in
