@@ -25,7 +25,7 @@ let busy_grid_at dims ~seed ~fraction =
 
 let busy_grid ~seed ~fraction = busy_grid_at Dims.bgl ~seed ~fraction
 
-(* The production finder on a fresh cache: the summed-area table is
+(* The production finder on a fresh cache: the free-row masks are
    built inside the timed call and no memo entry can answer it. *)
 let fresh_find grid ~volume = Finder.Cache.find (Finder.Cache.create grid) ~volume
 
@@ -67,12 +67,13 @@ let finder_tests () =
   in
   Bechamel.Test.make_grouped ~name:"partition" (tests @ mfp_tests @ prefix_tests)
 
-(* The incremental-occupancy layer vs the rebuild-per-event baseline:
-   each staged run applies a burst of single-node occupancy events to a
-   half-busy grid and re-queries the finder after each one, the way a
-   scheduling pass interleaves placements and candidate queries. The
-   toggles flip the same nodes back and forth, so grid state is stable
-   across Bechamel iterations. *)
+(* A long-lived cache vs a fresh cache per query: each staged run
+   applies a burst of single-node occupancy events to a half-busy grid
+   and re-queries the finder after each one, the way a scheduling pass
+   interleaves placements and candidate queries. The toggles flip the
+   same nodes back and forth, so grid state is stable across Bechamel
+   iterations. The prefix rows time a full summed-area build per event
+   against the free-row mask refresh the cache pays instead. *)
 let finder_incremental_tests () =
   let toggle grid node =
     match Grid.owner grid node with
@@ -96,7 +97,6 @@ let finder_incremental_tests () =
         List.iter
           (fun node ->
             toggle grid node;
-            Finder.Cache.note_node cache node;
             ignore (Finder.Cache.find cache ~volume:32))
           nodes)
   in
@@ -115,15 +115,14 @@ let finder_incremental_tests () =
             ignore (Prefix.build grid))
           nodes)
   in
-  let prefix_incr =
+  let rows_refresh =
     let grid = busy_grid ~seed:4 ~fraction:0.5 in
-    let table = Prefix.track grid in
+    let cache = Finder.Cache.create grid in
     Bechamel.Staged.stage (fun () ->
         List.iter
           (fun node ->
             toggle grid node;
-            Prefix.note_node table node;
-            Prefix.sync table)
+            ignore (Finder.Cache.table cache))
           nodes)
   in
   Bechamel.Test.make_grouped ~name:"finder-incremental"
@@ -132,7 +131,7 @@ let finder_incremental_tests () =
       Bechamel.Test.make ~name:"events-16/incremental-cache" incremental;
       Bechamel.Test.make ~name:"requery/memo-hit" requery;
       Bechamel.Test.make ~name:"prefix-16-events/full-build" prefix_full;
-      Bechamel.Test.make ~name:"prefix-16-events/incremental-sync" prefix_incr;
+      Bechamel.Test.make ~name:"rows-16-events/refresh" rows_refresh;
     ]
 
 (* Machine-size scaling: the same operations at the paper's 4x4x8
@@ -195,7 +194,7 @@ let torus_scale_tests () =
    candidate queries on near-empty machines — the regime where the
    free-box population is maximal and the old path had to materialise
    all of it to subsample 24. Both rows run on a fresh cache, so each
-   pays one table build and neither is a memo hit. *)
+   pays one mask build and neither is a memo hit. *)
 let finder_counted_tests () =
   let sizes =
     [ ("4x4x8", Dims.bgl); ("8x8x16", Dims.make 8 8 16); ("64x32x32", Dims.bgl_full) ]
@@ -211,10 +210,8 @@ let finder_counted_tests () =
     List.concat_map
       (fun (name, d) ->
         (* One job-like box holding an eighth of the machine: the
-           scheduler's steady near-empty state. Clustered occupancy is
-           the regime that matters — scattered single nodes would
-           contaminate every row and defeat the ribbon fast path,
-           degrading counted to materialise-cost parity. *)
+           scheduler's steady near-empty state, where most rows are
+           full or hold one long run. *)
         let grid = Grid.create d in
         Grid.occupy grid
           (Box.make (Coord.make 0 0 0)

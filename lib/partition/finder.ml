@@ -40,52 +40,242 @@ let iter_bases (d : Dims.t) ~wrap (s : Shape.t) ~f =
 let sort_boxes = List.sort Box.compare
 
 (* ------------------------------------------------------------------ *)
-(* Production scans over a summed-area table. The table argument is
-   lazy so a query whose every shape is rejected by the summary never
-   builds or syncs the table at all — the common case for ghost-grid
-   feasibility probes on a busy machine. [Prefix.box_is_free] syncs
-   internally, so force order does not matter for correctness.
-   [~gate:false] is the differential reference's independent path. *)
+(* Free-row bitmasks. Row [z * ny + y] holds one bit per node (x, y, z),
+   set iff the node is free: [nx] bits in [nw] words of [word_bits]. A
+   box of shape (sx, sy, sz) based at (x, y, z) is free iff bits
+   x .. x+sx-1 are set in every row (z+k, y+j), k < sz, j < sy, all
+   read cyclically under wraparound. ANDing those rows — eroding the
+   masks along z, then along y, a word at a time — leaves one mask per
+   base row whose runs of set bits answer every x base of the row at
+   once. The masks are rebuilt from the grid's occupancy words whenever
+   its version moves, at O(volume / 32), so there is no change log to
+   keep in step and an unreported mutation cannot leave them stale. The
+   erosion buffers are scratch owned by one cache and reused by every
+   query, so a query allocates no machine-sized array. *)
 
-let find_prefix_scan ?(gate = true) grid table ~volume =
+let word_bits = 32
+let full_word = (1 lsl word_bits) - 1
+
+type rows = {
+  nx : int;
+  ny : int;
+  nz : int;
+  wrap : bool;
+  nw : int;  (* words per row *)
+  last_full : int;  (* the last word of a row whose every node is free *)
+  free : int array;  (* word w of row r at (r * nw) + w *)
+  ez : int array;  (* scratch: [free] eroded along z *)
+  ezy : int array;  (* scratch: eroded along z, then along y *)
+  counts : int array;  (* scratch: free boxes based in each row *)
+  mutable version : int;  (* the Grid.version [free] reflects *)
+}
+
+let make_rows grid =
   let d = Grid.dims grid in
-  let wrap = Grid.wrap grid in
-  let acc = ref [] in
-  List.iter
-    (fun shape ->
-      if (not gate) || shape_possible grid shape then begin
-        let tbl = Lazy.force table in
-        iter_bases d ~wrap shape ~f:(fun x y z ->
-            let box = Box.make (Coord.make x y z) shape in
-            if Prefix.box_is_free tbl box then acc := box :: !acc)
-      end)
-    (Shapes.shapes_of_volume d volume);
-  sort_boxes !acc
+  let nw = (d.nx + word_bits - 1) / word_bits in
+  let n = d.ny * d.nz * nw in
+  {
+    nx = d.nx;
+    ny = d.ny;
+    nz = d.nz;
+    wrap = Grid.wrap grid;
+    nw;
+    last_full = (1 lsl (d.nx - (word_bits * (nw - 1)))) - 1;
+    free = Array.make n 0;
+    ez = Array.make n 0;
+    ezy = Array.make n 0;
+    counts = Array.make (d.ny * d.nz) 0;
+    version = -1;
+  }
+
+let refresh r grid =
+  let v = Grid.version grid in
+  if v <> r.version then begin
+    for row = 0 to (r.ny * r.nz) - 1 do
+      for w = 0 to r.nw - 1 do
+        let x = w * word_bits in
+        let len = min word_bits (r.nx - x) in
+        r.free.((row * r.nw) + w) <-
+          lnot (Grid.occupied_bits grid ~pos:((row * r.nx) + x) ~len) land ((1 lsl len) - 1)
+      done
+    done;
+    r.version <- v
+  end
+
+(* A shape with its inclusive base bounds, as in [iter_bases]. *)
+type counted_shape = { cs : Shape.t; cx_hi : int; cy_hi : int; cz_hi : int }
+
+let counted (d : Dims.t) ~wrap (s : Shape.t) =
+  {
+    cs = s;
+    cx_hi = base_hi ~wrap s.sx d.nx;
+    cy_hi = base_hi ~wrap s.sy d.ny;
+    cz_hi = base_hi ~wrap s.sz d.nz;
+  }
+
+(* AND of [acc] with the [src] words k*stride past [i], k in [k, ext):
+   one word of [ext] consecutive cells of an axis of [n] cells, read
+   cyclically from coordinate [c] at [i]. Stops once the AND is 0. *)
+let rec and_window src i ~c ~n ~stride ~ext acc k =
+  if acc = 0 || k = ext then acc
+  else
+    let c' = if c + k >= n then c + k - n else c + k in
+    and_window src i ~c ~n ~stride ~ext (acc land src.(i + ((c' - c) * stride))) (k + 1)
+
+(* Shape [c]'s base-row masks: row (z, y), z <= cz_hi and y <= cy_hi,
+   holds the AND of every row a box based in it spans. Rows z beyond
+   cz_hi are left stale; y-erosion reads every y of the rows it keeps. *)
+let erode r c =
+  let s = c.cs in
+  let plane = r.ny * r.nw in
+  let src =
+    if s.sz = 1 then r.free
+    else begin
+      for z = 0 to c.cz_hi do
+        for i = z * plane to ((z + 1) * plane) - 1 do
+          r.ez.(i) <- and_window r.free i ~c:z ~n:r.nz ~stride:plane ~ext:s.sz r.free.(i) 1
+        done
+      done;
+      r.ez
+    end
+  in
+  if s.sy = 1 then src
+  else begin
+    for z = 0 to c.cz_hi do
+      for y = 0 to c.cy_hi do
+        for i = (z * plane) + (y * r.nw) to (z * plane) + ((y + 1) * r.nw) - 1 do
+          r.ezy.(i) <- and_window src i ~c:y ~n:r.ny ~stride:r.nw ~ext:s.sy src.(i) 1
+        done
+      done
+    done;
+    r.ezy
+  end
+
+(* Index of the lowest set bit of a non-zero word. *)
+let ctz w =
+  let n = ref 0 and w = ref w in
+  if !w land 0xFFFF = 0 then begin
+    n := 16;
+    w := !w lsr 16
+  end;
+  if !w land 0xFF = 0 then begin
+    n := !n + 8;
+    w := !w lsr 8
+  end;
+  if !w land 0xF = 0 then begin
+    n := !n + 4;
+    w := !w lsr 4
+  end;
+  if !w land 0x3 = 0 then begin
+    n := !n + 2;
+    w := !w lsr 2
+  end;
+  if !w land 0x1 = 0 then !n + 1 else !n
+
+let row_word buf off k ~set = if set then buf.(off + k) else lnot buf.(off + k) land full_word
+
+let rec scan_words r buf off ~set k w =
+  if w <> 0 then min r.nx ((k * word_bits) + ctz w)
+  else if k + 1 = r.nw then r.nx
+  else scan_words r buf off ~set (k + 1) (row_word buf off (k + 1) ~set)
+
+(* The first x >= p whose bit in the row at [off] of [buf] is [set], or
+   nx if there is none. *)
+let next_bit r buf off ~set p =
+  if p >= r.nx then r.nx
+  else
+    let k = p / word_bits in
+    scan_words r buf off ~set k (row_word buf off k ~set land (-1 lsl (p mod word_bits)))
+
+let rec row_full r buf off k =
+  if k = r.nw - 1 then buf.(off + k) = r.last_full
+  else buf.(off + k) = full_word && row_full r buf off (k + 1)
+
+(* From position [p] on: a run [a, b) of set bits holds the bases
+   a .. b - sx; under wraparound the run ending at nx continues into
+   the run [0, b0) at the start of the row, so it holds bases up to
+   nx - sx + b0. *)
+let rec iter_runs r buf off c ~b0 ~f p =
+  let a = next_bit r buf off ~set:true p in
+  if a < r.nx then begin
+    let b = next_bit r buf off ~set:false a in
+    let hi = min c.cx_hi (if b = r.nx then r.nx - c.cs.sx + b0 else b - c.cs.sx) in
+    if hi >= a then f a hi;
+    iter_runs r buf off c ~b0 ~f b
+  end
+
+(* Calls [f lo hi] for each maximal interval [lo, hi] of x bases of
+   shape [c], ascending, in the eroded row at [off] of [buf]. A full
+   row holds every base, an empty one none. *)
+let iter_row_bases r buf off c ~f =
+  if row_full r buf off 0 then f 0 c.cx_hi
+  else
+    let b0 = if r.wrap && buf.(off) land 1 = 1 then next_bit r buf off ~set:false 0 else 0 in
+    iter_runs r buf off c ~b0 ~f 0
+
+(* Calls [f z y lo hi] for every interval of free-box bases of shape
+   [c]: rows in (z, y) order, intervals x ascending within a row. *)
+let iter_free_runs r c ~f =
+  let buf = erode r c in
+  for z = 0 to c.cz_hi do
+    for y = 0 to c.cy_hi do
+      iter_row_bases r buf (((z * r.ny) + y) * r.nw) c ~f:(f z y)
+    done
+  done
+
+(* Calls [f x y z] for every free box of shape [c], in [iter_bases]
+   order. *)
+let iter_free_bases r c ~f =
+  iter_free_runs r c ~f:(fun z y lo hi ->
+      for x = lo to hi do
+        f x y z
+      done)
 
 exception Found_base
 
-let exists_base_free table d ~wrap shape =
+let exists_free_base r c =
   try
-    iter_bases d ~wrap shape ~f:(fun x y z ->
-        if Prefix.box_is_free table (Box.make (Coord.make x y z) shape) then raise Found_base);
+    iter_free_bases r c ~f:(fun _ _ _ -> raise Found_base);
     false
   with Found_base -> true
 
-let exists_free_scan grid table ~volume =
-  let d = Grid.dims grid in
-  let wrap = Grid.wrap grid in
-  List.exists
-    (fun shape -> shape_possible grid shape && exists_base_free (Lazy.force table) d ~wrap shape)
-    (Shapes.shapes_of_volume d volume)
+(* The shapes of [volume] the summary admits, and how many it ruled
+   out. *)
+let possible_shapes grid ~volume =
+  let d = Grid.dims grid and wrap = Grid.wrap grid in
+  let shapes = Shapes.shapes_of_volume d volume in
+  let kept = List.filter (shape_possible grid) shapes in
+  (List.map (counted d ~wrap) kept, List.length shapes - List.length kept)
+
+let find_scan r grid ~volume =
+  let acc = ref [] in
+  List.iter
+    (fun c -> iter_free_bases r c ~f:(fun x y z -> acc := Box.make (Coord.make x y z) c.cs :: !acc))
+    (fst (possible_shapes grid ~volume));
+  sort_boxes !acc
+
+let exists_scan r grid ~volume =
+  List.exists (exists_free_base r) (fst (possible_shapes grid ~volume))
+
+(* Every free box of the level's [shapes], packed as (index into
+   [shapes], x, y, z) quadruples: shapes in array order, bases in
+   [iter_bases] order. *)
+let level_scan r grid shapes =
+  let d = Grid.dims grid and wrap = Grid.wrap grid in
+  let acc = ref [] in
+  Array.iteri
+    (fun i s ->
+      if shape_possible grid s then
+        iter_free_bases r (counted d ~wrap s) ~f:(fun x y z -> acc := z :: y :: x :: i :: !acc))
+    shapes;
+  Array.of_list (List.rev !acc)
 
 (* ------------------------------------------------------------------ *)
 (* Counted enumeration: answer capped candidate queries without ever
-   materialising the full box list. A first pass computes the exact
-   number of free boxes based in every (z, y) row — O(1) summed-area
-   queries per row in the common all-free case via the ribbon trick
-   below, with whole planes and rows skipped through the grid summary —
-   and a second pass walks only the rows holding the selected ranks
-   and emits those boxes directly.
+   materialising the full box list. A count pass erodes each shape's
+   masks once and credits every base row with its free-box count, read
+   off the row's runs; a select pass then walks only the rows holding
+   the selected ranks and emits those boxes directly.
 
    The load-bearing invariant is that both passes enumerate in exactly
    the order of [Cache.find]'s sorted list: [Box.compare] orders by
@@ -98,187 +288,86 @@ let exists_free_scan grid table ~volume =
    — proven by the qcheck equivalence layer and the differential
    oracle rather than trusted. *)
 
-type counted_shape = {
-  cs : Shape.t;
-  cx_hi : int;  (* inclusive base bounds, as in [iter_bases] *)
-  cy_hi : int;
-  cz_hi : int;
-  (* Per-axis feasible-start masks from the summary (None when the
-     grid is below the gating threshold): [false] at a coordinate is a
-     proof no free box of the shape can be based there, so skipping on
-     it never changes a count. *)
-  cz_ok : bool array option;
-  cy_ok : bool array option;
-}
-
 type count_plan = {
   p_shapes : counted_shape array;
-  p_rows : int array;  (* (z * ny + y) -> free boxes based in that row *)
-  p_total : int;
-  p_skips : int;  (* shapes + base rows the summary ruled out *)
+  p_total : int;  (* the per-row counts are left in [rows.counts] *)
+  p_skips : int;  (* shapes the summary ruled out *)
 }
 
-let plane_ok mask i = match mask with None -> true | Some m -> m.(i)
-
-let counted_shapes grid ~volume ~skips =
-  let d = Grid.dims grid in
-  let wrap = Grid.wrap grid in
-  let gated = summary_gated grid in
-  let summary = Grid.summary grid in
-  List.filter_map
-    (fun (s : Shape.t) ->
-      if gated && not (Summary.shape_feasible summary ~wrap s) then begin
-        incr skips;
-        None
-      end
-      else
-        Some
-          {
-            cs = s;
-            cx_hi = base_hi ~wrap s.sx d.nx;
-            cy_hi = base_hi ~wrap s.sy d.ny;
-            cz_hi = base_hi ~wrap s.sz d.nz;
-            cz_ok =
-              (if gated then
-                 Some
-                   (Summary.feasible_starts summary ~wrap ~axis:`Z ~extent:s.sz
-                      ~threshold:(s.sx * s.sy))
-               else None);
-            cy_ok =
-              (if gated then
-                 Some
-                   (Summary.feasible_starts summary ~wrap ~axis:`Y ~extent:s.sy
-                      ~threshold:(s.sx * s.sz))
-               else None);
-          })
-    (Shapes.shapes_of_volume d volume)
-
-(* Count pass. The ribbon trick: the box based at (lo, y, z) spanning
-   x extent hi - lo + sx has zero occupied cells iff every cell any
-   box based in [lo, hi] of that row could touch is free — in which
-   case all hi - lo + 1 bases count from one O(1) summed-area query.
-   (With wraparound the ribbon may cover some cells twice in the
-   doubled prefix space; double-counting cannot make an all-free
-   ribbon nonzero or an occupied one zero, so the test is exact.) An
-   occupied ribbon bisects, so clustered occupancy — the scheduler's
-   steady state of a few job boxes on a mostly free machine — costs
-   O(log nx) splits per cluster boundary instead of a per-base scan;
-   a fully free row stays a single query. *)
-let count_plan grid table ~volume =
-  let d = Grid.dims grid in
-  let skips = ref 0 in
-  let shapes = Array.of_list (counted_shapes grid ~volume ~skips) in
-  let rows = Array.make (d.ny * d.nz) 0 in
+let count_plan r grid ~volume =
+  let shapes, skips = possible_shapes grid ~volume in
+  let shapes = Array.of_list shapes in
+  Array.fill r.counts 0 (Array.length r.counts) 0;
   let total = ref 0 in
   Array.iter
     (fun c ->
-      let s = c.cs in
-      let tbl = Lazy.force table in
-      let row_full = c.cx_hi + 1 in
-      let credit y z n =
-        if n > 0 then begin
-          rows.((z * d.ny) + y) <- rows.((z * d.ny) + y) + n;
-          total := !total + n
-        end
-      in
-      (* The same ribbon test applied at every level of the (z, y, x)
-         nesting: the slab based at the range's low corner, extended by
-         the shape along each spanned axis, covers every cell any box
-         based in the range could touch, so occupied = 0 proves every
-         base in the range hosts a free box — the whole range resolves
-         in one O(1) query, and an occupied slab bisects. A feasibility
-         mask cannot contradict a free slab (a masked start has an
-         occupied node in every would-be box), so the fast path never
-         needs to consult the masks; they are checked only when the
-         recursion bottoms out on single planes and rows. *)
-      let rec count_x y z lo hi =
-        if Prefix.occupied_in_range tbl ~x0:lo ~y0:y ~z0:z ~sx:(hi - lo + s.sx) ~sy:s.sy ~sz:s.sz = 0
-        then hi - lo + 1
-        else if lo = hi then 0 (* the ribbon IS the base's box *)
-        else
-          let mid = (lo + hi) / 2 in
-          count_x y z lo mid + count_x y z (mid + 1) hi
-      in
-      let row y z = if plane_ok c.cy_ok y then credit y z (count_x y z 0 c.cx_hi) else incr skips in
-      let rec count_y z lo hi =
-        if
-          Prefix.occupied_in_range tbl ~x0:0 ~y0:lo ~z0:z ~sx:(c.cx_hi + s.sx)
-            ~sy:(hi - lo + s.sy) ~sz:s.sz
-          = 0
-        then
-          for y = lo to hi do
-            credit y z row_full
-          done
-        else if lo = hi then row lo z
-        else begin
-          let mid = (lo + hi) / 2 in
-          count_y z lo mid;
-          count_y z (mid + 1) hi
-        end
-      in
-      let plane z = if plane_ok c.cz_ok z then count_y z 0 c.cy_hi else incr skips in
-      let rec count_z lo hi =
-        if
-          Prefix.occupied_in_range tbl ~x0:0 ~y0:0 ~z0:lo ~sx:(c.cx_hi + s.sx)
-            ~sy:(c.cy_hi + s.sy) ~sz:(hi - lo + s.sz)
-          = 0
-        then
-          for z = lo to hi do
-            for y = 0 to c.cy_hi do
-              credit y z row_full
-            done
-          done
-        else if lo = hi then plane lo
-        else begin
-          let mid = (lo + hi) / 2 in
-          count_z lo mid;
-          count_z (mid + 1) hi
-        end
-      in
-      count_z 0 c.cz_hi)
+      iter_free_runs r c ~f:(fun z y lo hi ->
+          let row = (z * r.ny) + y in
+          r.counts.(row) <- r.counts.(row) + hi - lo + 1;
+          total := !total + hi - lo + 1))
     shapes;
-  { p_shapes = shapes; p_rows = rows; p_total = !total; p_skips = !skips }
+  { p_shapes = shapes; p_total = !total; p_skips = skips }
+
+(* Shape [c]'s base bits in row (z, y) alone, written to [dst] from
+   [o]: the row's erosion read straight from [free] into [scratch],
+   then its x bases. *)
+let row_base_bits r c ~z ~y ~scratch dst o =
+  Array.fill dst o r.nw 0;
+  if z <= c.cz_hi && y <= c.cy_hi then begin
+    let plane = r.ny * r.nw in
+    for w = 0 to r.nw - 1 do
+      let acc = ref full_word in
+      for j = 0 to c.cs.sy - 1 do
+        let i = (z * plane) + ((y + j) mod r.ny * r.nw) + w in
+        acc := and_window r.free i ~c:z ~n:r.nz ~stride:plane ~ext:c.cs.sz (!acc land r.free.(i)) 1
+      done;
+      scratch.(w) <- !acc
+    done;
+    iter_row_bases r scratch 0 c ~f:(fun lo hi ->
+        for x = lo to hi do
+          let k = o + (x / word_bits) in
+          dst.(k) <- dst.(k) lor (1 lsl (x mod word_bits))
+        done)
+  end
 
 (* Select pass: walk rows in (z, y) order, using the per-row counts to
-   skip whole rows by rank arithmetic, and probe bases (x ascending,
+   skip whole rows by rank arithmetic, and emit bases (x ascending,
    shapes in sorted order) only inside rows that hold a target rank.
    [targets] must be strictly increasing. *)
-let select_from_plan plan grid table ~targets =
-  let d = Grid.dims grid in
+let select_from_plan r plan ~targets =
+  let shapes = plan.p_shapes in
+  let scratch = Array.make r.nw 0 in
+  let bases = Array.make (Array.length shapes * r.nw) 0 in
   let n_targets = Array.length targets in
   let acc = ref [] in
   let ti = ref 0 in
   let rank = ref 0 in
-  let nrows = Array.length plan.p_rows in
-  let r = ref 0 in
-  while !ti < n_targets && !r < nrows do
-    let rc = plan.p_rows.(!r) in
+  let row = ref 0 in
+  while !ti < n_targets && !row < r.ny * r.nz do
+    let rc = r.counts.(!row) in
     if rc > 0 then begin
       let row_end = !rank + rc in
       if targets.(!ti) < row_end then begin
-        let z = !r / d.ny and y = !r mod d.ny in
-        let tbl = Lazy.force table in
-        for x = 0 to d.nx - 1 do
+        let z = !row / r.ny and y = !row mod r.ny in
+        Array.iteri (fun i c -> row_base_bits r c ~z ~y ~scratch bases (i * r.nw)) shapes;
+        for x = 0 to r.nx - 1 do
           if !ti < n_targets && targets.(!ti) < row_end then
-            Array.iter
-              (fun c ->
-                if
-                  x <= c.cx_hi && y <= c.cy_hi && z <= c.cz_hi
-                  && plane_ok c.cz_ok z && plane_ok c.cy_ok y
-                  && Prefix.box_is_free tbl (Box.make (Coord.make x y z) c.cs)
-                then begin
+            Array.iteri
+              (fun i c ->
+                let word = bases.((i * r.nw) + (x / word_bits)) in
+                if word land (1 lsl (x mod word_bits)) <> 0 then begin
                   if !ti < n_targets && targets.(!ti) = !rank then begin
                     acc := Box.make (Coord.make x y z) c.cs :: !acc;
                     incr ti
                   end;
                   incr rank
                 end)
-              plan.p_shapes
+              shapes
         done
       end;
       rank := row_end
     end;
-    incr r
+    incr row
   done;
   List.rev !acc
 
@@ -289,24 +378,17 @@ let select_from_plan plan grid table ~targets =
 let even_targets ~n ~cap =
   if n <= cap then Array.init n Fun.id else Array.init cap (fun i -> i * n / cap)
 
-let counted_span name f =
-  if Bgl_obs.Span.enabled () then Bgl_obs.Span.time ~name f else f ()
+let spanned name f = if Bgl_obs.Span.enabled () then Bgl_obs.Span.time ~name f else f ()
 
-let count_scan grid table ~volume =
-  counted_span "finder.count.scan" (fun () -> count_plan grid table ~volume)
-
-let select_scan grid table ~volume ~cap =
-  let plan = count_scan grid table ~volume in
+let select_scan r grid ~volume ~cap =
+  let plan = spanned "finder.count.scan" (fun () -> count_plan r grid ~volume) in
   let targets = even_targets ~n:plan.p_total ~cap in
-  let boxes =
-    counted_span "finder.count.select" (fun () -> select_from_plan plan grid table ~targets)
-  in
-  (plan, boxes)
+  (plan, spanned "finder.count.select" (fun () -> select_from_plan r plan ~targets))
 
 (* ------------------------------------------------------------------ *)
 (* The paper's Appendix 9 finders, kept as the oracle the production
-   scans are validated against. None of them shares the summed-area
-   table, the summary gate or the counted walk. *)
+   scans are validated against. None of them shares the free-row
+   masks, the summary gate or the counted walk. *)
 
 module Reference = struct
   type algo = Naive | Pop | Shape_search
@@ -330,7 +412,7 @@ module Reference = struct
     in
     go 0 0 0
 
-  let scan_shapes grid shapes =
+  let scan_shapes grid ?(free = box_free_scan grid) shapes =
     let d = Grid.dims grid in
     let wrap = Grid.wrap grid in
     let acc = ref [] in
@@ -338,7 +420,7 @@ module Reference = struct
       (fun shape ->
         iter_bases d ~wrap shape ~f:(fun x y z ->
             let box = Box.make (Coord.make x y z) shape in
-            if box_free_scan grid box then acc := box :: !acc))
+            if free box then acc := box :: !acc))
       shapes;
     !acc
 
@@ -432,9 +514,9 @@ end
    domains share one switch; the check is orders of magnitude slower
    than the query it guards, so it is strictly a debug/CI facility.
    On machines too large for the naive O(M^9) oracle the reference is
-   a freshly built, summary-ungated table scan: an independent
-   occupancy representation exercising none of the incremental
-   maintenance, memoization or summary gating under test. A sampling
+   a freshly built, summary-ungated summed-area-table scan: an
+   occupancy representation sharing nothing with the free-row masks,
+   memoization or summary gating under test. A sampling
    rate makes the mode affordable on full-machine runs: [sample = n]
    checks every nth guarded query. *)
 
@@ -464,7 +546,10 @@ let naive_oracle_max = 128
 
 let reference_find grid ~volume =
   if Grid.volume grid <= naive_oracle_max then Reference.find_naive grid ~volume
-  else find_prefix_scan ~gate:false grid (lazy (Prefix.build grid)) ~volume
+  else
+    Reference.scan_shapes grid ~free:(Prefix.box_is_free (Prefix.build grid))
+      (Shapes.shapes_of_volume (Grid.dims grid) volume)
+    |> sort_boxes
 
 (* The engine's candidate cap, transcribed literally from the
    historical materialise-then-subsample path so a counted-walk bug
@@ -534,12 +619,12 @@ let differential_check ~site grid ~volume ~project fast =
 
 (* ------------------------------------------------------------------ *)
 (* The one production surface: memoise finder results keyed on the
-   grid's occupancy fingerprint, over an incrementally maintained
-   summed-area table. Within one scheduling pass the engine re-queries
-   the same volumes many times (head retry, backfill scan, every MFP
-   probe of a placement), so repeated enumeration work collapses
-   into a hash lookup; any occupancy change flips the fingerprint and
-   invalidates exactly the stale entries. *)
+   grid's occupancy fingerprint, over free-row masks refreshed from the
+   grid on demand. Within one scheduling pass the engine re-queries the
+   same volumes many times (head retry, backfill scan, every MFP probe
+   of a placement), so repeated enumeration work collapses into a hash
+   lookup; any occupancy change flips the fingerprint and invalidates
+   exactly the stale entries. *)
 
 module Cache = struct
   type counters = { mutable hits : int; mutable misses : int }
@@ -548,12 +633,9 @@ module Cache = struct
 
   type t = {
     grid : Grid.t;
-    table : Prefix.t Lazy.t;
-        (* tracking table (Prefix.track), built on first forced use:
-           the engine creates ghost caches per backfill/migration
-           probe, and at full machine scale an eager 545k-entry build
-           per probe would dominate — summary-gated probes often never
-           touch the table at all. *)
+    rows : rows Lazy.t;
+        (* masks and scratch, allocated on first use: the engine
+           creates ghost caches per backfill/migration probe *)
     find_memo : (int, int * Box.t list) Hashtbl.t;  (* volume -> fingerprint, result *)
     exists_memo : (int, int * bool) Hashtbl.t;
     select_memo : (int * int, int * Box.t list) Hashtbl.t;
@@ -562,11 +644,8 @@ module Cache = struct
     counters : counters;
     obs_hits : Bgl_obs.Registry.counter;
     obs_misses : Bgl_obs.Registry.counter;
-    obs_incr : Bgl_obs.Registry.counter;
-    obs_full : Bgl_obs.Registry.counter;
     obs_counted : Bgl_obs.Registry.counter;
     obs_counted_skips : Bgl_obs.Registry.counter;
-    mutable last_stats : Prefix.stats;
   }
 
   let create grid =
@@ -574,7 +653,7 @@ module Cache = struct
     let reg = Bgl_obs.Runtime.registry () in
     {
       grid;
-      table = lazy (Prefix.track grid);
+      rows = lazy (make_rows grid);
       find_memo = Hashtbl.create 32;
       exists_memo = Hashtbl.create 32;
       select_memo = Hashtbl.create 32;
@@ -583,46 +662,26 @@ module Cache = struct
       obs_hits = counter reg ~help:"finder candidate-cache hits" "bgl_finder_cache_hits_total";
       obs_misses =
         counter reg ~help:"finder candidate-cache misses" "bgl_finder_cache_misses_total";
-      obs_incr =
-        counter reg ~help:"summed-area table updates, by kind"
-          "bgl_prefix_updates_total{kind=\"incremental\"}";
-      obs_full =
-        counter reg ~help:"summed-area table updates, by kind"
-          "bgl_prefix_updates_total{kind=\"full\"}";
       obs_counted =
         counter reg ~help:"counted (count-then-select) finder queries"
           "bgl_finder_counted_queries_total";
       obs_counted_skips =
-        counter reg ~help:"shapes and base rows the summary let counted queries skip"
+        counter reg ~help:"shapes the summary let counted queries skip"
           "bgl_finder_counted_skips_total";
-      last_stats = { Prefix.full_rebuilds = 0; incremental_updates = 0 };
     }
 
   let grid t = t.grid
 
-  (* Notes only reach a table that exists; a table built later starts
-     from the grid's then-current occupancy, so unforwarded notes are
-     never missed state. *)
-  let note_box t box = if Lazy.is_val t.table then Prefix.note_box (Lazy.force t.table) box
-  let note_node t node = if Lazy.is_val t.table then Prefix.note_node (Lazy.force t.table) node
+  (* The masks follow the grid's version, not notes. *)
+  let note_box _ _ = ()
+  let note_node _ _ = ()
 
-  let flush_table_stats t =
-    let s = Prefix.stats (Lazy.force t.table) in
-    let incr = s.Prefix.incremental_updates - t.last_stats.Prefix.incremental_updates in
-    let full = s.Prefix.full_rebuilds - t.last_stats.Prefix.full_rebuilds in
-    if incr > 0 then Bgl_obs.Registry.add t.obs_incr (float_of_int incr);
-    if full > 0 then Bgl_obs.Registry.add t.obs_full (float_of_int full);
-    if incr > 0 || full > 0 then t.last_stats <- s
+  let rows t =
+    let r = Lazy.force t.rows in
+    refresh r t.grid;
+    r
 
-  let table t =
-    let tbl = Lazy.force t.table in
-    Prefix.sync tbl;
-    flush_table_stats t;
-    tbl
-
-  (* A per-query lazy view: synced (and built) only if the scan
-     actually consults it. *)
-  let lazy_table t = lazy (table t)
+  let table t = (rows t).free
 
   let hit t =
     t.counters.hits <- t.counters.hits + 1;
@@ -633,7 +692,6 @@ module Cache = struct
     Bgl_obs.Registry.inc t.obs_misses
 
   let stats t = (t.counters.hits, t.counters.misses)
-  let table_stats t = Prefix.stats (Lazy.force t.table)
 
   (* Serve [key] from [memo] while the occupancy fingerprint matches,
      else run [compute] and remember its result. *)
@@ -656,11 +714,7 @@ module Cache = struct
       if volume > Grid.volume t.grid then []
       else
         memoised t t.find_memo volume ~compute:(fun () ->
-            let table = lazy_table t in
-            if Bgl_obs.Span.enabled () then
-              Bgl_obs.Span.time ~name:"finder.cache.find" (fun () ->
-                  find_prefix_scan t.grid table ~volume)
-            else find_prefix_scan t.grid table ~volume)
+            spanned "finder.cache.find" (fun () -> find_scan (rows t) t.grid ~volume))
     in
     if differential_armed () then
       differential_check ~site:"cache.find" t.grid ~volume
@@ -675,11 +729,7 @@ module Cache = struct
       if volume > Grid.volume t.grid then false
       else
         memoised t t.exists_memo volume ~compute:(fun () ->
-            let table = lazy_table t in
-            if Bgl_obs.Span.enabled () then
-              Bgl_obs.Span.time ~name:"finder.cache.exists_free" (fun () ->
-                  exists_free_scan t.grid table ~volume)
-            else exists_free_scan t.grid table ~volume)
+            spanned "finder.cache.exists_free" (fun () -> exists_scan (rows t) t.grid ~volume))
     in
     if differential_armed () then
       differential_check ~site:"cache.exists_free" t.grid ~volume
@@ -697,7 +747,7 @@ module Cache = struct
       if volume > Grid.volume t.grid then []
       else
         memoised t t.select_memo (volume, cap) ~compute:(fun () ->
-            let plan, boxes = select_scan t.grid (lazy_table t) ~volume ~cap in
+            let plan, boxes = select_scan (rows t) t.grid ~volume ~cap in
             Bgl_obs.Registry.inc t.obs_counted;
             if plan.p_skips > 0 then
               Bgl_obs.Registry.add t.obs_counted_skips (float_of_int plan.p_skips);
@@ -722,28 +772,11 @@ module Cache = struct
         levels
     | _ ->
         miss t;
-        let d = Grid.dims t.grid and wrap = Grid.wrap t.grid in
-        let scan shapes =
-          let table = lazy_table t in
-          let acc = ref [] in
-          Array.iteri
-            (fun i shape ->
-              if shape_possible t.grid shape then begin
-                let tbl = Lazy.force table in
-                iter_bases d ~wrap shape ~f:(fun x0 y0 z0 ->
-                    if
-                      Prefix.occupied_in_range tbl ~x0 ~y0 ~z0 ~sx:shape.sx ~sy:shape.sy
-                        ~sz:shape.sz
-                      = 0
-                    then acc := z0 :: y0 :: x0 :: i :: !acc)
-              end)
-            shapes;
-          Array.of_list (List.rev !acc)
-        in
         let levels =
           List.map
-            (fun (volume, shapes) -> { volume; shapes; boxes = lazy (scan shapes) })
-            (Shapes.levels_desc d)
+            (fun (volume, shapes) ->
+              { volume; shapes; boxes = lazy (level_scan (rows t) t.grid shapes) })
+            (Shapes.levels_desc (Grid.dims t.grid))
         in
         t.mfp_index <- Some (fp, levels);
         levels

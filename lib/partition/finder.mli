@@ -6,11 +6,12 @@
     structurally.
 
     {b Production.} Every query the simulator makes goes through
-    {!Cache}: one memoised implementation per query over an
-    incrementally maintained summed-area table. At machine volumes of
-    512 and above ({!summary_gated}) shapes are first filtered through
-    the grid's {!Bgl_torus.Summary}, so infeasible shapes never pay for
-    a base scan or a table sync, and capped candidate queries run as a
+    {!Cache}: one memoised implementation per query over per-row free
+    bitmasks, eroded word by word along z and y so that each row's runs
+    of set bits count or list every x base at once. At machine volumes
+    of 512 and above ({!summary_gated}) shapes are first filtered
+    through the grid's {!Bgl_torus.Summary}, so infeasible shapes never
+    pay for an erosion, and capped candidate queries run as a
     count-then-select walk that never materialises the full list.
 
     {b Reference.} The paper's Appendix 9 lineage lives in {!Reference}:
@@ -24,12 +25,14 @@ open Bgl_torus
 (** {1 Candidate cache}
 
     A per-engine cache that answers finder queries against one
-    long-lived grid. It owns an incrementally maintained summed-area
-    table ({!Bgl_torus.Prefix.track}) — callers report each grid
-    mutation via {!Cache.note_box}/{!Cache.note_node} — and memoises
+    long-lived grid. It owns the grid's free-row masks — row
+    [z * ny + y] holds [nx] free bits in [ceil(nx / 32)] words, rebuilt
+    from the grid's occupancy words whenever {!Bgl_torus.Grid.version}
+    moved — plus the erosion scratch every query reuses, and memoises
     query results keyed on the grid's occupancy
     {!Bgl_torus.Grid.fingerprint}, so a repeated query on unchanged
-    occupancy is a hash lookup. Nothing in the cache mutates the grid:
+    occupancy is a hash lookup. No mutation needs reporting: the
+    version check alone keeps every answer current. Nothing in the cache mutates the grid:
     MFP what-if probes read the {!Cache.mfp_levels} index with a
     disjointness filter instead. A one-off query on any grid is
     [Cache.create grid] followed by the query. *)
@@ -38,28 +41,27 @@ module Cache : sig
   type t
 
   val create : Grid.t -> t
-  (** Bind a cache to [grid]. O(1): the summed-area table is built on
-      first use, so ghost caches created for feasibility probes that
-      the summary rejects outright never pay for one. Obs counters
-      ([bgl_finder_cache_hits_total], [bgl_finder_cache_misses_total],
-      [bgl_prefix_updates_total{kind=...}]) are registered against the
-      current {!Bgl_obs.Runtime.registry}. *)
+  (** Bind a cache to [grid]. O(1): the masks and scratch are
+      allocated on first use. Obs counters
+      ([bgl_finder_cache_hits_total], [bgl_finder_cache_misses_total])
+      are registered against the current {!Bgl_obs.Runtime.registry}. *)
 
   val grid : t -> Grid.t
 
   val note_box : t -> Box.t -> unit
-  (** Report that every node of the box was just occupied or vacated.
-      Call once per {!Grid.occupy}/{!Grid.vacate} on the cached grid.
-      An unreported mutation is detected via the grid's version counter
-      and degrades the next query to a full table rebuild — stale
-      results are never served. *)
+  (** A no-op, kept for callers written against the earlier tracked
+      table: the masks follow {!Grid.version}, so mutations need no
+      report. *)
 
   val note_node : t -> int -> unit
-  (** Single-node variant (failure takedown / repair). *)
+  (** Single-node variant of {!note_box}; also a no-op. *)
 
-  val table : t -> Prefix.t
-  (** The underlying summed-area table, synced to the grid's current
-      occupancy — for callers that scan it directly (MFP search). *)
+  val table : t -> int array
+  (** The free-row masks, refreshed to the grid's current occupancy:
+      word [w] of row [z * ny + y] at index [(z * ny + y) * nw + w],
+      [nw = ceil(nx / 32)], bit [x mod 32] of word [x / 32] set iff
+      node (x, y, z) is free. The cache's own buffer: read it, do not
+      write it, and do not keep it past the next grid mutation. *)
 
   val find : t -> volume:int -> Box.t list
   (** All free partitions of exactly [volume] nodes, canonical and
@@ -74,9 +76,9 @@ module Cache : sig
   (** The engine's capped candidate query: the whole {!find} list when
       its length [n] ≤ [cap], else the [cap] boxes at sorted ranks
       [i*n/cap]. Byte-identical to capping {!find}, but computed by a
-      count pass (exact free-box counts per base row, whole rows and
-      planes skipped through the summary) and a select pass that walks
-      only the rows holding those ranks. Memoised per (volume, cap).
+      count pass (exact free-box counts per base row, read off the
+      eroded masks' runs) and a select pass that walks only the rows
+      holding those ranks. Memoised per (volume, cap).
       [cap] must be ≥ 1. Counted queries are observable as
       [bgl_finder_counted_queries_total] /
       [bgl_finder_counted_skips_total] and the [finder.count.scan] /
@@ -94,15 +96,12 @@ module Cache : sig
   val mfp_levels : t -> mfp_level list
   (** The MFP level index: one entry per level of
       {!Shapes.levels_desc}, volumes descending, each level scanned from
-      the synced table on first force. Memoised on the occupancy
+      the refreshed masks on first force. Memoised on the occupancy
       fingerprint, so every MFP query on one occupancy shares it. *)
 
   val stats : t -> int * int
   (** [(hits, misses)] across {!find}, {!exists_free}, {!select} and
       {!mfp_levels}. *)
-
-  val table_stats : t -> Prefix.stats
-  (** Incremental-vs-full update counts of the underlying table. *)
 end
 
 (** {1 Scan building blocks} *)
@@ -130,10 +129,9 @@ val shape_possible : Grid.t -> Shape.t -> bool
     and the returned boxes are independently validated (in-bounds,
     exact volume, actually free). The reference is the {!Reference.Naive}
     enumeration on supernode-scale grids (volume ≤ 128) and a freshly
-    built, summary-ungated table scan above that — an independent
-    occupancy representation exercising none of the incremental
-    maintenance, memoization, counted walk or summary gating under
-    test. Any disagreement raises {!Divergence}. Orders of magnitude
+    built, summary-ungated {!Bgl_torus.Prefix} table scan above that —
+    an occupancy representation sharing none of the free-row masks,
+    memoization, counted walk or summary gating under test. Any disagreement raises {!Divergence}. Orders of magnitude
     slower than the queries it guards — meant for CI smoke runs and bug
     hunts, never production sweeps. The flag is atomic and
     process-wide, so parallel sweep domains all honour it. *)

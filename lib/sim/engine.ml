@@ -110,11 +110,9 @@ type state = {
   mutable arrivals_pending : int;
   mutable now : float;
   cache : Bgl_partition.Finder.Cache.t;
-      (* finder cache over [grid]: incrementally maintained summed-area
-         table plus fingerprint-keyed memo of finder results. Every
-         occupancy mutation below is paired with a [note_box]/[note_node]
-         so table updates stay incremental; a missed note only costs a
-         full rebuild (the cache self-heals via the grid version). *)
+      (* finder cache over [grid]: free-row masks refreshed whenever the
+         grid's version moves, plus a fingerprint-keyed memo of finder
+         results. Mutations need no report to it. *)
 }
 
 (* Running job indices, most recently started first — the old list's
@@ -191,7 +189,6 @@ let start_job st idx box =
           ~work:job.remaining
   in
   Grid.occupy st.grid box ~owner:idx;
-  Bgl_partition.Finder.Cache.note_box st.cache box;
   if job.first_start = None then job.first_start <- Some st.now;
   Job.transition job
     (Job.Start
@@ -232,9 +229,9 @@ let estimated_run_end st idx =
    estimates, and a partition it could then take. *)
 let compute_reservation st (head : Job.t) =
   let ghost = Grid.copy st.grid in
-  (* The ghost gets its own finder cache so the summed-area table is
-     built once and then patched incrementally as runs are released,
-     instead of rebuilt per feasibility probe. *)
+  (* The ghost gets its own finder cache: a cache answers for the one
+     grid it is bound to, and this one follows the ghost as runs are
+     released. *)
   let gcache = Bgl_partition.Finder.Cache.create ghost in
   let feasible () =
     Grid.free_count ghost >= head.volume
@@ -250,9 +247,7 @@ let compute_reservation st (head : Job.t) =
     | idx :: rest -> (
         let job = st.jobs.(idx) in
         (match Job.current_run job with
-        | Some r ->
-            Grid.vacate ghost r.box ~owner:idx;
-            Bgl_partition.Finder.Cache.note_box gcache r.box
+        | Some r -> Grid.vacate ghost r.box ~owner:idx
         | None -> ());
         let shadow = estimated_run_end st idx in
         if feasible () then
@@ -313,8 +308,8 @@ let try_migrate st (head : Job.t) =
     (* Keep downed nodes down in the ghost. *)
     Grid.iter_owned st.grid (fun node owner ->
         if owner = Grid.down_owner then Grid.occupy_node ghost node ~owner:Grid.down_owner);
-    (* Repacking queries the ghost once per running job as it fills up:
-       a local cache keeps those incremental. *)
+    (* Repacking queries the ghost once per running job as it fills up,
+       through a cache bound to the ghost. *)
     let gcache = Bgl_partition.Finder.Cache.create ghost in
     let order =
       List.sort
@@ -332,7 +327,6 @@ let try_migrate st (head : Job.t) =
               | [] -> None
               | box :: _ ->
                   Grid.occupy ghost box ~owner:idx;
-                  Bgl_partition.Finder.Cache.note_box gcache box;
                   Some ((idx, box) :: placed)))
         (Some []) order
     in
@@ -353,15 +347,12 @@ let try_migrate st (head : Job.t) =
               placed
           in
           List.iter
-            (fun (idx, (r : Job.run), _) ->
-              Grid.vacate st.grid r.box ~owner:idx;
-              Bgl_partition.Finder.Cache.note_box st.cache r.box)
+            (fun (idx, (r : Job.run), _) -> Grid.vacate st.grid r.box ~owner:idx)
             moves;
           List.iter
             (fun (idx, (r : Job.run), new_box) ->
               let job = st.jobs.(idx) in
               Grid.occupy st.grid new_box ~owner:idx;
-              Bgl_partition.Finder.Cache.note_box st.cache new_box;
               record st
                 (Recorder.Job_migrated
                    { job = job.spec.id; time = st.now; from_box = r.box; to_box = new_box });
@@ -406,7 +397,6 @@ let complete_run st idx =
   | None -> ()
   | Some r ->
       Grid.vacate st.grid r.box ~owner:idx;
-      Bgl_partition.Finder.Cache.note_box st.cache r.box;
       running_remove st idx;
       (match r.interval with
       | None -> ()
@@ -449,7 +439,6 @@ let kill_job st idx ~node =
         done
       end;
       Grid.vacate st.grid r.box ~owner:idx;
-      Bgl_partition.Finder.Cache.note_box st.cache r.box;
       running_remove st idx;
       let lost = float_of_int job.volume *. (elapsed -. persisted) in
       job.lost_node_seconds <- job.lost_node_seconds +. lost;
@@ -495,7 +484,6 @@ let handle st = function
         match Grid.owner st.grid node with
         | None ->
             Grid.occupy_node st.grid node ~owner:Grid.down_owner;
-            Bgl_partition.Finder.Cache.note_node st.cache node;
             Event_queue.push st.events ~time:(st.now +. st.cfg.repair_time) (Repair node)
         | Some _ -> () (* already down: burst double-hit *))
   | Repair node -> (
@@ -503,7 +491,6 @@ let handle st = function
       match Grid.owner st.grid node with
       | Some owner when owner = Grid.down_owner ->
           Grid.vacate_node st.grid node ~owner;
-          Bgl_partition.Finder.Cache.note_node st.cache node;
           record st (Recorder.Node_repaired { time = st.now; node })
       | Some _ | None -> ())
 

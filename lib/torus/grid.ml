@@ -1,6 +1,6 @@
 (* Occupancy lives in a bit-packed Bigarray (32 nodes per word, so a
-   full 64x32x32 machine is a 16 KB bitset the prefix rebuild streams
-   through cache-resident), owner ids in a plain side array consulted
+   full 64x32x32 machine is a 16 KB bitset the finder's free-row masks
+   are rebuilt from a word at a time), owner ids in a plain side array consulted
    only on the cold paths (vacate validation, rendering, owner
    queries). A Summary is maintained inline so feasibility probes can
    reject shapes without scanning either. *)
@@ -62,6 +62,14 @@ let summary t = t.summary
 
 let is_free t node = Bigarray.Array1.get t.occ (node lsr 5) land (1 lsl (node land 31)) = 0
 let owner t node = if is_free t node then None else Some t.owners.(node)
+
+let occupied_bits t ~pos ~len =
+  let w = pos lsr 5 and off = pos land 31 in
+  let bits = Bigarray.Array1.get t.occ w lsr off in
+  let bits =
+    if off + len > 32 then bits lor (Bigarray.Array1.get t.occ (w + 1) lsl (32 - off)) else bits
+  in
+  bits land ((1 lsl len) - 1)
 
 let box_is_free t box = List.for_all (is_free t) (Box.indices t.dims box)
 

@@ -34,8 +34,8 @@ val busy_count : t -> int
 
 val version : t -> int
 (** Total number of single-node mutations (occupies + vacates) applied
-    to this grid so far. Monotonic; {!copy} carries it over. Change
-    trackers ({!Prefix.track}) use it to detect occupancy drift. *)
+    to this grid so far. Monotonic; {!copy} carries it over. The
+    finder cache's free-row masks use it to tell when to rebuild. *)
 
 val fingerprint : t -> int
 (** Occupancy fingerprint: a Zobrist-style xor over the occupied
@@ -55,6 +55,12 @@ val owner : t -> int -> int option
 (** [owner t node] is [Some id] if the node (linear index) is owned. *)
 
 val is_free : t -> int -> bool
+
+val occupied_bits : t -> pos:int -> len:int -> int
+(** [occupied_bits t ~pos ~len] packs the occupancy of nodes
+    [pos .. pos + len - 1] (linear indices, [1 <= len <= 32]) into an
+    int: bit [i] is set iff node [pos + i] is owned. Word-level access
+    for bulk readers such as the finder's free-row masks. *)
 
 val box_is_free : t -> Box.t -> bool
 (** Whether every node of the box is free. *)

@@ -2,8 +2,8 @@
    counts along each axis plus free counts per BxBxB block, with a
    lazily rebuilt cumulative table over the block grid. Feasibility
    probes use it to reject shapes in O(nx + ny + nz + #blocks) without
-   touching the summed-area table — on a 64x32x32 machine that is a
-   ~128-slab scan instead of a 65,536-base enumeration.
+   eroding the finder's free-row masks — on a 64x32x32 machine that is
+   a ~128-slab scan instead of a pass over every row.
 
    Every check here is a *necessary* condition for a free box of the
    shape to exist, never a sufficient one: a [false] from
@@ -113,35 +113,6 @@ let axis_ok ~wrap counts n extent threshold =
     done;
     !ok
   end
-
-(* Per-base-position refinement of [axis_ok]: for every start slab p,
-   does the (cyclic when [wrap]) window [p, p+extent) keep [threshold]
-   free nodes in each slab? A free box of the shape based at axis
-   coordinate p puts [threshold] free nodes in each slab it spans, so
-   [false] at p rules out every base with that coordinate. Computed in
-   one backward run-length pass over the (virtually doubled) slab
-   array. *)
-let feasible_starts t ~wrap ~axis ~extent ~threshold =
-  let counts =
-    match axis with `X -> t.free_x | `Y -> t.free_y | `Z -> t.free_z
-  in
-  let n = Array.length counts in
-  let ok = Array.make n false in
-  if extent >= n then begin
-    (* Full-span window: every slab participates regardless of base. *)
-    let all = Array.for_all (fun c -> c >= threshold) counts in
-    if all then Array.fill ok 0 n true
-  end
-  else begin
-    let len = if wrap then n + extent - 1 else n in
-    (* run = length of the good-slab run starting at extended index i *)
-    let run = ref 0 in
-    for i = len - 1 downto 0 do
-      if counts.(i mod n) >= threshold then incr run else run := 0;
-      if i < n && (wrap || i + extent <= n) then ok.(i) <- !run >= extent
-    done
-  end;
-  ok
 
 let rebuild_bcum t ~wrap =
   let ebx = if wrap then 2 * t.bx else t.bx in

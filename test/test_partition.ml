@@ -155,7 +155,6 @@ let test_exists_free () =
   let cache = Finder.Cache.create g in
   check_bool "empty torus has 128" true (Finder.Cache.exists_free cache ~volume:128);
   Grid.occupy_node g 0 ~owner:1;
-  Finder.Cache.note_node cache 0;
   check_bool "no longer 128" false (Finder.Cache.exists_free cache ~volume:128);
   check_bool "still 64" true (Finder.Cache.exists_free cache ~volume:64)
 
@@ -182,41 +181,60 @@ let test_cache_basic () =
   let hits, misses = Finder.Cache.stats cache in
   check_int "one hit" 1 hits;
   check_int "one miss" 1 misses;
-  (* A noted mutation invalidates exactly the stale entries. *)
+  (* A mutation invalidates exactly the stale entries. *)
   let b = List.hd direct in
   Grid.occupy g b ~owner:3;
-  Finder.Cache.note_box cache b;
   Alcotest.check boxes "after occupy" (ref_find Shape_search g ~volume:8)
     (Finder.Cache.find cache ~volume:8);
-  check_bool "table stayed incremental" true
-    ((Finder.Cache.table_stats cache).Prefix.full_rebuilds = 0);
   (* Occupy+vacate restores the fingerprint, so the memo re-hits. *)
   Grid.vacate g b ~owner:3;
-  Finder.Cache.note_box cache b;
   ignore (Finder.Cache.find cache ~volume:8);
   let probe = Box.make (Coord.make 2 2 2) (Shape.make 1 1 2) in
   Grid.occupy g probe ~owner:4;
-  Finder.Cache.note_box cache probe;
   Grid.vacate g probe ~owner:4;
-  Finder.Cache.note_box cache probe;
   let hits_before, _ = Finder.Cache.stats cache in
   Alcotest.check boxes "restored fingerprint re-hits" direct (Finder.Cache.find cache ~volume:8);
   let hits_after, _ = Finder.Cache.stats cache in
   check_int "hit count grew" (hits_before + 1) hits_after
 
+(* Bit x mod 32 of word x / 32 of row z * ny + y, as [Cache.table]
+   documents it. *)
+let mask_free masks (d : Dims.t) node =
+  let c = Coord.of_index d node in
+  let nw = (d.nx + 31) / 32 in
+  masks.((((c.z * d.ny) + c.y) * nw) + (c.x / 32)) land (1 lsl (c.x mod 32)) <> 0
+
+let masks_match g cache =
+  let masks = Finder.Cache.table cache in
+  let d = Grid.dims g in
+  List.for_all
+    (fun node -> mask_free masks d node = Grid.is_free g node)
+    (List.init (Dims.volume d) Fun.id)
+
 let test_cache_self_heals_unnoted () =
   let g = Grid.create Dims.bgl in
   let cache = Finder.Cache.create g in
   ignore (Finder.Cache.find cache ~volume:4);
-  (* Mutate WITHOUT telling the cache: the fingerprint change kills the
-     memo entry and the version drift forces a full table rebuild — the
-     result must still be correct. *)
+  ignore (Finder.Cache.select cache ~volume:4 ~cap:3);
+  ignore (Finder.Cache.exists_free cache ~volume:128);
+  (* Mutate without telling the cache: the fingerprint change kills the
+     memo entries and the version change rebuilds the masks, so no
+     query serves the old occupancy. *)
   Grid.occupy_node g 0 ~owner:9;
-  Alcotest.check boxes "correct despite missing note"
+  Alcotest.check boxes "find follows the mutation"
     (ref_find Shape_search g ~volume:4)
     (Finder.Cache.find cache ~volume:4);
-  check_bool "healed by full rebuild" true
-    ((Finder.Cache.table_stats cache).Prefix.full_rebuilds >= 1)
+  let all = Array.of_list (ref_find Shape_search g ~volume:4) in
+  let n = Array.length all in
+  Alcotest.check boxes "select follows the mutation"
+    (List.init 3 (fun i -> all.(i * n / 3)))
+    (Finder.Cache.select cache ~volume:4 ~cap:3);
+  check_bool "exists_free follows the mutation" false (Finder.Cache.exists_free cache ~volume:128);
+  check_int "MFP follows the mutation" 112 (Mfp.volume ~cache g);
+  check_bool "masks follow the mutation" true (masks_match g cache);
+  Grid.vacate_node g 0 ~owner:9;
+  check_bool "masks follow the repair" true (masks_match g cache);
+  check_bool "exists_free again" true (Finder.Cache.exists_free cache ~volume:128)
 
 let test_differential_mode_toggle () =
   check_bool "off by default" false (Finder.differential_enabled ());
@@ -302,23 +320,22 @@ let test_mfp_empty_and_full () =
   Alcotest.(check (option box_t)) "no box" None (Mfp.box g)
 
 (* A whole placement pass of probes only reads: neither the occupancy
-   version and fingerprint nor the table's update counts move. *)
+   version and fingerprint nor the cache's free-row masks move. *)
 let test_mfp_probes_only_read () =
   let g = Grid.create Dims.bgl in
   let cache = Finder.Cache.create g in
   let job = Box.make (Coord.make 1 1 1) (Shape.make 2 2 3) in
   Grid.occupy g job ~owner:1;
-  Finder.Cache.note_box cache job;
   let candidates = Finder.Cache.select cache ~volume:8 ~cap:24 in
   let version = Grid.version g and fp = Grid.fingerprint g in
-  let table = Finder.Cache.table_stats cache in
+  let masks = Array.copy (Finder.Cache.table cache) in
   let before = Mfp.volume ~cache g in
   let after = List.map (Mfp.volume_after ~cache g) candidates in
   check_int "24 probes" 24 (List.length after);
   check_bool "some probe shrinks the MFP" true (List.exists (fun v -> v < before) after);
   check_int "version unchanged" version (Grid.version g);
   check_int "fingerprint unchanged" fp (Grid.fingerprint g);
-  check_bool "table untouched" true (table = Finder.Cache.table_stats cache);
+  check_bool "masks untouched" true (masks = Finder.Cache.table cache);
   check_int "MFP unchanged" before (Mfp.volume ~cache g)
 
 let test_mfp_loss () =
@@ -482,7 +499,7 @@ let prop_pop_wrap_canonical =
 
 (* ------------------------------------------------------------------ *)
 (* Differential properties: random alloc/free sequences, every finder
-   flavour (including the incremental cache) against the naive
+   flavour (including a long-lived cache) against the naive
    reference. The op list shrinks as a list, so a failure minimizes to
    a short mutation sequence; the printer replays it and dumps the
    resulting grid. *)
@@ -490,9 +507,9 @@ let prop_pop_wrap_canonical =
 let arb_dims = QCheck.make ~print:Dims.to_string dims_gen
 
 (* Decode one op against the grid: claim a fully free box, release a
-   box we own, or toggle a single node. Mutations go through the cache
-   notes, so the cache's incremental table tracks them. *)
-let apply_cache_op g cache (bseed, sseed) =
+   box we own, or toggle a single node. The cache is told nothing: its
+   masks follow the grid's version. *)
+let apply_cache_op g (bseed, sseed) =
   let d = Grid.dims g in
   let owner = 5 in
   let sx = 1 + (sseed mod d.Dims.nx) in
@@ -500,26 +517,19 @@ let apply_cache_op g cache (bseed, sseed) =
   let sz = 1 + (sseed / 49 mod d.Dims.nz) in
   let b = Box.make (Coord.of_index d (bseed mod Dims.volume d)) (Shape.make sx sy sz) in
   let cells = Box.indices d b in
-  if List.for_all (Grid.is_free g) cells then begin
-    Grid.occupy g b ~owner;
-    Finder.Cache.note_box cache b
-  end
-  else if List.for_all (fun i -> Grid.owner g i = Some owner) cells then begin
-    Grid.vacate g b ~owner;
-    Finder.Cache.note_box cache b
-  end
+  if List.for_all (Grid.is_free g) cells then Grid.occupy g b ~owner
+  else if List.for_all (fun i -> Grid.owner g i = Some owner) cells then Grid.vacate g b ~owner
   else begin
     let node = bseed mod Dims.volume d in
-    (match Grid.owner g node with
+    match Grid.owner g node with
     | None -> Grid.occupy_node g node ~owner
-    | Some o -> Grid.vacate_node g node ~owner:o);
-    Finder.Cache.note_node cache node
+    | Some o -> Grid.vacate_node g node ~owner:o
   end
 
 let replay_ops (d, wrap, ops) =
   let g = Grid.create ~wrap d in
   let cache = Finder.Cache.create g in
-  List.iter (apply_cache_op g cache) ops;
+  List.iter (apply_cache_op g) ops;
   (g, cache)
 
 let arb_op_scenario =
@@ -633,7 +643,7 @@ let build_mfp_scenario (size, wrap, (p, ops), (seed, cap)) =
   let d = mfp_sizes.(size) in
   let g = build_grid (d, seed, wrap, p) in
   let cache = Finder.Cache.create g in
-  List.iter (apply_cache_op g cache) ops;
+  List.iter (apply_cache_op g) ops;
   let volumes = Array.of_list (Shapes.feasible_volumes d) in
   let volume = volumes.(seed mod min 20 (Array.length volumes)) in
   (g, cache, Finder.Cache.select cache ~volume ~cap)
@@ -708,8 +718,8 @@ let test_counted_edges () =
     (select ~volume:4 ~cap:(n - 1) = List.init (n - 1) (fun i -> List.nth all (i * n / (n - 1))))
 
 (* Same agreement above the summary-gating threshold, where the
-   counted passes additionally use per-axis feasible-start masks and
-   shape gating: the representation the full-scale engine runs on. *)
+   counted passes additionally gate shapes through the summary: the
+   regime the full-scale engine runs in. *)
 let test_counted_agrees_at_scale () =
   let d = Dims.make 8 8 16 in
   let g = Grid.create d in
@@ -731,10 +741,10 @@ let test_counted_agrees_at_scale () =
           [ 1; 3; 24 ])
       [ 1; 4; 8; 16; 32 ]
   in
-  (* Near-empty: the ribbon fast path covers whole rows. *)
+  (* Near-empty: most eroded rows are full. *)
   Grid.occupy g (Box.make (Coord.make 3 2 5) (Shape.make 2 2 2)) ~owner:1;
   check_all_volumes ();
-  (* Mostly-occupied: the per-base fallback does the counting. *)
+  (* Mostly-occupied: rows hold short runs or none. *)
   Grid.occupy g (Box.make (Coord.make 0 0 0) (Shape.make 8 8 5)) ~owner:2;
   Grid.occupy g (Box.make (Coord.make 0 0 8) (Shape.make 8 8 8)) ~owner:3;
   check_all_volumes ()
@@ -775,13 +785,14 @@ type gated_case = {
   g_extra : int list;
 }
 
-let gated_gen =
+let carved_gen (dims : Dims.t array) =
   QCheck.Gen.(
-    let* d = oneofa gated_dims in
+    let* d = oneofa dims in
     let* wrap = bool in
-    (* Extents lean large and, on a torus, bases lean onto the seam:
-       a box crossing it is where a clipped edge block does damage. *)
-    let extent n = oneof [ int_range 1 n; int_range ((n + 1) / 2) n ] in
+    (* Extents lean large, up to a whole axis, and on a torus bases
+       lean onto the seam: a box crossing it is where a clipped edge
+       block does damage. *)
+    let extent n = oneof [ int_range 1 n; int_range ((n + 1) / 2) n; return n ] in
     let base e n =
       if not wrap then int_range 0 (n - e)
       else if e = 1 || e = n then int_range 0 (n - 1)
@@ -798,16 +809,24 @@ let gated_gen =
         g_extra = extra;
       })
 
+let gated_gen = carved_gen gated_dims
+
 let print_gated c =
   Format.asprintf "dims=%s wrap=%b box=%a extra=[%s]" (Dims.to_string c.g_dims) c.g_wrap Box.pp
     c.g_box
     (String.concat ";" (List.map string_of_int c.g_extra))
 
-let build_gated c =
+(* Every node outside the carved box and extra nodes is occupied with
+   probability [busy]: by default all of them. *)
+let build_gated ?(busy = 1.) ?(seed = 0) c =
+  let rng = Bgl_stats.Rng.create ~seed in
   let g = Grid.create ~wrap:c.g_wrap c.g_dims in
   let carved = Array.make (Dims.volume c.g_dims) false in
   List.iter (fun node -> carved.(node) <- true) (Box.indices c.g_dims c.g_box @ c.g_extra);
-  Array.iteri (fun node free -> if not free then Grid.occupy_node g node ~owner:1) carved;
+  Array.iteri
+    (fun node free ->
+      if (not free) && Bgl_stats.Rng.unit_float rng < busy then Grid.occupy_node g node ~owner:1)
+    carved;
   g
 
 let prop_gated_proofs_of_absence =
@@ -822,21 +841,86 @@ let prop_gated_proofs_of_absence =
          production path: the ungated reference. *)
       let reference = ref_find Shape_search g ~volume in
       let shape_sound (s : Shape.t) =
-        let of_shape = List.filter (fun (b : Box.t) -> Shape.equal b.shape s) reference in
-        let starts_sound axis extent threshold coord =
-          let ok = Summary.feasible_starts summary ~wrap ~axis ~extent ~threshold in
-          List.for_all (fun (b : Box.t) -> ok.(coord b.base)) of_shape
-        in
-        (Summary.shape_feasible summary ~wrap s || of_shape = [])
-        && starts_sound `X s.sx (s.sy * s.sz) (fun c -> c.Coord.x)
-        && starts_sound `Y s.sy (s.sx * s.sz) (fun c -> c.Coord.y)
-        && starts_sound `Z s.sz (s.sx * s.sy) (fun c -> c.Coord.z)
+        Summary.shape_feasible summary ~wrap s
+        || not (List.exists (fun (b : Box.t) -> Shape.equal b.shape s) reference)
       in
       Finder.summary_gated g
       && List.mem (Box.canonical d ~wrap c.g_box) reference
       && List.for_all shape_sound (Shapes.shapes_of_volume d volume)
       && cache_find g ~volume = reference
       && List.length (cache_select g ~volume ~cap:max_int) = List.length reference)
+
+(* ------------------------------------------------------------------ *)
+(* The free-row kernel against a summed-area reference: the clipped
+   sizes above plus rows of more than one 32-bit word (x extents 33,
+   40, 64 and 65), where a box leaning onto the x seam of a torus wraps
+   across a word boundary, and random background occupancy instead of
+   a full machine, with and without wraparound, above and below the
+   summary gate. Every query kind must equal a scan of a freshly built
+   Prefix table over every base of every shape. *)
+
+let kernel_dims =
+  Array.append gated_dims
+    [| Dims.make 33 4 4; Dims.make 40 3 5; Dims.make 64 3 3; Dims.make 65 2 4; Dims.make 33 2 2 |]
+
+type kernel_case = { k_carve : gated_case; k_busy : float; k_seed : int }
+
+let kernel_gen =
+  QCheck.Gen.(
+    let* carve = carved_gen kernel_dims in
+    let* busy = oneofl [ 0.; 0.1; 0.4; 1. ] and* seed = small_nat in
+    return { k_carve = carve; k_busy = busy; k_seed = seed })
+
+let print_kernel k = Printf.sprintf "%s busy=%.1f seed=%d" (print_gated k.k_carve) k.k_busy k.k_seed
+
+(* [f i box] for every free box of [shapes.(i)], shapes in array order,
+   bases in [iter_bases] order, judged by the summed-area table. *)
+let prefix_scan g =
+  let table = Prefix.build g in
+  let d = Grid.dims g and wrap = Grid.wrap g in
+  fun shapes ~f ->
+    Array.iteri
+      (fun i s ->
+        Finder.iter_bases d ~wrap s ~f:(fun x y z ->
+            let b = Box.make (Coord.make x y z) s in
+            if Prefix.box_is_free table b then f i b))
+      shapes
+
+let prop_kernel_matches_prefix =
+  QCheck.Test.make ~name:"free-row kernel equals the summed-area scan" ~count:200
+    (QCheck.make ~print:print_kernel kernel_gen)
+    (fun k ->
+      let g = build_gated ~busy:k.k_busy ~seed:k.k_seed k.k_carve in
+      let d = Grid.dims g in
+      let scan = prefix_scan g in
+      let cache = Finder.Cache.create g in
+      let agrees volume =
+        let acc = ref [] in
+        scan (Array.of_list (Shapes.shapes_of_volume d volume)) ~f:(fun _ b -> acc := b :: !acc);
+        let reference = List.sort Box.compare !acc in
+        Finder.Cache.find cache ~volume = reference
+        && Finder.Cache.exists_free cache ~volume = (reference <> [])
+        && List.for_all
+             (fun cap -> Finder.Cache.select cache ~volume ~cap = cap_oracle cap reference)
+             [ 1; 2; 7; 24; max_int ]
+      in
+      let level_agrees (level : Finder.Cache.mfp_level) =
+        let acc = ref [] in
+        scan level.shapes ~f:(fun i (b : Box.t) ->
+            acc := b.base.z :: b.base.y :: b.base.x :: i :: !acc);
+        Lazy.force level.boxes = Array.of_list (List.rev !acc)
+      in
+      let volumes = Array.of_list (Shapes.feasible_volumes d) in
+      let carved = Box.volume k.k_carve.g_box in
+      (* The levels an MFP scan reads first, and the carved box's. *)
+      let levels =
+        List.filter (fun (l : Finder.Cache.mfp_level) -> l.volume <= Grid.free_count g)
+          (Finder.Cache.mfp_levels cache)
+      in
+      agrees carved
+      && agrees volumes.(k.k_seed mod Array.length volumes)
+      && List.for_all level_agrees
+           (List.filteri (fun i (l : Finder.Cache.mfp_level) -> i < 4 || l.volume = carved) levels))
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -856,6 +940,7 @@ let props =
       prop_count_equals_find_length;
       prop_select_equals_capped_find;
       prop_gated_proofs_of_absence;
+      prop_kernel_matches_prefix;
     ]
 
 let () =

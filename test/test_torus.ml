@@ -267,47 +267,36 @@ let test_prefix_matches_direct () =
         shapes)
     [ true; false ]
 
-let test_prefix_track_incremental () =
-  let d = Dims.bgl in
-  let g = Grid.create d in
-  let t = Prefix.track g in
-  let b = Box.make (Coord.make 1 2 3) (Shape.make 2 2 2) in
-  Grid.occupy g b ~owner:4;
-  Prefix.note_box t b;
-  check_bool "stale before sync" true (Prefix.is_stale t);
-  check_int "counts after occupy" 8 (Prefix.occupied_in_box t (Box.make (Coord.make 0 0 0) (Shape.make 4 4 8)));
-  check_bool "synced by query" false (Prefix.is_stale t);
-  check_bool "equals fresh build" true (Prefix.equal t (Prefix.build g));
-  let s = Prefix.stats t in
-  check_int "one incremental update" 1 s.Prefix.incremental_updates;
-  check_int "no full rebuild" 0 s.Prefix.full_rebuilds;
-  (* A box wrapping past an axis end is noted from corner 0 of that
-     axis and still lands on the right cells. *)
-  let wrapping = Box.make (Coord.make 3 3 7) (Shape.make 2 2 2) in
-  Grid.occupy g wrapping ~owner:5;
-  Prefix.note_box t wrapping;
-  check_bool "wrapping box incremental" true (Prefix.equal t (Prefix.build g));
-  check_int "still no full rebuild" 0 (Prefix.stats t).Prefix.full_rebuilds
+(* Word-level occupancy reads, the input the finder's free-row masks
+   are rebuilt from: every window, including ones that straddle a
+   32-node word boundary and the last partial word, packs [is_free]. *)
+let occupied_bits_match g =
+  let n = Dims.volume (Grid.dims g) in
+  let ok = ref true in
+  for pos = 0 to n - 1 do
+    for len = 1 to min 32 (n - pos) do
+      let bits = Grid.occupied_bits g ~pos ~len in
+      for i = 0 to len - 1 do
+        if (bits lsr i) land 1 = 1 = Grid.is_free g (pos + i) then ok := false
+      done;
+      if bits lsr len <> 0 then ok := false
+    done
+  done;
+  !ok
 
-let test_prefix_track_self_heals () =
-  let d = Dims.bgl in
+let test_grid_occupied_bits () =
+  let d = Dims.make 40 3 2 in
   let g = Grid.create d in
-  let t = Prefix.track g in
-  (* Mutate WITHOUT noting: the tracker must detect the drift via the
-     grid version and fall back to a full rebuild, never serving stale
-     counts. *)
-  Grid.occupy_node g 17 ~owner:2;
-  check_int "unnoted change still counted" 1
-    (Prefix.occupied_in_box t (Box.make (Coord.make 0 0 0) (Shape.make 4 4 8)));
-  check_int "healed by full rebuild" 1 (Prefix.stats t).Prefix.full_rebuilds;
-  (* Same when notes cover only part of a batch of mutations. *)
-  Grid.occupy_node g 3 ~owner:2;
-  Grid.occupy_node g 5 ~owner:2;
-  Prefix.note_node t 3;
-  check_int "partial notes also rebuild" 3
-    (Prefix.occupied_in_box t (Box.make (Coord.make 0 0 0) (Shape.make 4 4 8)));
-  check_int "second full rebuild" 2 (Prefix.stats t).Prefix.full_rebuilds;
-  check_bool "matches fresh build" true (Prefix.equal t (Prefix.build g))
+  check_bool "empty grid reads 0" true (occupied_bits_match g);
+  (* Nodes 31 and 32 sit on either side of the first word boundary. *)
+  Grid.occupy g (Box.make (Coord.make 30 0 0) (Shape.make 4 1 1)) ~owner:1;
+  check_int "straddling window" 0b1111 (Grid.occupied_bits g ~pos:30 ~len:4);
+  check_int "window from the boundary" 0b11 (Grid.occupied_bits g ~pos:32 ~len:20);
+  (* A box wrapping past x = 39 and y = 2 covers both ends of its rows
+     and the last node of the grid. *)
+  Grid.occupy g (Box.make (Coord.make 38 2 1) (Shape.make 4 2 1)) ~owner:2;
+  check_bool "every window packs is_free" true (occupied_bits_match g);
+  check_int "last partial word" 0b11 (Grid.occupied_bits g ~pos:(Dims.volume d - 2) ~len:2)
 
 (* ------------------------------------------------------------------ *)
 (* Summary *)
@@ -454,13 +443,11 @@ let prop_prefix_agrees =
       let direct = List.length (List.filter (fun i -> not (Grid.is_free g i)) (Box.indices d b)) in
       Prefix.occupied_in_box table b = direct)
 
-(* Random alloc/free sequences against a tracking table. Each op is a
-   pair of seeds decoded against the dims: it either claims a fully
-   free box, releases a box we own, or toggles one node. Every mutation
-   is noted, so the tracker must stay equal to a from-scratch build
-   using only incremental updates. The op list shrinks as a list, so
+(* Random alloc/free sequences. Each op is a pair of seeds decoded
+   against the dims: it either claims a fully free box, releases a box
+   we own, or toggles one node. The op list shrinks as a list, so
    counterexamples minimize to short sequences. *)
-let apply_op g table (bseed, sseed) =
+let apply_op g (bseed, sseed) =
   let d = Grid.dims g in
   let owner = 5 in
   let sx = 1 + (sseed mod d.nx) in
@@ -468,20 +455,13 @@ let apply_op g table (bseed, sseed) =
   let sz = 1 + (sseed / 49 mod d.nz) in
   let b = Box.make (Coord.of_index d (bseed mod Dims.volume d)) (Shape.make sx sy sz) in
   let cells = Box.indices d b in
-  if List.for_all (Grid.is_free g) cells then begin
-    Grid.occupy g b ~owner;
-    Prefix.note_box table b
-  end
-  else if List.for_all (fun i -> Grid.owner g i = Some owner) cells then begin
-    Grid.vacate g b ~owner;
-    Prefix.note_box table b
-  end
+  if List.for_all (Grid.is_free g) cells then Grid.occupy g b ~owner
+  else if List.for_all (fun i -> Grid.owner g i = Some owner) cells then Grid.vacate g b ~owner
   else begin
     let node = bseed mod Dims.volume d in
-    (match Grid.owner g node with
+    match Grid.owner g node with
     | None -> Grid.occupy_node g node ~owner
-    | Some o -> Grid.vacate_node g node ~owner:o);
-    Prefix.note_node table node
+    | Some o -> Grid.vacate_node g node ~owner:o
   end
 
 let prop_summary_feasible_necessary =
@@ -515,37 +495,17 @@ let prop_summary_feasible_necessary =
       done;
       (not !exists_direct) || Summary.shape_feasible (Grid.summary g) ~wrap s)
 
-let prop_prefix_incremental_equals_rebuild =
-  QCheck.Test.make ~name:"incremental prefix state = from-scratch rebuild" ~count:200
+let prop_occupied_bits_after_ops =
+  QCheck.Test.make ~name:"occupied_bits packs is_free after random ops" ~count:200
     QCheck.(
-      pair (pair arb_dims bool) (small_list (pair (int_range 0 999) (int_range 0 999))))
-    (fun ((d, wrap), ops) ->
-      let g = Grid.create ~wrap d in
-      let table = Prefix.track g in
-      (* Sync at every step, not just at the end: each op must be
-         digestible as a dirty-block update on its own. *)
-      List.iter
-        (fun op ->
-          apply_op g table op;
-          if not (Prefix.equal table (Prefix.build g)) then
-            QCheck.Test.fail_reportf "tracker diverged after an op:@.%a" Grid.pp g)
-        ops;
-      let s = Prefix.stats table in
-      if s.Prefix.full_rebuilds > 0 then
-        QCheck.Test.fail_reportf "noted mutations caused %d full rebuilds" s.Prefix.full_rebuilds;
-      true)
-
-let prop_prefix_batched_notes =
-  QCheck.Test.make ~name:"batched notes merge into one dirty region" ~count:200
-    QCheck.(
-      pair (pair arb_dims bool) (small_list (pair (int_range 0 999) (int_range 0 999))))
-    (fun ((d, wrap), ops) ->
-      let g = Grid.create ~wrap d in
-      let table = Prefix.track g in
-      (* All ops first, one sync at the end: the dirty corners must
-         merge correctly. *)
-      List.iter (apply_op g table) ops;
-      Prefix.equal table (Prefix.build g))
+      pair
+        (pair (pair (int_range 1 70) (pair (int_range 1 4) (int_range 1 3))) bool)
+        (small_list (pair (int_range 0 999) (int_range 0 999))))
+    (fun (((nx, (ny, nz)), wrap), ops) ->
+      (* x extents up to 70 give rows of one to three words. *)
+      let g = Grid.create ~wrap (Dims.make nx ny nz) in
+      List.iter (apply_op g) ops;
+      occupied_bits_match g)
 
 let prop_fingerprint_tracks_occupancy =
   QCheck.Test.make ~name:"fingerprint identifies the free/occupied set" ~count:200
@@ -557,8 +517,7 @@ let prop_fingerprint_tracks_occupancy =
       (* Replay the same occupancy into [reference] node by node, in a
          different order and under different owners: fingerprints must
          still agree, and version must count every mutation. *)
-      let table = Prefix.track g in
-      List.iter (apply_op g table) ops;
+      List.iter (apply_op g) ops;
       for node = Dims.volume d - 1 downto 0 do
         if not (Grid.is_free g node) then Grid.occupy_node reference node ~owner:11
       done;
@@ -575,8 +534,7 @@ let props =
       prop_grid_free_count;
       prop_prefix_agrees;
       prop_summary_feasible_necessary;
-      prop_prefix_incremental_equals_rebuild;
-      prop_prefix_batched_notes;
+      prop_occupied_bits_after_ops;
       prop_fingerprint_tracks_occupancy;
     ]
 
@@ -617,12 +575,11 @@ let () =
           tc "owners" test_grid_owners;
           tc "down owner" test_grid_down_owner;
           tc "version and fingerprint" test_grid_version_fingerprint;
+          tc "occupied bits match is_free" test_grid_occupied_bits;
         ] );
       ( "prefix",
         [
           tc "matches direct counts" test_prefix_matches_direct;
-          tc "incremental tracking" test_prefix_track_incremental;
-          tc "self-heals on unnoted changes" test_prefix_track_self_heals;
         ] );
       ( "summary",
         [
