@@ -4,16 +4,20 @@
      bgl-lint --format jsonl lib           # one JSON object per finding
      bgl-lint --no-waivers lib             # report waived findings too
 
+   It reads the compiler's .cmt output, so build first (dune build).
    Exit codes follow the Bgl_resilience.Error conventions: 0 clean,
-   1 non-waived findings (or stale waivers), 2 usage, 65 a source or
-   waiver file failed to parse, 74 I/O. *)
+   1 non-waived findings (or stale waivers), 2 usage, 65 the waiver
+   file failed to parse, 74 I/O (including a path with no compiled
+   unit). *)
 
 open Cmdliner
 
 let paths =
   Arg.(
     non_empty & pos_all string []
-    & info [] ~docv:"PATH" ~doc:"Files or directories to scan (directories recurse to *.ml).")
+    & info [] ~docv:"PATH"
+        ~doc:"Source files or directories to lint (a directory covers every unit compiled under \
+              it).")
 
 let waivers_file =
   Arg.(
@@ -29,18 +33,9 @@ let no_waivers =
         ~doc:"Ignore the waiver file and report every finding (CI uses this to smoke-check the \
               JSONL stream on a known-nonempty report).")
 
-let typed =
-  Arg.(
-    value & flag
-    & info [ "typed" ]
-        ~doc:"Run the typed interprocedural pass (rules R7-R10) over compiled $(b,.cmt) units \
-              instead of the syntactic per-file pass (R1-R6). Requires a prior $(b,dune build); \
-              when invoked from the source root the $(b,_build/default) mirror of each path is \
-              scanned.")
-
 let default_waivers = ".lint-waivers"
 
-let run format quiet typed waivers_file no_waivers paths =
+let run format quiet waivers_file no_waivers paths =
   Bgl_resilience.Error.run ~prog:"bgl-lint" @@ fun () ->
   Bgl_core.Cli_flags.set_quiet quiet;
   let ( let* ) = Result.bind in
@@ -53,10 +48,7 @@ let run format quiet typed waivers_file no_waivers paths =
           if Sys.file_exists default_waivers then Bgl_lint.Waivers.load default_waivers
           else Ok []
   in
-  let* outcome =
-    if typed then Bgl_lint.Driver.run_typed ~waivers paths
-    else Bgl_lint.Driver.run ~waivers paths
-  in
+  let* outcome = Bgl_lint.Driver.run ~waivers paths in
   (match format with
   | Bgl_core.Cli_flags.Human -> Format.printf "%a@?" Bgl_lint.Driver.pp_human outcome
   | Bgl_core.Cli_flags.Jsonl ->
@@ -70,24 +62,29 @@ let cmd =
     [
       `S Manpage.s_description;
       `P
-        "Parses every $(b,*.ml) under the given paths with the compiler's own parser and \
-         reports the rule violations R1-R6 (wall-clock reads, stdlib Random, unsynchronized \
-         top-level mutable state, swallowed exceptions, float-literal equality, stray stdout in \
-         lib/). Findings a $(b,.lint-waivers) entry covers are suppressed; waivers that cover \
-         nothing are stale and reported as findings themselves.";
+        "Analyzes the compiler's $(b,.cmt) output for the given paths: a directory covers every \
+         unit compiled under it, a single $(b,.ml) file the unit compiled from it. Requires a \
+         prior $(b,dune build); when invoked from the source root the $(b,_build/default) mirror \
+         of each path is read.";
       `P
-        "With $(b,--typed), analyzes the compiler's $(b,.cmt) output instead: a cross-module \
-         call graph supports R7 (nondeterministic primitives reachable from deterministic \
-         roots, reported with the call path), R8 (mutable state captured by closures crossing \
-         domains), R9 (catch-alls that can swallow typed control exceptions), and R10 (Job \
-         lifecycle writes outside Job.transition). An R7 waiver doubles as a taint barrier on \
-         its file.";
+        "Per-unit rules match resolved paths, so module aliases and $(b,open) do not hide a \
+         call: R1 (wall-clock reads), R2 (stdlib Random), R3 (unsynchronized top-level mutable \
+         state, including records declared in other modules), R4 (swallowed exceptions), R5 \
+         (float-literal equality), R6 (stray stdout in lib/). A cross-module call graph supports \
+         R7 (nondeterministic primitives reachable from deterministic roots, reported with the \
+         call path), R8 (mutable state captured by closures crossing domains), R9 (catch-alls \
+         that can swallow typed control exceptions), and R10 (Job lifecycle writes outside \
+         Job.transition).";
+      `P
+        "Findings a $(b,.lint-waivers) entry covers are suppressed; waivers that cover nothing \
+         in a scanned file are stale and reported as findings themselves. An R7 waiver doubles \
+         as a taint barrier on its file.";
     ]
   in
   Cmd.v
     (Cmd.info "bgl-lint" ~doc ~man)
     Term.(
-      const run $ Bgl_core.Cli_flags.format $ Bgl_core.Cli_flags.quiet $ typed $ waivers_file
+      const run $ Bgl_core.Cli_flags.format $ Bgl_core.Cli_flags.quiet $ waivers_file
       $ no_waivers $ paths)
 
 let () = exit (Cmd.eval' cmd)

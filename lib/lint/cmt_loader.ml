@@ -1,11 +1,10 @@
-(* Loading and naming for the typed pass.
+(* Loading and naming for the linter.
 
-   The typed rules (R7-R10) work on the compiler's own `.cmt` output,
-   so they see resolved paths and inferred types instead of surface
-   syntax. This module hides the two impedance mismatches: dune's
-   module-name mangling (`Bgl_sim__Engine`, `Bgl_sim__.Job.t`) and the
-   fact that `.cmt` files live under `_build`, not next to their
-   sources. *)
+   Every rule works on the compiler's own `.cmt` output, so it sees
+   resolved paths and inferred types instead of surface syntax. This
+   module hides the two impedance mismatches: dune's module-name
+   mangling (`Bgl_sim__Engine`, `Bgl_sim__.Job.t`) and the fact that
+   `.cmt` files live under `_build`, not next to their sources. *)
 
 type unit_info = {
   modname : string;  (* normalized dotted module path, e.g. "Bgl_sim.Engine" *)
@@ -68,11 +67,11 @@ let load path =
   | exception Failure _ ->
       None
 
-(* `.cmt` discovery. Unlike the syntactic scan this must descend into
-   dune's dot-directories (`.bgl_sim.objs`), and when invoked from the
-   source root (where no `.cmt` exists) it falls back to the mirror of
-   each path under `_build/default`. Sorted at every level so unit
-   order — and thus finding order — is machine-independent. *)
+(* `.cmt` discovery. This must descend into dune's dot-directories
+   (`.bgl_sim.objs`), and when invoked from the source root (where no
+   `.cmt` exists) it falls back to the mirror of each path under
+   `_build/default`. Sorted at every level so unit order — and thus
+   finding order — is machine-independent. *)
 (* Dangling symlinks (and files racing with their deletion) make
    [Sys.is_directory] raise; a tree walk must shrug them off. *)
 let is_dir path = match Sys.is_directory path with b -> b | exception Sys_error _ -> false
@@ -97,32 +96,64 @@ let rec collect_under acc path =
           else Error (Bgl_resilience.Error.Io { path; detail = "no such file or directory" })
       | exception Sys_error detail -> Error (Bgl_resilience.Error.Io { path; detail }))
 
-let collect_cmts paths =
+let collect_cmts path =
+  match collect_under (Ok []) path with
+  | Ok [] ->
+      let mirrored = Filename.concat (Filename.concat "_build" "default") path in
+      if Sys.file_exists mirrored then collect_under (Ok []) mirrored else Ok []
+  | direct -> direct
+
+let build_first path detail =
+  Error (Bgl_resilience.Error.Io { path; detail = detail ^ " — build first (dune build)" })
+
+(* A directory argument covers every unit compiled under it. A `.ml`
+   argument names one source file and resolves to the unit the
+   compiler recorded it as the source of, found among the `.cmt` files
+   of its directory. Either way, a path with nothing compiled behind
+   it is an error, not a silent pass. *)
+let units paths =
   let one path =
-    let direct = collect_under (Ok []) path in
-    match direct with
-    | Ok [] ->
-        let mirrored = Filename.concat (Filename.concat "_build" "default") path in
-        if Sys.file_exists mirrored then collect_under (Ok []) mirrored else direct
-    | Ok _ | Error _ -> direct
+    let is_source = Filename.check_suffix path ".ml" && Sys.file_exists path && not (is_dir path) in
+    let dir = if is_source then Filename.dirname path else path in
+    Result.bind (collect_cmts dir) (fun cmts ->
+        let units = List.filter_map load cmts in
+        if not is_source then
+          if cmts = [] then build_first path "no .cmt files found" else Ok units
+        else
+          match
+            List.filter
+              (fun u -> u.source = path || String.ends_with ~suffix:("/" ^ u.source) path)
+              units
+          with
+          | [] -> build_first path "no compiled unit for this file"
+          | units -> Ok units)
   in
-  List.fold_left
-    (fun acc path -> Result.bind acc (fun acc -> Result.map (fun l -> acc @ List.rev l) (one path)))
-    (Ok []) paths
+  let key u = (u.modname, u.source) in
+  Result.map
+    (fun per_path -> List.sort_uniq (fun a b -> compare (key a) (key b)) (List.concat per_path))
+    (List.fold_left
+       (fun acc path -> Result.bind acc (fun acc -> Result.map (fun us -> us :: acc) (one path)))
+       (Ok []) paths)
 
 (* ------------------------------------------------------------------ *)
 (* In-process typechecking, for the rule fixtures in test/. Tests
    cannot ship `.cmt` files (they would bit-rot against the compiler
    version), so they feed source strings through the same front end
    the compiler uses and hand the resulting Typedtree to the
-   analyzer. *)
+   analyzer. The load path is the standard library plus `+unix`
+   (explicit, rather than relying on OCaml 5's auto-include of it and
+   its alert); [deps] are earlier fixture units the source may refer
+   to by their module names. *)
 
 let tc_initialized = Atomic.make false
 
 let null_formatter = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
-let typecheck_source ?(modname = "Fixture") ~path src =
-  if not (Atomic.exchange tc_initialized true) then Compmisc.init_path ();
+let typecheck_source ?(modname = "Fixture") ?(deps = []) ~path src =
+  if not (Atomic.exchange tc_initialized true) then begin
+    Compmisc.init_path ();
+    Load_path.add_dir (Misc.expand_directory Config.standard_library "+unix")
+  end;
   (* Fixtures deliberately contain rule violations; the warnings they
      also trip are noise. *)
   let saved = !Location.formatter_for_warnings in
@@ -132,7 +163,14 @@ let typecheck_source ?(modname = "Fixture") ~path src =
     result
   in
   Env.set_unit_name modname;
-  let env = Compmisc.initial_env () in
+  (* Earlier fixture units stand in for the project's other modules. *)
+  let env =
+    List.fold_left
+      (fun env u ->
+        Env.add_module (Ident.create_persistent u.modname) Mp_present
+          (Mty_signature u.structure.str_type) env)
+      (Compmisc.initial_env ()) deps
+  in
   let lexbuf = Lexing.from_string src in
   Location.init lexbuf path;
   match Parse.implementation lexbuf with

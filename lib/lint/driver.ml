@@ -1,49 +1,3 @@
-let describe_parse_exn exn =
-  match Location.error_of_exn exn with
-  | Some (`Ok report) -> (
-      match report.Location.main with
-      | { loc; txt } -> Format.asprintf "%a: %t" Location.print_loc loc txt)
-  | _ -> Printexc.to_string exn
-
-let lint_source ~path src =
-  let lexbuf = Lexing.from_string src in
-  Location.init lexbuf path;
-  match Parse.implementation lexbuf with
-  | structure -> Ok (Rules.check ~path structure)
-  | exception exn ->
-      Error (Bgl_resilience.Error.Parse { name = path; detail = describe_parse_exn exn })
-
-let lint_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | src -> lint_source ~path src
-  | exception Sys_error detail -> Error (Bgl_resilience.Error.Io { path; detail })
-
-let skip_dir name = name = "_build" || name = "_opam" || String.starts_with ~prefix:"." name
-
-(* Deterministic file discovery: sorted at every level, so findings
-   come out in the same order on every machine. *)
-let collect_files paths =
-  let rec add_path acc path =
-    Result.bind acc (fun acc ->
-        match Sys.is_directory path with
-        | true ->
-            let entries = Sys.readdir path in
-            Array.sort String.compare entries;
-            Array.fold_left
-              (fun acc entry ->
-                let child = Filename.concat path entry in
-                if Sys.is_directory child then
-                  if skip_dir entry then acc else add_path acc child
-                else if Filename.check_suffix entry ".ml" then Result.map (List.cons child) acc
-                else acc)
-              (Ok acc) entries
-        | false ->
-            if Sys.file_exists path then Ok (path :: acc)
-            else Error (Bgl_resilience.Error.Io { path; detail = "no such file or directory" })
-        | exception Sys_error detail -> Error (Bgl_resilience.Error.Io { path; detail }))
-  in
-  Result.map List.rev (List.fold_left add_path (Ok []) paths)
-
 type outcome = {
   files_scanned : int;
   findings : Finding.t list;
@@ -53,57 +7,21 @@ type outcome = {
 
 let clean outcome = outcome.findings = [] && outcome.stale = []
 
+(* Load the compiled units behind the given paths and run R1-R10 over
+   them. R7 waiver entries double as taint barriers; the ones the
+   analysis consumed that way are exempt from staleness. *)
 let run ?(waivers = []) paths =
-  Result.bind (collect_files paths) (fun files ->
-      let rec lint_all acc = function
-        | [] -> Ok (List.rev acc)
-        | file :: rest ->
-            Result.bind (lint_file file) (fun findings -> lint_all (findings :: acc) rest)
+  Result.map
+    (fun units ->
+      let findings, consumed = Typed_rules.check ~waivers units in
+      let scanned =
+        List.sort_uniq String.compare (List.map (fun (u : Cmt_loader.unit_info) -> u.source) units)
       in
-      Result.map
-        (fun per_file ->
-          let all = List.sort Finding.compare (List.concat per_file) in
-          let { Waivers.kept; waived; stale } =
-            (* This pass only produces R1-R6; typed (R7-R10) waiver
-               entries belong to [run_typed] and are out of scope here,
-               neither consumed nor stale. *)
-            Waivers.apply ~scope:(fun r -> not (Finding.typed r)) waivers all ~scanned:files
-          in
-          { files_scanned = List.length files; findings = kept; waived; stale })
-        (lint_all [] files))
-
-(* The typed pass: load every `.cmt` under the given paths (falling
-   back to their `_build/default` mirrors when invoked from the source
-   root), build the cross-module call graph, and run R7-R10 over it.
-   R7 waiver entries double as taint barriers; the ones the analysis
-   consumed that way are exempt from staleness. *)
-let run_typed ?(waivers = []) ?config paths =
-  Result.bind (Cmt_loader.collect_cmts paths) (fun cmts ->
-      match cmts with
-      | [] ->
-          Error
-            (Bgl_resilience.Error.Io
-               {
-                 path = String.concat " " paths;
-                 detail =
-                   "no .cmt files found — build first (dune build) so the typed pass has \
-                    compiled units to analyze";
-               })
-      | cmts ->
-          let units = List.filter_map Cmt_loader.load cmts in
-          let cfg = match config with Some c -> c | None -> Typed_rules.default in
-          let graph = Callgraph.build ~spawn_sites:cfg.Typed_rules.spawn_sites units in
-          let findings, consumed = Typed_rules.check ~config:cfg ~waivers graph in
-          let scanned =
-            List.sort_uniq String.compare
-              (List.map (fun (u : Cmt_loader.unit_info) -> u.source) units)
-          in
-          let { Waivers.kept; waived; stale } =
-            Waivers.apply ~scope:Finding.typed
-              ~preconsumed:(fun e -> List.memq e consumed)
-              waivers findings ~scanned
-          in
-          Ok { files_scanned = List.length scanned; findings = kept; waived; stale })
+      let { Waivers.kept; waived; stale } =
+        Waivers.apply ~preconsumed:(fun e -> List.memq e consumed) waivers findings ~scanned
+      in
+      { files_scanned = List.length scanned; findings = kept; waived; stale })
+    (Cmt_loader.units paths)
 
 let pp_human ppf t =
   List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) t.findings;

@@ -1,24 +1,11 @@
-(** The analysis driver: file discovery, parsing
-    ([Parse.implementation] from compiler-libs — the linter sees
-    exactly the grammar the compiler sees), rule dispatch, waiver
-    application, rendering.
+(** The analysis driver: loads the compiler's [.cmt] output for the
+    given paths, runs every rule (R1-R10) over it, applies the waivers
+    and renders the outcome.
 
     Failures route through {!Bgl_resilience.Error}: unreadable inputs
-    are [Io] (exit 74), source or waiver files that do not parse are
-    [Parse] (exit 65). Findings are data, not errors — the CLI maps a
-    non-{!clean} outcome to exit 1. *)
-
-val lint_source : path:string -> string -> (Finding.t list, Bgl_resilience.Error.t) result
-(** Analyze one implementation given as a string ([path] labels
-    locations and selects path-sensitive rules like R6). Never raises;
-    unparseable source is [Error (Parse _)]. *)
-
-val lint_file : string -> (Finding.t list, Bgl_resilience.Error.t) result
-
-val collect_files : string list -> (string list, Bgl_resilience.Error.t) result
-(** Expand the argument paths: directories recurse to every [*.ml]
-    (skipping [_build], [_opam] and dot-directories), files pass
-    through. Deterministically sorted per directory level. *)
+    and paths with nothing compiled behind them are [Io] (exit 74),
+    waiver files that do not parse are [Parse] (exit 65). Findings are
+    data, not errors — the CLI maps a non-{!clean} outcome to exit 1. *)
 
 type outcome = {
   files_scanned : int;
@@ -31,22 +18,15 @@ val clean : outcome -> bool
 (** No findings and no stale waivers — the build may pass. *)
 
 val run : ?waivers:Waivers.t -> string list -> (outcome, Bgl_resilience.Error.t) result
-(** The syntactic per-file pass (R1-R6). Typed waiver entries are out
-    of scope: neither applied nor reported stale. *)
-
-val run_typed :
-  ?waivers:Waivers.t ->
-  ?config:Typed_rules.config ->
-  string list ->
-  (outcome, Bgl_resilience.Error.t) result
-(** The typed interprocedural pass (R7-R10) over every [.cmt] under
-    the given paths — or under their [_build/default] mirrors when
-    invoked from the source root. [files_scanned] counts distinct
-    compiled units. Finding no [.cmt] at all is an [Io] error (build
-    first); a corrupt or foreign [.cmt] is silently skipped (the
-    analyzer is total over whatever [_build] contains). R7 waiver
-    entries double as taint barriers and are exempt from staleness
-    when consumed that way. *)
+(** Lint the compiled units behind [paths]: a directory covers every
+    [.cmt] under it, a [.ml] file the one unit compiled from it. From
+    the source root the [_build/default] mirror of each path is read.
+    [files_scanned] counts distinct source files. A path with no
+    compiled unit is an [Io] error (build first); a corrupt or foreign
+    [.cmt] is silently skipped (the analyzer is total over whatever
+    [_build] contains). Only the scanned files' waivers can go stale.
+    R7 waiver entries double as taint barriers and are exempt from
+    staleness when consumed that way. *)
 
 val pp_human : Format.formatter -> outcome -> unit
 (** One ["file:line:col"] line per finding, then stale waivers. *)

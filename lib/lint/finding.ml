@@ -31,13 +31,6 @@ let severity = function
 
 let severity_label = function Error -> "error" | Warning -> "warning"
 
-(* R1-R6 run on the Parsetree of one file at a time; R7-R10 run on the
-   Typedtree (.cmt) of the whole tree at once and may carry a [trail]
-   (the call path that justifies the finding). *)
-let typed = function
-  | R7 | R8 | R9 | R10 -> true
-  | R1 | R2 | R3 | R4 | R5 | R6 -> false
-
 let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10 ]
 let rule_of_id s = List.find_opt (fun r -> id r = s) all_rules
 

@@ -20,8 +20,9 @@
       [Printf.printf] in [lib/]; output must go through [Bgl_obs]
       sinks or a [Format.formatter] passed in by the caller.
 
-    The typed pass (DESIGN §16) adds four interprocedural families
-    computed over [.cmt] units and the cross-module call graph:
+    All ten rules run over the compiler's [.cmt] output. The last
+    four are interprocedural, computed over the cross-module call
+    graph:
 
     - R7 [determinism-taint] — a nondeterministic primitive (wall
       clock, [Random], environment) is reachable through calls from a
@@ -48,10 +49,6 @@ val name : rule -> string
 val severity : rule -> severity
 val severity_label : severity -> string
 
-val typed : rule -> bool
-(** [true] for the interprocedural rules (R7-R10) computed from [.cmt]
-    files; [false] for the syntactic per-file rules. *)
-
 val all_rules : rule list
 
 val rule_of_id : string -> rule option
@@ -70,7 +67,7 @@ type t = {
 }
 
 val make : ?trail:string list -> rule -> file:string -> Location.t -> string -> t
-(** Build a finding from a parsetree location; columns are 0-based. *)
+(** Build a finding from a source location; columns are 0-based. *)
 
 val compare : t -> t -> int
 (** Order by file, line, column, rule id, message — the stable report

@@ -1,4 +1,14 @@
-(* The interprocedural rule families R7-R10, over a Callgraph.t.
+(* The rule catalogue, R1-R10, over typechecked units.
+
+   R1-R6 are per-unit checks on the Typedtree. They match resolved
+   paths, not spellings: an ident counts only when its path starts at a
+   compilation unit (Stdlib, Unix, ...) once the unit's own module
+   aliases are expanded, so [module R = Random], [open Unix] and a local
+   [let print_endline] all resolve to what they really name. R3 reads
+   mutability from each label's description, so a record type declared
+   in another unit counts as much as a local one.
+
+   R7-R10 are interprocedural, over a Callgraph.t.
 
    R7 determinism taint — no nondeterministic primitive (wall clock,
    Random, environment) may be reachable through calls from a
@@ -17,8 +27,8 @@
    R9 exception flow — least-fixpoint raisable set of the protected
    control exceptions per function; a catch-all handler whose guarded
    expression can raise one of them (and that does not re-raise) is
-   flagged. Unlike the syntactic R4 this only fires when a protected
-   exception is actually reachable.
+   flagged. Unlike R4 this only fires when a protected exception is
+   actually reachable.
 
    R10 lifecycle protocol — every write to a protocol-controlled field
    (Job.t's [state]) must happen inside its blessed transition
@@ -70,6 +80,258 @@ let default =
   }
 
 (* ------------------------------------------------------------------ *)
+(* R1-R6 *)
+
+(* R1: ambient time sources. The allowlist mechanism is the waiver
+   file, not this list — every hit is reported. *)
+let wall_clock_reads = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
+
+(* R6: writers that bypass Bgl_obs sinks / caller-supplied
+   formatters. Only checked under lib/ — CLIs and tests own their
+   stdout. *)
+let stray_writers =
+  [
+    "print_endline";
+    "print_string";
+    "print_newline";
+    "print_char";
+    "print_int";
+    "print_float";
+    "print_bytes";
+    "prerr_endline";
+    "prerr_string";
+    "prerr_newline";
+    "prerr_char";
+    "prerr_bytes";
+    "Printf.printf";
+    "Printf.eprintf";
+    "Format.printf";
+    "Format.eprintf";
+  ]
+
+(* R3: constructors whose result is shared mutable state when bound at
+   the top of a module... *)
+let mutable_makers =
+  [
+    "ref";
+    "Hashtbl.create";
+    "Buffer.create";
+    "Queue.create";
+    "Stack.create";
+    "Array.make";
+    "Array.create_float";
+    "Bytes.create";
+    "Bytes.make";
+  ]
+
+(* ...unless the binding is one of the sanctioned wrappers. A
+   [Mutex.create] binding is itself fine: it exists to guard its
+   neighbours. *)
+let safe_makers = [ "Atomic.make"; "Mutex.create"; "Domain.DLS.new_key" ]
+
+let in_lib path =
+  String.starts_with ~prefix:"lib/" path
+  ||
+  let needle = "/lib/" in
+  let n = String.length needle and len = String.length path in
+  let rec scan i = i + n <= len && (String.sub path i n = needle || scan (i + 1)) in
+  scan 0
+
+(* The normalized name of [p] when it starts at a compilation unit,
+   after expanding the unit's module aliases (binder -> target); [None]
+   for anything bound in the unit itself. Binder stamps are unique per
+   unit, so one alias table serves every scope. *)
+let global_name aliases p =
+  let rec expand (p : Path.t) : Path.t =
+    match p with
+    | Pident id -> (
+        match List.find_opt (fun (binder, _) -> Ident.same binder id) aliases with
+        | Some (_, target) -> expand target
+        | None -> p)
+    | Pdot (q, s) -> Pdot (expand q, s)
+    | _ -> p
+  in
+  let rec global (p : Path.t) =
+    match p with Pident id -> Ident.persistent id | Pdot (q, _) -> global q | _ -> false
+  in
+  let p = expand p in
+  if global p then Some (Cmt_loader.normalize_path p) else None
+
+(* Unlike R9, a named handler ([with e -> h e]) is not a catch-all
+   here: it visibly takes the exception somewhere. *)
+let rec catch_all (p : Typedtree.pattern) =
+  match p.pat_desc with
+  | Tpat_any -> true
+  | Tpat_alias (p, _, _) -> catch_all p
+  | Tpat_or (a, b, _) -> catch_all a || catch_all b
+  | _ -> false
+
+let rec exn_catch_all (p : Typedtree.computation Typedtree.general_pattern) =
+  match p.pat_desc with
+  | Tpat_exception p -> catch_all p
+  | Tpat_or (a, b, _) -> exn_catch_all a || exn_catch_all b
+  | _ -> false
+
+let rec float_literal name (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_constant (Const_float _) -> true
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, [ (_, Some e) ])
+    when List.mem (name p) [ Some "~-."; Some "~+." ] ->
+      float_literal name e
+  | _ -> false
+
+let swallow_msg what =
+  Printf.sprintf
+    "catch-all exception %s would swallow typed control exceptions (Budget_exceeded, \
+     Divergence, Injected); match the exceptions you mean to handle"
+    what
+
+let expr_rules ~lib ~name add (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_ident (p, _, _) -> (
+      match name p with
+      | None -> ()
+      | Some p ->
+          if List.mem p wall_clock_reads then
+            add Finding.R1 e.exp_loc
+              (Printf.sprintf
+                 "ambient wall-clock read %s breaks replayability; take the time source as an \
+                  argument (or waive the site)"
+                 p);
+          if String.starts_with ~prefix:"Random." p then
+            add Finding.R2 e.exp_loc
+              (Printf.sprintf
+                 "%s bypasses the seeded Bgl_stats.Rng; draw from an Rng.t split from the \
+                  scenario seed"
+                 p);
+          if lib && List.mem p stray_writers then
+            add Finding.R6 e.exp_loc
+              (Printf.sprintf
+                 "%s writes to a global channel from library code; route output through Bgl_obs \
+                  sinks or a Format.formatter passed by the caller"
+                 p))
+  | Texp_try (_, cases) ->
+      List.iter
+        (fun (c : _ Typedtree.case) ->
+          if catch_all c.c_lhs then add Finding.R4 c.c_lhs.pat_loc (swallow_msg "handler"))
+        cases
+  | Texp_match (_, cases, _) ->
+      List.iter
+        (fun (c : _ Typedtree.case) ->
+          if exn_catch_all c.c_lhs then add Finding.R4 c.c_lhs.pat_loc (swallow_msg "case"))
+        cases
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, [ (_, Some a); (_, Some b) ]) -> (
+      match name p with
+      | Some (("=" | "<>") as op) when float_literal name a || float_literal name b ->
+          add Finding.R5 e.exp_loc
+            (Printf.sprintf
+               "(%s) against a float literal is brittle under rounding; compare with an \
+                inequality or an explicit tolerance"
+               op)
+      | _ -> ())
+  | _ -> ()
+
+(* R3: the top-level (and submodule-level) value bindings. A binding
+   is guarded when a [Mutex.create] binding sits within two structure
+   items of it, or anywhere in the structure under the name
+   [<binding>_mutex] / [<binding>_lock]. *)
+let rec structure_rule ~name add (items : Typedtree.structure_item list) =
+  let head (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> name p
+    | _ -> None
+  in
+  let mutexes (item : Typedtree.structure_item) =
+    match item.str_desc with
+    | Tstr_value (_, vbs) ->
+        List.filter
+          (fun (vb : Typedtree.value_binding) -> head vb.vb_expr = Some "Mutex.create")
+          vbs
+    | _ -> []
+  in
+  let arr = Array.of_list items in
+  let n = Array.length arr in
+  let mutex_at i = i >= 0 && i < n && mutexes arr.(i) <> [] in
+  let mutex_names =
+    List.concat_map (fun it -> List.filter_map Callgraph.binding_name (mutexes it)) items
+  in
+  let classify (e : Typedtree.expression) =
+    match head e, e.exp_desc with
+    | Some h, _ when List.mem h safe_makers -> None
+    | Some h, _ when List.mem h mutable_makers -> Some h
+    | _, Texp_record { fields; _ } ->
+        Array.find_map
+          (fun ((l : Types.label_description), _) ->
+            if l.lbl_mut = Mutable then Some ("record literal with mutable field " ^ l.lbl_name)
+            else None)
+          fields
+    | _ -> None
+  in
+  Array.iteri
+    (fun i (item : Typedtree.structure_item) ->
+      match item.str_desc with
+      | Tstr_value (_, vbs) ->
+          List.iter
+            (fun (vb : Typedtree.value_binding) ->
+              match Callgraph.binding_name vb with
+              | None -> ()
+              | Some bname -> (
+                  let guarded =
+                    List.exists mutex_at [ i - 2; i - 1; i + 1; i + 2 ]
+                    || List.mem (bname ^ "_mutex") mutex_names
+                    || List.mem (bname ^ "_lock") mutex_names
+                  in
+                  match if guarded then None else classify vb.vb_expr with
+                  | Some what ->
+                      add Finding.R3 vb.vb_pat.pat_loc
+                        (Printf.sprintf
+                           "top-level mutable state %s (%s) is shared across domains; wrap it in \
+                            Atomic or Domain.DLS, or guard it with an adjacent Mutex"
+                           bname what)
+                  | None -> ()))
+            vbs
+      | Tstr_module mb -> module_expr_rule ~name add mb.mb_expr
+      | Tstr_recmodule mbs ->
+          List.iter
+            (fun (mb : Typedtree.module_binding) -> module_expr_rule ~name add mb.mb_expr)
+            mbs
+      | _ -> ())
+    arr
+
+and module_expr_rule ~name add (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_structure str -> structure_rule ~name add str.str_items
+  | Tmod_constraint (me, _, _, _) | Tmod_functor (_, me) -> module_expr_rule ~name add me
+  | _ -> ()
+
+let unit_rules (u : Cmt_loader.unit_info) findings =
+  let add rule loc message =
+    findings := Finding.make rule ~file:u.source loc message :: !findings
+  in
+  let aliases = ref [] in
+  let note_alias id (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) | Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, _) ->
+        aliases := (id, p) :: !aliases
+    | _ -> ()
+  in
+  let name p = global_name !aliases p in
+  let lib = in_lib u.source in
+  let expr iter (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Texp_letmodule (Some id, _, _, me, _) -> note_alias id me
+    | _ -> expr_rules ~lib ~name add e);
+    Tast_iterator.default_iterator.expr iter e
+  in
+  let module_binding iter (mb : Typedtree.module_binding) =
+    Option.iter (fun id -> note_alias id mb.mb_expr) mb.mb_id;
+    Tast_iterator.default_iterator.module_binding iter mb
+  in
+  let it = { Tast_iterator.default_iterator with expr; module_binding } in
+  it.structure it u.structure;
+  structure_rule ~name add u.structure.str_items
+
+(* ------------------------------------------------------------------ *)
 (* R7 *)
 
 let r7 cfg ~waivers graph findings consumed =
@@ -87,6 +349,10 @@ let r7 cfg ~waivers graph findings consumed =
   in
   let roots = ref [] in
   Callgraph.iter_defs graph (fun d -> if is_root d then roots := d :: !roots);
+  (* With no root among the units (a partial run such as one file),
+     no barrier can be reached, so none can be judged stale. *)
+  if !roots = [] then
+    consumed := List.filter (fun (e : Waivers.entry) -> e.rule = Finding.R7) waivers;
   List.iter
     (fun (root : Callgraph.def) ->
       let visited = Hashtbl.create 64 in
@@ -246,8 +512,10 @@ let r10 cfg graph findings =
 
 (* ------------------------------------------------------------------ *)
 
-let check ?(config = default) ~waivers graph =
+let check ?(config = default) ~waivers units =
   let findings = ref [] in
+  List.iter (fun u -> unit_rules u findings) units;
+  let graph = Callgraph.build ~spawn_sites:config.spawn_sites units in
   let consumed = ref [] in
   r7 config ~waivers graph findings consumed;
   r8 graph findings;

@@ -64,14 +64,10 @@ type applied = {
   stale : entry list;
 }
 
-(* [scope] limits which waiver entries a pass even considers: the
-   syntactic driver passes the R1-R6 predicate, the typed driver
-   R7-R10, so each pass neither consumes nor reports-stale the other
-   pass's entries. [preconsumed] marks entries the rules already used
-   internally (an R7 waiver acting as a taint barrier matches no
-   finding, but it is anything but stale). *)
-let apply ?(scope = fun (_ : Finding.rule) -> true)
-    ?(preconsumed = fun (_ : entry) -> false) t findings ~scanned =
+(* [preconsumed] marks entries the rules already used internally (an
+   R7 waiver acting as a taint barrier matches no finding, but it is
+   anything but stale). *)
+let apply ?(preconsumed = fun (_ : entry) -> false) t findings ~scanned =
   let scanned = List.map normalize scanned in
   let used = Array.make (List.length t) false in
   let kept =
@@ -80,7 +76,7 @@ let apply ?(scope = fun (_ : Finding.rule) -> true)
         let covered = ref false in
         List.iteri
           (fun i e ->
-            if scope e.rule && e.rule = f.rule && matches e ~file:f.file then begin
+            if e.rule = f.rule && matches e ~file:f.file then begin
               used.(i) <- true;
               covered := true
             end)
@@ -91,8 +87,7 @@ let apply ?(scope = fun (_ : Finding.rule) -> true)
   let stale =
     List.filteri
       (fun i e ->
-        scope e.rule
-        && (not used.(i))
+        (not used.(i))
         && (not (preconsumed e))
         && List.exists (fun file -> matches e ~file) scanned)
       t

@@ -32,22 +32,12 @@ type applied = {
 }
 
 val apply :
-  ?scope:(Finding.rule -> bool) ->
-  ?preconsumed:(entry -> bool) ->
-  t ->
-  Finding.t list ->
-  scanned:string list ->
-  applied
+  ?preconsumed:(entry -> bool) -> t -> Finding.t list -> scanned:string list -> applied
 (** Waivers whose path matches no scanned file are ignored (a partial
     run, e.g. [bgl-lint lib/obs], must not mark the rest of the file
-    stale).
-
-    [scope] (default: everything) limits which entries this pass
-    considers at all — the syntactic pass passes R1-R6, the typed pass
-    R7-R10, so neither consumes nor stales the other's entries.
-    [preconsumed] marks entries the analysis already used internally
-    (an R7 entry acting as a taint barrier matches no finding but is
-    not stale). *)
+    stale). [preconsumed] marks entries the analysis already used
+    internally (an R7 entry acting as a taint barrier matches no
+    finding but is not stale). *)
 
 val pp_stale : Format.formatter -> entry -> unit
 val stale_to_json : entry -> string

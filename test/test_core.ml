@@ -353,7 +353,7 @@ let test_fig3_golden_parallel () =
    cap setting including the uncapped one — is pinned against fixtures
    generated before the counted path existed. Two grid sizes cover both
    finder representations: 4x4x8 (volume 128, direct scan) and 8x8x16
-   (volume 1024, summary-gated prefix scan).
+   (volume 1024, free-row mask scan).
 
    After an INTENTIONAL result change, regenerate with:
 

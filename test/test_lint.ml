@@ -1,22 +1,48 @@
-(* Tests for the bgl-lint static analyzer: each rule R1-R6 fires on a
-   known-bad snippet and stays silent on the fixed form; the waiver
-   file round-trips, requires reasons, and reports stale entries; the
-   JSONL report parses; and (qcheck) the analyzer never raises on
-   arbitrary parse-able source. *)
+(* Tests for the bgl-lint static analyzer: each rule R1-R10 fires on a
+   known-bad snippet and stays silent on the fixed form; the module
+   aliases, opens and cross-unit records the old syntactic pass could
+   not see now fire; the waiver file round-trips, requires reasons, and
+   reports stale entries; the driver resolves directories and single
+   source files to compiled units; the JSONL report parses; and
+   (qcheck) the analyzer never raises on generated well-typed source. *)
 
 open Bgl_lint
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Fixtures are typechecked in-process by the same front end that
+   produced the real `.cmt` files, then pushed through the full rule
+   pipeline with a fixture-local config whose deterministic root is
+   [Fixture.root] and whose lifecycle protocol covers the fixture's own
+   [job] type. Fixtures see the standard library and Unix; a project
+   module a fixture mentions is stubbed in the fixture itself. *)
+
+let fixture_path = "lib/fixture/fixture.ml"
+
+let fixture_config =
+  {
+    Typed_rules.default with
+    roots = [ "Fixture.root" ];
+    protocols = [ ("job", "state", "transition") ];
+  }
+
+let typecheck ?(path = fixture_path) ?modname ?deps src =
+  match Cmt_loader.typecheck_source ?modname ?deps ~path src with
+  | Ok u -> u
+  | Error e -> Alcotest.failf "typecheck failed: %s" (Bgl_resilience.Error.to_string e)
+
+let lint ?path ?deps ?(waivers = []) src =
+  Typed_rules.check ~config:fixture_config ~waivers [ typecheck ?path ?deps src ]
+
+let findings_of ?path src = fst (lint ?path src)
+
 (* Rule ids produced by linting [src] as the file [path] (default: a
    library implementation, so lib-only rules are live). *)
-let ids_of ?(path = "lib/probe/probe.ml") src =
-  match Driver.lint_source ~path src with
-  | Ok findings -> List.map (fun (f : Finding.t) -> Finding.id f.rule) findings
-  | Error e -> Alcotest.failf "lint_source failed: %s" (Bgl_resilience.Error.to_string e)
+let ids_of ?path ?deps src =
+  List.map (fun (f : Finding.t) -> Finding.id f.rule) (fst (lint ?path ?deps src))
 
-let fires ?path rule src = List.mem rule (ids_of ?path src)
+let fires ?path ?deps rule src = List.mem rule (ids_of ?path ?deps src)
 
 let check_fires rule src = check_bool (rule ^ " fires") true (fires rule src)
 let check_silent rule src = check_bool (rule ^ " silent") false (fires rule src)
@@ -41,10 +67,14 @@ let test_r2 () =
   check_fires "R2" "let d = Random.int 6";
   check_fires "R2" "let s = Random.State.make [| 1 |]";
   check_fires "R2" "let () = Random.self_init ()";
-  (* The fixed form, and idents that merely end in "random". *)
-  check_silent "R2" "let d rng = Bgl_stats.Rng.int rng 6";
-  check_silent "R2" "let p = Placement.random ~seed:1";
-  check_silent "R2" "let r = Random_fit"
+  (* The fixed form, and idents that merely end in "random" (project
+     modules are stubbed: fixtures see only the stdlib and Unix). *)
+  check_silent "R2"
+    "module Bgl_stats = struct module Rng = struct let int _ n = n end end\n\
+     let d rng = Bgl_stats.Rng.int rng 6";
+  check_silent "R2"
+    "module Placement = struct let random ~seed = seed end\nlet p = Placement.random ~seed:1";
+  check_silent "R2" "type policy = Random_fit\nlet r = Random_fit"
 
 (* ------------------------------------------------------------------ *)
 (* R3 unsynchronized-global *)
@@ -64,6 +94,7 @@ let test_r3 () =
   check_silent "R3" "let lock = Mutex.create ()";
   (* Guarded: a Mutex within two structure items... *)
   check_silent "R3" "let tbl = Hashtbl.create 8\nlet lock = Mutex.create ()";
+  check_silent "R3" "let tbl = Hashtbl.create 8\nlet a = 1\nlet lock = Mutex.create ()";
   (* ...or one named <binding>_mutex / <binding>_lock anywhere. *)
   check_silent "R3"
     "let tbl = Hashtbl.create 8\nlet a = 1\nlet b = 2\nlet c = 3\nlet tbl_mutex = Mutex.create ()";
@@ -116,27 +147,40 @@ let test_r6 () =
     (fires ~path:"test/probe.ml" "R6" "let () = print_endline \"done\"")
 
 (* ------------------------------------------------------------------ *)
+(* What the Parsetree pass could not see: each of these was silent
+   there (it matched spellings within one file) and fires now that the
+   rules match resolved paths and label descriptions. *)
+
+let test_blind_spots () =
+  (* A module alias hid Random from the spelling "Random.". *)
+  check_fires "R2" "module R = Random\nlet d = R.int 6";
+  (* An open hid Unix from the spelling "Unix.gettimeofday". *)
+  check_fires "R1" "open Unix\nlet t = gettimeofday ()";
+  (* A mutable record declared in another unit: the old R3 only knew
+     the field names declared in the same file. *)
+  let other =
+    typecheck ~path:"lib/fixture/other.ml" ~modname:"Other" "type cell = { mutable n : int }"
+  in
+  check_bool "R3 fires on another unit's mutable record" true
+    (fires ~deps:[ other ] "R3" "let shared = { Other.n = 0 }");
+  (* The converse: a local binding that shadows a stdlib writer is not
+     the stdlib writer. *)
+  check_silent "R6" "let print_endline (_ : string) = ()\nlet () = print_endline \"done\""
+
+(* ------------------------------------------------------------------ *)
 (* Findings carry usable spans *)
 
 let test_spans () =
-  match Driver.lint_source ~path:"lib/probe.ml" "let a = 1\nlet d = Random.int 6" with
-  | Error e -> Alcotest.failf "unexpected error: %s" (Bgl_resilience.Error.to_string e)
-  | Ok [ f ] ->
+  match findings_of ~path:"lib/probe.ml" "let a = 1\nlet d = Random.int 6" with
+  | [ f ] ->
       check_int "line" 2 f.line;
       check_bool "cols ordered" true (f.col < f.end_col);
       Alcotest.(check string) "file" "lib/probe.ml" f.file;
       check_bool "jsonl parses" true (Bgl_obs.Jsonl.valid (Finding.to_json f))
-  | Ok fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
+  | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
 (* ------------------------------------------------------------------ *)
 (* Waivers *)
-
-let probe_path = "lib/probe/probe.ml"
-
-let findings_of src =
-  match Driver.lint_source ~path:probe_path src with
-  | Ok fs -> fs
-  | Error e -> Alcotest.failf "lint_source failed: %s" (Bgl_resilience.Error.to_string e)
 
 let parse_waivers src =
   match Waivers.of_string ~name:"test-waivers" src with
@@ -146,14 +190,14 @@ let parse_waivers src =
 let test_waiver_roundtrip () =
   let findings = findings_of "let d = Random.int 6\nlet t = Sys.time ()" in
   check_int "two findings" 2 (List.length findings);
-  let w = parse_waivers "# comment\n\nR2 lib/probe/probe.ml synthetic test site\n" in
-  let { Waivers.kept; waived; stale } = Waivers.apply w findings ~scanned:[ probe_path ] in
+  let w = parse_waivers "# comment\n\nR2 lib/fixture/fixture.ml synthetic test site\n" in
+  let { Waivers.kept; waived; stale } = Waivers.apply w findings ~scanned:[ fixture_path ] in
   check_int "R1 kept" 1 (List.length kept);
   check_int "R2 waived" 1 waived;
   check_int "no stale" 0 (List.length stale);
   (* Same waiver, but the file has no R2 finding left: stale. *)
   let clean = findings_of "let t = Sys.time ()" in
-  let applied = Waivers.apply w clean ~scanned:[ probe_path ] in
+  let applied = Waivers.apply w clean ~scanned:[ fixture_path ] in
   check_int "stale reported" 1 (List.length applied.stale);
   check_bool "stale jsonl parses" true
     (Bgl_obs.Jsonl.valid (Waivers.stale_to_json (List.hd applied.stale)));
@@ -179,85 +223,102 @@ let test_waiver_syntax () =
   check_bool "dot-slash normalized" true (Waivers.matches e ~file:"./lib/obs/span.ml")
 
 (* ------------------------------------------------------------------ *)
-(* Driver over a real tree *)
+(* Driver over a compiled tree *)
 
 let write_file dir name contents =
   let path = Filename.concat dir name in
   Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents);
   path
 
-let test_driver_tree () =
+(* A compiled tree without a build system: [dir/lib/NAME.ml] is
+   typechecked in-process and its Typedtree saved as
+   [dir/lib/.objs/NAME.cmt], the way dune lays units out beside their
+   sources. *)
+let compiled_tree sources =
   let dir = Filename.temp_dir "bgl_lint_test" "" in
   let lib = Filename.concat dir "lib" in
+  let objs = Filename.concat lib ".objs" in
   Sys.mkdir lib 0o755;
-  ignore (write_file lib "one.ml" "let d = Random.int 6\n");
-  ignore (write_file lib "two.ml" "let ok = 1\n");
-  ignore (write_file lib "notml.txt" "Random.int is only flagged in .ml files\n");
-  match Driver.run [ dir ] with
+  Sys.mkdir objs 0o755;
+  Clflags.binary_annotations := true;
+  List.iter
+    (fun (name, src) ->
+      let path = write_file lib (name ^ ".ml") src in
+      let u = typecheck ~path ~modname:(String.capitalize_ascii name) src in
+      Cmt_format.save_cmt
+        (Filename.concat objs (name ^ ".cmt"))
+        u.modname (Implementation u.structure) (Some path) Env.empty None None)
+    sources;
+  (dir, lib)
+
+let run_ok ?waivers paths =
+  match Driver.run ?waivers paths with
+  | Ok outcome -> outcome
   | Error e -> Alcotest.failf "driver failed: %s" (Bgl_resilience.Error.to_string e)
-  | Ok outcome ->
-      check_int "scanned both ml files" 2 outcome.files_scanned;
-      check_int "one finding" 1 (List.length outcome.findings);
-      check_bool "not clean" false (Driver.clean outcome);
-      check_int "jsonl line per finding" 1 (List.length (Driver.to_jsonl outcome));
-      List.iter
-        (fun line -> check_bool "jsonl line parses" true (Bgl_obs.Jsonl.valid line))
-        (Driver.to_jsonl outcome)
+
+let test_driver_tree () =
+  let dir, lib = compiled_tree [ ("one", "let d = Random.int 6\n"); ("two", "let ok = 1\n") ] in
+  ignore (write_file lib "notml.txt" "Random.int is only flagged in compiled units\n");
+  let outcome = run_ok [ dir ] in
+  check_int "scanned both units" 2 outcome.files_scanned;
+  check_int "one finding" 1 (List.length outcome.findings);
+  check_bool "not clean" false (Driver.clean outcome);
+  check_int "jsonl line per finding" 1 (List.length (Driver.to_jsonl outcome));
+  List.iter
+    (fun line -> check_bool "jsonl line parses" true (Bgl_obs.Jsonl.valid line))
+    (Driver.to_jsonl outcome);
+  (* A source file resolves to the one unit compiled from it, and a
+     partial run leaves the other files' waivers alone. *)
+  let waivers = parse_waivers "R2 lib/two.ml matches nothing in two.ml\n" in
+  let single = run_ok ~waivers [ Filename.concat lib "one.ml" ] in
+  check_int "single file scanned" 1 single.files_scanned;
+  check_int "single file finding" 1 (List.length single.findings);
+  check_int "other file's waiver not stale" 0 (List.length single.stale);
+  check_int "...but stale on the full run" 1 (List.length (run_ok ~waivers [ dir ]).stale)
 
 let test_driver_errors () =
-  (match Driver.lint_source ~path:"lib/broken.ml" "let x =" with
+  let expect_io what ?(mentions = "") result =
+    match result with
+    | Error (Bgl_resilience.Error.Io { detail; _ }) ->
+        let n = String.length mentions in
+        let rec has i =
+          i + n <= String.length detail && (String.sub detail i n = mentions || has (i + 1))
+        in
+        check_bool (what ^ " says " ^ mentions) true (has 0)
+    | Error e -> Alcotest.failf "%s: expected Io, got %s" what (Bgl_resilience.Error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: expected an io error" what
+  in
+  expect_io "missing path" (Driver.run [ "/nonexistent-bgl-lint-path" ]);
+  let _, lib = compiled_tree [ ("one", "let ok = 1\n") ] in
+  let uncompiled = write_file lib "fresh.ml" "let ok = 2\n" in
+  expect_io "source with no unit" ~mentions:"build first" (Driver.run [ uncompiled ]);
+  let bare = Filename.temp_dir "bgl_lint_bare" "" in
+  ignore (write_file bare "loose.ml" "let ok = 3\n");
+  expect_io "tree with no units" ~mentions:"build first" (Driver.run [ bare ]);
+  (* Source that does not parse is a Parse error from the front end. *)
+  match Cmt_loader.typecheck_source ~path:"lib/broken.ml" "let x =" with
   | Error (Bgl_resilience.Error.Parse _) -> ()
   | Error e -> Alcotest.failf "expected Parse, got %s" (Bgl_resilience.Error.to_string e)
-  | Ok _ -> Alcotest.fail "expected a parse error");
-  match Driver.run [ "/nonexistent-bgl-lint-path" ] with
-  | Error (Bgl_resilience.Error.Io _) -> ()
-  | Error e -> Alcotest.failf "expected Io, got %s" (Bgl_resilience.Error.to_string e)
-  | Ok _ -> Alcotest.fail "expected an io error"
+  | Ok _ -> Alcotest.fail "expected a parse error"
 
 (* ------------------------------------------------------------------ *)
-(* Typed rules R7-R10. Fixtures are typechecked in-process by the same
-   front end that produced the real `.cmt` files, then pushed through
-   the callgraph + rule pipeline with a fixture-local config whose
-   deterministic root is [Fixture.root] and whose lifecycle protocol
-   covers the fixture's own [job] type. Only Stdlib modules appear in
-   fixtures: the in-process typechecker sees the compiler's default
-   load path, not the project's libraries. *)
+(* Interprocedural rules R7-R10 *)
 
-let fixture_config =
-  {
-    Typed_rules.default with
-    roots = [ "Fixture.root" ];
-    protocols = [ ("job", "state", "transition") ];
-  }
-
-let typed_check ?(waivers = []) src =
-  let unit_info =
-    match Cmt_loader.typecheck_source ~path:"lib/fixture/fixture.ml" src with
-    | Ok u -> u
-    | Error e -> Alcotest.failf "typecheck failed: %s" (Bgl_resilience.Error.to_string e)
-  in
-  let graph = Callgraph.build ~spawn_sites:fixture_config.spawn_sites [ unit_info ] in
-  Typed_rules.check ~config:fixture_config ~waivers graph
-
-let typed_ids ?waivers src =
-  List.map (fun (f : Finding.t) -> Finding.id f.rule) (fst (typed_check ?waivers src))
-
-let check_typed_fires rule src = check_bool (rule ^ " fires") true (List.mem rule (typed_ids src))
-
-let check_typed_silent rule src =
-  check_bool (rule ^ " silent") false (List.mem rule (typed_ids src))
+(* The R7 findings alone: the fixtures' sinks also trip R1/R2. *)
+let r7_of (findings, consumed) =
+  (List.filter (fun (f : Finding.t) -> f.rule = Finding.R7) findings, consumed)
 
 let test_r7 () =
   (* A sink reached through a call chain is reported at the root. *)
-  check_typed_fires "R7" "let helper () = Sys.time ()\nlet root () = helper ()";
-  check_typed_fires "R7" "let deep () = Random.int 6\nlet mid () = deep ()\nlet root () = mid ()";
-  check_typed_fires "R7" "let root () = Sys.getenv \"HOME\"";
+  check_fires "R7" "let helper () = Sys.time ()\nlet root () = helper ()";
+  check_fires "R7" "let deep () = Random.int 6\nlet mid () = deep ()\nlet root () = mid ()";
+  check_fires "R7" "let root () = Sys.getenv \"HOME\"";
   (* The fixed form threads the clock in as data. *)
-  check_typed_silent "R7" "let helper clock = clock ()\nlet root clock = helper clock";
+  check_silent "R7" "let helper clock = clock ()\nlet root clock = helper clock";
   (* A sink in a function the root never calls is not the root's problem. *)
-  check_typed_silent "R7" "let stray () = Sys.time ()\nlet root () = 1 + 1";
+  check_silent "R7" "let stray () = Sys.time ()\nlet root () = 1 + 1";
   (* The finding lands on the root and carries the full call path. *)
-  match fst (typed_check "let helper () = Sys.time ()\nlet root () = helper ()") with
+  match fst (r7_of (lint "let helper () = Sys.time ()\nlet root () = helper ()")) with
   | [ f ] ->
       check_int "reported at root line" 2 f.line;
       Alcotest.(check (list string))
@@ -269,37 +330,41 @@ let test_r7_barrier () =
      disappears and the entry is reported as consumed, not stale. *)
   let waivers = parse_waivers "R7 lib/fixture/fixture.ml fixture-declared barrier\n" in
   let findings, consumed =
-    typed_check ~waivers "let helper () = Sys.time ()\nlet root () = helper ()"
+    r7_of (lint ~waivers "let helper () = Sys.time ()\nlet root () = helper ()")
   in
   check_int "barrier suppresses" 0 (List.length findings);
   check_int "barrier consumed" 1 (List.length consumed);
   (* ...but the root's own file is never a barrier for direct sinks. *)
-  let findings, consumed = typed_check ~waivers "let root () = Sys.time ()" in
+  let findings, consumed = r7_of (lint ~waivers "let root () = Sys.time ()") in
   check_int "direct sink still fires" 1 (List.length findings);
-  check_int "nothing consumed" 0 (List.length consumed)
+  check_int "nothing consumed" 0 (List.length consumed);
+  (* A run whose units hold no root (one file of a partial run) can
+     reach no barrier, so it must not call the entry stale. *)
+  let _, consumed = lint ~waivers "let helper () = Sys.time ()" in
+  check_int "rootless run does not judge barriers" 1 (List.length consumed)
 
 let test_r8 () =
-  check_typed_fires "R8"
+  check_fires "R8"
     "let run () =\n\
     \  let counter = ref 0 in\n\
     \  let d = Domain.spawn (fun () -> incr counter) in\n\
     \  Domain.join d";
-  check_typed_fires "R8" "let run tbl = Domain.spawn (fun () -> Hashtbl.add tbl 1 1)";
-  check_typed_fires "R8"
+  check_fires "R8" "let run tbl = Domain.spawn (fun () -> Hashtbl.add tbl 1 1)";
+  check_fires "R8"
     "type cell = { mutable n : int }\nlet run (c : cell) = Domain.spawn (fun () -> c.n <- 1)";
   (* Sanctioned discipline: Atomic, a record carrying its own Mutex,
      and the pool's disjoint-index array idiom. *)
-  check_typed_silent "R8"
+  check_silent "R8"
     "let run () =\n\
     \  let counter = Atomic.make 0 in\n\
     \  let d = Domain.spawn (fun () -> Atomic.incr counter) in\n\
     \  Domain.join d";
-  check_typed_silent "R8"
+  check_silent "R8"
     "type guarded = { lock : Mutex.t; mutable n : int }\n\
      let run (g : guarded) = Domain.spawn (fun () -> g.n <- 1)";
-  check_typed_silent "R8" "let run (a : int array) = Domain.spawn (fun () -> a.(0) <- 1)";
+  check_silent "R8" "let run (a : int array) = Domain.spawn (fun () -> a.(0) <- 1)";
   (* Capturing immutable data is the point of closures. *)
-  check_typed_silent "R8" "let run xs = Domain.spawn (fun () -> List.length xs)";
+  check_silent "R8" "let run xs = Domain.spawn (fun () -> List.length xs)";
   (* The domain pool is a spawn site too: a cell closure handed to
      [Pool.map_supervised] runs on worker domains. *)
   let pool_fixture counter bump =
@@ -310,52 +375,51 @@ let test_r8 () =
       \  Pool.map_supervised pool (fun x -> %s; x) [| 1; 2 |]"
       counter bump
   in
-  check_typed_fires "R8" (pool_fixture "ref 0" "incr hits");
-  check_typed_silent "R8" (pool_fixture "Atomic.make 0" "Atomic.incr hits")
+  check_fires "R8" (pool_fixture "ref 0" "incr hits");
+  check_silent "R8" (pool_fixture "Atomic.make 0" "Atomic.incr hits")
 
 let test_r9 () =
   (* The raisable set is interprocedural: the raise is two calls away. *)
-  check_typed_fires "R9"
+  check_fires "R9"
     "exception Budget_exceeded\n\
      let deep () = raise Budget_exceeded\n\
      let mid () = deep () + 1\n\
      let run () = try mid () with _ -> 0";
   (* [exception _] match arms are the same hazard. *)
-  check_typed_fires "R9"
+  check_fires "R9"
     "exception Injected\n\
      let deep () = raise Injected\n\
      let run () = match deep () with n -> n | exception _ -> 0";
   (* Re-raising catch-alls and specific handlers pass. *)
-  check_typed_silent "R9"
+  check_silent "R9"
     "exception Budget_exceeded\n\
      let deep () = raise Budget_exceeded\n\
      let run () = try deep () with e -> raise e";
-  check_typed_silent "R9"
+  check_silent "R9"
     "exception Budget_exceeded\n\
      let deep () = raise Budget_exceeded\n\
      let run () = try deep () with Budget_exceeded -> 0";
-  (* Unlike syntactic R4, a catch-all over unprotected exceptions is
+  (* Unlike R4, a catch-all over unprotected exceptions is
      not this rule's business. *)
-  check_typed_silent "R9" "let harmless () = raise Not_found\nlet run () = try harmless () with _ -> 0"
+  check_silent "R9" "let harmless () = raise Not_found\nlet run () = try harmless () with _ -> 0"
 
 let test_r10 () =
   (* Any [state <-] outside the blessed transition function fires. *)
   (match
-     fst
-       (typed_check
-          "type job = { mutable state : int }\n\
-           let transition j = j.state <- 1\n\
-           let sneaky j = j.state <- 2")
+     findings_of
+       "type job = { mutable state : int }\n\
+        let transition j = j.state <- 1\n\
+        let sneaky j = j.state <- 2"
    with
   | [ f ] ->
       Alcotest.(check string) "rule" "R10" (Finding.id f.rule);
       Alcotest.(check (list string)) "culprit def" [ "Fixture.sneaky" ] f.trail
   | fs -> Alcotest.failf "expected exactly one R10 finding, got %d" (List.length fs));
   (* The blessed writer alone is clean. *)
-  check_typed_silent "R10"
+  check_silent "R10"
     "type job = { mutable state : int }\nlet transition j = j.state <- 1";
   (* Type-keyed: an unrelated record with a [state] field is free. *)
-  check_typed_silent "R10"
+  check_silent "R10"
     "type rngst = { mutable state : int }\nlet bump (r : rngst) = r.state <- r.state + 1"
 
 let test_modname_normalization () =
@@ -369,94 +433,118 @@ let test_modname_normalization () =
   (* Lowercase components are value names; their underscores stay. *)
   check_norm "M.foo__bar" "M.foo__bar"
 
+(* The typed rules run through the one driver entry point, so a path
+   with nothing compiled behind it is an Io error there too. *)
 let test_run_typed_errors () =
-  match Driver.run_typed [ "/nonexistent-bgl-typed-path" ] with
+  match Driver.run [ "/nonexistent-bgl-typed-path" ] with
   | Error (Bgl_resilience.Error.Io _) -> ()
   | Error e -> Alcotest.failf "expected Io, got %s" (Bgl_resilience.Error.to_string e)
   | Ok _ -> Alcotest.fail "expected an io error"
 
 (* ------------------------------------------------------------------ *)
-(* qcheck: the analyzer is total on parse-able source *)
+(* qcheck: the analyzer is total on well-typed source *)
 
-(* A generator of small, syntactically valid implementations: every
-   production parenthesizes its sub-expressions, so anything it emits
-   parses. The ident pool deliberately includes the triggers of every
-   rule. *)
+(* A generator of small, well-typed implementations: int, float and
+   bool expressions built over the top-level [x : int] and [y : float],
+   with every rule's trigger applied at its real type. Every production
+   parenthesizes its sub-expressions, and names that must be unique in
+   a structure (modules, types) carry the item's index, so anything it
+   emits typechecks and reaches the rules. *)
 let gen_source =
   let open QCheck.Gen in
-  let leaf =
-    oneof
-      [
-        map string_of_int small_signed_int;
-        oneofl [ "1.5"; "0."; "3.14"; "nan" ];
-        oneofl
-          [
-            "x";
-            "f";
-            "acc";
-            "Unix.gettimeofday";
-            "Sys.time";
-            "Random.int";
-            "Hashtbl.create";
-            "Buffer.create";
-            "Atomic.make";
-            "Mutex.create";
-            "print_endline";
-            "Printf.printf";
-            "List.map";
-          ];
-      ]
-  in
-  let rec expr n =
+  let p1 fmt = map (Printf.sprintf fmt) in
+  let rec int_e n =
+    let leaf =
+      oneof
+        [
+          map string_of_int small_signed_int;
+          oneofl [ "x"; "(Random.int 6)"; "(Random.State.int (Random.State.make [| 1 |]) 6)" ];
+        ]
+    in
     if n <= 0 then leaf
     else
-      let sub = expr (n / 2) in
+      let i = int_e (n / 2) and f = float_e (n / 2) and b = bool_e (n / 2) in
       oneof
         [
           leaf;
-          map2 (Printf.sprintf "(%s) (%s)") sub sub;
-          (let* op = oneofl [ "="; "<>"; "+"; "<="; "+." ] in
-           map2 (fun a b -> Printf.sprintf "(%s) %s (%s)" a op b) sub sub);
-          map3 (Printf.sprintf "if (%s) then (%s) else (%s)") sub sub sub;
-          (let* handler = oneofl [ "_"; "Not_found"; "e" ] in
-           map2 (fun a b -> Printf.sprintf "try (%s) with %s -> (%s)" a handler b) sub sub);
-          (let* pat = oneofl [ "_"; "0"; "exception _"; "exception Exit" ] in
-           map2 (fun a b -> Printf.sprintf "match (%s) with | %s -> (%s) | _ -> (%s)" a pat b b)
-             sub sub);
-          map2 (Printf.sprintf "let z = (%s) in (%s)") sub sub;
-          map (Printf.sprintf "fun q -> (%s)") sub;
-          map (Printf.sprintf "ref (%s)") sub;
-          map2 (Printf.sprintf "((%s); (%s))") sub sub;
+          map2 (Printf.sprintf "(%s) + (%s)") i i;
+          map3 (Printf.sprintf "if %s then (%s) else (%s)") b i i;
+          (let* handler = oneofl [ "_"; "Not_found"; "e"; "Exit | _" ] in
+           map2 (fun a b -> Printf.sprintf "(try (%s) with %s -> (%s))" a handler b) i i);
+          (let* pat = oneofl [ "0"; "exception _"; "exception Exit" ] in
+           map2 (fun a b -> Printf.sprintf "(match (%s) with %s -> (%s) | n -> n)" a pat b) i i);
+          map2 (Printf.sprintf "(let z = (%s) in z + (%s))") i i;
+          p1 "(let r = ref (%s) in incr r; !r)" i;
+          p1 "int_of_float (%s)" f;
+          (let* writer =
+             oneofl [ "print_int"; "prerr_int"; "Printf.printf \"%d\""; "Format.eprintf \"%d\"" ]
+           in
+           map2 (fun a b -> Printf.sprintf "(%s (%s); (%s))" writer a b) i i);
         ]
+  and float_e n =
+    let leaf =
+      oneofl
+        [
+          "1.5";
+          "0.";
+          "y";
+          "(Unix.gettimeofday ())";
+          "(Sys.time ())";
+          "(Unix.time ())";
+          "(Random.float 1.)";
+        ]
+    in
+    if n <= 0 then leaf
+    else
+      let i = int_e (n / 2) and f = float_e (n / 2) in
+      oneof [ leaf; map2 (Printf.sprintf "(%s) +. (%s)") f f; p1 "float_of_int (%s)" i ]
+  and bool_e n =
+    let i = int_e (n / 2) and f = float_e (n / 2) in
+    oneof
+      [
+        return "true";
+        map2 (Printf.sprintf "((%s) = (%s))") i i;
+        map2 (Printf.sprintf "((%s) <= (%s))") i i;
+        p1 "((%s) = 1.5)" f;
+        p1 "(0. <> (%s))" f;
+        map2 (Printf.sprintf "((%s) = (%s))") f f;
+      ]
   in
-  let item =
-    let* e = expr 6 in
+  let item k =
+    let* e = int_e 6 in
     oneofl
       [
         Printf.sprintf "let v = %s" e;
         Printf.sprintf "let g () = %s" e;
         Printf.sprintf "let () = ignore (%s)" e;
-        Printf.sprintf "module Mz = struct let inner = %s end" e;
-        "type tz = { mutable mf : int }";
+        Printf.sprintf "module M%d = struct let inner = %s end" k e;
+        Printf.sprintf "type t%d = { mutable f%d : int }\nlet r%d = { f%d = %s }" k k k k e;
+        Printf.sprintf "let cell = ref (%s)" e;
+        "let tbl : (int, int) Hashtbl.t = Hashtbl.create 8";
+        "let buf = Buffer.create 16";
+        "let lock = Mutex.create ()";
+        Printf.sprintf "let a = Atomic.make (%s)" e;
       ]
   in
-  let* items = list_size (int_range 1 6) item in
+  let* n = int_range 1 6 in
+  let* items = flatten_l (List.init n item) in
   let* path = oneofl [ "lib/gen/gen.ml"; "bin/gen.ml"; "test/gen.ml" ] in
-  pair (return path) (return (String.concat "\n" items))
+  return (path, String.concat "\n" ("let x = 3\nlet y = 0.5" :: items))
 
 let prop_never_raises =
   QCheck.Test.make ~count:500 ~name:"analyzer total on generated source"
     (QCheck.make ~print:(fun (p, s) -> p ^ ":\n" ^ s) gen_source)
     (fun (path, src) ->
-      match Driver.lint_source ~path src with
-      | Ok _ -> true
-      | Error (Bgl_resilience.Error.Parse _) ->
-          QCheck.Test.fail_reportf "generator emitted unparseable source:\n%s" src
+      match Cmt_loader.typecheck_source ~path src with
       | Error e ->
-          QCheck.Test.fail_reportf "unexpected error %s on:\n%s"
+          QCheck.Test.fail_reportf "generator emitted ill-typed source (%s):\n%s"
             (Bgl_resilience.Error.to_string e) src
-      | exception e ->
-          QCheck.Test.fail_reportf "analyzer raised %s on:\n%s" (Printexc.to_string e) src)
+      | Ok u -> (
+          match Typed_rules.check ~waivers:[] [ u ] with
+          | findings, _ ->
+              List.for_all (fun (f : Finding.t) -> Bgl_obs.Jsonl.valid (Finding.to_json f)) findings
+          | exception e ->
+              QCheck.Test.fail_reportf "analyzer raised %s on:\n%s" (Printexc.to_string e) src))
 
 let prop_waivers_total =
   QCheck.Test.make ~count:300 ~name:"waiver parser total"
@@ -483,9 +571,7 @@ let built_units =
      match root with
      | None -> []
      | Some root -> (
-         match Cmt_loader.collect_cmts [ root ] with
-         | Ok cmts -> List.filter_map Cmt_loader.load cmts
-         | Error _ -> []))
+         match Cmt_loader.units [ root ] with Ok units -> units | Error _ -> []))
 
 let prop_typed_total =
   QCheck.Test.make ~count:25 ~name:"typed analyzer total on built unit subsets"
@@ -495,10 +581,7 @@ let prop_typed_total =
       | [] -> true (* no build tree in sight; vacuous *)
       | units -> (
           let units = List.filteri (fun i _ -> Hashtbl.hash (seed, i) land 3 <> 0) units in
-          let graph =
-            Callgraph.build ~spawn_sites:Typed_rules.default.spawn_sites units
-          in
-          match Typed_rules.check ~waivers:[] graph with
+          match Typed_rules.check ~waivers:[] units with
           | findings, _ ->
               List.for_all
                 (fun (f : Finding.t) -> Bgl_obs.Jsonl.valid (Finding.to_json f))
@@ -525,6 +608,7 @@ let () =
           Alcotest.test_case "R4 swallowed-exception" `Quick test_r4;
           Alcotest.test_case "R5 float-literal-equality" `Quick test_r5;
           Alcotest.test_case "R6 stray-stdout" `Quick test_r6;
+          Alcotest.test_case "closed blind spots" `Quick test_blind_spots;
           Alcotest.test_case "finding spans" `Quick test_spans;
         ] );
       ( "typed rules",
