@@ -398,7 +398,7 @@ let run_scale_micro () =
     [ torus_scale_tests (); finder_counted_tests () ]
 
 let () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Bgl_obs.Clock.now () in
   (match List.tl (Array.to_list Sys.argv) with
   | [] | [ "micro" ] -> run_micro ()
   | [ "scale" ] -> run_scale_micro ()
@@ -407,4 +407,4 @@ let () =
   | _ ->
       Format.eprintf "usage: main.exe [micro|scale|serve]@.";
       exit 1);
-  Format.printf "total wall time: %.1f s@." (Unix.gettimeofday () -. t0)
+  Format.printf "total wall time: %.1f s@." (Bgl_obs.Clock.now () -. t0)

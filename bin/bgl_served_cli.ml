@@ -142,13 +142,13 @@ let connect_once listen =
    its socket, so "connection refused / no such socket" right after a
    restart is expected — poll until the deadline. *)
 let connect ~connect_timeout listen =
-  let deadline = Unix.gettimeofday () +. connect_timeout in
+  let deadline = Bgl_obs.Clock.now () +. connect_timeout in
   let rec attempt () =
     match connect_once listen with
     | fd -> fd
     | exception
         Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-      when Unix.gettimeofday () < deadline ->
+      when Bgl_obs.Clock.now () < deadline ->
         Unix.sleepf 0.2;
         attempt ()
   in

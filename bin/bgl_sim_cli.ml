@@ -264,9 +264,9 @@ let bench profile n_jobs load failures algo seed dims no_backfill migration metr
   let scenario =
     Bgl_core.Scenario.make ~n_jobs ~load ?failures_paper:failures ~seed ~config ~profile algo
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Bgl_obs.Clock.now () in
   let outcome = Bgl_core.Scenario.run scenario in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Bgl_obs.Clock.now () -. t0 in
   Bgl_obs.Span.set_enabled false;
   Format.printf "run: %s@." outcome.name;
   Format.printf "%a@." Bgl_sim.Metrics.pp_report outcome.report;

@@ -4,7 +4,8 @@
     guards against):
 
     - R1 [wall-clock] — ambient time reads ([Unix.gettimeofday],
-      [Unix.time], [Sys.time]) make runs non-replayable.
+      [Unix.time], [Sys.time], [Monotonic_clock.now]) make runs
+      non-replayable; [Bgl_obs.Clock] is the one waived read.
     - R2 [stdlib-random] — any [Random.*]; simulation code must draw
       from [Bgl_stats.Rng] so seeds split deterministically.
     - R3 [unsynchronized-global] — top-level mutable state ([ref],

@@ -59,6 +59,7 @@ let default =
       [
         "Unix.gettimeofday";
         "Unix.time";
+        "Monotonic_clock.now";
         "Unix.localtime";
         "Unix.gmtime";
         "Unix.getenv";
@@ -82,9 +83,10 @@ let default =
 (* ------------------------------------------------------------------ *)
 (* R1-R6 *)
 
-(* R1: ambient time sources. The allowlist mechanism is the waiver
-   file, not this list — every hit is reported. *)
-let wall_clock_reads = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
+(* R1: ambient time sources, Bechamel's CLOCK_MONOTONIC read among
+   them (Bgl_obs.Clock wraps it). The allowlist mechanism is the
+   waiver file, not this list — every hit is reported. *)
+let wall_clock_reads = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time"; "Monotonic_clock.now" ]
 
 (* R6: writers that bypass Bgl_obs sinks / caller-supplied
    formatters. Only checked under lib/ — CLIs and tests own their

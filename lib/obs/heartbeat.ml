@@ -3,7 +3,6 @@ type snapshot = { sim_time : float; queue_depth : int; running : int; free_nodes
 type t = {
   every : int;
   out : Format.formatter;
-  clock : unit -> float;
   m : Mutex.t;  (* one heartbeat may be shared by every worker domain *)
   mutable events : int;
   mutable nbeats : int;
@@ -12,16 +11,15 @@ type t = {
   mutable last_snapshot : snapshot option;
 }
 
-let create ?(out = Format.err_formatter) ?(clock = Unix.gettimeofday) ~every () =
+let create ?(out = Format.err_formatter) ~every () =
   if every < 1 then invalid_arg "Heartbeat.create: every must be >= 1";
   {
     every;
     out;
-    clock;
     m = Mutex.create ();
     events = 0;
     nbeats = 0;
-    last_wall = clock ();
+    last_wall = Clock.now ();
     last_events = 0;
     last_snapshot = None;
   }
@@ -31,7 +29,7 @@ let tick t snapshot =
       t.events <- t.events + 1;
       if t.events mod t.every = 0 then begin
         let s = snapshot () in
-        let wall = t.clock () in
+        let wall = Clock.now () in
         let dt = wall -. t.last_wall in
         let rate =
           if dt > 0. then float_of_int (t.events - t.last_events) /. dt else Float.infinity

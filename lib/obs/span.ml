@@ -16,14 +16,8 @@ let table_key : (string, cell) Hashtbl.t Domain.DLS.key =
 
 let on = Atomic.make false
 
-(* An Atomic, not a ref: tests swap in fake clocks while parallel
-   suites may still be timing, and a plain ref would be a data race
-   (and invisible to the worker domains' program order). *)
-let clock = Atomic.make Unix.gettimeofday
-
 let enabled () = Atomic.get on
 let set_enabled b = Atomic.set on b
-let set_clock f = Atomic.set clock f
 
 let reset () = Mutex.protect all_tables_mutex (fun () -> List.iter Hashtbl.reset !all_tables)
 
@@ -45,9 +39,8 @@ let record name dt =
 let time ~name f =
   if not (Atomic.get on) then f ()
   else begin
-    let now = Atomic.get clock in
-    let t0 = now () in
-    Fun.protect ~finally:(fun () -> record name (now () -. t0)) f
+    let t0 = Clock.now () in
+    Fun.protect ~finally:(fun () -> record name (Clock.now () -. t0)) f
   end
 
 type stat = {

@@ -13,10 +13,7 @@
     {[ if Span.enabled () then Span.time ~name:"eq.push" (fun () -> push_raw t x)
        else push_raw t x ]}
 
-    The clock defaults to [Unix.gettimeofday] — the steadiest widely
-    available source without C stubs — and lives in an [Atomic.t] so
-    swapping it is safe even while other domains are timing;
-    {!set_clock} substitutes a fake clock in tests. *)
+    Durations are read from {!Clock.now}. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
@@ -42,11 +39,6 @@ val stats : unit -> stat list
 val reset : unit -> unit
 (** Drop all accumulated spans, in every domain's table (the enabled
     flag is unchanged). *)
-
-val set_clock : (unit -> float) -> unit
-(** Override the time source (seconds), atomically — in-flight
-    {!time} calls finish on the clock they started with. Tests
-    only. *)
 
 val export : Registry.t -> unit
 (** Publish every span as [bgl_span_seconds_total{span="..."}],

@@ -47,7 +47,7 @@ let with_budget spec f =
             remaining = Option.value spec.fuel ~default:max_int;
             expires_at =
               (match spec.deadline with
-              | Some d -> Unix.gettimeofday () +. d
+              | Some d -> Bgl_obs.Clock.now () +. d
               | None -> Float.infinity);
             until_clock = clock_every;
           };
@@ -70,7 +70,7 @@ let check ~site =
           b.until_clock <- b.until_clock - 1;
           if b.until_clock <= 0 then begin
             b.until_clock <- clock_every;
-            if Unix.gettimeofday () > b.expires_at then
+            if Bgl_obs.Clock.now () > b.expires_at then
               raise
                 (Budget_exceeded
                    { site; detail = Printf.sprintf "deadline of %gs passed" d })

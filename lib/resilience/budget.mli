@@ -1,4 +1,4 @@
-(** Cooperative deadlines: a fuel and/or wall-clock budget that
+(** Cooperative deadlines: a fuel and/or real-time budget that
     long-running computations check at their loop boundaries.
 
     A budget is installed for the dynamic extent of a computation
@@ -20,8 +20,9 @@ type t
 
 val make : ?fuel:int -> ?deadline:float -> unit -> t
 (** [fuel] bounds the number of {!check} calls (simulation events,
-    enumeration passes); [deadline] bounds wall-clock seconds from
-    installation. At least one must be given.
+    enumeration passes); [deadline] bounds monotonic seconds
+    ({!Bgl_obs.Clock.now}) from installation, so a wall-clock step
+    never moves it. At least one must be given.
     @raise Invalid_argument if neither is given or either is <= 0. *)
 
 val with_budget : t option -> (unit -> 'a) -> 'a

@@ -343,6 +343,33 @@ let test_r7_barrier () =
   let _, consumed = lint ~waivers "let helper () = Sys.time ()" in
   check_int "rootless run does not judge barriers" 1 (List.length consumed)
 
+(* Bgl_obs.Clock reads Bechamel's [Monotonic_clock.now]; a fixture
+   unit of that name stands in for the library. The barrier sits on
+   the helper's own unit, as it does on the clock's consumers. *)
+let test_clock_sink () =
+  let clock =
+    typecheck ~path:"lib/fixture/monotonic_clock.ml" ~modname:"Monotonic_clock" "let now () = 0L"
+  in
+  check_bool "R1 fires on the monotonic read" true
+    (fires ~deps:[ clock ] "R1" "let t = Monotonic_clock.now ()");
+  let helper =
+    typecheck ~path:"lib/fixture/helper.ml" ~modname:"Helper" ~deps:[ clock ]
+      "let helper () = Monotonic_clock.now ()"
+  in
+  let root = typecheck ~deps:[ clock; helper ] "let root () = Helper.helper ()" in
+  let r7 ?(waivers = []) () =
+    r7_of (Typed_rules.check ~config:fixture_config ~waivers [ helper; root ])
+  in
+  (match fst (r7 ()) with
+  | [ f ] ->
+      Alcotest.(check (list string))
+        "call trail" [ "Fixture.root"; "Helper.helper"; "Monotonic_clock.now" ] f.trail
+  | fs -> Alcotest.failf "expected exactly one R7 finding, got %d" (List.length fs));
+  let waivers = parse_waivers "R7 lib/fixture/helper.ml consumer of the clock\n" in
+  let findings, consumed = r7 ~waivers () in
+  check_int "helper's barrier suppresses" 0 (List.length findings);
+  check_int "helper's barrier consumed" 1 (List.length consumed)
+
 let test_r8 () =
   check_fires "R8"
     "let run () =\n\
@@ -615,6 +642,7 @@ let () =
         [
           Alcotest.test_case "R7 determinism taint" `Quick test_r7;
           Alcotest.test_case "R7 waiver barrier" `Quick test_r7_barrier;
+          Alcotest.test_case "monotonic clock is a sink" `Quick test_clock_sink;
           Alcotest.test_case "R8 cross-domain escape" `Quick test_r8;
           Alcotest.test_case "R9 exception flow" `Quick test_r9;
           Alcotest.test_case "R10 lifecycle protocol" `Quick test_r10;

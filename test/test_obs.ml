@@ -1,7 +1,8 @@
 (* Tests for the observability subsystem: registry instruments and
-   exposition formats, span timers, sinks, the JSONL trace schema, the
-   heartbeat, engine wiring through Bgl_obs.Runtime, and the paper's
-   capacity-metric identity as a property over randomized runs. *)
+   exposition formats, the monotonic clock and its fake, span timers,
+   sinks, the JSONL trace schema, the heartbeat, engine wiring through
+   Bgl_obs.Runtime, and the paper's capacity-metric identity as a
+   property over randomized runs. *)
 
 open Bgl_obs
 
@@ -106,6 +107,23 @@ let test_csv_export () =
   check_bool "count row" true (List.mem "h_count,histogram,1" lines)
 
 (* ------------------------------------------------------------------ *)
+(* Clock *)
+
+let test_clock () =
+  let prev = ref (Clock.now ()) in
+  for _ = 1 to 100_000 do
+    let t = Clock.now () in
+    if t < !prev then Alcotest.failf "Clock.now went back: %.9f after %.9f" t !prev;
+    prev := t
+  done;
+  Clock.with_fake ~step:1. (fun () ->
+      check_float "first fake read" 1. (Clock.now ());
+      (* Another domain reads the real clock and leaves this fake alone. *)
+      Domain.join (Domain.spawn (fun () -> ignore (Clock.now ())));
+      Clock.with_fake ~step:10. (fun () -> check_float "nested fake" 10. (Clock.now ()));
+      check_float "outer fake restored where it was" 2. (Clock.now ()))
+
+(* ------------------------------------------------------------------ *)
 (* Span timers *)
 
 let test_span_disabled_and_enabled () =
@@ -115,16 +133,12 @@ let test_span_disabled_and_enabled () =
   check_bool "disabled records nothing" true
     (not (List.exists (fun (s : Span.stat) -> s.name = "t.off") (Span.stats ())));
   (* A fake clock advancing 1 s per reading makes durations exact. *)
-  let t = ref 0. in
-  Span.set_clock (fun () ->
-      t := !t +. 1.;
-      !t);
-  Span.set_enabled true;
-  check_int "enabled run passes value through" 9 (Span.time ~name:"t.on" (fun () -> 9));
-  ignore (Span.time ~name:"t.on" (fun () -> 0));
-  (try Span.time ~name:"t.on" (fun () -> failwith "boom") with Failure _ -> ());
-  Span.set_enabled false;
-  Span.set_clock Unix.gettimeofday;
+  Clock.with_fake ~step:1. (fun () ->
+      Span.set_enabled true;
+      check_int "enabled run passes value through" 9 (Span.time ~name:"t.on" (fun () -> 9));
+      ignore (Span.time ~name:"t.on" (fun () -> 0));
+      (try Span.time ~name:"t.on" (fun () -> failwith "boom") with Failure _ -> ());
+      Span.set_enabled false);
   (match List.find_opt (fun (s : Span.stat) -> s.name = "t.on") (Span.stats ()) with
   | None -> Alcotest.fail "span t.on missing"
   | Some s ->
@@ -424,16 +438,15 @@ let prop_trace_parser_total =
 let test_heartbeat () =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  let t = ref 0. in
-  let clock () =
-    t := !t +. 0.5;
-    !t
-  in
-  let hb = Heartbeat.create ~out:ppf ~clock ~every:2 () in
   let snap () = { Heartbeat.sim_time = 100.; queue_depth = 3; running = 2; free_nodes = 10 } in
-  for _ = 1 to 5 do
-    Heartbeat.tick hb snap
-  done;
+  let hb =
+    Clock.with_fake ~step:0.5 (fun () ->
+        let hb = Heartbeat.create ~out:ppf ~every:2 () in
+        for _ = 1 to 5 do
+          Heartbeat.tick hb snap
+        done;
+        hb)
+  in
   Format.pp_print_flush ppf ();
   check_int "5 ticks" 5 (Heartbeat.ticks hb);
   check_int "2 beats" 2 (Heartbeat.beats hb);
@@ -521,6 +534,7 @@ let () =
           Alcotest.test_case "prometheus labels" `Quick test_prometheus_labels;
           Alcotest.test_case "csv export" `Quick test_csv_export;
         ] );
+      ("clock", [ Alcotest.test_case "monotonic, fake is scoped" `Quick test_clock ]);
       ( "span",
         [ Alcotest.test_case "disabled and enabled" `Quick test_span_disabled_and_enabled ] );
       ( "sink", [ Alcotest.test_case "buffer, null, tee" `Quick test_sink_buffer_and_tee ] );

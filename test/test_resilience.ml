@@ -173,6 +173,31 @@ let test_budget_none_is_transparent () =
                false
              with Budget.Budget_exceeded _ -> true)))
 
+(* Checks that pass before a [~deadline:3.] budget raises, with the
+   clock faked to one second per read; [layer] wraps the checking
+   loop in whatever sits between it and the budget. *)
+let checks_before_deadline ~layer =
+  Bgl_obs.Clock.with_fake ~step:1. (fun () ->
+      let passed = ref 0 in
+      (try
+         Budget.with_budget (Some (Budget.make ~deadline:3. ())) (fun () ->
+             layer (fun () ->
+                 for _ = 1 to 10_000 do
+                   Budget.check ~site:"t.deadline";
+                   incr passed
+                 done))
+       with Budget.Budget_exceeded { site; _ } -> check_string "site reported" "t.deadline" site);
+      !passed)
+
+let test_budget_deadline () =
+  (* Installation reads 1 s, so the budget expires at 4 s. Checks 256,
+     512, 768 and 1024 read 2, 3, 4 and 5 s: only the 4th read after
+     installation is past the deadline. *)
+  check_int "raises on check 1024" 1023 (checks_before_deadline ~layer:(fun f -> f ()));
+  check_int "a None layer keeps the outer deadline" 1023
+    (checks_before_deadline ~layer:(fun f -> Budget.with_budget None f));
+  check_bool "budget uninstalled after" false (Budget.active ())
+
 let test_budget_make_validates () =
   Alcotest.check_raises "neither limit"
     (Invalid_argument "Budget.make: give fuel and/or deadline") (fun () ->
@@ -534,6 +559,7 @@ let () =
         [
           t "fuel exhaustion" test_budget_fuel;
           t "None is transparent" test_budget_none_is_transparent;
+          t "deadline on the clock" test_budget_deadline;
           t "make validates" test_budget_make_validates;
         ] );
       ( "supervise",
