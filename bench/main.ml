@@ -230,7 +230,28 @@ let finder_counted_tests () =
         ])
       sizes
   in
-  Bechamel.Test.make_grouped ~name:"finder-counted" tests
+  (* The full machine with 200 scattered 2x2x2 jobs: most eroded rows
+     are partial rather than full, so the count pass's per-row x
+     erosion does the work instead of the full-row shortcut. *)
+  let fragmented =
+    let d = Dims.bgl_full in
+    let grid = Grid.create d in
+    let rng = Bgl_stats.Rng.create ~seed:5 in
+    let placed = ref 0 in
+    while !placed < 200 do
+      let pick n = Bgl_stats.Rng.int rng n in
+      let box = Box.make (Coord.make (pick d.nx) (pick d.ny) (pick d.nz)) (Shape.make 2 2 2) in
+      if Grid.box_is_free grid box then begin
+        incr placed;
+        Grid.occupy grid box ~owner:!placed
+      end
+    done;
+    Bechamel.Test.make ~name:"select-24/64x32x32/fragmented"
+      (Bechamel.Staged.stage (fun () ->
+           ignore
+             (Finder.Cache.select (Finder.Cache.create grid) ~volume:(Dims.volume d / 256) ~cap:24)))
+  in
+  Bechamel.Test.make_grouped ~name:"finder-counted" (tests @ [ fragmented ])
 
 let event_queue_tests () =
   Bechamel.Test.make_grouped ~name:"engine"

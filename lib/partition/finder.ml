@@ -47,11 +47,13 @@ let sort_boxes = List.sort Box.compare
    read cyclically under wraparound. ANDing those rows — eroding the
    masks along z, then along y, a word at a time — leaves one mask per
    base row whose runs of set bits answer every x base of the row at
-   once. The masks are rebuilt from the grid's occupancy words whenever
-   its version moves, at O(volume / 32), so there is no change log to
-   keep in step and an unreported mutation cannot leave them stale. The
-   erosion buffers are scratch owned by one cache and reused by every
-   query, so a query allocates no machine-sized array. *)
+   once; a count only needs how many, which one more erosion along x
+   gives a word at a time. The masks are rebuilt from the grid's
+   occupancy words whenever its version moves, at O(volume / 32), so
+   there is no change log to keep in step and an unreported mutation
+   cannot leave them stale. The erosion buffers are scratch owned by
+   one cache and reused by every query, so a query allocates no
+   machine-sized array. *)
 
 let word_bits = 32
 let full_word = (1 lsl word_bits) - 1
@@ -66,6 +68,7 @@ type rows = {
   free : int array;  (* word w of row r at (r * nw) + w *)
   ez : int array;  (* scratch: [free] eroded along z *)
   ezy : int array;  (* scratch: eroded along z, then along y *)
+  wide : int array;  (* scratch: one eroded row, extended past the seam *)
   counts : int array;  (* scratch: free boxes based in each row *)
   mutable version : int;  (* the Grid.version [free] reflects *)
 }
@@ -84,6 +87,7 @@ let make_rows grid =
     free = Array.make n 0;
     ez = Array.make n 0;
     ezy = Array.make n 0;
+    wide = Array.make (2 * nw) 0;
     counts = Array.make (d.ny * d.nz) 0;
     version = -1;
   }
@@ -122,23 +126,28 @@ let rec and_window src i ~c ~n ~stride ~ext acc k =
     let c' = if c + k >= n then c + k - n else c + k in
     and_window src i ~c ~n ~stride ~ext (acc land src.(i + ((c' - c) * stride))) (k + 1)
 
-(* Shape [c]'s base-row masks: row (z, y), z <= cz_hi and y <= cy_hi,
-   holds the AND of every row a box based in it spans. Rows z beyond
-   cz_hi are left stale; y-erosion reads every y of the rows it keeps. *)
-let erode r c =
+(* Shape [c]'s rows eroded along z: row (z, y), z <= cz_hi, holds the
+   AND of the sz rows from z on. Depends on sz alone, so shapes of one
+   depth share it. Rows z beyond cz_hi are left stale. *)
+let erode_z r c =
   let s = c.cs in
   let plane = r.ny * r.nw in
-  let src =
-    if s.sz = 1 then r.free
-    else begin
-      for z = 0 to c.cz_hi do
-        for i = z * plane to ((z + 1) * plane) - 1 do
-          r.ez.(i) <- and_window r.free i ~c:z ~n:r.nz ~stride:plane ~ext:s.sz r.free.(i) 1
-        done
-      done;
-      r.ez
-    end
-  in
+  if s.sz = 1 then r.free
+  else begin
+    for z = 0 to c.cz_hi do
+      for i = z * plane to ((z + 1) * plane) - 1 do
+        r.ez.(i) <- and_window r.free i ~c:z ~n:r.nz ~stride:plane ~ext:s.sz r.free.(i) 1
+      done
+    done;
+    r.ez
+  end
+
+(* Shape [c]'s base-row masks from its z-eroded rows [src]: row (z, y),
+   z <= cz_hi and y <= cy_hi, holds the AND of every row a box based
+   in it spans. y-erosion reads every y of the rows it keeps. *)
+let erode_y r c src =
+  let s = c.cs in
+  let plane = r.ny * r.nw in
   if s.sy = 1 then src
   else begin
     for z = 0 to c.cz_hi do
@@ -150,6 +159,8 @@ let erode r c =
     done;
     r.ezy
   end
+
+let erode r c = erode_y r c (erode_z r c)
 
 (* Index of the lowest set bit of a non-zero word. *)
 let ctz w =
@@ -213,6 +224,72 @@ let iter_row_bases r buf off c ~f =
     let b0 = if r.wrap && buf.(off) land 1 = 1 then next_bit r buf off ~set:false 0 else 0 in
     iter_runs r buf off c ~b0 ~f 0
 
+(* Set bits of a word of at most [word_bits] bits, by SWAR. *)
+let popcount w =
+  let w = w - ((w lsr 1) land 0x55555555) in
+  let w = (w land 0x33333333) + ((w lsr 2) land 0x33333333) in
+  let w = (w + (w lsr 4)) land 0x0F0F0F0F in
+  ((w * 0x01010101) lsr 24) land 0xFF
+
+(* [t] ANDed with itself shifted right (towards bit 0) by [s] bits,
+   over its first [len] words, in place: word w reads words w + s / 32
+   and the one after, which ascending w has not yet overwritten. Bits
+   shifted in from beyond [len] are 0. *)
+let shift_and t len s =
+  let off = s / word_bits and b = s mod word_bits in
+  for w = 0 to len - 1 do
+    let lo = if w + off < len then t.(w + off) else 0
+    and hi = if w + off + 1 < len then t.(w + off + 1) else 0 in
+    t.(w) <- t.(w) land ((lo lsr b) lor ((hi lsl (word_bits - b)) land full_word))
+  done
+
+(* Under wraparound, the row's first [n] bits (n < nx) appended after
+   bit nx of [t], whose words from nw on are 0. *)
+let append_seam r t n =
+  for j = 0 to (n - 1) / word_bits do
+    let v = t.(j) land ((1 lsl min word_bits (n - (j * word_bits))) - 1) in
+    let p = r.nx + (j * word_bits) in
+    let dw = p / word_bits and b = p mod word_bits in
+    t.(dw) <- t.(dw) lor ((v lsl b) land full_word);
+    if b > 0 then t.(dw + 1) <- t.(dw + 1) lor (v lsr (word_bits - b))
+  done
+
+(* How many x bases of shape [c] the eroded row at [off] of [buf]
+   holds, a word at a time. The row is copied into [r.wide], extended
+   past the seam under wraparound, and eroded along x: after ANDing
+   with itself shifted by 1, 2, 4, ..., 2^k <= sx, and once more by
+   sx - 2^k (overlapping windows are harmless, AND being idempotent),
+   bit x is set iff bits x .. x+sx-1 all were. The bits up to cx_hi
+   are the bases. *)
+let count_row_bases r buf off c =
+  if row_full r buf off 0 then c.cx_hi + 1
+  else begin
+    let t = r.wide and sx = c.cs.sx in
+    let any = ref 0 in
+    for k = 0 to r.nw - 1 do
+      t.(k) <- buf.(off + k);
+      any := !any lor t.(k)
+    done;
+    if !any = 0 then 0
+    else begin
+      let len = if r.wrap then (r.nx + sx - 1 + word_bits - 1) / word_bits else r.nw in
+      Array.fill t r.nw (len - r.nw) 0;
+      if r.wrap && sx > 1 then append_seam r t (sx - 1);
+      let w = ref 1 in
+      while 2 * !w <= sx do
+        shift_and t len !w;
+        w := 2 * !w
+      done;
+      if sx > !w then shift_and t len (sx - !w);
+      let last = c.cx_hi / word_bits in
+      let n = ref (popcount (t.(last) land ((1 lsl ((c.cx_hi mod word_bits) + 1)) - 1))) in
+      for k = 0 to last - 1 do
+        n := !n + popcount t.(k)
+      done;
+      !n
+    end
+  end
+
 (* Calls [f z y lo hi] for every interval of free-box bases of shape
    [c]: rows in (z, y) order, intervals x ascending within a row. *)
 let iter_free_runs r c ~f =
@@ -273,9 +350,10 @@ let level_scan r grid shapes =
 (* ------------------------------------------------------------------ *)
 (* Counted enumeration: answer capped candidate queries without ever
    materialising the full box list. A count pass erodes each shape's
-   masks once and credits every base row with its free-box count, read
-   off the row's runs; a select pass then walks only the rows holding
-   the selected ranks and emits those boxes directly.
+   masks once and credits every base row with its free-box count,
+   counted a word at a time ([count_row_bases]); a select pass then
+   walks only the rows holding the selected ranks and emits those boxes
+   directly.
 
    The load-bearing invariant is that both passes enumerate in exactly
    the order of [Cache.find]'s sorted list: [Box.compare] orders by
@@ -294,18 +372,33 @@ type count_plan = {
   p_skips : int;  (* shapes the summary ruled out *)
 }
 
+(* The count pass visits shapes grouped by depth, so the z-erosion is
+   built once per distinct sz; the per-row counts are sums, so visit
+   order cannot change them. [p_shapes] keeps [Shape.compare] order
+   for the select pass. *)
 let count_plan r grid ~volume =
   let shapes, skips = possible_shapes grid ~volume in
   let shapes = Array.of_list shapes in
+  let by_depth = Array.copy shapes in
+  Array.stable_sort (fun a b -> Int.compare a.cs.sz b.cs.sz) by_depth;
   Array.fill r.counts 0 (Array.length r.counts) 0;
-  let total = ref 0 in
+  let total = ref 0 and depth = ref 0 and ez = ref r.free in
   Array.iter
     (fun c ->
-      iter_free_runs r c ~f:(fun z y lo hi ->
+      if c.cs.sz <> !depth then begin
+        ez := erode_z r c;
+        depth := c.cs.sz
+      end;
+      let buf = erode_y r c !ez in
+      for z = 0 to c.cz_hi do
+        for y = 0 to c.cy_hi do
           let row = (z * r.ny) + y in
-          r.counts.(row) <- r.counts.(row) + hi - lo + 1;
-          total := !total + hi - lo + 1))
-    shapes;
+          let n = count_row_bases r buf (row * r.nw) c in
+          r.counts.(row) <- r.counts.(row) + n;
+          total := !total + n
+        done
+      done)
+    by_depth;
   { p_shapes = shapes; p_total = !total; p_skips = skips }
 
 (* Shape [c]'s base bits in row (z, y) alone, written to [dst] from

@@ -8,7 +8,8 @@
     {b Production.} Every query the simulator makes goes through
     {!Cache}: one memoised implementation per query over per-row free
     bitmasks, eroded word by word along z and y so that each row's runs
-    of set bits count or list every x base at once. At machine volumes
+    of set bits list every x base at once; counting erodes each row
+    once more along x, a word at a time, and popcounts it. At machine volumes
     of 512 and above ({!summary_gated}) shapes are first filtered
     through the grid's {!Bgl_torus.Summary}, so infeasible shapes never
     pay for an erosion, and capped candidate queries run as a
@@ -76,9 +77,10 @@ module Cache : sig
   (** The engine's capped candidate query: the whole {!find} list when
       its length [n] ≤ [cap], else the [cap] boxes at sorted ranks
       [i*n/cap]. Byte-identical to capping {!find}, but computed by a
-      count pass (exact free-box counts per base row, read off the
-      eroded masks' runs) and a select pass that walks only the rows
-      holding those ranks. Memoised per (volume, cap).
+      count pass (exact free-box counts per base row: each eroded row
+      is eroded along x a word at a time and popcounted, and shapes of
+      one depth share one z-erosion) and a select pass that walks only
+      the rows holding those ranks. Memoised per (volume, cap).
       [cap] must be ≥ 1. Counted queries are observable as
       [bgl_finder_counted_queries_total] /
       [bgl_finder_counted_skips_total] and the [finder.count.scan] /

@@ -922,6 +922,57 @@ let prop_kernel_matches_prefix =
       && List.for_all level_agrees
            (List.filteri (fun i (l : Finder.Cache.mfp_level) -> i < 4 || l.volume = carved) levels))
 
+(* The count pass's word-parallel x-erosion on rows of two and three
+   words: every window width around a word boundary (sx in 1, 31, 32,
+   33, 63, 64, 65) on x extents 64, 65 and 96, wrapped and not. The
+   erosion shifts by up to 64 bits, so shifts of a whole word and more
+   are exercised. A free run [nx - 20, nx) + [0, 41) crosses the seam
+   and the word boundaries at 32 and (for 65 and 96) beyond, and the
+   background occupancy keeps other rows partial. Volumes 4 * sx hold
+   shapes of depths 1, 2 and 4, so the z-erosion the count pass
+   shares per depth is rebuilt between them. *)
+let test_count_pass_wide_rows () =
+  List.iter
+    (fun (nx, wrap, busy) ->
+      let d = Dims.make nx 2 4 in
+      let g = Grid.create ~wrap d in
+      let rng = Bgl_stats.Rng.create ~seed:nx in
+      let in_run x = x >= nx - 20 || x <= 40 in
+      for node = 0 to Dims.volume d - 1 do
+        if (not (in_run (node mod nx))) && Bgl_stats.Rng.unit_float rng < busy then
+          Grid.occupy_node g node ~owner:1
+      done;
+      let scan = prefix_scan g in
+      let cache = Finder.Cache.create g in
+      List.iter
+        (fun volume ->
+          let acc = ref [] in
+          scan (Array.of_list (Shapes.shapes_of_volume d volume)) ~f:(fun _ b -> acc := b :: !acc);
+          let reference = List.sort Box.compare !acc in
+          let label what =
+            Printf.sprintf "%s: %dx2x4 wrap=%b busy=%.2f volume=%d" what nx wrap busy volume
+          in
+          let found = Finder.Cache.find cache ~volume in
+          Alcotest.check boxes (label "find") reference found;
+          check_int (label "count = length of find") (List.length found)
+            (List.length (Finder.Cache.select cache ~volume ~cap:max_int));
+          Alcotest.check boxes (label "uncapped select") reference
+            (Finder.Cache.select cache ~volume ~cap:max_int);
+          List.iter
+            (fun cap ->
+              Alcotest.check boxes (label (Printf.sprintf "select cap %d" cap))
+                (cap_oracle cap reference)
+                (Finder.Cache.select cache ~volume ~cap))
+            [ 1; 7; 24 ])
+        (List.concat_map
+           (fun sx -> if sx <= nx then [ sx; 4 * sx ] else [])
+           [ 1; 31; 32; 33; 63; 64; 65 ]))
+    (List.concat_map
+       (fun nx ->
+         List.concat_map (fun wrap -> List.map (fun busy -> (nx, wrap, busy)) [ 0.02; 0.15; 0.5 ])
+           [ true; false ])
+       [ 64; 65; 96 ])
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -972,6 +1023,7 @@ let () =
           tc "counted enumeration edges" test_counted_edges;
           tc "counted agrees above the gate" test_counted_agrees_at_scale;
           tc "clipped seam strip is found" test_clipped_seam_strip;
+          tc "count pass on multi-word rows" test_count_pass_wide_rows;
         ] );
       ( "cache",
         [
