@@ -4,7 +4,9 @@
    The workload is either a synthetic log drawn from a built-in profile
    (--profile nasa|sdsc|llnl) or a real SWF file (--swf). Failures are
    either synthetic (--failures, on the paper's count scale) or a
-   failure-log file (--failure-log). *)
+   failure-log file (--failure-log). Every mode runs through
+   [Scenario.run], which draws whatever the files do not supply from
+   --seed. *)
 
 open Cmdliner
 
@@ -77,10 +79,7 @@ let progress =
   Arg.(value & opt (some int) None & info [ "progress" ] ~docv:"N"
          ~doc:"Print a heartbeat line to stderr every N simulation events.")
 
-let audit =
-  Arg.(value & flag & info [ "audit" ]
-         ~doc:"After the run, re-read the --trace-out file and machine-check the schedule \
-               (bgl-audit's checkers); report violations to stderr and exit 1 on any.")
+let audit = Bgl_core.Cli_flags.audit
 
 let quiet = Bgl_core.Cli_flags.quiet
 
@@ -91,125 +90,64 @@ let fail =
 
 let dims = Bgl_core.Cli_flags.dims
 
-let differential =
-  Arg.(value & opt ~vopt:(Some 1) (some int) None & info [ "differential-check" ] ~docv:"N"
-         ~doc:"Cross-check accelerated partition-finder queries against the reference finder \
-               during the run; abort with a divergence report on any disagreement. Bare flag \
-               checks every query (orders of magnitude slower — debug/CI at small sizes); \
-               with a value, only every Nth query is checked, the affordable mode at full \
-               machine scale.")
+let differential = Bgl_core.Cli_flags.differential
 
-let run profile swf failure_log n_jobs load failures algo seed dims no_backfill migration repair
-    checkpoint per_job timeline metrics_out trace_out progress quiet fail differential audit =
+(* The scenario both commands run, built inside the command's
+   [Error.run] so a bad --dims exits 2. *)
+let scenario =
+  let make profile n_jobs load failures algo seed dims no_backfill migration repair checkpoint () =
+    let config =
+      {
+        Bgl_sim.Config.default with
+        dims = Bgl_core.Cli_flags.parse_dims ~default:Bgl_sim.Config.default.dims dims;
+        backfill = not no_backfill;
+        migration;
+        migration_overhead = (if migration then 60. else 0.);
+        repair_time = repair;
+        checkpoint =
+          Option.map (fun interval -> Bgl_sim.Checkpoint.Periodic { interval; overhead = 60. })
+            checkpoint;
+      }
+    in
+    Bgl_core.Scenario.make ~n_jobs ~load ?failures_paper:failures ~seed ~config ~profile algo
+  in
+  Term.(
+    const make $ profile $ n_jobs $ load $ failures $ algo $ seed $ dims $ no_backfill $ migration
+    $ repair $ checkpoint)
+
+let load_swf path =
+  match Bgl_trace.Swf.load path with
+  | Ok (log, report) ->
+      if report.skipped > 0 || report.malformed <> [] then
+        Bgl_core.Cli_flags.notef "note: %d jobs skipped, %d malformed lines@." report.skipped
+          (List.length report.malformed);
+      Ok log
+  | Error detail -> Error (Bgl_resilience.Error.Parse { name = path; detail })
+
+let load_failure_log path =
+  Result.map_error
+    (fun detail -> Bgl_resilience.Error.Parse { name = path; detail })
+    (Bgl_trace.Failure_log.load path)
+
+let load_opt load = function
+  | None -> Ok None
+  | Some path -> Result.map Option.some (load path)
+
+let run scenario swf failure_log per_job timeline metrics_out trace_out progress quiet fail
+    differential audit =
   Bgl_resilience.Error.run ~prog:"bgl-sim" @@ fun () ->
   Bgl_core.Cli_flags.set_quiet quiet;
   let ( let* ) = Result.bind in
   let* () = Bgl_core.Cli_flags.arm_failpoints fail in
-  let* () =
-    if audit && trace_out = None then
-      Bgl_resilience.Error.usagef "--audit needs --trace-out (it re-reads the trace file)"
-    else Ok ()
-  in
-  let* () =
-    match differential with
-    | None -> Ok (Bgl_partition.Finder.set_differential false)
-    | Some n when n >= 1 -> Ok (Bgl_partition.Finder.set_differential ~sample:n true)
-    | Some n -> Bgl_resilience.Error.usagef "--differential-check %d: sample must be >= 1" n
-  in
+  let* () = Bgl_core.Cli_flags.check_audit ~audit ~trace_out in
+  let* () = Bgl_core.Cli_flags.set_differential differential in
+  let scenario = scenario () in
   let obs = Bgl_core.Obs_cli.setup ?metrics_out ?trace_out ?progress () in
   let recorder = if timeline then Some (Bgl_sim.Recorder.create ()) else None in
-  let config =
-    {
-      Bgl_sim.Config.default with
-      dims = Bgl_core.Cli_flags.parse_dims ~default:Bgl_sim.Config.default.dims dims;
-      backfill = not no_backfill;
-      migration;
-      migration_overhead = (if migration then 60. else 0.);
-      repair_time = repair;
-      checkpoint =
-        Option.map (fun interval -> Bgl_sim.Checkpoint.Periodic { interval; overhead = 60. })
-          checkpoint;
-    }
-  in
-  let scenario =
-    Bgl_core.Scenario.make ~n_jobs ~load ?failures_paper:failures ~seed ~config ~profile algo
-  in
   let outcome =
-    match (swf, failure_log) with
-    | None, None when recorder = None -> Ok (Bgl_core.Scenario.run scenario)
-    | _ -> (
-        (* File-driven run: bypass the synthetic generators. *)
-        let log_result =
-          match swf with
-          | None ->
-              Ok
-                (Bgl_trace.Job_log.scale_runtime ~c:load
-                   (Bgl_workload.Synthetic.generate
-                      { profile; n_jobs; max_nodes = Bgl_torus.Dims.volume config.dims; seed }))
-          | Some path -> (
-              match Bgl_trace.Swf.load path with
-              | Ok (log, report) ->
-                  if report.skipped > 0 || report.malformed <> [] then
-                    Bgl_core.Cli_flags.notef "note: %d jobs skipped, %d malformed lines@."
-                      report.skipped
-                      (List.length report.malformed);
-                  Ok (Bgl_trace.Job_log.scale_runtime ~c:load log)
-              | Error msg -> Error (Bgl_resilience.Error.Parse { name = path; detail = msg }))
-        in
-        match log_result with
-        | Error e -> Error e
-        | Ok log -> (
-            let failures_result =
-              match failure_log with
-              | Some path ->
-                  Result.map_error
-                    (fun msg -> Bgl_resilience.Error.Parse { name = path; detail = msg })
-                    (Bgl_trace.Failure_log.load path)
-              | None ->
-                  let n_events = Bgl_core.Scenario.injected_failures scenario in
-                  if n_events = 0 then Ok (Bgl_trace.Failure_log.make ~name:"no-failures" [])
-                  else
-                    Ok
-                      (Bgl_failure.Generator.generate
-                         (Bgl_failure.Generator.default
-                            ~span:(Bgl_trace.Job_log.span log *. 1.5)
-                            ~volume:(Bgl_torus.Dims.volume config.dims)
-                            ~n_events ~seed:(seed lxor 0x5DEECE)))
-            in
-            match failures_result with
-            | Error e -> Error e
-            | Ok failure_trace ->
-                let index = Bgl_predict.Failure_index.of_log failure_trace in
-                let predictor_seed = seed lxor 0x2545F in
-                let policy =
-                  match algo with
-                  | Bgl_core.Scenario.First_fit -> Bgl_sched.Placement.first_fit
-                  | Bgl_core.Scenario.Random_fit -> Bgl_sched.Placement.random ~seed:predictor_seed
-                  | Bgl_core.Scenario.Fault_oblivious -> Bgl_sched.Placement.mfp
-                  | Bgl_core.Scenario.Safest ->
-                      Bgl_sched.Placement.safest
-                        ~predictor:(Bgl_predict.Predictor.oracle index) ()
-                  | Bgl_core.Scenario.Balancing { confidence } ->
-                      Bgl_sched.Placement.balancing
-                        ~predictor:(Bgl_predict.Predictor.balancing ~confidence index)
-                        ()
-                  | Bgl_core.Scenario.Balancing_history { half_life; threshold } ->
-                      Bgl_sched.Placement.balancing
-                        ~predictor:(Bgl_predict.History.ewma ~half_life ~threshold index)
-                        ()
-                  | Bgl_core.Scenario.Tie_breaking { accuracy } ->
-                      Bgl_sched.Placement.tie_breaking
-                        ~predictor:
-                          (Bgl_predict.Predictor.tie_breaking ~accuracy ~seed:predictor_seed index)
-                        ()
-                  | Bgl_core.Scenario.Tie_breaking_history { half_life; threshold } ->
-                      Bgl_sched.Placement.tie_breaking
-                        ~predictor:(Bgl_predict.History.ewma ~half_life ~threshold index)
-                        ()
-                in
-                Ok
-                  (Bgl_sim.Engine.run ~config ?recorder ~policy ~log ~failures:failure_trace ~seed
-                     ())))
+    let* log = load_opt load_swf swf in
+    let* failures = load_opt load_failure_log failure_log in
+    Ok (Bgl_core.Scenario.run ?recorder ?log ?failures scenario)
   in
   match outcome with
   | Error e ->
@@ -226,7 +164,8 @@ let run profile swf failure_log n_jobs load failures algo seed dims no_backfill 
         (fun r ->
           let segments = Bgl_core.Timeline.segments r in
           Format.printf "timeline (|%s|)@."
-            (Bgl_core.Timeline.render segments ~volume:(Bgl_torus.Dims.volume config.dims)
+            (Bgl_core.Timeline.render segments
+               ~volume:(Bgl_torus.Dims.volume scenario.config.dims)
                ~width:72))
         recorder;
       if per_job then
@@ -239,31 +178,16 @@ let run profile swf failure_log n_jobs load failures algo seed dims no_backfill 
           outcome.jobs;
       (* Self-check: the channel is closed and flushed by Obs_cli.finish
          above, so the trace on disk is complete. *)
-      match (audit, trace_out) with
-      | true, Some path ->
-          let* cert = Bgl_audit.Driver.audit_files [ path ] in
-          Format.eprintf "%a@?" Bgl_audit.Driver.pp cert;
-          Ok (if Bgl_audit.Driver.pass cert then 0 else 1)
-      | _ -> Ok 0
+      Bgl_core.Cli_flags.audit_trace ~audit ~trace_out
 
 (* ------------------------------------------------------------------ *)
 (* bench: one full simulation with span timing on, then the profile *)
 
-let bench profile n_jobs load failures algo seed dims no_backfill migration metrics_out =
+let bench scenario metrics_out =
   Bgl_resilience.Error.run ~prog:"bgl-sim" @@ fun () ->
+  let scenario = scenario () in
   let obs = Bgl_core.Obs_cli.setup ?metrics_out () in
   Bgl_obs.Span.set_enabled true;
-  let config =
-    {
-      Bgl_sim.Config.default with
-      dims = Bgl_core.Cli_flags.parse_dims ~default:Bgl_sim.Config.default.dims dims;
-      backfill = not no_backfill;
-      migration;
-    }
-  in
-  let scenario =
-    Bgl_core.Scenario.make ~n_jobs ~load ?failures_paper:failures ~seed ~config ~profile algo
-  in
   let t0 = Bgl_obs.Clock.now () in
   let outcome = Bgl_core.Scenario.run scenario in
   let wall = Bgl_obs.Clock.now () -. t0 in
@@ -277,17 +201,12 @@ let bench profile n_jobs load failures algo seed dims no_backfill migration metr
 
 let run_term =
   Term.(
-    const run $ profile $ swf $ failure_log $ n_jobs $ load $ failures $ algo $ seed $ dims
-    $ no_backfill $ migration $ repair $ checkpoint $ per_job $ timeline $ metrics_out
-    $ trace_out $ progress $ quiet $ fail $ differential $ audit)
+    const run $ scenario $ swf $ failure_log $ per_job $ timeline $ metrics_out $ trace_out
+    $ progress $ quiet $ fail $ differential $ audit)
 
 let bench_cmd =
   let doc = "profile one simulation: run with span timers on, print the timing table" in
-  Cmd.v
-    (Cmd.info "bench" ~doc)
-    Term.(
-      const bench $ profile $ n_jobs $ load $ failures $ algo $ seed $ dims $ no_backfill
-      $ migration $ metrics_out)
+  Cmd.v (Cmd.info "bench" ~doc) Term.(const bench $ scenario $ metrics_out)
 
 let cmd =
   let doc = "run one fault-aware BG/L scheduling simulation" in

@@ -48,10 +48,7 @@ let trace_out =
                run_meta header and a run_summary trailer, and every line is tagged with its \
                run id so parallel sweeps demultiplex.")
 
-let audit =
-  Arg.(value & flag & info [ "audit" ]
-         ~doc:"After the sweep, re-read the --trace-out file and machine-check every run \
-               section (bgl-audit's checkers); report violations to stderr and exit 1 on any.")
+let audit = Bgl_core.Cli_flags.audit
 
 let progress =
   Arg.(value & opt (some int) None & info [ "progress" ] ~docv:"N"
@@ -90,13 +87,7 @@ let cell_deadline =
 
 let dims = Bgl_core.Cli_flags.dims
 
-let differential =
-  Arg.(value & opt ~vopt:(Some 1) (some int) None & info [ "differential-check" ] ~docv:"N"
-         ~doc:"Cross-check accelerated partition-finder queries against the reference finder \
-               in every sweep cell (all domains); abort with a divergence report on any \
-               disagreement. Bare flag checks every query (orders of magnitude slower — \
-               debug/CI at small sizes); with a value, only every Nth query is checked, the \
-               affordable mode at full machine scale.")
+let differential = Bgl_core.Cli_flags.differential
 
 let ( let* ) = Result.bind
 
@@ -104,17 +95,8 @@ let run ids full n_jobs jobs seeds dims out chart metrics_out trace_out progress
     fail retries cell_fuel cell_deadline differential audit =
   Bgl_resilience.Error.run ~prog:"bgl-sweep" @@ fun () ->
   let open Bgl_resilience in
-  let* () =
-    match differential with
-    | None -> Ok (Bgl_partition.Finder.set_differential false)
-    | Some n when n >= 1 -> Ok (Bgl_partition.Finder.set_differential ~sample:n true)
-    | Some n -> Error.usagef "--differential-check %d: sample must be >= 1" n
-  in
-  let* () =
-    if audit && trace_out = None then
-      Error.usagef "--audit needs --trace-out (it re-reads the trace file)"
-    else Ok ()
-  in
+  let* () = Bgl_core.Cli_flags.set_differential differential in
+  let* () = Bgl_core.Cli_flags.check_audit ~audit ~trace_out in
   (* -- validation: every bad flag is a structured Usage error (exit 2) -- *)
   let* domains =
     if jobs < 0 then Error.usagef "--jobs must be >= 0, got %d" jobs
@@ -234,14 +216,7 @@ let run ids full n_jobs jobs seeds dims out chart metrics_out trace_out progress
     Format.eprintf "bgl-sweep: %a@." Supervise.pp_degradation outcome.degradation;
   (* Self-check after Obs_cli.finish closed the trace channel; a
      degradation error still takes precedence over the audit verdict. *)
-  let* audit_exit =
-    match (audit, trace_out) with
-    | true, Some path ->
-        let* cert = Bgl_audit.Driver.audit_files [ path ] in
-        Format.eprintf "%a@?" Bgl_audit.Driver.pp cert;
-        Ok (if Bgl_audit.Driver.pass cert then 0 else 1)
-    | _ -> Ok 0
-  in
+  let* audit_exit = Bgl_core.Cli_flags.audit_trace ~audit ~trace_out in
   match Bgl_core.Sweep.degraded_error outcome with
   | Some e -> Result.error e
   | None -> Ok audit_exit

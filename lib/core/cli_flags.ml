@@ -34,6 +34,45 @@ let dims =
               the default) or 64x32x32 (the full BG/L node torus). Comma separators also \
               accepted.")
 
+let differential =
+  Cmdliner.Arg.(
+    value
+    & opt ~vopt:(Some 1) (some int) None
+    & info [ "differential-check" ] ~docv:"N"
+        ~doc:"Cross-check accelerated partition-finder queries against the reference finder \
+              in every run (on every domain of a sweep); abort with a divergence report on \
+              any disagreement. Bare flag checks every query (orders of magnitude slower — \
+              debug/CI at small sizes); with a value, only every Nth query is checked, the \
+              affordable mode at full machine scale.")
+
+let set_differential = function
+  | None -> Ok (Bgl_partition.Finder.set_differential false)
+  | Some n when n >= 1 -> Ok (Bgl_partition.Finder.set_differential ~sample:n true)
+  | Some n -> Bgl_resilience.Error.usagef "--differential-check %d: sample must be >= 1" n
+
+let audit =
+  Cmdliner.Arg.(
+    value
+    & flag
+    & info [ "audit" ]
+        ~doc:"After the run, re-read the --trace-out file and machine-check every run section \
+              (bgl-audit's checkers); report violations to stderr and exit 1 on any.")
+
+let check_audit ~audit ~trace_out =
+  if audit && trace_out = None then
+    Bgl_resilience.Error.usagef "--audit needs --trace-out (it re-reads the trace file)"
+  else Ok ()
+
+let audit_trace ~audit ~trace_out =
+  match (audit, trace_out) with
+  | true, Some path ->
+      Result.map
+        (fun cert ->
+          Format.eprintf "%a@?" Bgl_audit.Driver.pp cert;
+          if Bgl_audit.Driver.pass cert then 0 else 1)
+        (Bgl_audit.Driver.audit_files [ path ])
+  | _ -> Ok 0
+
 let quiet_state = Atomic.make false
 let set_quiet b = Atomic.set quiet_state b
 let quiet_enabled () = Atomic.get quiet_state

@@ -1,6 +1,7 @@
 (** Flag plumbing shared by every CLI (bgl-sim, bgl-sweep, bgl-trace,
-    bgl-lint), so [--quiet] and [--format] mean one thing everywhere
-    instead of being re-declared per tool.
+    bgl-lint), so [--quiet], [--format], [--dims], [--differential-check]
+    and [--audit] mean one thing everywhere instead of being re-declared
+    per tool.
 
     Error paths raise {!Bgl_resilience.Error.Cli} rather than printing
     and exiting here: the tools all evaluate inside
@@ -26,6 +27,28 @@ val parse_dims : default:Bgl_torus.Dims.t -> string option -> Bgl_torus.Dims.t
 (** Parse a [--dims] value ([4x4x8] or [64,32,32] style); [None]
     yields [default]. Malformed input raises [Error.Cli (Usage _)]
     (exit 2). *)
+
+val differential : int option Cmdliner.Term.t
+(** [--differential-check[=N]]: [Some 1] bare, [Some n] with a value,
+    [None] absent. Validated by {!set_differential}. *)
+
+val set_differential : int option -> (unit, Bgl_resilience.Error.t) result
+(** Install the flag's value through {!Bgl_partition.Finder.set_differential};
+    a sample below 1 is a [Usage] error (exit 2). *)
+
+val audit : bool Cmdliner.Term.t
+(** [--audit]: certify the [--trace-out] file after the run. *)
+
+val check_audit :
+  audit:bool -> trace_out:string option -> (unit, Bgl_resilience.Error.t) result
+(** Before the run: [--audit] without [--trace-out] is a [Usage] error
+    (exit 2). *)
+
+val audit_trace :
+  audit:bool -> trace_out:string option -> (int, Bgl_resilience.Error.t) result
+(** After the run, once the trace channel is closed: under [--audit],
+    audit the trace file, print the certificate to stderr and return
+    exit code 1 on any violation, else 0. Without [--audit], [Ok 0]. *)
 
 val set_quiet : bool -> unit
 (** Install the flag's value process-wide so library-level note paths

@@ -131,57 +131,65 @@ let synthetic_failures ~log t =
     Bgl_failure.Generator.generate
       (t.failure_spec_of ~span ~volume ~n_events ~seed:(subseed t "failures"))
 
+(* The scenario's placement policy, and the predictor it consults —
+   also handed to the engine, whose adaptive checkpointing asks it
+   whether a placement is doomed. *)
 let placement t ~index =
   let predictor_seed = subseed t "predictor" in
-  let policy =
-    match t.algo with
-    | First_fit -> Bgl_sched.Placement.first_fit
-    | Random_fit -> Bgl_sched.Placement.random ~seed:predictor_seed
-    | Fault_oblivious -> Bgl_sched.Placement.mfp
-    | Safest ->
-        Bgl_sched.Placement.safest ~predictor:(Bgl_predict.Predictor.oracle index) ()
-    | Balancing_history { half_life; threshold } ->
-        Bgl_sched.Placement.balancing ~combine:t.combine
-          ~predictor:(Bgl_predict.History.ewma ~half_life ~threshold index)
-          ()
-    | Tie_breaking_history { half_life; threshold } ->
-        Bgl_sched.Placement.tie_breaking
-          ~predictor:(Bgl_predict.History.ewma ~half_life ~threshold index)
-          ()
-    | Balancing { confidence } ->
-        Bgl_sched.Placement.balancing ~combine:t.combine
-          ~predictor:(Bgl_predict.Predictor.balancing ~confidence index)
-          ()
-    | Tie_breaking { accuracy } ->
-        let predictor =
-          if t.false_positive > 0. then
-            Bgl_predict.Predictor.noisy ~accuracy ~false_positive:t.false_positive
-              ~seed:predictor_seed index
-          else Bgl_predict.Predictor.tie_breaking ~accuracy ~seed:predictor_seed index
-        in
-        Bgl_sched.Placement.tie_breaking ~predictor ()
-  in
-  policy
+  let no_predictor policy = (policy, Bgl_predict.Predictor.null) in
+  match t.algo with
+  | First_fit -> no_predictor Bgl_sched.Placement.first_fit
+  | Random_fit -> no_predictor (Bgl_sched.Placement.random ~seed:predictor_seed)
+  | Fault_oblivious -> no_predictor Bgl_sched.Placement.mfp
+  | Safest ->
+      let predictor = Bgl_predict.Predictor.oracle index in
+      (Bgl_sched.Placement.safest ~predictor (), predictor)
+  | Balancing_history { half_life; threshold } ->
+      let predictor = Bgl_predict.History.ewma ~half_life ~threshold index in
+      (Bgl_sched.Placement.balancing ~combine:t.combine ~predictor (), predictor)
+  | Tie_breaking_history { half_life; threshold } ->
+      let predictor = Bgl_predict.History.ewma ~half_life ~threshold index in
+      (Bgl_sched.Placement.tie_breaking ~predictor (), predictor)
+  | Balancing { confidence } ->
+      let predictor = Bgl_predict.Predictor.balancing ~confidence index in
+      (Bgl_sched.Placement.balancing ~combine:t.combine ~predictor (), predictor)
+  | Tie_breaking { accuracy } ->
+      let predictor =
+        if t.false_positive > 0. then
+          Bgl_predict.Predictor.noisy ~accuracy ~false_positive:t.false_positive
+            ~seed:predictor_seed index
+        else Bgl_predict.Predictor.tie_breaking ~accuracy ~seed:predictor_seed index
+      in
+      (Bgl_sched.Placement.tie_breaking ~predictor (), predictor)
 
-let run_on ?(run_tag = "") ~log ~failures t =
-  let log = Bgl_trace.Job_log.scale_runtime log ~c:t.load in
-  let index = Bgl_predict.Failure_index.of_log failures in
-  let policy = placement t ~index in
+let workload t =
+  Bgl_workload.Synthetic.generate
+    {
+      profile = t.profile;
+      n_jobs = t.n_jobs;
+      max_nodes = Bgl_torus.Dims.volume t.config.dims;
+      seed = subseed t "workload";
+    }
+
+let run ?recorder ?(run_tag = "") ?log ?failures t =
+  let log =
+    Bgl_trace.Job_log.scale_runtime ~c:t.load
+      (match log with Some log -> log | None -> workload t)
+  in
+  let failures =
+    match failures with Some f -> f | None -> synthetic_failures ~log t
+  in
+  let policy, predictor =
+    placement t ~index:(Bgl_predict.Failure_index.of_log failures)
+  in
   (* The trace run id is the scenario-label digest — the same key the
      sweep journal files cells under, so trace sections and journal
      records cross-reference directly. Payload-driven runs extend the
      label with [run_tag] (the request fingerprint): the label alone
      does not capture inline log contents, and two requests differing
      only in payload must not share a run id. *)
-  Bgl_sim.Engine.run ~config:t.config ~policy ~log ~failures
+  Bgl_sim.Engine.run ~config:t.config ~predictor ?recorder ~policy ~log ~failures
     ~run_id:(Digest.to_hex (Digest.string (label t ^ run_tag)))
     ~seed:t.seed ()
 
-let run t =
-  let volume = Bgl_torus.Dims.volume t.config.dims in
-  let log =
-    Bgl_workload.Synthetic.generate
-      { profile = t.profile; n_jobs = t.n_jobs; max_nodes = volume; seed = subseed t "workload" }
-  in
-  let failures = synthetic_failures ~log:(Bgl_trace.Job_log.scale_runtime log ~c:t.load) t in
-  run_on ~log ~failures t
+let run_on ?run_tag ~log ~failures t = run ?run_tag ~log ~failures t

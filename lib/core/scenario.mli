@@ -79,14 +79,31 @@ val algo_of_string : string -> (algo, string) result
 
 val label : t -> string
 
-val run : t -> Bgl_sim.Engine.outcome
-(** Deterministic in the scenario value: every stochastic subsystem
-    (workload, failure trace, predictor) draws from its own stream
+val run :
+  ?recorder:Bgl_sim.Recorder.t ->
+  ?run_tag:string ->
+  ?log:Bgl_trace.Job_log.t ->
+  ?failures:Bgl_trace.Failure_log.t ->
+  t ->
+  Bgl_sim.Engine.outcome
+(** The one path from a scenario to {!Bgl_sim.Engine.run}. Every
+    stochastic input the caller does not supply — the workload [log],
+    the [failures] trace, the predictor — draws from its own stream
     split from [seed] under a subsystem label, so no state is shared
-    between runs — sweep cells may execute in any order, on any
-    domain, with identical results. Scenarios differing only in
-    [algo] see the same workload and failure trace (paired
-    comparisons). *)
+    between runs: sweep cells may execute in any order, on any domain,
+    with identical results, and scenarios differing only in [algo] see
+    the same workload and failure trace (paired comparisons).
+
+    An explicit [log] (an SWF replay or payload) has its runtimes
+    scaled by the load coefficient exactly as a synthetic one is;
+    without [failures], the synthetic trace covers the scaled log (see
+    {!synthetic_failures}). The predictor the policy consults is also
+    the engine's, so adaptive checkpointing sees it. [recorder]
+    receives every lifecycle transition and does not change the
+    outcome. The trace run id is the digest of {!label} followed by
+    [run_tag] (default [""]; e.g. a request fingerprint, which a
+    payload run needs because the label does not capture the
+    payload). *)
 
 val run_on :
   ?run_tag:string ->
@@ -94,13 +111,11 @@ val run_on :
   failures:Bgl_trace.Failure_log.t ->
   t ->
   Bgl_sim.Engine.outcome
-(** Run the scenario's algorithm/config on an explicit workload and
-    failure trace (an SWF payload, a replayed archive log) instead of
-    the synthetic generators. The log's runtimes are scaled by the
-    scenario's load coefficient first; the predictor draws from the
-    scenario's own stream as in {!run}. [run_tag] (e.g. a request
-    fingerprint) is folded into the trace run id, which otherwise
-    could not distinguish two payloads under one scenario label. *)
+(** [run ?run_tag ~log ~failures t]. *)
+
+val workload : t -> Bgl_trace.Job_log.t
+(** The synthetic log {!run} draws when given none, before load
+    scaling. *)
 
 val synthetic_failures : log:Bgl_trace.Job_log.t -> t -> Bgl_trace.Failure_log.t
 (** The failure trace {!run} would inject for this scenario over

@@ -149,22 +149,13 @@ let with_trace t ~fp f =
 (* --- request execution (executor thread only) -------------------- *)
 
 let exec_sim job policy (s : Protocol.sim) =
+  (* Only payload runs carry the fingerprint in their run id: the
+     scenario label already names everything a synthetic run uses. *)
   let run () =
-    match s.log with
-    | None -> (Bgl_core.Scenario.run s.scenario).Bgl_sim.Engine.report
-    | Some log ->
-        let failures =
-          match s.failures with
-          | Some f -> f
-          | None ->
-              Bgl_core.Scenario.synthetic_failures
-                ~log:
-                  (Bgl_trace.Job_log.scale_runtime log
-                     ~c:s.scenario.Bgl_core.Scenario.load)
-                s.scenario
-        in
-        (Bgl_core.Scenario.run_on ~run_tag:job.fp ~log ~failures s.scenario)
-          .Bgl_sim.Engine.report
+    (Bgl_core.Scenario.run
+       ?run_tag:(Option.map (fun _ -> job.fp) s.log)
+       ?log:s.log ?failures:s.failures s.scenario)
+      .Bgl_sim.Engine.report
   in
   match Supervise.run policy run with
   | Supervise.Completed { value = report; _ } ->

@@ -73,6 +73,62 @@ let test_zero_failures_means_no_kills () =
   check_int "no failures" 0 o.report.failures_injected;
   check_int "no kills" 0 o.report.job_kills
 
+(* [Scenario.run]'s optional inputs: supplying what it would draw
+   itself, or only observing the run, must not change the report. *)
+let small_scenario ?config algo =
+  Scenario.make ~n_jobs:150 ~failures_paper:2000 ~seed:4 ?config ~profile:Bgl_workload.Profile.sdsc
+    algo
+
+let test_run_recorder_observes_only () =
+  let sc = small_scenario (Scenario.Balancing { confidence = 0.5 }) in
+  let recorder = Bgl_sim.Recorder.create () in
+  let traced = (Scenario.run ~recorder sc).report in
+  check_bool "recorder filled" true (Bgl_sim.Recorder.length recorder > 0);
+  check_bool "same report" true (traced = (Scenario.run sc).report)
+
+let test_run_explicit_inputs_match_run_on () =
+  let sc = small_scenario (Scenario.Tie_breaking { accuracy = 0.7 }) in
+  let other = { sc with seed = 99 } in
+  let log = Scenario.workload other in
+  let failures =
+    Scenario.synthetic_failures ~log:(Bgl_trace.Job_log.scale_runtime log ~c:sc.load) other
+  in
+  check_bool "same report" true
+    ((Scenario.run ~log ~failures sc).report = (Scenario.run_on ~log ~failures sc).report)
+
+let test_run_own_failures_match_synthetic () =
+  let sc = small_scenario (Scenario.Balancing { confidence = 0.5 }) in
+  let failures =
+    Scenario.synthetic_failures
+      ~log:(Bgl_trace.Job_log.scale_runtime (Scenario.workload sc) ~c:sc.load)
+      sc
+  in
+  let synthetic = (Scenario.run sc).report in
+  check_bool "given failures" true ((Scenario.run ~failures sc).report = synthetic);
+  check_bool "given log" true ((Scenario.run ~log:(Scenario.workload sc) sc).report = synthetic)
+
+(* Adaptive checkpointing asks the engine's predictor whether a
+   placement is doomed. With a perfect tie-breaking predictor some
+   placements are, so the adaptive run must differ from periodic
+   checkpointing at the safe interval — it cannot if the engine only
+   ever sees the null predictor. *)
+let test_adaptive_checkpointing_sees_predictor () =
+  let run checkpoint =
+    let config = { Bgl_sim.Config.default with checkpoint = Some checkpoint } in
+    (Scenario.run
+       (Scenario.make ~n_jobs:600 ~seed:5 ~config ~profile:Bgl_workload.Profile.sdsc
+          (Scenario.Tie_breaking { accuracy = 1.0 })))
+      .report
+  in
+  let periodic = run (Bgl_sim.Checkpoint.Periodic { interval = 14_400.; overhead = 60. }) in
+  let adaptive =
+    run
+      (Bgl_sim.Checkpoint.Adaptive
+         { risky_interval = 1800.; safe_interval = 14_400.; overhead = 60. })
+  in
+  check_bool "risky placements checkpoint more often" true
+    (adaptive.checkpoints > periodic.checkpoints)
+
 (* ------------------------------------------------------------------ *)
 (* Series *)
 
@@ -413,6 +469,10 @@ let () =
           tc "deterministic" test_scenario_run_deterministic;
           tc "all algorithms run" test_scenario_runs_all_algos;
           tc "zero failures" test_zero_failures_means_no_kills;
+          tc "recorder observes only" test_run_recorder_observes_only;
+          tc "explicit inputs match run_on" test_run_explicit_inputs_match_run_on;
+          tc "own failures match synthetic" test_run_own_failures_match_synthetic;
+          tc "adaptive checkpointing sees predictor" test_adaptive_checkpointing_sees_predictor;
         ] );
       ( "series",
         [
