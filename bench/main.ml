@@ -144,7 +144,10 @@ let finder_incremental_tests () =
    the O(volume) cost of a summed-area scan. 90% occupancy makes a
    quarter-machine partition geometrically impossible, so the
    infeasible probe exercises the reject path the scheduler hits
-   whenever the queue holds jobs bigger than any surviving hole. *)
+   whenever the queue holds jobs bigger than any surviving hole.
+   A 15-event failure trace is the set-up cost a run pays per machine
+   size: the permutation and prefix sums are O(volume), each draw
+   O(log volume), and the Zipf table is built once per size. *)
 let torus_scale_tests () =
   let sizes =
     [
@@ -186,6 +189,12 @@ let torus_scale_tests () =
           Bechamel.Test.make
             ~name:(Printf.sprintf "grid-copy/%s" name)
             (Bechamel.Staged.stage (fun () -> ignore (Grid.copy grid)));
+          Bechamel.Test.make
+            ~name:(Printf.sprintf "failure-gen/%s" name)
+            (Bechamel.Staged.stage (fun () ->
+                 ignore
+                   (Bgl_failure.Generator.generate
+                      (Bgl_failure.Generator.default ~span:1e6 ~volume ~n_events:15 ~seed:11))));
         ])
       sizes
   in

@@ -15,10 +15,30 @@ let default ~span ~volume ~n_events ~seed =
 
 let validate spec =
   if spec.n_events < 0 then invalid_arg "Generator: negative n_events";
-  if spec.span <= 0. then invalid_arg "Generator: span must be positive";
+  if not (Float.is_finite spec.span && spec.span > 0.) then
+    invalid_arg "Generator: span must be positive and finite";
   if spec.volume <= 0 then invalid_arg "Generator: volume must be positive";
-  if spec.burst_mean_size < 1. then invalid_arg "Generator: burst_mean_size must be >= 1";
-  if spec.node_skew < 0. then invalid_arg "Generator: node_skew must be >= 0"
+  if not (Float.is_finite spec.burst_mean_size && spec.burst_mean_size >= 1.) then
+    invalid_arg "Generator: burst_mean_size must be finite and >= 1";
+  if not (Float.is_finite spec.burst_jitter && spec.burst_jitter >= 0.) then
+    invalid_arg "Generator: burst_jitter must be finite and >= 0";
+  if not (spec.node_skew >= 0.) then invalid_arg "Generator: node_skew must be >= 0"
+
+(* The last Zipf table built. It depends only on (volume, skew), and a
+   sweep draws many traces for one machine, so one entry is enough.
+   The table is published whole and never mutated afterwards: domains
+   that race to replace the cell each read a complete table. *)
+type zipf = { n : int; skew : float; table : float array }
+
+let last_zipf : zipf option Atomic.t = Atomic.make None
+
+let zipf_table ~n ~skew =
+  match Atomic.get last_zipf with
+  | Some z when z.n = n && Float.equal z.skew skew -> z.table
+  | Some _ | None ->
+      let table = Dist.zipf_weights ~n ~skew in
+      Atomic.set last_zipf (Some { n; skew; table });
+      table
 
 let generate spec =
   validate spec;
@@ -28,12 +48,13 @@ let generate spec =
   (* Per-node propensity: Zipf over a random permutation, so the flaky
      nodes are scattered across the torus rather than clustered at
      index 0. *)
-  let weights = Dist.zipf_weights ~n:spec.volume ~skew:spec.node_skew in
+  let weights = zipf_table ~n:spec.volume ~skew:spec.node_skew in
   let perm = Array.init spec.volume Fun.id in
   Rng.shuffle node_rng perm;
   let node_weights = Array.make spec.volume 0. in
   Array.iteri (fun rank node -> node_weights.(node) <- weights.(rank)) perm;
-  let draw_node () = Dist.categorical node_rng node_weights in
+  let sample = Dist.sampler_in_place node_weights in
+  let draw_node () = sample node_rng in
   (* Bursts until the event budget is spent; the last burst is trimmed,
      so the count is exact. *)
   let p_burst = 1. /. spec.burst_mean_size in

@@ -46,18 +46,36 @@ let zipf_weights ~n ~skew =
   let total = Array.fold_left ( +. ) 0. w in
   Array.map (fun x -> x /. total) w
 
-let categorical rng weights =
-  let total = Array.fold_left ( +. ) 0. weights in
-  if total <= 0. then invalid_arg "Dist.categorical: weights must include a positive entry";
-  let target = Rng.unit_float rng *. total in
-  let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.
+(* Prefix sums taken in index order are exactly the partial sums the
+   linear scan [acc += w.(i); if target < acc then i] accumulates, and
+   the last one is the scan's total bit for bit. With non-negative
+   weights they never decrease, so [target < cum.(i)] is monotone in
+   [i] and a binary search finds the scan's index. [cum] holds the
+   weights on entry and is overwritten. *)
+let prefix_sampler ~fn cum =
+  let n = Array.length cum in
+  let acc = ref 0. in
+  for i = 0 to n - 1 do
+    let w = cum.(i) in
+    if not (w >= 0.) then invalid_arg (fn ^ ": weights must be non-negative, not NaN");
+    acc := !acc +. w;
+    cum.(i) <- !acc
+  done;
+  let total = !acc in
+  if total <= 0. then invalid_arg (fn ^ ": weights must include a positive entry");
+  fun rng ->
+    let target = Rng.unit_float rng *. total in
+    (* The first i <= n-2 with target < cum.(i), else n-1. *)
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if target < cum.(mid) then hi := mid else lo := mid + 1
+    done;
+    !lo
+
+let sampler_in_place weights = prefix_sampler ~fn:"Dist.sampler" weights
+let sampler weights = sampler_in_place (Array.copy weights)
+let categorical rng weights = prefix_sampler ~fn:"Dist.categorical" (Array.copy weights) rng
 
 let discrete rng pairs =
   let idx = categorical rng (Array.map snd pairs) in

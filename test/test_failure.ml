@@ -91,19 +91,87 @@ let test_uniform_times_pass_ks () =
   let d log = Bgl_stats.Ks.statistic ~samples:(times log) ~cdf:(Bgl_stats.Ks.uniform_cdf ~lo:0. ~hi:1e6) in
   check_bool "bursty is no closer to uniform" true (d bursty >= d uniform -. 0.01)
 
+(* Each bad field must be caught by [validate] itself, not downstream
+   (a negative jitter used to surface as a Failure_log error). *)
 let test_validation () =
   let invalid s msg =
     check_bool msg true
       (try
          ignore (Generator.generate s);
          false
-       with Invalid_argument _ -> true)
+       with Invalid_argument m -> String.starts_with ~prefix:"Generator: " m)
   in
   invalid { (spec ()) with span = 0. } "zero span";
   invalid { (spec ()) with volume = 0 } "zero volume";
   invalid { (spec ()) with n_events = -1 } "negative events";
   invalid { (spec ()) with burst_mean_size = 0.5 } "burst < 1";
-  invalid { (spec ()) with node_skew = -1. } "negative skew"
+  invalid { (spec ()) with node_skew = -1. } "negative skew";
+  invalid { (spec ()) with span = Float.nan } "NaN span";
+  invalid { (spec ()) with span = Float.infinity } "infinite span";
+  invalid { (spec ()) with burst_jitter = Float.nan } "NaN jitter";
+  invalid { (spec ()) with burst_jitter = -1. } "negative jitter";
+  invalid { (spec ()) with burst_jitter = Float.infinity } "infinite jitter";
+  invalid { (spec ()) with node_skew = Float.nan } "NaN skew";
+  invalid { (spec ()) with burst_mean_size = Float.nan } "NaN burst size";
+  invalid { (spec ()) with burst_mean_size = Float.infinity } "infinite burst size"
+
+(* Traces pinned by MD5, recorded on the linear-scan node sampler:
+   any change to the index rule, the Zipf table or the stream split
+   shows here. One digest per (volume, skew) covers seeds 1-3. *)
+let digest logs =
+  Digest.to_hex (Digest.string (String.concat "" (List.map Bgl_trace.Failure_log.to_string logs)))
+
+let golden_traces =
+  [
+    (1, 0., "56fa58130ec6d3934a6bbe4b96aed342");
+    (1, 1.4, "56fa58130ec6d3934a6bbe4b96aed342");
+    (1, 12., "56fa58130ec6d3934a6bbe4b96aed342");
+    (7, 0., "2737da5a6dda52992b0a080d4e039a5c");
+    (7, 1.4, "5e887d59e6127659f47047ee52b4b3a9");
+    (7, 12., "80e1b36ff62ceae5482612288954c1c8");
+    (128, 0., "ba831230ee786021faca93abadfe7c78");
+    (128, 1.4, "e86bde44f81b3cde2622f1dc3d42cd02");
+    (128, 12., "f218c7ba2890c804c37bc2e8f179230d");
+    (4096, 0., "8080a90c714155f6ace3753ec29314c8");
+    (4096, 1.4, "2e4aa574ccc32e1f8de3900384dd47a9");
+    (4096, 12., "344632b9e5fb5928efea83f78bdfe459");
+    (65536, 0., "c7196f74886f2c50cdba28dc236a2b9b");
+    (65536, 1.4, "af7c1941e82e53ac91607ba701706733");
+    (65536, 12., "9ae64333af0059dcce2f5d860ef4ed39");
+  ]
+
+let test_golden_digests () =
+  List.iter
+    (fun (volume, node_skew, expected) ->
+      let logs =
+        List.map
+          (fun seed -> Generator.generate { (spec ~n_events:250 ~volume ~seed ()) with node_skew })
+          [ 1; 2; 3 ]
+      in
+      Alcotest.(check string) (Printf.sprintf "volume %d skew %g" volume node_skew) expected (digest logs))
+    golden_traces;
+  Alcotest.(check string) "poisson_uniform" "a69518e05f71a3bd6a304d450fe41d78"
+    (digest [ Generator.poisson_uniform ~span:1e6 ~volume:65536 ~n_events:500 ~seed:4 ])
+
+(* The Zipf table cache is one cell shared by every domain.
+   Interleaving two volumes keeps replacing it while the other domain
+   reads; every trace must still equal its sequential twin. *)
+let test_cache_across_domains () =
+  let specs =
+    Array.init 24 (fun i -> spec ~n_events:40 ~volume:(if i mod 2 = 0 then 128 else 65536) ~seed:i ())
+  in
+  let sequential = Array.map Generator.generate specs in
+  let outcomes, _ =
+    Pool_helpers.with_pool ~domains:2 (fun pool ->
+        Bgl_parallel.Pool.map_supervised pool Generator.generate specs)
+  in
+  Array.iteri
+    (fun i outcome ->
+      match outcome with
+      | Bgl_resilience.Supervise.Completed { value; _ } ->
+          check_bool (Printf.sprintf "trace %d" i) true (value.Bgl_trace.Failure_log.events = sequential.(i).events)
+      | Bgl_resilience.Supervise.Quarantined _ -> Alcotest.failf "trace %d quarantined" i)
+    outcomes
 
 (* ------------------------------------------------------------------ *)
 
@@ -135,6 +203,8 @@ let () =
           tc "burstiness" test_burstiness;
           tc "uniform KS" test_uniform_times_pass_ks;
           tc "validation" test_validation;
+          tc "golden digests" test_golden_digests;
+          tc "cache across domains" test_cache_across_domains;
         ] );
       ("properties", props);
     ]

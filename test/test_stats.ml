@@ -244,6 +244,69 @@ let test_categorical_invalid () =
     (Invalid_argument "Dist.categorical: weights must include a positive entry") (fun () ->
       ignore (Dist.categorical r [| 0.; 0. |]))
 
+(* The linear scan Dist.categorical ran before prefix sums: the
+   reference every sampler draw must reproduce. *)
+let scan_draw rng weights =
+  let total = Array.fold_left ( +. ) 0. weights in
+  let target = Rng.unit_float rng *. total in
+  let n = Array.length weights in
+  let rec scan i acc =
+    if i = n - 1 then i
+    else
+      let acc = acc +. weights.(i) in
+      if target < acc then i else scan (i + 1) acc
+  in
+  scan 0 0.
+
+let sampler_matches_scan ~seed ~draws weights =
+  let sample = Dist.sampler weights in
+  let r = Rng.create ~seed in
+  let reference = Rng.copy r in
+  List.for_all (fun _ -> sample r = scan_draw reference weights) (List.init draws Fun.id)
+
+let test_sampler_edge_cases () =
+  List.iter
+    (fun weights ->
+      check_bool
+        (Printf.sprintf "sampler = scan on %d weights" (Array.length weights))
+        true
+        (sampler_matches_scan ~seed:115 ~draws:2000 weights))
+    [
+      [| 3. |];
+      [| 0.; 0.; 0.; 2. |];
+      [| 2.; 0.; 0.; 0. |];
+      [| 1.; 0.; 0.; 1.; 0.; 1. |];
+      [| 1.; 1.; 1.; 1.; 1. |];
+      [| 1e-300; 1e300; 1e-300; 0.; 1e300 |];
+      [| 1e300; 1e-300; 1e-300; 1e-300 |];
+      Dist.zipf_weights ~n:4096 ~skew:12.;
+    ]
+
+let test_sampler_in_place () =
+  let weights = [| 1.; 0.; 2.; 3. |] in
+  let kept = Array.copy weights in
+  let copying = Dist.sampler weights in
+  check_bool "sampler leaves its input alone" true (weights = kept);
+  let in_place = Dist.sampler_in_place weights in
+  check_bool "sampler_in_place leaves prefix sums" true (weights = [| 1.; 1.; 3.; 6. |]);
+  let a = Rng.create ~seed:116 and b = Rng.create ~seed:116 in
+  for _ = 1 to 1000 do
+    check_int "same draws" (copying a) (in_place b)
+  done
+
+let test_sampler_rejects_bad_weights () =
+  List.iter
+    (fun weights ->
+      Alcotest.check_raises "negative or NaN"
+        (Invalid_argument "Dist.sampler: weights must be non-negative, not NaN") (fun () ->
+          let (_ : Rng.t -> int) = Dist.sampler weights in
+          ()))
+    [ [| 1.; -1. |]; [| -0.5 |]; [| Float.nan; 1. |]; [| 1.; Float.nan |]; [| 1.; Float.neg_infinity |] ];
+  Alcotest.check_raises "no positive weight"
+    (Invalid_argument "Dist.sampler: weights must include a positive entry") (fun () ->
+      let (_ : Rng.t -> int) = Dist.sampler [| 0.; -0. |] in
+      ())
+
 let test_discrete () =
   let r = Rng.create ~seed:114 in
   for _ = 1 to 100 do
@@ -415,9 +478,33 @@ let prop_categorical_picks_positive =
       let i = Dist.categorical r weights in
       weights.(i) > 0.)
 
+(* Zero runs, ties, inexact sums and magnitudes from 1e-300 to 1e301,
+   so prefix sums stall, repeat, round and absorb small weights. *)
+let prop_sampler_matches_scan =
+  let weight =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, return 0.);
+          (2, return 1.);
+          (2, map float_of_int (int_range 1 4));
+          (2, float_range 0. 3.);
+          ( 3,
+            map2
+              (fun m k -> m *. (10. ** float_of_int k))
+              (float_range 1. 10.) (int_range (-300) 300) );
+        ])
+  in
+  QCheck.Test.make ~name:"sampler returns the linear scan's index" ~count:500
+    QCheck.(
+      make ~print:Print.(pair int (array float)) Gen.(pair small_nat (array_size (int_range 1 40) weight)))
+    (fun (seed, weights) ->
+      QCheck.assume (Array.exists (fun w -> w > 0.) weights);
+      sampler_matches_scan ~seed ~draws:64 weights)
+
 let props = List.map QCheck_alcotest.to_alcotest
     [ prop_int_in_bounds; prop_summary_min_le_max; prop_histogram_conserves;
-      prop_categorical_picks_positive ]
+      prop_categorical_picks_positive; prop_sampler_matches_scan ]
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -460,6 +547,9 @@ let () =
           tc "categorical distribution" test_categorical_distribution;
           tc "categorical skips zero" test_categorical_zero_weight_skipped;
           tc "categorical invalid" test_categorical_invalid;
+          tc "sampler edge cases" test_sampler_edge_cases;
+          tc "sampler in place" test_sampler_in_place;
+          tc "sampler rejects bad weights" test_sampler_rejects_bad_weights;
           tc "discrete" test_discrete;
         ] );
       ( "summary",
