@@ -200,11 +200,12 @@ let torus_scale_tests () =
   in
   Bechamel.Test.make_grouped ~name:"torus-scale" tests
 
-(* Counted enumeration vs the materialising path it replaced: capped
-   candidate queries on near-empty machines — the regime where the
-   free-box population is maximal and the old path had to materialise
-   all of it to subsample 24. Both rows run on a fresh cache, so each
-   pays one mask build and neither is a memo hit. *)
+(* The capped counted query vs capping the full list: candidate
+   queries on near-empty machines, the regime where the free-box
+   population is maximal. [materialise-cap-24] is the uncapped select
+   ([Cache.find]) followed by the cap, so it selects every box to keep
+   24. Both rows run on a fresh cache, so each pays one mask build and
+   neither is a memo hit. *)
 let finder_counted_tests () =
   let sizes =
     [ ("4x4x8", Dims.bgl); ("8x8x16", Dims.make 8 8 16); ("64x32x32", Dims.bgl_full) ]

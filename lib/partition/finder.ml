@@ -46,13 +46,15 @@ let sort_boxes = List.sort Box.compare
    x .. x+sx-1 are set in every row (z+k, y+j), k < sz, j < sy, all
    read cyclically under wraparound. ANDing those rows — eroding the
    masks along z, then along y, a word at a time — leaves one mask per
-   base row whose runs of set bits answer every x base of the row at
-   once; a count only needs how many, which one more erosion along x
-   gives a word at a time. The masks are rebuilt from the grid's
+   base row, and one more erosion along x ([row_bases]) leaves one bit
+   per x base of that row. Every query reads a row's bases from that
+   x-eroded mask: a count popcounts it, an enumeration takes its set
+   bits lowest first, an existence check looks for a non-zero word.
+   The masks are rebuilt from the grid's
    occupancy words whenever its version moves, at O(volume / 32), so
    there is no change log to keep in step and an unreported mutation
    cannot leave them stale. The erosion buffers are scratch owned by
-   one cache and reused by every query, so a query allocates no
+   one cache and grown on first use, so a warm query allocates no
    machine-sized array. *)
 
 let word_bits = 32
@@ -66,8 +68,7 @@ type rows = {
   nw : int;  (* words per row *)
   last_full : int;  (* the last word of a row whose every node is free *)
   free : int array;  (* word w of row r at (r * nw) + w *)
-  ez : int array;  (* scratch: [free] eroded along z *)
-  ezy : int array;  (* scratch: eroded along z, then along y *)
+  mutable eroded : int array array;  (* scratch: erosion buffers, grown on first use *)
   wide : int array;  (* scratch: one eroded row, extended past the seam *)
   counts : int array;  (* scratch: free boxes based in each row *)
   mutable version : int;  (* the Grid.version [free] reflects *)
@@ -85,8 +86,7 @@ let make_rows grid =
     nw;
     last_full = (1 lsl (d.nx - (word_bits * (nw - 1)))) - 1;
     free = Array.make n 0;
-    ez = Array.make n 0;
-    ezy = Array.make n 0;
+    eroded = [||];
     wide = Array.make (2 * nw) 0;
     counts = Array.make (d.ny * d.nz) 0;
     version = -1;
@@ -126,103 +126,58 @@ let rec and_window src i ~c ~n ~stride ~ext acc k =
     let c' = if c + k >= n then c + k - n else c + k in
     and_window src i ~c ~n ~stride ~ext (acc land src.(i + ((c' - c) * stride))) (k + 1)
 
-(* Shape [c]'s rows eroded along z: row (z, y), z <= cz_hi, holds the
-   AND of the sz rows from z on. Depends on sz alone, so shapes of one
-   depth share it. Rows z beyond cz_hi are left stale. *)
-let erode_z r c =
+(* Scratch buffer [!next], as large as [free]; advances [next]. *)
+let take r next =
+  if !next = Array.length r.eroded then
+    r.eroded <- Array.append r.eroded [| Array.make (Array.length r.free) 0 |];
+  incr next;
+  r.eroded.(!next - 1)
+
+(* Shape [c]'s rows eroded along z, in the next buffer unless sz = 1: row
+   (z, y), z <= cz_hi, holds the AND of the sz rows from z on. Depends
+   on sz alone, so shapes of one depth share it. Rows z beyond cz_hi
+   are left stale. *)
+let erode_z r c ~into =
   let s = c.cs in
   let plane = r.ny * r.nw in
   if s.sz = 1 then r.free
   else begin
+    let dst = take r into in
     for z = 0 to c.cz_hi do
       for i = z * plane to ((z + 1) * plane) - 1 do
-        r.ez.(i) <- and_window r.free i ~c:z ~n:r.nz ~stride:plane ~ext:s.sz r.free.(i) 1
+        dst.(i) <- and_window r.free i ~c:z ~n:r.nz ~stride:plane ~ext:s.sz r.free.(i) 1
       done
     done;
-    r.ez
+    dst
   end
 
-(* Shape [c]'s base-row masks from its z-eroded rows [src]: row (z, y),
-   z <= cz_hi and y <= cy_hi, holds the AND of every row a box based
-   in it spans. y-erosion reads every y of the rows it keeps. *)
-let erode_y r c src =
+(* Shape [c]'s base-row masks from its z-eroded rows [src], in the next
+   buffer unless sy = 1: row (z, y), z <= cz_hi and y <= cy_hi, holds
+   the AND of every row a box based in it spans. y-erosion reads every
+   y of the rows it keeps. *)
+let erode_y r c src ~into =
   let s = c.cs in
   let plane = r.ny * r.nw in
   if s.sy = 1 then src
   else begin
+    let dst = take r into in
     for z = 0 to c.cz_hi do
       for y = 0 to c.cy_hi do
         for i = (z * plane) + (y * r.nw) to (z * plane) + ((y + 1) * r.nw) - 1 do
-          r.ezy.(i) <- and_window src i ~c:y ~n:r.ny ~stride:r.nw ~ext:s.sy src.(i) 1
+          dst.(i) <- and_window src i ~c:y ~n:r.ny ~stride:r.nw ~ext:s.sy src.(i) 1
         done
       done
     done;
-    r.ezy
+    dst
   end
 
-let erode r c = erode_y r c (erode_z r c)
-
-(* Index of the lowest set bit of a non-zero word. *)
-let ctz w =
-  let n = ref 0 and w = ref w in
-  if !w land 0xFFFF = 0 then begin
-    n := 16;
-    w := !w lsr 16
-  end;
-  if !w land 0xFF = 0 then begin
-    n := !n + 8;
-    w := !w lsr 8
-  end;
-  if !w land 0xF = 0 then begin
-    n := !n + 4;
-    w := !w lsr 4
-  end;
-  if !w land 0x3 = 0 then begin
-    n := !n + 2;
-    w := !w lsr 2
-  end;
-  if !w land 0x1 = 0 then !n + 1 else !n
-
-let row_word buf off k ~set = if set then buf.(off + k) else lnot buf.(off + k) land full_word
-
-let rec scan_words r buf off ~set k w =
-  if w <> 0 then min r.nx ((k * word_bits) + ctz w)
-  else if k + 1 = r.nw then r.nx
-  else scan_words r buf off ~set (k + 1) (row_word buf off (k + 1) ~set)
-
-(* The first x >= p whose bit in the row at [off] of [buf] is [set], or
-   nx if there is none. *)
-let next_bit r buf off ~set p =
-  if p >= r.nx then r.nx
-  else
-    let k = p / word_bits in
-    scan_words r buf off ~set k (row_word buf off k ~set land (-1 lsl (p mod word_bits)))
+let erode r c =
+  let next = ref 0 in
+  erode_y r c (erode_z r c ~into:next) ~into:next
 
 let rec row_full r buf off k =
   if k = r.nw - 1 then buf.(off + k) = r.last_full
   else buf.(off + k) = full_word && row_full r buf off (k + 1)
-
-(* From position [p] on: a run [a, b) of set bits holds the bases
-   a .. b - sx; under wraparound the run ending at nx continues into
-   the run [0, b0) at the start of the row, so it holds bases up to
-   nx - sx + b0. *)
-let rec iter_runs r buf off c ~b0 ~f p =
-  let a = next_bit r buf off ~set:true p in
-  if a < r.nx then begin
-    let b = next_bit r buf off ~set:false a in
-    let hi = min c.cx_hi (if b = r.nx then r.nx - c.cs.sx + b0 else b - c.cs.sx) in
-    if hi >= a then f a hi;
-    iter_runs r buf off c ~b0 ~f b
-  end
-
-(* Calls [f lo hi] for each maximal interval [lo, hi] of x bases of
-   shape [c], ascending, in the eroded row at [off] of [buf]. A full
-   row holds every base, an empty one none. *)
-let iter_row_bases r buf off c ~f =
-  if row_full r buf off 0 then f 0 c.cx_hi
-  else
-    let b0 = if r.wrap && buf.(off) land 1 = 1 then next_bit r buf off ~set:false 0 else 0 in
-    iter_runs r buf off c ~b0 ~f 0
 
 (* Set bits of a word of at most [word_bits] bits, by SWAR. *)
 let popcount w =
@@ -230,6 +185,9 @@ let popcount w =
   let w = (w land 0x33333333) + ((w lsr 2) land 0x33333333) in
   let w = (w + (w lsr 4)) land 0x0F0F0F0F in
   ((w * 0x01010101) lsr 24) land 0xFF
+
+(* Index of the lowest set bit of a non-zero word: the bits below it. *)
+let ctz w = popcount ((w land -w) - 1)
 
 (* [t] ANDed with itself shifted right (towards bit 0) by [s] bits,
    over its first [len] words, in place: word w reads words w + s / 32
@@ -254,24 +212,25 @@ let append_seam r t n =
     if b > 0 then t.(dw + 1) <- t.(dw + 1) lor (v lsr (word_bits - b))
   done
 
-(* How many x bases of shape [c] the eroded row at [off] of [buf]
-   holds, a word at a time. The row is copied into [r.wide], extended
-   past the seam under wraparound, and eroded along x: after ANDing
-   with itself shifted by 1, 2, 4, ..., 2^k <= sx, and once more by
+(* The one reader of a row's x bases: shape [c]'s bases in the eroded
+   row at [off] of [buf], written to [r.wide] as a mask (bit x mod 32
+   of word x / 32 set iff x is a base, nothing past cx_hi), returning
+   the index of its last word. A full row holds every base up to
+   cx_hi and an empty one none. Any other row is copied, extended past
+   the seam under wraparound, and eroded along x: after ANDing with
+   itself shifted by 1, 2, 4, ..., 2^k <= sx, and once more by
    sx - 2^k (overlapping windows are harmless, AND being idempotent),
-   bit x is set iff bits x .. x+sx-1 all were. The bits up to cx_hi
-   are the bases. *)
-let count_row_bases r buf off c =
-  if row_full r buf off 0 then c.cx_hi + 1
+   bit x is set iff bits x .. x+sx-1 all were. *)
+let row_bases r buf off c =
+  let t = r.wide and sx = c.cs.sx and last = c.cx_hi / word_bits in
+  if row_full r buf off 0 then Array.fill t 0 (last + 1) full_word
   else begin
-    let t = r.wide and sx = c.cs.sx in
     let any = ref 0 in
     for k = 0 to r.nw - 1 do
       t.(k) <- buf.(off + k);
       any := !any lor t.(k)
     done;
-    if !any = 0 then 0
-    else begin
+    if !any <> 0 then begin
       let len = if r.wrap then (r.nx + sx - 1 + word_bits - 1) / word_bits else r.nw in
       Array.fill t r.nw (len - r.nw) 0;
       if r.wrap && sx > 1 then append_seam r t (sx - 1);
@@ -280,41 +239,35 @@ let count_row_bases r buf off c =
         shift_and t len !w;
         w := 2 * !w
       done;
-      if sx > !w then shift_and t len (sx - !w);
-      let last = c.cx_hi / word_bits in
-      let n = ref (popcount (t.(last) land ((1 lsl ((c.cx_hi mod word_bits) + 1)) - 1))) in
-      for k = 0 to last - 1 do
-        n := !n + popcount t.(k)
-      done;
-      !n
+      if sx > !w then shift_and t len (sx - !w)
     end
+  end;
+  t.(last) <- t.(last) land ((1 lsl ((c.cx_hi mod word_bits) + 1)) - 1);
+  last
+
+(* How many x bases of shape [c] the eroded row at [off] of [buf]
+   holds: the mask's popcount, or every base up to cx_hi in a full
+   row without building the mask. *)
+let count_row_bases r buf off c =
+  if row_full r buf off 0 then c.cx_hi + 1
+  else begin
+    let n = ref 0 in
+    for k = 0 to row_bases r buf off c do
+      n := !n + popcount r.wide.(k)
+    done;
+    !n
   end
 
-(* Calls [f z y lo hi] for every interval of free-box bases of shape
-   [c]: rows in (z, y) order, intervals x ascending within a row. *)
-let iter_free_runs r c ~f =
-  let buf = erode r c in
-  for z = 0 to c.cz_hi do
-    for y = 0 to c.cy_hi do
-      iter_row_bases r buf (((z * r.ny) + y) * r.nw) c ~f:(f z y)
-    done
-  done
-
-(* Calls [f x y z] for every free box of shape [c], in [iter_bases]
-   order. *)
-let iter_free_bases r c ~f =
-  iter_free_runs r c ~f:(fun z y lo hi ->
-      for x = lo to hi do
-        f x y z
-      done)
-
-exception Found_base
-
+(* Whether shape [c] has a free box: the first row whose mask has a
+   non-zero word. *)
 let exists_free_base r c =
-  try
-    iter_free_bases r c ~f:(fun _ _ _ -> raise Found_base);
-    false
-  with Found_base -> true
+  let buf = erode r c in
+  let rec nonzero last k = k <= last && (r.wide.(k) <> 0 || nonzero last (k + 1)) in
+  let rec from z y =
+    if y > c.cy_hi then z < c.cz_hi && from (z + 1) 0
+    else nonzero (row_bases r buf (((z * r.ny) + y) * r.nw) c) 0 || from z (y + 1)
+  in
+  from 0 0
 
 (* The shapes of [volume] the summary admits, and how many it ruled
    out. *)
@@ -324,39 +277,45 @@ let possible_shapes grid ~volume =
   let kept = List.filter (shape_possible grid) shapes in
   (List.map (counted d ~wrap) kept, List.length shapes - List.length kept)
 
-let find_scan r grid ~volume =
-  let acc = ref [] in
-  List.iter
-    (fun c -> iter_free_bases r c ~f:(fun x y z -> acc := Box.make (Coord.make x y z) c.cs :: !acc))
-    (fst (possible_shapes grid ~volume));
-  sort_boxes !acc
-
 let exists_scan r grid ~volume =
   List.exists (exists_free_base r) (fst (possible_shapes grid ~volume))
 
 (* Every free box of the level's [shapes], packed as (index into
    [shapes], x, y, z) quadruples: shapes in array order, bases in
-   [iter_bases] order. *)
+   [iter_bases] order, each row's mask read lowest bit first. *)
 let level_scan r grid shapes =
   let d = Grid.dims grid and wrap = Grid.wrap grid in
   let acc = ref [] in
   Array.iteri
     (fun i s ->
-      if shape_possible grid s then
-        iter_free_bases r (counted d ~wrap s) ~f:(fun x y z -> acc := z :: y :: x :: i :: !acc))
+      if shape_possible grid s then begin
+        let c = counted d ~wrap s in
+        let buf = erode r c in
+        for z = 0 to c.cz_hi do
+          for y = 0 to c.cy_hi do
+            for k = 0 to row_bases r buf (((z * r.ny) + y) * r.nw) c do
+              let w = ref r.wide.(k) in
+              while !w <> 0 do
+                acc := z :: y :: ((k * word_bits) + ctz !w) :: i :: !acc;
+                w := !w land (!w - 1)
+              done
+            done
+          done
+        done
+      end)
     shapes;
   Array.of_list (List.rev !acc)
 
 (* ------------------------------------------------------------------ *)
-(* Counted enumeration: answer capped candidate queries without ever
-   materialising the full box list. A count pass erodes each shape's
-   masks once and credits every base row with its free-box count,
-   counted a word at a time ([count_row_bases]); a select pass then
-   walks only the rows holding the selected ranks and emits those boxes
-   directly.
+(* Counted enumeration: answer box-list queries without materialising
+   more boxes than they return. A count pass erodes each shape's masks
+   once and credits every base row with its free-box count
+   ([count_row_bases]); a select pass then walks only the rows holding
+   the selected ranks and emits those boxes directly. [Cache.find] is
+   the uncapped select, whose targets are every rank.
 
    The load-bearing invariant is that both passes enumerate in exactly
-   the order of [Cache.find]'s sorted list: [Box.compare] orders by
+   sorted order, with no sort: [Box.compare] orders by
    base (z, then y, then x — [Coord.compare]) and then by shape
    ([Shape.compare]), so rows ascend in (z, y), bases within a row
    ascend in x, and shapes within a base follow [Shapes.shapes_of_volume],
@@ -368,6 +327,7 @@ let level_scan r grid shapes =
 
 type count_plan = {
   p_shapes : counted_shape array;
+  p_rows : int array array;  (* each shape's eroded rows *)
   p_total : int;  (* the per-row counts are left in [rows.counts] *)
   p_skips : int;  (* shapes the summary ruled out *)
 }
@@ -375,21 +335,25 @@ type count_plan = {
 (* The count pass visits shapes grouped by depth, so the z-erosion is
    built once per distinct sz; the per-row counts are sums, so visit
    order cannot change them. [p_shapes] keeps [Shape.compare] order
-   for the select pass. *)
+   for the select pass. Each erosion takes its own buffer, so every
+   shape's eroded rows outlive the pass. *)
 let count_plan r grid ~volume =
   let shapes, skips = possible_shapes grid ~volume in
   let shapes = Array.of_list shapes in
-  let by_depth = Array.copy shapes in
-  Array.stable_sort (fun a b -> Int.compare a.cs.sz b.cs.sz) by_depth;
+  let by_depth = Array.init (Array.length shapes) Fun.id in
+  Array.stable_sort (fun a b -> Int.compare shapes.(a).cs.sz shapes.(b).cs.sz) by_depth;
   Array.fill r.counts 0 (Array.length r.counts) 0;
-  let total = ref 0 and depth = ref 0 and ez = ref r.free in
+  let eroded = Array.make (Array.length shapes) r.free in
+  let total = ref 0 and depth = ref 0 and ez = ref r.free and next = ref 0 in
   Array.iter
-    (fun c ->
+    (fun i ->
+      let c = shapes.(i) in
       if c.cs.sz <> !depth then begin
-        ez := erode_z r c;
+        ez := erode_z r c ~into:next;
         depth := c.cs.sz
       end;
-      let buf = erode_y r c !ez in
+      let buf = erode_y r c !ez ~into:next in
+      eroded.(i) <- buf;
       for z = 0 to c.cz_hi do
         for y = 0 to c.cy_hi do
           let row = (z * r.ny) + y in
@@ -399,29 +363,14 @@ let count_plan r grid ~volume =
         done
       done)
     by_depth;
-  { p_shapes = shapes; p_total = !total; p_skips = skips }
+  { p_shapes = shapes; p_rows = eroded; p_total = !total; p_skips = skips }
 
-(* Shape [c]'s base bits in row (z, y) alone, written to [dst] from
-   [o]: the row's erosion read straight from [free] into [scratch],
-   then its x bases. *)
-let row_base_bits r c ~z ~y ~scratch dst o =
+(* Shape [c]'s base bits in row (z, y) of its eroded rows [buf],
+   written to [dst] from [o]. *)
+let row_base_bits r c buf ~z ~y dst o =
   Array.fill dst o r.nw 0;
-  if z <= c.cz_hi && y <= c.cy_hi then begin
-    let plane = r.ny * r.nw in
-    for w = 0 to r.nw - 1 do
-      let acc = ref full_word in
-      for j = 0 to c.cs.sy - 1 do
-        let i = (z * plane) + ((y + j) mod r.ny * r.nw) + w in
-        acc := and_window r.free i ~c:z ~n:r.nz ~stride:plane ~ext:c.cs.sz (!acc land r.free.(i)) 1
-      done;
-      scratch.(w) <- !acc
-    done;
-    iter_row_bases r scratch 0 c ~f:(fun lo hi ->
-        for x = lo to hi do
-          let k = o + (x / word_bits) in
-          dst.(k) <- dst.(k) lor (1 lsl (x mod word_bits))
-        done)
-  end
+  if z <= c.cz_hi && y <= c.cy_hi then
+    Array.blit r.wide 0 dst o (row_bases r buf (((z * r.ny) + y) * r.nw) c + 1)
 
 (* Select pass: walk rows in (z, y) order, using the per-row counts to
    skip whole rows by rank arithmetic, and emit bases (x ascending,
@@ -429,7 +378,6 @@ let row_base_bits r c ~z ~y ~scratch dst o =
    [targets] must be strictly increasing. *)
 let select_from_plan r plan ~targets =
   let shapes = plan.p_shapes in
-  let scratch = Array.make r.nw 0 in
   let bases = Array.make (Array.length shapes * r.nw) 0 in
   let n_targets = Array.length targets in
   let acc = ref [] in
@@ -442,20 +390,21 @@ let select_from_plan r plan ~targets =
       let row_end = !rank + rc in
       if targets.(!ti) < row_end then begin
         let z = !row / r.ny and y = !row mod r.ny in
-        Array.iteri (fun i c -> row_base_bits r c ~z ~y ~scratch bases (i * r.nw)) shapes;
+        for i = 0 to Array.length shapes - 1 do
+          row_base_bits r shapes.(i) plan.p_rows.(i) ~z ~y bases (i * r.nw)
+        done;
         for x = 0 to r.nx - 1 do
           if !ti < n_targets && targets.(!ti) < row_end then
-            Array.iteri
-              (fun i c ->
-                let word = bases.((i * r.nw) + (x / word_bits)) in
-                if word land (1 lsl (x mod word_bits)) <> 0 then begin
-                  if !ti < n_targets && targets.(!ti) = !rank then begin
-                    acc := Box.make (Coord.make x y z) c.cs :: !acc;
-                    incr ti
-                  end;
-                  incr rank
-                end)
-              shapes
+            for i = 0 to Array.length shapes - 1 do
+              let word = bases.((i * r.nw) + (x / word_bits)) in
+              if word land (1 lsl (x mod word_bits)) <> 0 then begin
+                if !ti < n_targets && targets.(!ti) = !rank then begin
+                  acc := Box.make (Coord.make x y z) shapes.(i).cs :: !acc;
+                  incr ti
+                end;
+                incr rank
+              end
+            done
         done
       end;
       rank := row_end
@@ -482,6 +431,10 @@ let select_scan r grid ~volume ~cap =
 (* The paper's Appendix 9 finders, kept as the oracle the production
    scans are validated against. None of them shares the free-row
    masks, the summary gate or the counted walk. *)
+
+(* Above this machine volume a reference judges freeness by a fresh
+   summed-area table rather than node by node. *)
+let naive_oracle_max = 128
 
 module Reference = struct
   type algo = Naive | Pop | Shape_search
@@ -599,13 +552,44 @@ module Reference = struct
     | Naive -> find_naive grid ~volume
     | Pop -> find_pop grid ~volume
     | Shape_search -> find_shape_search grid ~volume
+
+  (* The MFP by its definition, sharing none of the masks, the level
+     index or the summary: the first box in scan order (levels
+     descending, shapes in level order, bases in [iter_bases] order)
+     whose nodes are all free and which misses [avoid]. A level larger
+     than the free nodes outside [avoid] cannot hold one, so its scan
+     is skipped. *)
+  let mfp ?avoid grid =
+    let d = Grid.dims grid and wrap = Grid.wrap grid in
+    let free =
+      if Grid.volume grid <= naive_oracle_max then box_free_scan grid
+      else Prefix.box_is_free (Prefix.build grid)
+    in
+    let misses b = match avoid with None -> true | Some c -> not (Box.overlap d b c) in
+    let room =
+      match avoid with
+      | None -> Grid.free_count grid
+      | Some c ->
+          Grid.free_count grid - List.length (List.filter (Grid.is_free grid) (Box.indices d c))
+    in
+    let first shape =
+      let found = ref None in
+      iter_bases d ~wrap shape ~f:(fun x y z ->
+          let b = Box.make (Coord.make x y z) shape in
+          if Option.is_none !found && misses b && free b then found := Some b);
+      !found
+    in
+    List.find_map
+      (fun (volume, shapes) -> if volume > room then None else Array.find_map first shapes)
+      (Shapes.levels_desc d)
 end
 
 (* ------------------------------------------------------------------ *)
-(* Differential mode: cross-check every cache query against an
-   independent reference finder. Global and atomic so parallel sweep
-   domains share one switch; the check is orders of magnitude slower
-   than the query it guards, so it is strictly a debug/CI facility.
+(* Differential mode: cross-check every cache query, and every MFP
+   query ([guard_mfp]), against an independent reference. Global and
+   atomic so parallel sweep domains share one switch; the check is
+   orders of magnitude slower than the query it guards, so it is
+   strictly a debug/CI facility.
    On machines too large for the naive O(M^9) oracle the reference is
    a freshly built, summary-ungated summed-area-table scan: an
    occupancy representation sharing nothing with the free-row masks,
@@ -634,8 +618,6 @@ let differential_armed () =
   | 0 -> false
   | 1 -> true
   | n -> Atomic.fetch_and_add diff_tick 1 mod n = 0
-
-let naive_oracle_max = 128
 
 let reference_find grid ~volume =
   if Grid.volume grid <= naive_oracle_max then Reference.find_naive grid ~volume
@@ -710,6 +692,30 @@ let differential_check ~site grid ~volume ~project fast =
               volume Dims.pp d)
         boxes
 
+let mfp_check_counter () =
+  Bgl_obs.Registry.counter
+    (Bgl_obs.Runtime.registry ())
+    ~help:"MFP queries cross-checked against the reference MFP"
+    "bgl_finder_mfp_differential_checks_total"
+
+let pp_box_option = Format.pp_print_option ~none:(fun ppf () -> Format.fprintf ppf "none") Box.pp
+
+(* The MFP guard: when armed, the box an MFP query settled on must be
+   the reference's first free box that misses [avoid]. *)
+let guard_mfp ~site ?avoid grid found =
+  if differential_armed () then begin
+    Bgl_obs.Registry.inc (mfp_check_counter ());
+    let reference = Reference.mfp ?avoid grid in
+    if found <> reference then
+      raise
+        (Divergence
+           (Format.asprintf
+              "@[<v>MFP divergence at %s: dims=%a wrap=%b avoid=%a@ accelerated %a@ reference %a@ \
+               grid:@ %a@]"
+              site Dims.pp (Grid.dims grid) (Grid.wrap grid) pp_box_option avoid pp_box_option
+              found pp_box_option reference pp_grid_capped grid))
+  end
+
 (* ------------------------------------------------------------------ *)
 (* The one production surface: memoise finder results keyed on the
    grid's occupancy fingerprint, over free-row masks refreshed from the
@@ -729,11 +735,10 @@ module Cache = struct
     rows : rows Lazy.t;
         (* masks and scratch, allocated on first use: the engine
            creates ghost caches per backfill/migration probe *)
-    find_memo : (int, int * Box.t list) Hashtbl.t;  (* volume -> fingerprint, result *)
     exists_memo : (int, int * bool) Hashtbl.t;
     select_memo : (int * int, int * Box.t list) Hashtbl.t;
-        (* (volume, cap) -> fingerprint, subsample *)
-    mutable mfp_index : (int * mfp_level list) option;  (* fingerprint, levels *)
+        (* (volume, cap) -> fingerprint, subsample; find's cap is max_int *)
+    mfp_memo : (unit, int * mfp_level list) Hashtbl.t;  (* the one index: fingerprint, levels *)
     counters : counters;
     obs_hits : Bgl_obs.Registry.counter;
     obs_misses : Bgl_obs.Registry.counter;
@@ -747,10 +752,9 @@ module Cache = struct
     {
       grid;
       rows = lazy (make_rows grid);
-      find_memo = Hashtbl.create 32;
       exists_memo = Hashtbl.create 32;
       select_memo = Hashtbl.create 32;
-      mfp_index = None;
+      mfp_memo = Hashtbl.create 1;
       counters = { hits = 0; misses = 0 };
       obs_hits = counter reg ~help:"finder candidate-cache hits" "bgl_finder_cache_hits_total";
       obs_misses =
@@ -800,15 +804,22 @@ module Cache = struct
         Hashtbl.replace memo key (fp, r);
         r
 
+  (* The counted query: count, pick the historical even-subsample
+     ranks, and emit only those boxes. *)
+  let counted_query t ~volume ~cap =
+    if volume > Grid.volume t.grid then []
+    else
+      memoised t t.select_memo (volume, cap) ~compute:(fun () ->
+          let plan, boxes = select_scan (rows t) t.grid ~volume ~cap in
+          Bgl_obs.Registry.inc t.obs_counted;
+          if plan.p_skips > 0 then
+            Bgl_obs.Registry.add t.obs_counted_skips (float_of_int plan.p_skips);
+          boxes)
+
   let find t ~volume =
     if volume <= 0 then invalid_arg "Finder.Cache.find: volume must be positive";
     Bgl_resilience.Budget.check ~site:"finder.cache.find";
-    let result =
-      if volume > Grid.volume t.grid then []
-      else
-        memoised t t.find_memo volume ~compute:(fun () ->
-            spanned "finder.cache.find" (fun () -> find_scan (rows t) t.grid ~volume))
-    in
+    let result = counted_query t ~volume ~cap:max_int in
     if differential_armed () then
       differential_check ~site:"cache.find" t.grid ~volume
         ~project:(fun r -> Boxes r)
@@ -830,22 +841,11 @@ module Cache = struct
         (Exists result);
     result
 
-  (* The capped engine query: count, pick the historical even-subsample
-     ranks, and emit only those boxes. *)
   let select t ~volume ~cap =
     if volume <= 0 then invalid_arg "Finder.Cache.select: volume must be positive";
     if cap < 1 then invalid_arg "Finder.Cache.select: cap must be >= 1";
     Bgl_resilience.Budget.check ~site:"finder.cache.select";
-    let result =
-      if volume > Grid.volume t.grid then []
-      else
-        memoised t t.select_memo (volume, cap) ~compute:(fun () ->
-            let plan, boxes = select_scan (rows t) t.grid ~volume ~cap in
-            Bgl_obs.Registry.inc t.obs_counted;
-            if plan.p_skips > 0 then
-              Bgl_obs.Registry.add t.obs_counted_skips (float_of_int plan.p_skips);
-            boxes)
-    in
+    let result = counted_query t ~volume ~cap in
     if differential_armed () then
       differential_check ~site:"cache.select" t.grid ~volume
         ~project:(fun r -> Boxes (reference_cap ~cap r))
@@ -858,19 +858,9 @@ module Cache = struct
      pass scans each level at most once. A level's boxes are packed
      four ints apiece, which keeps a large level's footprint flat. *)
   let mfp_levels t =
-    let fp = Grid.fingerprint t.grid in
-    match t.mfp_index with
-    | Some (fp', levels) when fp' = fp ->
-        hit t;
-        levels
-    | _ ->
-        miss t;
-        let levels =
-          List.map
-            (fun (volume, shapes) ->
-              { volume; shapes; boxes = lazy (level_scan (rows t) t.grid shapes) })
-            (Shapes.levels_desc (Grid.dims t.grid))
-        in
-        t.mfp_index <- Some (fp, levels);
-        levels
+    memoised t t.mfp_memo () ~compute:(fun () ->
+        List.map
+          (fun (volume, shapes) ->
+            { volume; shapes; boxes = lazy (level_scan (rows t) t.grid shapes) })
+          (Shapes.levels_desc (Grid.dims t.grid)))
 end

@@ -6,14 +6,16 @@
     structurally.
 
     {b Production.} Every query the simulator makes goes through
-    {!Cache}: one memoised implementation per query over per-row free
-    bitmasks, eroded word by word along z and y so that each row's runs
-    of set bits list every x base at once; counting erodes each row
-    once more along x, a word at a time, and popcounts it. At machine volumes
-    of 512 and above ({!summary_gated}) shapes are first filtered
-    through the grid's {!Bgl_torus.Summary}, so infeasible shapes never
-    pay for an erosion, and capped candidate queries run as a
-    count-then-select walk that never materialises the full list.
+    {!Cache}: memoised queries over per-row free bitmasks, eroded word
+    by word along z and y, then each base row once more along x into a
+    mask with one bit per x base. Every query reads a row's bases from
+    that mask: counts popcount it, enumerations take its set bits
+    lowest first, existence stops at its first non-zero word. Every
+    box-list query, capped or not, is a count-then-select walk that
+    emits boxes in sorted order and never builds or sorts more than it
+    returns. At machine volumes of 512 and above ({!summary_gated})
+    shapes are first filtered through the grid's {!Bgl_torus.Summary},
+    so infeasible shapes never pay for an erosion.
 
     {b Reference.} The paper's Appendix 9 lineage lives in {!Reference}:
     the naive O(M⁹) enumeration, Krevat's projection of partitions and
@@ -66,21 +68,23 @@ module Cache : sig
 
   val find : t -> volume:int -> Box.t list
   (** All free partitions of exactly [volume] nodes, canonical and
-      sorted, memoised per volume on the occupancy fingerprint.
-      [volume] must be positive; an unrealisable volume yields []. *)
+      sorted: the uncapped {!select}, sharing its memo (under the key
+      [(volume, max_int)]) and counted like it in
+      [bgl_finder_counted_queries_total]. [volume] must be positive;
+      an unrealisable volume yields []. *)
 
   val exists_free : t -> volume:int -> bool
   (** Whether {!find} would be non-empty, with early exit on the first
       free box; memoised like {!find}. *)
 
   val select : t -> volume:int -> cap:int -> Box.t list
-  (** The engine's capped candidate query: the whole {!find} list when
-      its length [n] ≤ [cap], else the [cap] boxes at sorted ranks
-      [i*n/cap]. Byte-identical to capping {!find}, but computed by a
-      count pass (exact free-box counts per base row: each eroded row
-      is eroded along x a word at a time and popcounted, and shapes of
-      one depth share one z-erosion) and a select pass that walks only
-      the rows holding those ranks. Memoised per (volume, cap).
+  (** The engine's capped candidate query: every free box of [volume]
+      when their number [n] ≤ [cap], else the [cap] boxes at sorted
+      ranks [i*n/cap]. Computed by a count pass (exact free-box counts
+      per base row: the popcount of each row's x-base mask, with shapes
+      of one depth sharing one z-erosion) and a select pass that walks
+      only the rows holding those ranks, reading the eroded rows the
+      count pass kept for each shape. Memoised per (volume, cap).
       [cap] must be ≥ 1. Counted queries are observable as
       [bgl_finder_counted_queries_total] /
       [bgl_finder_counted_skips_total] and the [finder.count.scan] /
@@ -103,7 +107,8 @@ module Cache : sig
 
   val stats : t -> int * int
   (** [(hits, misses)] across {!find}, {!exists_free}, {!select} and
-      {!mfp_levels}. *)
+      {!mfp_levels}. {!find} and [select ~cap:max_int] share one memo
+      entry, so either answers the other. *)
 end
 
 (** {1 Scan building blocks} *)
@@ -133,9 +138,13 @@ val shape_possible : Grid.t -> Shape.t -> bool
     enumeration on supernode-scale grids (volume ≤ 128) and a freshly
     built, summary-ungated {!Bgl_torus.Prefix} table scan above that —
     an occupancy representation sharing none of the free-row masks,
-    memoization, counted walk or summary gating under test. Any disagreement raises {!Divergence}. Orders of magnitude
-    slower than the queries it guards — meant for CI smoke runs and bug
-    hunts, never production sweeps. The flag is atomic and
+    memoization, counted walk or summary gating under test. MFP is
+    guarded too: every {!Bgl_partition.Mfp} query ([box], [volume],
+    [volume_after]) hands the box it settled on to {!guard_mfp}, which
+    compares it with {!Reference.mfp}, so the {!Cache.mfp_levels}
+    index is checked as well. Any disagreement raises {!Divergence}.
+    Orders of magnitude slower than the queries it guards — meant for
+    CI smoke runs and bug hunts, never production sweeps. The flag is atomic and
     process-wide, so parallel sweep domains all honour it. *)
 
 exception Divergence of string
@@ -145,10 +154,28 @@ exception Divergence of string
 
 val set_differential : ?sample:int -> bool -> unit
 (** [set_differential ~sample:n true] cross-checks every nth guarded
-    query (default 1 = every query) — sampling makes differential mode
-    affordable on full-machine runs. [sample] must be ≥ 1. *)
+    query (default 1 = every query) — sampling makes the {!Cache}
+    checks affordable on full-machine runs, though not the MFP checks
+    (see {!guard_mfp}). [sample] must be ≥ 1. *)
 
 val differential_enabled : unit -> bool
+
+val guard_mfp : site:string -> ?avoid:Box.t -> Grid.t -> Box.t option -> unit
+(** [guard_mfp ~site ?avoid grid found] is the MFP half of differential
+    mode, called by every {!Bgl_partition.Mfp} entry point with the box
+    it settled on. When this query is armed (sampled like the {!Cache}
+    queries), [found] must equal [Reference.mfp ?avoid grid], else
+    {!Divergence} is raised; each check counts in
+    [bgl_finder_mfp_differential_checks_total]. A no-op while
+    differential mode is off.
+
+    Each check rescans every level above the MFP against a freshly
+    built table, so its cost grows much faster than the machine: one
+    check took 0.2–0.7 s at 4,096 nodes, 1.6–2.6 s at 8,192 (2% and 20%
+    of nodes busy) and 216 s at 64×32×32 (2% busy), on a 2-vCPU VM.
+    Under an MFP-family policy even sampled checking is practical only
+    up to a few thousand nodes; at 64×32×32 check first-fit runs, which
+    make no MFP query. *)
 
 (** {1 Reference finders}
 
@@ -173,4 +200,14 @@ module Reference : sig
 
   val find : algo -> Grid.t -> volume:int -> Box.t list
   (** Same contract as {!Cache.find}, uncached. *)
+
+  val mfp : ?avoid:Box.t -> Grid.t -> Box.t option
+  (** The maximal free partition by its definition: the first box in
+      scan order — levels of {!Shapes.levels_desc} descending, shapes
+      in level order, bases in {!iter_bases} order — whose nodes are
+      all free and which does not overlap [avoid]. With [avoid], its
+      volume is the MFP once [avoid] is occupied. Freeness is judged
+      node by node up to 128 nodes and by a freshly built
+      {!Bgl_torus.Prefix} table above, sharing none of the
+      {!Cache.mfp_levels} index or the summary. *)
 end

@@ -29,10 +29,17 @@ let first_box c ~at_most ~ok =
   in
   levels (Finder.Cache.mfp_levels c)
 
-let box ?cache grid =
-  first_box (cache_for cache grid) ~at_most:(Grid.free_count grid) ~ok:(fun _ -> true)
+let mfp c grid = first_box c ~at_most:(Grid.free_count grid) ~ok:(fun _ -> true)
+let volume_of = Option.fold ~none:0 ~some:Box.volume
 
-let volume ?cache grid = match box ?cache grid with None -> 0 | Some b -> Box.volume b
+(* Each query hands the box it settled on to the differential guard,
+   which checks it against [Finder.Reference.mfp]. *)
+let box ?cache grid =
+  let b = mfp (cache_for cache grid) grid in
+  Finder.guard_mfp ~site:"mfp.box" grid b;
+  b
+
+let volume ?cache grid = volume_of (box ?cache grid)
 
 (* Once [candidate] is placed, a box is free iff it is free now and
    misses the candidate, and nothing larger than the current MFP or the
@@ -40,7 +47,7 @@ let volume ?cache grid = match box ?cache grid with None -> 0 | Some b -> Box.vo
 let volume_after ?cache grid candidate =
   let c = cache_for cache grid in
   let d = Grid.dims grid in
-  let at_most = min (volume ~cache:c grid) (Grid.free_count grid - Box.volume candidate) in
-  match first_box c ~at_most ~ok:(fun b -> not (Box.overlap d b candidate)) with
-  | None -> 0
-  | Some b -> Box.volume b
+  let at_most = min (volume_of (mfp c grid)) (Grid.free_count grid - Box.volume candidate) in
+  let b = first_box c ~at_most ~ok:(fun b -> not (Box.overlap d b candidate)) in
+  Finder.guard_mfp ~site:"mfp.volume_after" ~avoid:candidate grid b;
+  volume_of b

@@ -13,7 +13,11 @@
     bound to the queried grid lends its index, which every query on
     one occupancy shares. Without one, or with a cache bound to a
     different grid (the schedulers probe ghost copies), the call runs
-    on a fresh [Finder.Cache.create grid]. *)
+    on a fresh [Finder.Cache.create grid].
+
+    In differential mode ({!Finder.set_differential}) every entry
+    point's answer is checked against {!Finder.Reference.mfp} by
+    {!Finder.guard_mfp}. *)
 
 open Bgl_torus
 

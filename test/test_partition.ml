@@ -348,6 +348,22 @@ let test_mfp_loss () =
     (Mfp.volume_after ~cache g candidate);
   check_int "probes kept the memoised volume" before (Mfp.volume ~cache g)
 
+(* The free nodes are two separate boxes, so placing either leaves
+   exactly the other: volume_after's free-count bound is met with
+   equality and must not cut it off. *)
+let test_mfp_probe_bound_exact () =
+  let d = Dims.bgl in
+  let g = Grid.create d in
+  let a = Box.make (Coord.make 0 0 0) (Shape.make 2 2 2) in
+  let b = Box.make (Coord.make 0 0 4) (Shape.make 1 2 2) in
+  let kept = Box.indices d a @ Box.indices d b in
+  for node = 0 to Dims.volume d - 1 do
+    if not (List.mem node kept) then Grid.occupy_node g node ~owner:1
+  done;
+  check_int "MFP is the larger box" 8 (Mfp.volume g);
+  check_int "placing it leaves the smaller" 4 (Mfp.volume_after g a);
+  check_int "placing the smaller leaves the larger" 8 (Mfp.volume_after g b)
+
 let test_mfp_figure1_intuition () =
   (* Figure 1 of the paper: placing a job flush against existing jobs
      preserves a larger MFP than splitting the free space. Model a
@@ -586,43 +602,6 @@ let prop_cache_mfp_agrees =
           && Grid.fingerprint g = fp (* probes left the grid alone *)
           && Mfp.volume ~cache g = plain (* the index survived the probes *))
 
-(* The MFP by its definition, sharing none of the level index, table or
-   summary: the first box in scan order (levels descending, shapes in
-   level order, bases in [iter_bases] order) whose every node is free. *)
-let reference_mfp g =
-  let d = Grid.dims g and wrap = Grid.wrap g in
-  let free (b : Box.t) =
-    let s = b.shape in
-    let rec go i =
-      i = Shape.volume s
-      || Grid.is_free g
-           (Coord.index d
-              (Coord.wrap d
-                 (Coord.make (b.base.x + (i mod s.sx)) (b.base.y + (i / s.sx mod s.sy))
-                    (b.base.z + (i / (s.sx * s.sy))))))
-         && go (i + 1)
-    in
-    go 0
-  in
-  let first_free shape =
-    let found = ref None in
-    Finder.iter_bases d ~wrap shape ~f:(fun x y z ->
-        let b = Box.make (Coord.make x y z) shape in
-        if !found = None && free b then found := Some b);
-    !found
-  in
-  List.find_map
-    (fun (volume, shapes) ->
-      if volume > Grid.free_count g then None else List.find_map first_free (Array.to_list shapes))
-    (Shapes.levels_desc d)
-
-(* The mutate-and-rescan definition of a probe: occupy the candidate
-   on a copy and rescan it with a fresh cache. *)
-let reference_after g candidate =
-  let copy = Grid.copy g in
-  Grid.occupy copy candidate ~owner:7;
-  Mfp.volume copy
-
 (* The paper's 4x4x8 torus, and the summary-gated 12x8x8 whose x axis
    is not a multiple of the 8-node block; both wrapped and not. *)
 let mfp_sizes = [| Dims.bgl; Dims.make 12 8 8 |]
@@ -652,10 +631,16 @@ let prop_mfp_probes_match_reference =
   QCheck.Test.make ~name:"MFP box, volume and probes match the rescan reference" ~count:120
     arb_mfp_scenario (fun scenario ->
       let g, cache, candidates = build_mfp_scenario scenario in
-      let expected = reference_mfp g in
+      (* The reference is the MFP by its definition, the one copy
+         differential mode guards with; a probe is the MFP that misses
+         the candidate. *)
+      let volume_of = Option.fold ~none:0 ~some:Box.volume in
+      let expected = Finder.Reference.mfp g in
       Mfp.box ~cache g = expected
-      && Mfp.volume ~cache g = Option.fold ~none:0 ~some:Box.volume expected
-      && List.for_all (fun c -> Mfp.volume_after ~cache g c = reference_after g c) candidates)
+      && Mfp.volume ~cache g = volume_of expected
+      && List.for_all
+           (fun c -> Mfp.volume_after ~cache g c = volume_of (Finder.Reference.mfp ~avoid:c g))
+           candidates)
 
 (* ------------------------------------------------------------------ *)
 (* Counted enumeration: Cache.select must agree with the materialised
@@ -852,8 +837,9 @@ let prop_gated_proofs_of_absence =
 
 (* ------------------------------------------------------------------ *)
 (* The free-row kernel against a summed-area reference: the clipped
-   sizes above plus rows of more than one 32-bit word (x extents 33,
-   40, 64 and 65), where a box leaning onto the x seam of a torus wraps
+   sizes above plus rows just under, at and over one 32-bit word (x
+   extents 31, 32 and 33) and of two and three words (40, 64, 65 and
+   96), where a box leaning onto the x seam of a torus wraps
    across a word boundary, and random background occupancy instead of
    a full machine, with and without wraparound, above and below the
    summary gate. Every query kind must equal a scan of a freshly built
@@ -861,7 +847,16 @@ let prop_gated_proofs_of_absence =
 
 let kernel_dims =
   Array.append gated_dims
-    [| Dims.make 33 4 4; Dims.make 40 3 5; Dims.make 64 3 3; Dims.make 65 2 4; Dims.make 33 2 2 |]
+    [|
+      Dims.make 33 4 4;
+      Dims.make 40 3 5;
+      Dims.make 64 3 3;
+      Dims.make 65 2 4;
+      Dims.make 33 2 2;
+      Dims.make 31 4 4;
+      Dims.make 32 3 5;
+      Dims.make 96 2 3;
+    |]
 
 type kernel_case = { k_carve : gated_case; k_busy : float; k_seed : int }
 
@@ -922,15 +917,17 @@ let prop_kernel_matches_prefix =
       && List.for_all level_agrees
            (List.filteri (fun i (l : Finder.Cache.mfp_level) -> i < 4 || l.volume = carved) levels))
 
-(* The count pass's word-parallel x-erosion on rows of two and three
-   words: every window width around a word boundary (sx in 1, 31, 32,
-   33, 63, 64, 65) on x extents 64, 65 and 96, wrapped and not. The
-   erosion shifts by up to 64 bits, so shifts of a whole word and more
-   are exercised. A free run [nx - 20, nx) + [0, 41) crosses the seam
-   and the word boundaries at 32 and (for 65 and 96) beyond, and the
-   background occupancy keeps other rows partial. Volumes 4 * sx hold
-   shapes of depths 1, 2 and 4, so the z-erosion the count pass
-   shares per depth is rebuilt between them. *)
+(* The word-parallel x-erosion every query reads ([row_bases]) on rows
+   of two and three words: every window width around a word boundary
+   (sx in 1, 31, 32, 33, 63, 64, 65) on x extents 64, 65 and 96,
+   wrapped and not. The erosion shifts by up to 64 bits, so shifts of
+   a whole word and more are exercised. A free run [nx - 20, nx) +
+   [0, 41) crosses the seam and the word boundaries at 32 and (for 65
+   and 96) beyond, and the background occupancy keeps other rows
+   partial. Volumes 4 * sx hold shapes of depths 1, 2 and 4, so the
+   z-erosion the count pass shares per depth is rebuilt between them.
+   find, exists_free, select and the MFP levels an MFP query forces
+   must all equal the summed-area scan. *)
 let test_count_pass_wide_rows () =
   List.iter
     (fun (nx, wrap, busy) ->
@@ -952,10 +949,9 @@ let test_count_pass_wide_rows () =
           let label what =
             Printf.sprintf "%s: %dx2x4 wrap=%b busy=%.2f volume=%d" what nx wrap busy volume
           in
-          let found = Finder.Cache.find cache ~volume in
-          Alcotest.check boxes (label "find") reference found;
-          check_int (label "count = length of find") (List.length found)
-            (List.length (Finder.Cache.select cache ~volume ~cap:max_int));
+          Alcotest.check boxes (label "find") reference (Finder.Cache.find cache ~volume);
+          check_bool (label "exists_free") (reference <> [])
+            (Finder.Cache.exists_free cache ~volume);
           Alcotest.check boxes (label "uncapped select") reference
             (Finder.Cache.select cache ~volume ~cap:max_int);
           List.iter
@@ -966,7 +962,24 @@ let test_count_pass_wide_rows () =
             [ 1; 7; 24 ])
         (List.concat_map
            (fun sx -> if sx <= nx then [ sx; 4 * sx ] else [])
-           [ 1; 31; 32; 33; 63; 64; 65 ]))
+           [ 1; 31; 32; 33; 63; 64; 65 ]);
+      (* The MFP scan and its probes force levels from the top down;
+         every level forced is checked whole. *)
+      Option.iter
+        (fun b -> ignore (Mfp.volume_after ~cache g (Box.make b.Box.base (Shape.make 1 1 1))))
+        (Mfp.box ~cache g);
+      List.iter
+        (fun (level : Finder.Cache.mfp_level) ->
+          if Lazy.is_val level.boxes then begin
+            let acc = ref [] in
+            scan level.shapes ~f:(fun i (b : Box.t) ->
+                acc := b.base.z :: b.base.y :: b.base.x :: i :: !acc);
+            Alcotest.(check (array int))
+              (Printf.sprintf "MFP level %d: %dx2x4 wrap=%b busy=%.2f" level.volume nx wrap busy)
+              (Array.of_list (List.rev !acc))
+              (Lazy.force level.boxes)
+          end)
+        (Finder.Cache.mfp_levels cache))
     (List.concat_map
        (fun nx ->
          List.concat_map (fun wrap -> List.map (fun busy -> (nx, wrap, busy)) [ 0.02; 0.15; 0.5 ])
@@ -1038,6 +1051,7 @@ let () =
           tc "probes only read" test_mfp_probes_only_read;
           tc "loss" test_mfp_loss;
           tc "figure 1 intuition" test_mfp_figure1_intuition;
+          tc "probe bound met exactly" test_mfp_probe_bound_exact;
         ] );
       ("properties", props);
     ]
