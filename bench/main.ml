@@ -187,9 +187,6 @@ let torus_scale_tests () =
             ~name:(Printf.sprintf "prefix-build/%s" name)
             (Bechamel.Staged.stage (fun () -> ignore (Prefix.build grid)));
           Bechamel.Test.make
-            ~name:(Printf.sprintf "grid-copy/%s" name)
-            (Bechamel.Staged.stage (fun () -> ignore (Grid.copy grid)));
-          Bechamel.Test.make
             ~name:(Printf.sprintf "failure-gen/%s" name)
             (Bechamel.Staged.stage (fun () ->
                  ignore
@@ -262,6 +259,61 @@ let finder_counted_tests () =
              (Finder.Cache.select (Finder.Cache.create grid) ~volume:(Dims.volume d / 256) ~cap:24)))
   in
   Bechamel.Test.make_grouped ~name:"finder-counted" (tests @ [ fragmented ])
+
+(* The engine's EASY reservation on a half-busy machine: 16 running
+   boxes in a 2x2x8 checkerboard of (nx/2, ny/2, nz/8) blocks, released
+   a z-plane of blocks at a time into the cache's what-if scratch, for a
+   head holding half the machine. Every release leaves enough free
+   nodes, so [first_free] runs after each, and only the eighth, which
+   frees the lower half, finds a box. The cache is long-lived, as the
+   engine's is. [select-1/fresh/4x4x8] is a one-off capped query on a
+   fresh cache of a half-busy 4x4x8 grid: its masks are built inside
+   the timed call. *)
+let what_if_tests () =
+  let reservation (name, (d : Dims.t)) =
+    let grid = Grid.create d in
+    let block = Shape.make (d.nx / 2) (d.ny / 2) (d.nz / 8) in
+    let running = ref [] in
+    for bz = 7 downto 0 do
+      for by = 1 downto 0 do
+        for bx = 1 downto 0 do
+          if (bx + by + bz) mod 2 = 0 then begin
+            let box = Box.make (Coord.make (bx * block.sx) (by * block.sy) (bz * block.sz)) block in
+            Grid.occupy grid box ~owner:(List.length !running);
+            running := box :: !running
+          end
+        done
+      done
+    done;
+    let cache = Finder.Cache.create grid and volume = Dims.volume d / 2 in
+    let reserve () =
+      let what_if = Finder.Cache.what_if cache in
+      let rec release = function
+        | [] -> None
+        | box :: rest -> (
+            Finder.Cache.release what_if box;
+            if Finder.Cache.free_nodes what_if < volume then release rest
+            else
+              match Finder.Cache.first_free what_if ~volume with
+              | Some _ as found -> found
+              | None -> release rest)
+      in
+      release !running
+    in
+    assert (reserve () <> None);
+    Bechamel.Test.make
+      ~name:(Printf.sprintf "reservation/%s" name)
+      (Bechamel.Staged.stage (fun () -> ignore (reserve ())))
+  in
+  let half = busy_grid ~seed:1 ~fraction:0.5 in
+  Bechamel.Test.make_grouped ~name:"what-if"
+    (List.map reservation
+       [ ("4x4x8", Dims.bgl); ("8x8x16", Dims.make 8 8 16); ("64x32x32", Dims.bgl_full) ]
+    @ [
+        Bechamel.Test.make ~name:"select-1/fresh/4x4x8"
+          (Bechamel.Staged.stage (fun () ->
+               ignore (Finder.Cache.select (Finder.Cache.create half) ~volume:32 ~cap:1)));
+      ])
 
 let event_queue_tests () =
   Bechamel.Test.make_grouped ~name:"engine"
@@ -426,7 +478,7 @@ let run_scale_micro () =
   run_micro_groups
     ~cfg:(Bechamel.Benchmark.cfg ~stabilize:false ~limit:300 ~quota:(Bechamel.Time.second 0.25) ())
     ~banner:"micro: machine-size scaling (4x4x8 .. 64x32x32)"
-    [ torus_scale_tests (); finder_counted_tests () ]
+    [ torus_scale_tests (); finder_counted_tests (); what_if_tests () ]
 
 let () =
   let t0 = Bgl_obs.Clock.now () in

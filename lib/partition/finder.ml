@@ -126,42 +126,44 @@ let rec and_window src i ~c ~n ~stride ~ext acc k =
     let c' = if c + k >= n then c + k - n else c + k in
     and_window src i ~c ~n ~stride ~ext (acc land src.(i + ((c' - c) * stride))) (k + 1)
 
-(* Scratch buffer [!next], as large as [free]; advances [next]. *)
+(* Scratch buffer [!next] of the erosion pool, as large as [free];
+   advances [next]. *)
 let take r next =
-  if !next = Array.length r.eroded then
-    r.eroded <- Array.append r.eroded [| Array.make (Array.length r.free) 0 |];
+  while !next >= Array.length r.eroded do
+    r.eroded <- Array.append r.eroded [| Array.make (Array.length r.free) 0 |]
+  done;
   incr next;
   r.eroded.(!next - 1)
 
-(* Shape [c]'s rows eroded along z, in the next buffer unless sz = 1: row
-   (z, y), z <= cz_hi, holds the AND of the sz rows from z on. Depends
-   on sz alone, so shapes of one depth share it. Rows z beyond cz_hi
-   are left stale. *)
-let erode_z r c ~into =
+(* Shape [c]'s rows of the masks [free] eroded along z, in the next
+   buffer unless sz = 1: row (z, y), z <= z_hi <= cz_hi, holds the AND
+   of the sz rows from z on. Depends on sz alone, so shapes of one
+   depth share it. Rows z beyond z_hi are left stale. *)
+let erode_z r free c ~z_hi ~into =
   let s = c.cs in
   let plane = r.ny * r.nw in
-  if s.sz = 1 then r.free
+  if s.sz = 1 then free
   else begin
     let dst = take r into in
-    for z = 0 to c.cz_hi do
+    for z = 0 to z_hi do
       for i = z * plane to ((z + 1) * plane) - 1 do
-        dst.(i) <- and_window r.free i ~c:z ~n:r.nz ~stride:plane ~ext:s.sz r.free.(i) 1
+        dst.(i) <- and_window free i ~c:z ~n:r.nz ~stride:plane ~ext:s.sz free.(i) 1
       done
     done;
     dst
   end
 
 (* Shape [c]'s base-row masks from its z-eroded rows [src], in the next
-   buffer unless sy = 1: row (z, y), z <= cz_hi and y <= cy_hi, holds
+   buffer unless sy = 1: row (z, y), z <= z_hi and y <= cy_hi, holds
    the AND of every row a box based in it spans. y-erosion reads every
    y of the rows it keeps. *)
-let erode_y r c src ~into =
+let erode_y r c src ~z_hi ~into =
   let s = c.cs in
   let plane = r.ny * r.nw in
   if s.sy = 1 then src
   else begin
     let dst = take r into in
-    for z = 0 to c.cz_hi do
+    for z = 0 to z_hi do
       for y = 0 to c.cy_hi do
         for i = (z * plane) + (y * r.nw) to (z * plane) + ((y + 1) * r.nw) - 1 do
           dst.(i) <- and_window src i ~c:y ~n:r.ny ~stride:r.nw ~ext:s.sy src.(i) 1
@@ -173,7 +175,7 @@ let erode_y r c src ~into =
 
 let erode r c =
   let next = ref 0 in
-  erode_y r c (erode_z r c ~into:next) ~into:next
+  erode_y r c (erode_z r r.free c ~z_hi:c.cz_hi ~into:next) ~z_hi:c.cz_hi ~into:next
 
 let rec row_full r buf off k =
   if k = r.nw - 1 then buf.(off + k) = r.last_full
@@ -332,6 +334,12 @@ type count_plan = {
   p_skips : int;  (* shapes the summary ruled out *)
 }
 
+(* Indices of [shapes] grouped by depth, in array order within one. *)
+let by_depth shapes =
+  let order = Array.init (Array.length shapes) Fun.id in
+  Array.stable_sort (fun a b -> Int.compare shapes.(a).cs.sz shapes.(b).cs.sz) order;
+  order
+
 (* The count pass visits shapes grouped by depth, so the z-erosion is
    built once per distinct sz; the per-row counts are sums, so visit
    order cannot change them. [p_shapes] keeps [Shape.compare] order
@@ -340,8 +348,6 @@ type count_plan = {
 let count_plan r grid ~volume =
   let shapes, skips = possible_shapes grid ~volume in
   let shapes = Array.of_list shapes in
-  let by_depth = Array.init (Array.length shapes) Fun.id in
-  Array.stable_sort (fun a b -> Int.compare shapes.(a).cs.sz shapes.(b).cs.sz) by_depth;
   Array.fill r.counts 0 (Array.length r.counts) 0;
   let eroded = Array.make (Array.length shapes) r.free in
   let total = ref 0 and depth = ref 0 and ez = ref r.free and next = ref 0 in
@@ -349,10 +355,10 @@ let count_plan r grid ~volume =
     (fun i ->
       let c = shapes.(i) in
       if c.cs.sz <> !depth then begin
-        ez := erode_z r c ~into:next;
+        ez := erode_z r r.free c ~z_hi:c.cz_hi ~into:next;
         depth := c.cs.sz
       end;
-      let buf = erode_y r c !ez ~into:next in
+      let buf = erode_y r c !ez ~z_hi:c.cz_hi ~into:next in
       eroded.(i) <- buf;
       for z = 0 to c.cz_hi do
         for y = 0 to c.cy_hi do
@@ -362,7 +368,7 @@ let count_plan r grid ~volume =
           total := !total + n
         done
       done)
-    by_depth;
+    (by_depth shapes);
   { p_shapes = shapes; p_rows = eroded; p_total = !total; p_skips = skips }
 
 (* Shape [c]'s base bits in row (z, y) of its eroded rows [buf],
@@ -426,6 +432,95 @@ let select_scan r grid ~volume ~cap =
   let plan = spanned "finder.count.scan" (fun () -> count_plan r grid ~volume) in
   let targets = even_targets ~n:plan.p_total ~cap in
   (plan, spanned "finder.count.select" (fun () -> select_from_plan r plan ~targets))
+
+(* ------------------------------------------------------------------ *)
+(* What-if occupancy: where could a job start once some running jobs
+   have ended, or once every running job has been repacked? A what-if
+   copy of the masks, laid out like [rows.free], is edited a box at a
+   time ([set_box]) and scanned for its first free box
+   ([first_free_scan]) by the same erosion and [row_bases] kernels as
+   every other query, in the cache's erosion pool. Nothing here reads
+   the grid's Summary: it describes the grid's occupancy, not the
+   what-if one. *)
+
+(* Set ([on]) or clear the bits of [box] in the masks [free], returning
+   how many bits changed. A box's x extent is one interval of each of
+   its rows, or two when it wraps past the seam. *)
+let set_box r free (box : Box.t) ~on =
+  let b = box.base and s = box.shape in
+  let changed = ref 0 in
+  let interval row lo hi =
+    for w = lo / word_bits to (hi - 1) / word_bits do
+      let x0 = w * word_bits in
+      let a = max lo x0 - x0 and e = min hi (x0 + word_bits) - x0 in
+      let m = ((1 lsl (e - a)) - 1) lsl a and i = (row * r.nw) + w in
+      let old = free.(i) in
+      if on then begin
+        changed := !changed + popcount (m land lnot old);
+        free.(i) <- old lor m
+      end
+      else begin
+        changed := !changed + popcount (m land old);
+        free.(i) <- old land lnot m
+      end
+    done
+  in
+  let hi = b.x + s.sx in
+  for k = 0 to s.sz - 1 do
+    for j = 0 to s.sy - 1 do
+      let row = (((b.z + k) mod r.nz) * r.ny) + ((b.y + j) mod r.ny) in
+      if hi <= r.nx then interval row b.x hi
+      else begin
+        interval row b.x r.nx;
+        interval row 0 (hi - r.nx)
+      end
+    done
+  done;
+  !changed
+
+(* The lowest set bit of words 0 .. last of [t], or -1. *)
+let rec first_bit t last k =
+  if k > last then -1 else if t.(k) <> 0 then (k * word_bits) + ctz t.(k) else first_bit t last (k + 1)
+
+(* The first free box of [shapes] in sorted order on the masks [free],
+   as Some (row, x, index into [shapes]). [shapes] must be in
+   [Shape.compare] order, so (row, x, index) sorts like [Box.compare].
+   They are visited in [order] ([by_depth shapes]), so shapes of one
+   depth share a z-erosion, as in [count_plan]. A shape's rows are
+   read in (z, y) order and only up to the best box's row, and no
+   erosion goes past that row's plane: a later row cannot hold a box
+   that sorts first. *)
+let first_free_scan r free shapes ~order =
+  let b_row = ref max_int and b_x = ref 0 and b_i = ref 0 in
+  let depth = ref 0 and ez = ref free and next = ref 0 in
+  Array.iter
+    (fun i ->
+      let c = shapes.(i) in
+      let z_hi = min c.cz_hi (!b_row / r.ny) in
+      if c.cs.sz <> !depth then begin
+        next := 0;
+        ez := erode_z r free c ~z_hi ~into:next;
+        depth := c.cs.sz
+      end;
+      next := 1;
+      let buf = erode_y r c !ez ~z_hi ~into:next in
+      let rec scan z y =
+        if y > c.cy_hi then (if z < z_hi then scan (z + 1) 0)
+        else
+          let row = (z * r.ny) + y in
+          if row <= !b_row then begin
+            let x = first_bit r.wide (row_bases r buf (row * r.nw) c) 0 in
+            if x < 0 then scan z (y + 1)
+            else if row < !b_row || x < !b_x || (x = !b_x && i < !b_i) then begin
+              b_row := row;
+              b_x := x;
+              b_i := i
+            end
+          end
+      in
+      scan 0 0)
+    order;
+  if !b_row = max_int then None else Some (!b_row, !b_x, !b_i)
 
 (* ------------------------------------------------------------------ *)
 (* The paper's Appendix 9 finders, kept as the oracle the production
@@ -716,6 +811,36 @@ let guard_mfp ~site ?avoid grid found =
               found pp_box_option reference pp_grid_capped grid))
   end
 
+let what_if_check_counter () =
+  Bgl_obs.Registry.counter
+    (Bgl_obs.Runtime.registry ())
+    ~help:"what-if first-free queries cross-checked against the reference finder"
+    "bgl_finder_what_if_differential_checks_total"
+
+(* The what-if guard: when armed, the box a what-if query settled on
+   must be the reference finder's first box on a grid rebuilt node by
+   node from the what-if masks [free]. *)
+let guard_first_free r free ~dims ~volume found =
+  if differential_armed () then begin
+    Bgl_obs.Registry.inc (what_if_check_counter ());
+    let g = Grid.create ~wrap:r.wrap dims in
+    for row = 0 to (r.ny * r.nz) - 1 do
+      for x = 0 to r.nx - 1 do
+        if free.((row * r.nw) + (x / word_bits)) land (1 lsl (x mod word_bits)) = 0 then
+          Grid.occupy_node g ((row * r.nx) + x) ~owner:0
+      done
+    done;
+    let reference = match reference_find g ~volume with [] -> None | b :: _ -> Some b in
+    if found <> reference then
+      raise
+        (Divergence
+           (Format.asprintf
+              "@[<v>what-if divergence at cache.first_free: volume=%d dims=%a wrap=%b@ accelerated \
+               %a@ reference %a@ what-if grid:@ %a@]"
+              volume Dims.pp dims r.wrap pp_box_option found pp_box_option reference
+              pp_grid_capped g))
+  end
+
 (* ------------------------------------------------------------------ *)
 (* The one production surface: memoise finder results keyed on the
    grid's occupancy fingerprint, over free-row masks refreshed from the
@@ -730,11 +855,23 @@ module Cache = struct
 
   type mfp_level = { volume : int; shapes : Shape.t array; boxes : int array Lazy.t }
 
+  (* The what-if masks, their free count, the rows whose layout,
+     erosion pool and x-base buffer they borrow, and the shapes of each
+     volume queried so far with their depth order. *)
+  type scratch = {
+    s_rows : rows;
+    s_free : int array;
+    mutable s_count : int;
+    s_dims : Dims.t;
+    s_shapes : (int, counted_shape array * int array) Hashtbl.t;
+  }
+
   type t = {
     grid : Grid.t;
     rows : rows Lazy.t;
-        (* masks and scratch, allocated on first use: the engine
-           creates ghost caches per backfill/migration probe *)
+        (* masks and erosion scratch, allocated on first use: a one-off
+           query on a fresh cache pays only for what it reads *)
+    scratch : scratch Lazy.t;  (* the one what-if scratch, allocated on first use *)
     exists_memo : (int, int * bool) Hashtbl.t;
     select_memo : (int * int, int * Box.t list) Hashtbl.t;
         (* (volume, cap) -> fingerprint, subsample; find's cap is max_int *)
@@ -749,9 +886,20 @@ module Cache = struct
   let create grid =
     let open Bgl_obs.Registry in
     let reg = Bgl_obs.Runtime.registry () in
+    let rows = lazy (make_rows grid) in
     {
       grid;
-      rows = lazy (make_rows grid);
+      rows;
+      scratch =
+        lazy
+          (let r = Lazy.force rows in
+           {
+             s_rows = r;
+             s_free = Array.make (Array.length r.free) 0;
+             s_count = 0;
+             s_dims = Grid.dims grid;
+             s_shapes = Hashtbl.create 8;
+           });
       exists_memo = Hashtbl.create 32;
       select_memo = Hashtbl.create 32;
       mfp_memo = Hashtbl.create 1;
@@ -863,4 +1011,41 @@ module Cache = struct
           (fun (volume, shapes) ->
             { volume; shapes; boxes = lazy (level_scan (rows t) t.grid shapes) })
           (Shapes.levels_desc (Grid.dims t.grid)))
+
+  (* What-if queries: [what_if] copies the refreshed masks into the
+     scratch, [release] and [claim] edit the copy a box at a time, and
+     [first_free] scans it with no Summary gate. *)
+  let what_if t =
+    let r = rows t and s = Lazy.force t.scratch in
+    Array.blit r.free 0 s.s_free 0 (Array.length r.free);
+    s.s_count <- Grid.free_count t.grid;
+    s
+
+  let free_nodes s = s.s_count
+  let release s box = s.s_count <- s.s_count + set_box s.s_rows s.s_free box ~on:true
+  let claim s box = s.s_count <- s.s_count - set_box s.s_rows s.s_free box ~on:false
+
+  let first_free s ~volume =
+    if volume <= 0 then invalid_arg "Finder.Cache.first_free: volume must be positive";
+    Bgl_resilience.Budget.check ~site:"finder.cache.first_free";
+    let d = s.s_dims in
+    let shapes, order =
+      match Hashtbl.find_opt s.s_shapes volume with
+      | Some plan -> plan
+      | None ->
+          let shapes =
+            Array.of_list
+              (List.map (counted d ~wrap:s.s_rows.wrap) (Shapes.shapes_of_volume d volume))
+          in
+          let plan = (shapes, by_depth shapes) in
+          Hashtbl.replace s.s_shapes volume plan;
+          plan
+    in
+    let result =
+      first_free_scan s.s_rows s.s_free shapes ~order
+      |> Option.map (fun (row, x, i) ->
+             Box.make (Coord.make x (row mod d.ny) (row / d.ny)) shapes.(i).cs)
+    in
+    guard_first_free s.s_rows s.s_free ~dims:d ~volume result;
+    result
 end

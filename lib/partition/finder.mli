@@ -35,10 +35,13 @@ open Bgl_torus
     query results keyed on the grid's occupancy
     {!Bgl_torus.Grid.fingerprint}, so a repeated query on unchanged
     occupancy is a hash lookup. No mutation needs reporting: the
-    version check alone keeps every answer current. Nothing in the cache mutates the grid:
-    MFP what-if probes read the {!Cache.mfp_levels} index with a
-    disjointness filter instead. A one-off query on any grid is
-    [Cache.create grid] followed by the query. *)
+    version check alone keeps every answer current. Nothing in the
+    cache mutates the grid. MFP probes read the {!Cache.mfp_levels}
+    index with a disjointness filter, and the engine's reservation
+    and migration ask their "what if these jobs were gone" questions
+    of the cache's what-if scratch ({!Cache.what_if}), so no caller
+    copies the grid or builds a second cache for it. A one-off query
+    on any grid is [Cache.create grid] followed by the query. *)
 
 module Cache : sig
   type t
@@ -90,6 +93,47 @@ module Cache : sig
       [bgl_finder_counted_skips_total] and the [finder.count.scan] /
       [finder.count.select] spans. *)
 
+  (** {2 What-if queries}
+
+      Where could a job start on an occupancy the grid does not hold:
+      once some running jobs have ended (the engine's EASY
+      reservation), or once every running job has been repacked
+      (migration)? Each cache owns one what-if scratch: a copy of its
+      free-row masks plus a free count, edited a box at a time and
+      scanned by the same erosion kernels as every other query, in the
+      same erosion buffers. The grid is never touched, so its
+      {!Bgl_torus.Grid.version} and fingerprint stay put. *)
+
+  type scratch
+
+  val what_if : t -> scratch
+  (** Reset the cache's scratch to the grid's current occupancy and
+      return it. There is one scratch per cache, and the next
+      [what_if] resets it, so finish one what-if before starting
+      another. The first call allocates the scratch masks; each call
+      copies O(volume / 32) words. *)
+
+  val free_nodes : scratch -> int
+  (** Free nodes in the scratch occupancy. *)
+
+  val release : scratch -> Box.t -> unit
+  (** Mark every node of the box free in the scratch: OR an x-interval
+      mask (two past the seam) into each of the box's rows. *)
+
+  val claim : scratch -> Box.t -> unit
+  (** Mark every node of the box busy in the scratch. *)
+
+  val first_free : scratch -> volume:int -> Box.t option
+  (** The first free box of [volume] in sorted order on the scratch
+      occupancy, the box [select ~cap:1] would return on a grid
+      holding it, or [None]. One pass of the erosion and x-base
+      kernels, stopping at the row of the best box so far. Not
+      memoised, not counted in {!stats} or the counted-query counters,
+      and never gated by the grid's {!Bgl_torus.Summary}, which
+      describes another occupancy. [volume] must be positive. In
+      differential mode it is checked like the other queries (see
+      {!section-differential}). *)
+
   type mfp_level = {
     volume : int;
     shapes : Shape.t array;  (** the level's shapes, in catalogue order *)
@@ -134,7 +178,10 @@ val shape_possible : Grid.t -> Shape.t -> bool
     ({!Cache.find}, {!Cache.exists_free}, {!Cache.select}) is
     cross-checked against an independent reference on the same grid,
     and the returned boxes are independently validated (in-bounds,
-    exact volume, actually free). The reference is the {!Reference.Naive}
+    exact volume, actually free). A what-if query
+    ({!Cache.first_free}) is checked against the reference's first box
+    on a grid rebuilt node by node from the scratch masks, counted in
+    [bgl_finder_what_if_differential_checks_total]. The reference is the {!Reference.Naive}
     enumeration on supernode-scale grids (volume ≤ 128) and a freshly
     built, summary-ungated {!Bgl_torus.Prefix} table scan above that —
     an occupancy representation sharing none of the free-row masks,

@@ -1,7 +1,7 @@
 open Bgl_torus
 
-(* A cache only applies to the very grid it is bound to: callers probe
-   ghost copies too, and those get a fresh cache of their own. *)
+(* A cache only applies to the very grid it is bound to; a query on
+   any other grid, or with no cache, gets a fresh one of its own. *)
 let cache_for cache grid =
   match cache with
   | Some c when Finder.Cache.grid c == grid -> c

@@ -11,9 +11,9 @@
 
     Every entry point takes an optional {!Finder.Cache.t}. A cache
     bound to the queried grid lends its index, which every query on
-    one occupancy shares. Without one, or with a cache bound to a
-    different grid (the schedulers probe ghost copies), the call runs
-    on a fresh [Finder.Cache.create grid].
+    one occupancy shares; the engine always passes the cache of its
+    own grid. Without one, or with a cache bound to a different grid,
+    the call runs on a fresh [Finder.Cache.create grid].
 
     In differential mode ({!Finder.set_differential}) every entry
     point's answer is checked against {!Finder.Reference.mfp} by

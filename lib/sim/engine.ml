@@ -1,4 +1,5 @@
 open Bgl_torus
+module Cache = Bgl_partition.Finder.Cache
 
 type event =
   | Arrival of int  (* job index *)
@@ -109,7 +110,7 @@ type state = {
   mutable next_seq : int;
   mutable arrivals_pending : int;
   mutable now : float;
-  cache : Bgl_partition.Finder.Cache.t;
+  cache : Cache.t;
       (* finder cache over [grid]: free-row masks refreshed whenever the
          grid's version moves, plus a fingerprint-keyed memo of finder
          results. Mutations need no report to it. *)
@@ -160,8 +161,8 @@ let find_candidates st volume =
   if Grid.free_count st.grid < volume then []
   else
     match st.cfg.Config.candidate_cap with
-    | None -> Bgl_partition.Finder.Cache.find st.cache ~volume
-    | Some cap -> Bgl_partition.Finder.Cache.select st.cache ~volume ~cap
+    | None -> Cache.find st.cache ~volume
+    | Some cap -> Cache.select st.cache ~volume ~cap
 
 let checkpoint_interval st (job : Job.t) box =
   match st.cfg.checkpoint with
@@ -226,40 +227,36 @@ let estimated_run_end st idx =
   | Some r -> r.started +. Float.max job.spec.estimate (st.now -. r.started)
 
 (* Earliest time the head job could start if running jobs end at their
-   estimates, and a partition it could then take. *)
+   estimates, and a partition it could then take. Runs are released,
+   by estimated end, into the cache's what-if scratch, never the grid;
+   the scratch is searched only once it holds enough free nodes. *)
 let compute_reservation st (head : Job.t) =
-  let ghost = Grid.copy st.grid in
-  (* The ghost gets its own finder cache: a cache answers for the one
-     grid it is bound to, and this one follows the ghost as runs are
-     released. *)
-  let gcache = Bgl_partition.Finder.Cache.create ghost in
-  let feasible () =
-    Grid.free_count ghost >= head.volume
-    && Bgl_partition.Finder.Cache.exists_free gcache ~volume:head.volume
-  in
-  let by_end =
-    List.sort
-      (fun a b -> compare (estimated_run_end st a) (estimated_run_end st b))
-      (running_lifo st)
-  in
-  let rec release shadow = function
-    | [] -> (shadow, None)
-    | idx :: rest -> (
-        let job = st.jobs.(idx) in
-        (match Job.current_run job with
-        | Some r -> Grid.vacate ghost r.box ~owner:idx
-        | None -> ());
-        let shadow = estimated_run_end st idx in
-        if feasible () then
-          (* Only the sorted head is needed: rank 0 of the counted walk
-             is the head of the materialised list. *)
-          match Bgl_partition.Finder.Cache.select gcache ~volume:head.volume ~cap:1 with
-          | box :: _ -> (shadow, Some box)
-          | [] -> (shadow, None) (* unreachable: feasible () just held *)
-        else release shadow rest)
-  in
-  if feasible () then (st.now, None) (* should have been placed directly *)
-  else release st.now by_end
+  if
+    Grid.free_count st.grid >= head.volume
+    && Cache.exists_free st.cache ~volume:head.volume
+  then (st.now, None) (* should have been placed directly *)
+  else begin
+    let by_end =
+      List.sort
+        (fun a b -> compare (estimated_run_end st a) (estimated_run_end st b))
+        (running_lifo st)
+    in
+    let what_if = Cache.what_if st.cache in
+    let rec release shadow = function
+      | [] -> (shadow, None)
+      | idx :: rest -> (
+          (match Job.current_run st.jobs.(idx) with
+          | Some r -> Cache.release what_if r.box
+          | None -> ());
+          let shadow = estimated_run_end st idx in
+          if Cache.free_nodes what_if < head.volume then release shadow rest
+          else
+            match Cache.first_free what_if ~volume:head.volume with
+            | Some box -> (shadow, Some box)
+            | None -> release shadow rest)
+    in
+    release st.now by_end
+  end
 
 let backfill_pass st head_idx =
   let head = st.jobs.(head_idx) in
@@ -303,37 +300,38 @@ let backfill_pass st head_idx =
 let try_migrate st (head : Job.t) =
   if Grid.free_count st.grid < head.volume then false
   else begin
-    let dims = Grid.dims st.grid in
-    let ghost = Grid.create ~wrap:(Grid.wrap st.grid) dims in
-    (* Keep downed nodes down in the ghost. *)
-    Grid.iter_owned st.grid (fun node owner ->
-        if owner = Grid.down_owner then Grid.occupy_node ghost node ~owner:Grid.down_owner);
-    (* Repacking queries the ghost once per running job as it fills up,
-       through a cache bound to the ghost. *)
-    let gcache = Bgl_partition.Finder.Cache.create ghost in
     let order =
       List.sort
         (fun a b -> Int.compare st.jobs.(b).volume st.jobs.(a).volume)
         (running_lifo st)
     in
+    (* The repack happens in the cache's what-if scratch: every running
+       box released leaves only the downed nodes busy, and each job
+       then claims the first free box of its size. *)
+    let what_if = Cache.what_if st.cache in
+    List.iter
+      (fun idx ->
+        match Job.current_run st.jobs.(idx) with
+        | Some r -> Cache.release what_if r.box
+        | None -> ())
+      order;
     let placements =
       List.fold_left
         (fun acc idx ->
           match acc with
           | None -> None
           | Some placed -> (
-              let job = st.jobs.(idx) in
-              match Bgl_partition.Finder.Cache.select gcache ~volume:job.volume ~cap:1 with
-              | [] -> None
-              | box :: _ ->
-                  Grid.occupy ghost box ~owner:idx;
+              match Cache.first_free what_if ~volume:st.jobs.(idx).volume with
+              | None -> None
+              | Some box ->
+                  Cache.claim what_if box;
                   Some ((idx, box) :: placed)))
         (Some []) order
     in
     match placements with
     | None -> false
     | Some placed ->
-        if not (Bgl_partition.Finder.Cache.exists_free gcache ~volume:head.volume) then false
+        if Cache.first_free what_if ~volume:head.volume = None then false
         else begin
           (* Commit in two phases: a job's new box may overlap another
              job's old box, so every moved job vacates before any
@@ -562,7 +560,7 @@ let run ?(config = Config.default) ?(predictor = Bgl_predict.Predictor.null) ?re
       next_seq = 0;
       arrivals_pending = Array.length jobs;
       now = 0.;
-      cache = Bgl_partition.Finder.Cache.create grid;
+      cache = Cache.create grid;
     }
   in
   (* Frame the run: a run_meta header carrying everything the auditor

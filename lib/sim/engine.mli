@@ -10,6 +10,12 @@
     jobs to defragment the torus. Placement decisions among candidate
     partitions are delegated to a {!Policy.t}.
 
+    A run owns one grid and one {!Bgl_partition.Finder.Cache} over it.
+    The reservation (which box the head could take once running jobs
+    end at their estimates) and the migration repack are worked out in
+    that cache's what-if scratch ({!Bgl_partition.Finder.Cache.what_if}),
+    so neither copies the grid nor builds a second cache.
+
     Failure semantics follow the paper: failures are transient; a
     failure on a node occupied by a job kills the whole job, whose
     unsaved work is lost and which is requeued with its original

@@ -48,11 +48,6 @@ let create ?(wrap = true) dims =
 let dims t = t.dims
 let wrap t = t.wrap
 
-let copy t =
-  let occ = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (Bigarray.Array1.dim t.occ) in
-  Bigarray.Array1.blit t.occ occ;
-  { t with occ; owners = Array.copy t.owners; summary = Summary.copy t.summary }
-
 let volume t = Dims.volume t.dims
 let free_count t = t.free
 let busy_count t = volume t - t.free

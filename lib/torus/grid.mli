@@ -26,7 +26,6 @@ val create : ?wrap:bool -> Dims.t -> t
 
 val dims : t -> Dims.t
 val wrap : t -> bool
-val copy : t -> t
 
 val volume : t -> int
 val free_count : t -> int
@@ -34,8 +33,8 @@ val busy_count : t -> int
 
 val version : t -> int
 (** Total number of single-node mutations (occupies + vacates) applied
-    to this grid so far. Monotonic; {!copy} carries it over. The
-    finder cache's free-row masks use it to tell when to rebuild. *)
+    to this grid so far. Monotonic. The finder cache's free-row masks
+    use it to tell when to rebuild. *)
 
 val fingerprint : t -> int
 (** Occupancy fingerprint: a Zobrist-style xor over the occupied

@@ -64,16 +64,6 @@ let create dims =
     bcum_wrap = true;
   }
 
-let copy t =
-  {
-    t with
-    free_x = Array.copy t.free_x;
-    free_y = Array.copy t.free_y;
-    free_z = Array.copy t.free_z;
-    blocks = Array.copy t.blocks;
-    bcum = Array.copy t.bcum;
-  }
-
 let version t = t.version
 
 let block_index t (c : Coord.t) =

@@ -15,8 +15,6 @@ type t
 val create : Dims.t -> t
 (** Summary of a fully free grid. *)
 
-val copy : t -> t
-
 val occupy : t -> Coord.t -> unit
 (** Record that the cell just became occupied. *)
 
@@ -24,7 +22,7 @@ val vacate : t -> Coord.t -> unit
 (** Record that the cell just became free. *)
 
 val version : t -> int
-(** Number of updates applied; {!copy} carries it over. *)
+(** Number of updates applied. *)
 
 val slab_free : t -> axis:[ `X | `Y | `Z ] -> int -> int
 (** [slab_free t ~axis:`X x] is the number of free nodes in the plane

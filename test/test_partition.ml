@@ -881,6 +881,13 @@ let prefix_scan g =
             if Prefix.box_is_free table b then f i b))
       shapes
 
+(* Every free box of [volume], sorted, by the summed-area scan. *)
+let prefix_find g ~volume =
+  let acc = ref [] in
+  prefix_scan g (Array.of_list (Shapes.shapes_of_volume (Grid.dims g) volume)) ~f:(fun _ b ->
+      acc := b :: !acc);
+  List.sort Box.compare !acc
+
 let prop_kernel_matches_prefix =
   QCheck.Test.make ~name:"free-row kernel equals the summed-area scan" ~count:200
     (QCheck.make ~print:print_kernel kernel_gen)
@@ -890,9 +897,7 @@ let prop_kernel_matches_prefix =
       let scan = prefix_scan g in
       let cache = Finder.Cache.create g in
       let agrees volume =
-        let acc = ref [] in
-        scan (Array.of_list (Shapes.shapes_of_volume d volume)) ~f:(fun _ b -> acc := b :: !acc);
-        let reference = List.sort Box.compare !acc in
+        let reference = prefix_find g ~volume in
         Finder.Cache.find cache ~volume = reference
         && Finder.Cache.exists_free cache ~volume = (reference <> [])
         && List.for_all
@@ -916,6 +921,110 @@ let prop_kernel_matches_prefix =
       && agrees volumes.(k.k_seed mod Array.length volumes)
       && List.for_all level_agrees
            (List.filteri (fun i (l : Finder.Cache.mfp_level) -> i < 4 || l.volume = carved) levels))
+
+(* ------------------------------------------------------------------ *)
+(* The what-if scratch against a ghost grid: a grid with some jobs and
+   some down nodes gets a random sequence of releases (of its jobs'
+   boxes and of arbitrary ones) and claims in its cache's scratch, and
+   the same node edits on a ghost grid. After every edit the scratch's
+   free count is the ghost's, and [first_free] is the first box of
+   [select ~cap:1] on a fresh cache of the ghost, whose uncapped
+   answer is in turn the summed-area scan's. Row lengths 31 to 65 put
+   box edges on both sides of a 32-bit word boundary, and 9x9x9 is
+   summary-gated; the real grid must never move. *)
+
+let what_if_dims =
+  [|
+    Dims.make 31 2 3;
+    Dims.make 32 3 2;
+    Dims.make 33 2 2;
+    Dims.make 63 2 2;
+    Dims.make 65 2 3;
+    Dims.make 9 9 9;
+  |]
+
+type what_if_case = { w_dims : Dims.t; w_wrap : bool; w_down : float; w_ops : int; w_seed : int }
+
+let what_if_gen =
+  QCheck.Gen.(
+    let* d = oneofa what_if_dims and* wrap = bool and* down = oneofl [ 0.; 0.05; 0.3 ] in
+    let* ops = int_range 1 10 and* seed = small_nat in
+    return { w_dims = d; w_wrap = wrap; w_down = down; w_ops = ops; w_seed = seed })
+
+let print_what_if w =
+  Printf.sprintf "dims=%s wrap=%b down=%.2f ops=%d seed=%d" (Dims.to_string w.w_dims) w.w_wrap
+    w.w_down w.w_ops w.w_seed
+
+(* A random canonical box: extents of one node, a few, any or the whole
+   axis; bases anywhere the wrap mode allows. *)
+let random_box rng (d : Dims.t) ~wrap =
+  let pick n = Bgl_stats.Rng.int rng n in
+  let extent n = match pick 4 with 0 -> 1 | 1 -> min n (1 + pick 4) | 2 -> 1 + pick n | _ -> n in
+  let base e n = if wrap then pick n else pick (n - e + 1) in
+  let sx = extent d.nx and sy = extent d.ny and sz = extent d.nz in
+  Box.canonical d ~wrap
+    (Box.make (Coord.make (base sx d.nx) (base sy d.ny) (base sz d.nz)) (Shape.make sx sy sz))
+
+let prop_what_if_matches_ghost =
+  QCheck.Test.make ~name:"what-if first_free equals select on a ghost grid" ~count:300
+    (QCheck.make ~print:print_what_if what_if_gen)
+    (fun w ->
+      let d = w.w_dims and wrap = w.w_wrap in
+      let rng = Bgl_stats.Rng.create ~seed:w.w_seed in
+      let g = Grid.create ~wrap d in
+      for node = 0 to Dims.volume d - 1 do
+        if Bgl_stats.Rng.unit_float rng < w.w_down then Grid.occupy_node g node ~owner:Grid.down_owner
+      done;
+      let jobs =
+        List.filter_map
+          (fun owner ->
+            let b = random_box rng d ~wrap in
+            if Grid.box_is_free g b then begin
+              Grid.occupy g b ~owner;
+              Some b
+            end
+            else None)
+          (List.init 6 Fun.id)
+      in
+      let version = Grid.version g and fingerprint = Grid.fingerprint g in
+      let cache = Finder.Cache.create g in
+      let ghost = Grid.create ~wrap d in
+      Grid.iter_owned g (fun node _ -> Grid.occupy_node ghost node ~owner:1);
+      let scratch = Finder.Cache.what_if cache in
+      let volumes = Array.of_list (Shapes.feasible_volumes d) in
+      let agrees box =
+        let ghost_cache = Finder.Cache.create ghost in
+        Finder.Cache.free_nodes scratch = Grid.free_count ghost
+        && List.for_all
+             (fun volume ->
+               Finder.Cache.first_free scratch ~volume
+               = List.nth_opt (Finder.Cache.select ghost_cache ~volume ~cap:1) 0
+               && Finder.Cache.find ghost_cache ~volume = prefix_find ghost ~volume)
+             [ 1; Box.volume box; volumes.(Bgl_stats.Rng.int rng (Array.length volumes)) ]
+      in
+      let step () =
+        let box =
+          match (jobs, Bgl_stats.Rng.int rng 3) with
+          | _ :: _, 0 -> List.nth jobs (Bgl_stats.Rng.int rng (List.length jobs))
+          | _ -> random_box rng d ~wrap
+        in
+        let nodes = Box.indices d box in
+        if Bgl_stats.Rng.int rng 3 = 0 then begin
+          Finder.Cache.claim scratch box;
+          List.iter (fun n -> if Grid.is_free ghost n then Grid.occupy_node ghost n ~owner:1) nodes
+        end
+        else begin
+          Finder.Cache.release scratch box;
+          List.iter (fun n -> if not (Grid.is_free ghost n) then Grid.vacate_node ghost n ~owner:1) nodes
+        end;
+        agrees box
+      in
+      let rec run k = k = 0 || (step () && run (k - 1)) in
+      run w.w_ops
+      && Grid.version g = version
+      && Grid.fingerprint g = fingerprint
+      && Finder.Cache.select cache ~volume:1 ~cap:1
+         = Finder.Cache.select (Finder.Cache.create g) ~volume:1 ~cap:1)
 
 (* The word-parallel x-erosion every query reads ([row_bases]) on rows
    of two and three words: every window width around a word boundary
@@ -943,9 +1052,7 @@ let test_count_pass_wide_rows () =
       let cache = Finder.Cache.create g in
       List.iter
         (fun volume ->
-          let acc = ref [] in
-          scan (Array.of_list (Shapes.shapes_of_volume d volume)) ~f:(fun _ b -> acc := b :: !acc);
-          let reference = List.sort Box.compare !acc in
+          let reference = prefix_find g ~volume in
           let label what =
             Printf.sprintf "%s: %dx2x4 wrap=%b busy=%.2f volume=%d" what nx wrap busy volume
           in
@@ -1005,6 +1112,7 @@ let props =
       prop_select_equals_capped_find;
       prop_gated_proofs_of_absence;
       prop_kernel_matches_prefix;
+      prop_what_if_matches_ghost;
     ]
 
 let () =

@@ -352,10 +352,12 @@ let test_served_backpressure () =
     (fun () ->
       wait_ready sock;
       (* A: occupies the executor. B: fills the queue. C: must bounce
-         with an explicit rejection, immediately. *)
+         with an explicit rejection, immediately. A must outlast the
+         0.6 s before C: a 600-job figure-3 sweep takes about 1.3 s on
+         an idle 2-vCPU VM, where a 200-job one took under 0.5 s. *)
       let slow seed =
         Printf.sprintf
-          {|{"op":"sweep","figure":"3","jobs":200,"seeds":1,"seed":%d}|} seed
+          {|{"op":"sweep","figure":"3","jobs":600,"seeds":1,"seed":%d}|} seed
       in
       let a = Thread.create (fun () -> request sock (slow 1)) () in
       Thread.delay 0.4;

@@ -440,6 +440,102 @@ let test_backfill_respects_reservation () =
   check_float "head job starts on time" 100. (start 1);
   check_bool "long job waits for head" true (start 2 >= 110.)
 
+(* Every box a job starts or migrates onto, checked against the nodes
+   held down by repair downtime at that moment. *)
+let boxes_avoid_down_nodes dims recorder =
+  let down = Hashtbl.create 4 in
+  let clear box = List.for_all (fun n -> not (Hashtbl.mem down n)) (Box.indices dims box) in
+  List.for_all
+    (function
+      | Recorder.Node_failed { node; _ } ->
+          Hashtbl.replace down node ();
+          true
+      | Recorder.Node_repaired { node; _ } ->
+          Hashtbl.remove down node;
+          true
+      | Recorder.Job_started { box; _ } -> clear box
+      | Recorder.Job_migrated { to_box; _ } -> clear to_box
+      | _ -> true)
+    (Recorder.entries recorder)
+
+let start_of (o : Engine.outcome) id =
+  Array.to_list o.jobs
+  |> List.find_map (fun (j : Job.t) -> if j.spec.id = id then j.first_start else None)
+  |> Option.get
+
+let test_reservation_keeps_down_nodes_busy () =
+  (* A 12-node line: A on 0-2, D on 3, B on 4-7, F on 8-11. D and F end
+     at 5 and node 3 fails at 6, down for 10,000 s. Head H (8 nodes)
+     arrives at 10 with 8-11 free. Releasing A (end 100) leaves 7 free
+     nodes; releasing B (end 200) too frees 0-2 and 4-11, so H's
+     reservation is 4-11 from 200, clear of the down node. The long
+     3-node job L arriving at 11 cannot take 8-11, which the
+     reservation covers, and starts on 0-2 when A ends at 100. Had node
+     3 been released with A's region, the reservation would be 0-7, L
+     would take 8-10 at 11 and hold H back until 1011. *)
+  let dims = Dims.make 12 1 1 in
+  let config = { Config.default with dims; wrap = false; repair_time = 10_000. } in
+  let log =
+    mk_log
+      [
+        mk_job ~id:0 ~arrival:0. ~size:3 ~run_time:100.;
+        mk_job ~id:1 ~arrival:0. ~size:1 ~run_time:5.;
+        mk_job ~id:2 ~arrival:0. ~size:4 ~run_time:200.;
+        mk_job ~id:3 ~arrival:0. ~size:4 ~run_time:5.;
+        mk_job ~id:4 ~arrival:10. ~size:8 ~run_time:10.;
+        mk_job ~id:5 ~arrival:11. ~size:3 ~run_time:1000.;
+      ]
+  in
+  let recorder = Recorder.create () in
+  let o =
+    Engine.run ~recorder ~config ~policy:Bgl_sched.Placement.first_fit ~log
+      ~failures:(mk_failures [ (6., 3) ])
+      ()
+  in
+  check_bool "complete" true o.complete;
+  check_float "long job keeps off the reservation" 100. (start_of o 5);
+  check_float "head starts at its reservation" 200. (start_of o 4);
+  check_bool "head took the reserved box" true
+    (List.exists
+       (function
+         | Recorder.Job_started { job = 4; box; _ } ->
+             Box.equal box (Box.make (Coord.make 4 0 0) (Shape.make 8 1 1))
+         | _ -> false)
+       (Recorder.entries recorder));
+  check_bool "no job starts on a down node" true (boxes_avoid_down_nodes dims recorder)
+
+let test_migration_skips_down_nodes () =
+  (* An 8-node line: W 0, A 1-2, V 3, B 4-5, U 6-7; W, V and U end at
+     5, node 0 fails at 6 and stays down. Head H (3 nodes) arrives at 7
+     with 3, 6 and 7 free. The repack releases A and B and places them
+     at 1-2 and 3-4, leaving 5-7 for H; node 0 stays busy throughout,
+     where a repack that forgot it would use 0-1 and 2-3. *)
+  let dims = Dims.make 8 1 1 in
+  let config =
+    { Config.default with dims; wrap = false; backfill = false; migration = true; repair_time = 10_000. }
+  in
+  let log =
+    mk_log
+      [
+        mk_job ~id:0 ~arrival:0. ~size:1 ~run_time:5.;
+        mk_job ~id:1 ~arrival:0. ~size:2 ~run_time:1000.;
+        mk_job ~id:2 ~arrival:0. ~size:1 ~run_time:5.;
+        mk_job ~id:3 ~arrival:0. ~size:2 ~run_time:1000.;
+        mk_job ~id:4 ~arrival:0. ~size:2 ~run_time:5.;
+        mk_job ~id:5 ~arrival:7. ~size:3 ~run_time:10.;
+      ]
+  in
+  let recorder = Recorder.create () in
+  let o =
+    Engine.run ~recorder ~config ~policy:Bgl_sched.Placement.first_fit ~log
+      ~failures:(mk_failures [ (6., 0) ])
+      ()
+  in
+  check_bool "complete" true o.complete;
+  check_bool "repacked" true (o.report.migrations > 0);
+  check_float "head starts after the repack" 7. (start_of o 5);
+  check_bool "no job starts or moves onto a down node" true (boxes_avoid_down_nodes dims recorder)
+
 let test_oversize_jobs_dropped () =
   let log =
     mk_log [ mk_job ~id:0 ~arrival:0. ~size:500 ~run_time:10.; mk_job ~id:1 ~arrival:0. ~size:1 ~run_time:10. ]
@@ -810,6 +906,8 @@ let () =
           tc "backfill reservation" test_backfill_respects_reservation;
           tc "oversize dropped" test_oversize_jobs_dropped;
           tc "migration defragments" test_migration_defragments;
+          tc "reservation keeps down nodes busy" test_reservation_keeps_down_nodes_busy;
+          tc "migration skips down nodes" test_migration_skips_down_nodes;
           tc "candidate cap" test_candidate_cap_still_schedules;
           tc "no wraparound" test_no_wrap_config;
           tc "backfill depth zero" test_backfill_depth_zero;

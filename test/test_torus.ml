@@ -171,13 +171,6 @@ let test_grid_vacate_wrong_owner () =
        false
      with Invalid_argument _ -> true)
 
-let test_grid_copy_independent () =
-  let g = Grid.create Dims.bgl in
-  let b = Box.make (Coord.make 0 0 0) (Shape.make 1 1 1) in
-  let g2 = Grid.copy g in
-  Grid.occupy g b ~owner:1;
-  check_bool "copy unaffected" true (Grid.box_is_free g2 b)
-
 let test_grid_owners () =
   let g = Grid.create Dims.bgl in
   Grid.occupy g (Box.make (Coord.make 0 0 0) (Shape.make 1 1 1)) ~owner:5;
@@ -215,12 +208,7 @@ let test_grid_version_fingerprint () =
   check_int "version is monotonic" 12 (Grid.version g);
   (* Vacating back to empty restores the empty fingerprint. *)
   Grid.vacate g b ~owner:7;
-  check_int "empty again" 0 (Grid.fingerprint g);
-  (* copy carries both. *)
-  Grid.occupy g b ~owner:7;
-  let c = Grid.copy g in
-  check_int "copy version" (Grid.version g) (Grid.version c);
-  check_int "copy fingerprint" (Grid.fingerprint g) (Grid.fingerprint c)
+  check_int "empty again" 0 (Grid.fingerprint g)
 
 (* ------------------------------------------------------------------ *)
 (* Prefix *)
@@ -316,15 +304,6 @@ let test_summary_counts () =
   check_bool "version advanced" true (Summary.version s > v0);
   Grid.vacate g (Box.make (Coord.make 1 2 3) (Shape.make 1 1 1)) ~owner:5;
   check_int "x slab restored" (4 * 8) (Summary.slab_free s ~axis:`X 1)
-
-let test_summary_copy_independent () =
-  let d = Dims.make 4 4 8 in
-  let g = Grid.create d in
-  let ghost = Grid.copy g in
-  Grid.occupy ghost (Box.make (Coord.make 0 0 0) (Shape.make 2 2 2)) ~owner:1;
-  check_int "original summary untouched" (4 * 8) (Summary.slab_free (Grid.summary g) ~axis:`X 0);
-  check_int "copy summary tracked" ((4 * 8) - 4)
-    (Summary.slab_free (Grid.summary ghost) ~axis:`X 0)
 
 let test_summary_full_grid_infeasible () =
   let d = Dims.make 4 4 8 in
@@ -571,7 +550,6 @@ let () =
           tc "occupy/vacate" test_grid_occupy_vacate;
           tc "double occupy rejected" test_grid_double_occupy_rejected;
           tc "vacate wrong owner" test_grid_vacate_wrong_owner;
-          tc "copy independent" test_grid_copy_independent;
           tc "owners" test_grid_owners;
           tc "down owner" test_grid_down_owner;
           tc "version and fingerprint" test_grid_version_fingerprint;
@@ -584,7 +562,6 @@ let () =
       ( "summary",
         [
           tc "slab counts track mutations" test_summary_counts;
-          tc "copy is independent" test_summary_copy_independent;
           tc "full grid is infeasible" test_summary_full_grid_infeasible;
         ] );
       ("properties", props);
