@@ -137,13 +137,15 @@ let finder_incremental_tests () =
 (* Machine-size scaling: the same operations at the paper's 4x4x8
    supernode view up to the full 64x32x32 node torus (512x the
    volume). A node mutation with its summary upkeep stays near-flat as
-   the machine grows. The exists-style probe that the hierarchical
-   summary rejects runs on a fresh cache, so it also pays the
-   O(volume/32) free-row mask refresh and grows sublinearly, not flat
-   (EXPERIMENTS.md has the numbers). The full prefix-table build shows
-   the O(volume) cost of a summed-area scan. 90% occupancy makes a
-   quarter-machine partition geometrically impossible, so the
-   infeasible probe exercises the reject path the scheduler hits
+   the machine grows. Both probes are the one-box query
+   [select ~cap:1], the question "is any box of this volume free?".
+   The infeasible one, which the hierarchical summary rejects, runs on
+   a fresh cache, so it also pays the O(volume/32) free-row mask
+   refresh and grows sublinearly, not flat (EXPERIMENTS.md has the
+   numbers); the cached one is a memo hit. The full prefix-table build
+   shows the O(volume) cost of a summed-area scan. 90% occupancy makes
+   a sixteenth-machine partition geometrically impossible at scale, so
+   the infeasible probe exercises the reject path the scheduler hits
    whenever the queue holds jobs bigger than any surviving hole.
    A 15-event failure trace is the set-up cost a run pays per machine
    size: the permutation and prefix sums are O(volume), each draw
@@ -169,7 +171,7 @@ let torus_scale_tests () =
           | Some owner -> Grid.vacate_node grid node ~owner
         in
         let cache = Finder.Cache.create grid in
-        ignore (Finder.Cache.exists_free cache ~volume:2);
+        ignore (Finder.Cache.select cache ~volume:2 ~cap:1);
         [
           Bechamel.Test.make
             ~name:(Printf.sprintf "mutate-64/%s" name)
@@ -178,11 +180,12 @@ let torus_scale_tests () =
             ~name:(Printf.sprintf "probe-infeasible/%s" name)
             (Bechamel.Staged.stage (fun () ->
                  ignore
-                   (Finder.Cache.exists_free (Finder.Cache.create grid)
-                      ~volume:(max 8 (volume / 16)))));
+                   (Finder.Cache.select (Finder.Cache.create grid)
+                      ~volume:(max 8 (volume / 16))
+                      ~cap:1)));
           Bechamel.Test.make
             ~name:(Printf.sprintf "probe-feasible-cached/%s" name)
-            (Bechamel.Staged.stage (fun () -> ignore (Finder.Cache.exists_free cache ~volume:2)));
+            (Bechamel.Staged.stage (fun () -> ignore (Finder.Cache.select cache ~volume:2 ~cap:1)));
           Bechamel.Test.make
             ~name:(Printf.sprintf "prefix-build/%s" name)
             (Bechamel.Staged.stage (fun () -> ignore (Prefix.build grid)));

@@ -49,8 +49,8 @@ let sort_boxes = List.sort Box.compare
    base row, and one more erosion along x ([row_bases]) leaves one bit
    per x base of that row. Every query reads a row's bases from that
    x-eroded mask: a count popcounts it, an enumeration takes its set
-   bits lowest first, an existence check looks for a non-zero word.
-   The masks are rebuilt from the grid's
+   bits lowest first, a what-if query takes its lowest set bit. The
+   masks are rebuilt from the grid's
    occupancy words whenever its version moves, at O(volume / 32), so
    there is no change log to keep in step and an unreported mutation
    cannot leave them stale. The erosion buffers are scratch owned by
@@ -260,17 +260,6 @@ let count_row_bases r buf off c =
     !n
   end
 
-(* Whether shape [c] has a free box: the first row whose mask has a
-   non-zero word. *)
-let exists_free_base r c =
-  let buf = erode r c in
-  let rec nonzero last k = k <= last && (r.wide.(k) <> 0 || nonzero last (k + 1)) in
-  let rec from z y =
-    if y > c.cy_hi then z < c.cz_hi && from (z + 1) 0
-    else nonzero (row_bases r buf (((z * r.ny) + y) * r.nw) c) 0 || from z (y + 1)
-  in
-  from 0 0
-
 (* The shapes of [volume] the summary admits, and how many it ruled
    out. *)
 let possible_shapes grid ~volume =
@@ -278,9 +267,6 @@ let possible_shapes grid ~volume =
   let shapes = Shapes.shapes_of_volume d volume in
   let kept = List.filter (shape_possible grid) shapes in
   (List.map (counted d ~wrap) kept, List.length shapes - List.length kept)
-
-let exists_scan r grid ~volume =
-  List.exists (exists_free_base r) (fst (possible_shapes grid ~volume))
 
 (* Every free box of the level's [shapes], packed as (index into
    [shapes], x, y, z) quadruples: shapes in array order, bases in
@@ -731,14 +717,9 @@ let reference_cap ~cap boxes =
     let arr = Array.of_list boxes in
     List.init cap (fun i -> arr.(i * n / cap))
 
-(* What a query answered, in a form the reference can be projected
-   onto. *)
-type answer = Boxes of Box.t list | Exists of bool
-
-let pp_answer ppf = function
-  | Exists b -> Format.fprintf ppf "exists=%b" b
-  | Boxes [] -> Format.fprintf ppf "0 boxes: (none)"
-  | Boxes boxes ->
+let pp_boxes ppf = function
+  | [] -> Format.fprintf ppf "0 boxes: (none)"
+  | boxes ->
       Format.fprintf ppf "%d boxes: @[<hov>%a@]" (List.length boxes)
         Format.(pp_print_list ~pp_sep:pp_print_space Box.pp)
         boxes
@@ -757,7 +738,7 @@ let check_counter () =
     ~help:"accelerated finder queries cross-checked against the reference finder"
     "bgl_finder_differential_checks_total"
 
-(* The one checker: the query's answer must equal [project] applied to
+(* The one checker: the query's boxes must equal [project] applied to
    the reference enumeration, AND every box it returns must pass direct
    validity checks (free, in-bounds, exact volume), so a bug shared by
    both paths — e.g. in the base enumeration — still has a chance to
@@ -771,21 +752,17 @@ let differential_check ~site grid ~volume ~project fast =
     diverge
       "@[<v>finder divergence at %s: volume=%d dims=%a wrap=%b@ accelerated %a@ reference %a@ \
        grid:@ %a@]"
-      site volume Dims.pp d (Grid.wrap grid) pp_answer fast pp_answer reference pp_grid_capped
-      grid;
-  match fast with
-  | Exists _ -> ()
-  | Boxes boxes ->
-      List.iter
-        (fun (b : Box.t) ->
-          if
-            (not (Coord.in_bounds d b.base))
-            || Box.volume b <> volume
-            || not (Grid.box_is_free grid b)
-          then
-            diverge "finder divergence at %s: invalid box %a (volume %d, dims %a)" site Box.pp b
-              volume Dims.pp d)
-        boxes
+      site volume Dims.pp d (Grid.wrap grid) pp_boxes fast pp_boxes reference pp_grid_capped grid;
+  List.iter
+    (fun (b : Box.t) ->
+      if
+        (not (Coord.in_bounds d b.base))
+        || Box.volume b <> volume
+        || not (Grid.box_is_free grid b)
+      then
+        diverge "finder divergence at %s: invalid box %a (volume %d, dims %a)" site Box.pp b volume
+          Dims.pp d)
+    fast
 
 let mfp_check_counter () =
   Bgl_obs.Registry.counter
@@ -851,8 +828,6 @@ let guard_first_free r free ~dims ~volume found =
    exactly the stale entries. *)
 
 module Cache = struct
-  type counters = { mutable hits : int; mutable misses : int }
-
   type mfp_level = { volume : int; shapes : Shape.t array; boxes : int array Lazy.t }
 
   (* The what-if masks, their free count, the rows whose layout,
@@ -872,11 +847,9 @@ module Cache = struct
         (* masks and erosion scratch, allocated on first use: a one-off
            query on a fresh cache pays only for what it reads *)
     scratch : scratch Lazy.t;  (* the one what-if scratch, allocated on first use *)
-    exists_memo : (int, int * bool) Hashtbl.t;
     select_memo : (int * int, int * Box.t list) Hashtbl.t;
         (* (volume, cap) -> fingerprint, subsample; find's cap is max_int *)
     mfp_memo : (unit, int * mfp_level list) Hashtbl.t;  (* the one index: fingerprint, levels *)
-    counters : counters;
     obs_hits : Bgl_obs.Registry.counter;
     obs_misses : Bgl_obs.Registry.counter;
     obs_counted : Bgl_obs.Registry.counter;
@@ -900,10 +873,8 @@ module Cache = struct
              s_dims = Grid.dims grid;
              s_shapes = Hashtbl.create 8;
            });
-      exists_memo = Hashtbl.create 32;
       select_memo = Hashtbl.create 32;
       mfp_memo = Hashtbl.create 1;
-      counters = { hits = 0; misses = 0 };
       obs_hits = counter reg ~help:"finder candidate-cache hits" "bgl_finder_cache_hits_total";
       obs_misses =
         counter reg ~help:"finder candidate-cache misses" "bgl_finder_cache_misses_total";
@@ -919,7 +890,6 @@ module Cache = struct
 
   (* The masks follow the grid's version, not notes. *)
   let note_box _ _ = ()
-  let note_node _ _ = ()
 
   let rows t =
     let r = Lazy.force t.rows in
@@ -928,77 +898,41 @@ module Cache = struct
 
   let table t = (rows t).free
 
-  let hit t =
-    t.counters.hits <- t.counters.hits + 1;
-    Bgl_obs.Registry.inc t.obs_hits
-
-  let miss t =
-    t.counters.misses <- t.counters.misses + 1;
-    Bgl_obs.Registry.inc t.obs_misses
-
-  let stats t = (t.counters.hits, t.counters.misses)
-
   (* Serve [key] from [memo] while the occupancy fingerprint matches,
      else run [compute] and remember its result. *)
   let memoised t memo key ~compute =
     let fp = Grid.fingerprint t.grid in
     match Hashtbl.find_opt memo key with
     | Some (fp', r) when fp' = fp ->
-        hit t;
+        Bgl_obs.Registry.inc t.obs_hits;
         r
     | _ ->
-        miss t;
+        Bgl_obs.Registry.inc t.obs_misses;
         let r = compute () in
         Hashtbl.replace memo key (fp, r);
         r
 
   (* The counted query: count, pick the historical even-subsample
      ranks, and emit only those boxes. *)
-  let counted_query t ~volume ~cap =
-    if volume > Grid.volume t.grid then []
-    else
-      memoised t t.select_memo (volume, cap) ~compute:(fun () ->
-          let plan, boxes = select_scan (rows t) t.grid ~volume ~cap in
-          Bgl_obs.Registry.inc t.obs_counted;
-          if plan.p_skips > 0 then
-            Bgl_obs.Registry.add t.obs_counted_skips (float_of_int plan.p_skips);
-          boxes)
-
-  let find t ~volume =
-    if volume <= 0 then invalid_arg "Finder.Cache.find: volume must be positive";
-    Bgl_resilience.Budget.check ~site:"finder.cache.find";
-    let result = counted_query t ~volume ~cap:max_int in
-    if differential_armed () then
-      differential_check ~site:"cache.find" t.grid ~volume
-        ~project:(fun r -> Boxes r)
-        (Boxes result);
-    result
-
-  let exists_free t ~volume =
-    if volume <= 0 then invalid_arg "Finder.Cache.exists_free: volume must be positive";
-    Bgl_resilience.Budget.check ~site:"finder.cache.exists_free";
-    let result =
-      if volume > Grid.volume t.grid then false
-      else
-        memoised t t.exists_memo volume ~compute:(fun () ->
-            spanned "finder.cache.exists_free" (fun () -> exists_scan (rows t) t.grid ~volume))
-    in
-    if differential_armed () then
-      differential_check ~site:"cache.exists_free" t.grid ~volume
-        ~project:(fun r -> Exists (r <> []))
-        (Exists result);
-    result
-
   let select t ~volume ~cap =
     if volume <= 0 then invalid_arg "Finder.Cache.select: volume must be positive";
     if cap < 1 then invalid_arg "Finder.Cache.select: cap must be >= 1";
     Bgl_resilience.Budget.check ~site:"finder.cache.select";
-    let result = counted_query t ~volume ~cap in
+    let result =
+      if volume > Grid.volume t.grid then []
+      else
+        memoised t t.select_memo (volume, cap) ~compute:(fun () ->
+            let plan, boxes = select_scan (rows t) t.grid ~volume ~cap in
+            Bgl_obs.Registry.inc t.obs_counted;
+            if plan.p_skips > 0 then
+              Bgl_obs.Registry.add t.obs_counted_skips (float_of_int plan.p_skips);
+            boxes)
+    in
     if differential_armed () then
-      differential_check ~site:"cache.select" t.grid ~volume
-        ~project:(fun r -> Boxes (reference_cap ~cap r))
-        (Boxes result);
+      differential_check ~site:"cache.select" t.grid ~volume ~project:(reference_cap ~cap) result;
     result
+
+  let find t ~volume = select t ~volume ~cap:max_int
 
   (* The MFP level index. One index serves every MFP query on one
      occupancy: a what-if probe reads the same levels with a

@@ -10,8 +10,8 @@
     by word along z and y, then each base row once more along x into a
     mask with one bit per x base. Every query reads a row's bases from
     that mask: counts popcount it, enumerations take its set bits
-    lowest first, existence stops at its first non-zero word. Every
-    box-list query, capped or not, is a count-then-select walk that
+    lowest first, a what-if query takes its lowest set bit. Every
+    box-list query, capped or not, is one count-then-select walk that
     emits boxes in sorted order and never builds or sorts more than it
     returns. At machine volumes of 512 and above ({!summary_gated})
     shapes are first filtered through the grid's {!Bgl_torus.Summary},
@@ -36,7 +36,12 @@ open Bgl_torus
     {!Bgl_torus.Grid.fingerprint}, so a repeated query on unchanged
     occupancy is a hash lookup. No mutation needs reporting: the
     version check alone keeps every answer current. Nothing in the
-    cache mutates the grid. MFP probes read the {!Cache.mfp_levels}
+    cache mutates the grid. It answers three kinds of question: which
+    free boxes of a volume exist ({!Cache.select}, and {!Cache.find},
+    its uncapped form), where the MFP lies ({!Cache.mfp_levels}), and
+    where a job could start on an occupancy the grid does not hold
+    ({!Cache.first_free}). Whether any free box exists is
+    [select ~cap:1 <> []]. MFP probes read the {!Cache.mfp_levels}
     index with a disjointness filter, and the engine's reservation
     and migration ask their "what if these jobs were gone" questions
     of the cache's what-if scratch ({!Cache.what_if}), so no caller
@@ -48,9 +53,10 @@ module Cache : sig
 
   val create : Grid.t -> t
   (** Bind a cache to [grid]. O(1): the masks and scratch are
-      allocated on first use. Obs counters
-      ([bgl_finder_cache_hits_total], [bgl_finder_cache_misses_total])
-      are registered against the current {!Bgl_obs.Runtime.registry}. *)
+      allocated on first use. Memo hits and misses of {!select},
+      {!find} and {!mfp_levels} count in [bgl_finder_cache_hits_total]
+      and [bgl_finder_cache_misses_total], registered against the
+      current {!Bgl_obs.Runtime.registry}. *)
 
   val grid : t -> Grid.t
 
@@ -58,9 +64,6 @@ module Cache : sig
   (** A no-op, kept for callers written against the earlier tracked
       table: the masks follow {!Grid.version}, so mutations need no
       report. *)
-
-  val note_node : t -> int -> unit
-  (** Single-node variant of {!note_box}; also a no-op. *)
 
   val table : t -> int array
   (** The free-row masks, refreshed to the grid's current occupancy:
@@ -71,14 +74,9 @@ module Cache : sig
 
   val find : t -> volume:int -> Box.t list
   (** All free partitions of exactly [volume] nodes, canonical and
-      sorted: the uncapped {!select}, sharing its memo (under the key
-      [(volume, max_int)]) and counted like it in
-      [bgl_finder_counted_queries_total]. [volume] must be positive;
-      an unrealisable volume yields []. *)
-
-  val exists_free : t -> volume:int -> bool
-  (** Whether {!find} would be non-empty, with early exit on the first
-      free box; memoised like {!find}. *)
+      sorted: [select ~cap:max_int], so it shares that query's
+      validation, budget site, memo entry and differential check.
+      [volume] must be positive; an unrealisable volume yields []. *)
 
   val select : t -> volume:int -> cap:int -> Box.t list
   (** The engine's capped candidate query: every free box of [volume]
@@ -128,7 +126,7 @@ module Cache : sig
       occupancy, the box [select ~cap:1] would return on a grid
       holding it, or [None]. One pass of the erosion and x-base
       kernels, stopping at the row of the best box so far. Not
-      memoised, not counted in {!stats} or the counted-query counters,
+      memoised, not counted in the hit, miss or counted-query counters,
       and never gated by the grid's {!Bgl_torus.Summary}, which
       describes another occupancy. [volume] must be positive. In
       differential mode it is checked like the other queries (see
@@ -148,11 +146,6 @@ module Cache : sig
       {!Shapes.levels_desc}, volumes descending, each level scanned from
       the refreshed masks on first force. Memoised on the occupancy
       fingerprint, so every MFP query on one occupancy shares it. *)
-
-  val stats : t -> int * int
-  (** [(hits, misses)] across {!find}, {!exists_free}, {!select} and
-      {!mfp_levels}. {!find} and [select ~cap:max_int] share one memo
-      entry, so either answers the other. *)
 end
 
 (** {1 Scan building blocks} *)
@@ -167,20 +160,16 @@ val summary_gated : Grid.t -> bool
 (** Whether finder scans on this grid consult the occupancy summary
     before enumerating bases (machine volume ≥ 512). *)
 
-val shape_possible : Grid.t -> Shape.t -> bool
-(** [false] only when the grid's {!Bgl_torus.Summary} proves no free
-    box of the shape exists; always [true] below the gating volume.
-    The fast pre-filter used by the scan paths and {!Bgl_partition.Mfp}. *)
-
 (** {1:differential Differential mode}
 
-    A global debug switch: while enabled, every {!Cache} query
-    ({!Cache.find}, {!Cache.exists_free}, {!Cache.select}) is
-    cross-checked against an independent reference on the same grid,
-    and the returned boxes are independently validated (in-bounds,
-    exact volume, actually free). A what-if query
-    ({!Cache.first_free}) is checked against the reference's first box
-    on a grid rebuilt node by node from the scratch masks, counted in
+    A global debug switch: while enabled, every {!Cache.select} (so
+    every {!Cache.find}) is cross-checked against an independent
+    reference on the same grid: its box list must equal the
+    reference's, capped the same way, and every returned box is
+    independently validated (in-bounds, exact volume, actually free).
+    A what-if query ({!Cache.first_free}) is checked against the
+    reference's first box on a grid rebuilt node by node from the
+    scratch masks, counted in
     [bgl_finder_what_if_differential_checks_total]. The reference is the {!Reference.Naive}
     enumeration on supernode-scale grids (volume ≤ 128) and a freshly
     built, summary-ungated {!Bgl_torus.Prefix} table scan above that —

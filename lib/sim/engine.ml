@@ -207,15 +207,21 @@ let start_job st idx box =
   Bgl_obs.Registry.inc st.obs.jobs_started;
   Event_queue.push st.events ~time:(st.now +. wall) (Finish (idx, job.generation))
 
+(* What became of a placement attempt: the job's box, no free box of
+   its volume, or a policy that declined every candidate. *)
+type placement = Placed of Box.t | No_box | Declined
+
 let try_place st (job : Job.t) =
   let candidates = find_candidates st job.volume in
   if st.obs.active then
     Bgl_obs.Registry.observe st.obs.h_candidates (float_of_int (List.length candidates));
   match candidates with
-  | [] -> None
-  | candidates ->
+  | [] -> No_box
+  | candidates -> (
       let ctx = Policy.make_ctx ~cache:st.cache ~now:st.now st.grid in
-      st.policy.choose ctx ~job:job.spec ~volume:job.volume ~candidates
+      match st.policy.choose ctx ~job:job.spec ~volume:job.volume ~candidates with
+      | Some box -> Placed box
+      | None -> Declined)
 
 (* ------------------------------------------------------------------ *)
 (* EASY backfilling with a spatial reservation *)
@@ -227,14 +233,15 @@ let estimated_run_end st idx =
   | Some r -> r.started +. Float.max job.spec.estimate (st.now -. r.started)
 
 (* Earliest time the head job could start if running jobs end at their
-   estimates, and a partition it could then take. Runs are released,
-   by estimated end, into the cache's what-if scratch, never the grid;
-   the scratch is searched only once it holds enough free nodes. *)
-let compute_reservation st (head : Job.t) =
-  if
-    Grid.free_count st.grid >= head.volume
-    && Cache.exists_free st.cache ~volume:head.volume
-  then (st.now, None) (* should have been placed directly *)
+   estimates, and a partition it could then take, given how its
+   placement on the current occupancy just failed. A head the policy
+   declined while free boxes exist reserves nothing: it could start
+   now, so every queued job may backfill anywhere. A head with no free
+   box has its runs released, by estimated end, into the cache's
+   what-if scratch, never the grid; the scratch is searched only once
+   it holds enough free nodes. *)
+let compute_reservation st (head : Job.t) ~declined =
+  if declined then (st.now, None)
   else begin
     let by_end =
       List.sort
@@ -258,9 +265,9 @@ let compute_reservation st (head : Job.t) =
     release st.now by_end
   end
 
-let backfill_pass st head_idx =
+let backfill_pass st head_idx ~declined =
   let head = st.jobs.(head_idx) in
-  let shadow, reserved = compute_reservation st head in
+  let shadow, reserved = compute_reservation st head ~declined in
   let dims = Grid.dims st.grid in
   let depth = st.cfg.backfill_depth in
   (* Snapshot of the queue behind the head, in FCFS order. The set is
@@ -376,13 +383,15 @@ let schedule_pass st =
     | Some (_, _, head_idx) -> (
         let head = st.jobs.(head_idx) in
         match try_place st head with
-        | Some box ->
+        | Placed box ->
             queue_remove st head_idx;
             start_job st head_idx box;
             go migration_tried
-        | None ->
+        | (No_box | Declined) as failed ->
+            (* A failed migration leaves the grid as [try_place] saw it,
+               so its answer still holds for the reservation. *)
             if st.cfg.migration && (not migration_tried) && try_migrate st head then go true
-            else if st.cfg.backfill then backfill_pass st head_idx)
+            else if st.cfg.backfill then backfill_pass st head_idx ~declined:(failed = Declined))
   in
   go false
 

@@ -14,7 +14,10 @@
     The reservation (which box the head could take once running jobs
     end at their estimates) and the migration repack are worked out in
     that cache's what-if scratch ({!Bgl_partition.Finder.Cache.what_if}),
-    so neither copies the grid nor builds a second cache.
+    so neither copies the grid nor builds a second cache. The
+    reservation starts from the head's own failed placement: a head
+    its policy declined reserves nothing, and only a head with no free
+    box has its running jobs released.
 
     Failure semantics follow the paper: failures are transient; a
     failure on a node occupied by a job kills the whole job, whose

@@ -29,7 +29,9 @@ type t = {
     ctx -> job:Bgl_trace.Job_log.job -> volume:int -> candidates:Box.t list -> Box.t option;
       (** [None] declines placement (the job keeps waiting) — with a
           non-empty candidate list only threshold-style policies do
-          this. *)
+          this. A declined queue head could start now, so it reserves
+          nothing: every job behind it may backfill anywhere, however
+          long its estimate. *)
 }
 
 val make_ctx : ?cache:Bgl_partition.Finder.Cache.t -> now:float -> Grid.t -> ctx

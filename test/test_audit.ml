@@ -15,10 +15,11 @@ let check_int = Alcotest.(check int)
 (* ------------------------------------------------------------------ *)
 (* Capturing engine traces through the obs runtime *)
 
-let capture ?(seed = 3) ?(n_jobs = 60) ?(load = 1.0) ?(failures = 0) ?config ?parent
+let capture ?(seed = 3) ?(n_jobs = 60) ?(load = 1.0) ?(failures = 0) ?config ?parent ?registry
     ?(algo = Bgl_core.Scenario.Fault_oblivious) () =
   let lines = ref [] in
   Fun.protect ~finally:Bgl_obs.Runtime.reset (fun () ->
+      Option.iter Bgl_obs.Runtime.set_registry registry;
       Bgl_obs.Runtime.set_trace_writer (Some (fun l -> lines := l :: !lines));
       Bgl_obs.Runtime.set_trace_parent parent;
       let scenario =
@@ -171,6 +172,108 @@ let prop_every_run_audits_clean =
       if not (Driver.pass c) then
         QCheck.Test.fail_reportf "audit failed:@.%a" (fun ppf c -> Driver.pp ppf c) c
       else c.sections = 1 && c.complete = 1)
+
+(* ------------------------------------------------------------------ *)
+(* One engine property over every size: x extents on both sides of the
+   32-bit mask word boundaries (31-33, 63-65, 96), machine volumes on
+   both sides of the finder's 512-node Summary gate, axes of length 1,
+   both wrap modes, four policies, and migration with repair downtime
+   on some cases. Every run is differential-checked and must audit
+   clean. Each MFP check rescans the reference MFP, so the MFP-family
+   policies check every [mfp_sample]th query. *)
+
+let every_size_dims =
+  List.map
+    (fun (x, y, z) -> Bgl_torus.Dims.make x y z)
+    [
+      (31, 4, 4);
+      (32, 4, 4);
+      (33, 4, 4);
+      (63, 1, 8);
+      (64, 2, 4);
+      (65, 1, 8);
+      (96, 1, 4);
+      (96, 2, 3);
+      (33, 5, 1);
+      (65, 3, 3);
+    ]
+
+let every_size_algos =
+  Bgl_core.Scenario.
+    [
+      First_fit;
+      Fault_oblivious;
+      Balancing { confidence = 0.5 };
+      Tie_breaking { accuracy = 0.9 };
+    ]
+
+let mfp_sample = 7
+
+type size_case = {
+  dims : Bgl_torus.Dims.t;
+  wrap : bool;
+  algo : Bgl_core.Scenario.algo;
+  migration : bool;
+  seed : int;
+  n_jobs : int;
+}
+
+let size_case_gen =
+  QCheck.Gen.(
+    map
+      (fun ((dims, wrap, algo), (migration, seed, n_jobs)) ->
+        { dims; wrap; algo; migration; seed; n_jobs })
+      (pair
+         (triple (oneofl every_size_dims) bool (oneofl every_size_algos))
+         (triple bool (int_bound 1000) (int_range 100 150))))
+
+let print_size_case c =
+  Printf.sprintf "dims=%s wrap=%b algo=%s migration=%b seed=%d jobs=%d"
+    (Bgl_torus.Dims.to_string c.dims) c.wrap
+    (Bgl_core.Scenario.algo_label c.algo)
+    c.migration c.seed c.n_jobs
+
+let prop_every_size_audits_clean registry =
+  QCheck.Test.make ~name:"every size and mode audits clean under differential checks" ~count:16
+    (QCheck.make ~print:print_size_case size_case_gen)
+    (fun c ->
+      let config =
+        {
+          Bgl_sim.Config.default with
+          dims = c.dims;
+          wrap = c.wrap;
+          migration = c.migration;
+          repair_time = (if c.migration then 3600. else 0.);
+        }
+      in
+      let sample = match c.algo with First_fit -> 1 | _ -> mfp_sample in
+      Bgl_partition.Finder.set_differential ~sample true;
+      let _, lines =
+        Fun.protect
+          ~finally:(fun () -> Bgl_partition.Finder.set_differential false)
+          (capture ~registry ~seed:c.seed ~n_jobs:c.n_jobs ~load:2.0 ~failures:4000 ~config
+             ~algo:c.algo)
+      in
+      let cert = Driver.audit_lines lines in
+      if not (Driver.pass cert) then
+        QCheck.Test.fail_reportf "audit failed:@.%a" (fun ppf c -> Driver.pp ppf c) cert
+      else cert.sections = 1 && cert.complete = 1)
+
+(* The property's runs must reach the reservation's what-if query and
+   both finder guards, or a clean run proves little. *)
+let test_every_size_property () =
+  let registry = Bgl_obs.Registry.create () in
+  let _, _, run = QCheck_alcotest.to_alcotest (prop_every_size_audits_clean registry) in
+  run ();
+  List.iter
+    (fun name ->
+      let checks = Bgl_obs.Registry.counter_value (Bgl_obs.Registry.counter registry name) in
+      check_bool (Printf.sprintf "%s > 0 (%g)" name checks) true (checks > 0.))
+    [
+      "bgl_finder_differential_checks_total";
+      "bgl_finder_mfp_differential_checks_total";
+      "bgl_finder_what_if_differential_checks_total";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Corrupted traces: each checker fires on its corruption class *)
@@ -363,6 +466,7 @@ let () =
           Alcotest.test_case "repair+checkpoint+migration certifies" `Quick
             test_clean_repair_checkpoint_migration;
           QCheck_alcotest.to_alcotest prop_every_run_audits_clean;
+          Alcotest.test_case "every size and mode audits clean" `Quick test_every_size_property;
         ] );
       ( "corruption",
         [

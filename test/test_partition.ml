@@ -150,14 +150,6 @@ let test_rounded_up_size_candidates () =
   check_bool "non-empty" true (for_11 <> []);
   check_bool "all volume 12" true (List.for_all (fun b -> Box.volume b = 12) for_11)
 
-let test_exists_free () =
-  let g = Grid.create Dims.bgl in
-  let cache = Finder.Cache.create g in
-  check_bool "empty torus has 128" true (Finder.Cache.exists_free cache ~volume:128);
-  Grid.occupy_node g 0 ~owner:1;
-  check_bool "no longer 128" false (Finder.Cache.exists_free cache ~volume:128);
-  check_bool "still 64" true (Finder.Cache.exists_free cache ~volume:64)
-
 let test_canonical_dedup_full_dim () =
   (* With wraparound, a shape spanning a full dimension must appear
      only with base 0 in that dimension. *)
@@ -172,13 +164,24 @@ let test_canonical_dedup_full_dim () =
 (* ------------------------------------------------------------------ *)
 (* Finder.Cache: hand-built scenarios *)
 
+(* The cache's memo hits and misses, read from the obs counters it
+   registered against the current registry. *)
+let cache_counts reg =
+  let value name =
+    int_of_float (Bgl_obs.Registry.counter_value (Bgl_obs.Registry.counter reg name))
+  in
+  (value "bgl_finder_cache_hits_total", value "bgl_finder_cache_misses_total")
+
 let test_cache_basic () =
+  let reg = Bgl_obs.Registry.create () in
+  Fun.protect ~finally:Bgl_obs.Runtime.reset @@ fun () ->
+  Bgl_obs.Runtime.set_registry reg;
   let g = Grid.create Dims.bgl in
   let cache = Finder.Cache.create g in
   let direct = ref_find Shape_search g ~volume:8 in
   Alcotest.check boxes "cold query" direct (Finder.Cache.find cache ~volume:8);
   Alcotest.check boxes "memo hit" direct (Finder.Cache.find cache ~volume:8);
-  let hits, misses = Finder.Cache.stats cache in
+  let hits, misses = cache_counts reg in
   check_int "one hit" 1 hits;
   check_int "one miss" 1 misses;
   (* A mutation invalidates exactly the stale entries. *)
@@ -192,9 +195,9 @@ let test_cache_basic () =
   let probe = Box.make (Coord.make 2 2 2) (Shape.make 1 1 2) in
   Grid.occupy g probe ~owner:4;
   Grid.vacate g probe ~owner:4;
-  let hits_before, _ = Finder.Cache.stats cache in
+  let hits_before, _ = cache_counts reg in
   Alcotest.check boxes "restored fingerprint re-hits" direct (Finder.Cache.find cache ~volume:8);
-  let hits_after, _ = Finder.Cache.stats cache in
+  let hits_after, _ = cache_counts reg in
   check_int "hit count grew" (hits_before + 1) hits_after
 
 (* Bit x mod 32 of word x / 32 of row z * ny + y, as [Cache.table]
@@ -216,7 +219,7 @@ let test_cache_self_heals_unnoted () =
   let cache = Finder.Cache.create g in
   ignore (Finder.Cache.find cache ~volume:4);
   ignore (Finder.Cache.select cache ~volume:4 ~cap:3);
-  ignore (Finder.Cache.exists_free cache ~volume:128);
+  ignore (Finder.Cache.select cache ~volume:128 ~cap:1);
   (* Mutate without telling the cache: the fingerprint change kills the
      memo entries and the version change rebuilds the masks, so no
      query serves the old occupancy. *)
@@ -229,12 +232,14 @@ let test_cache_self_heals_unnoted () =
   Alcotest.check boxes "select follows the mutation"
     (List.init 3 (fun i -> all.(i * n / 3)))
     (Finder.Cache.select cache ~volume:4 ~cap:3);
-  check_bool "exists_free follows the mutation" false (Finder.Cache.exists_free cache ~volume:128);
+  Alcotest.check boxes "a one-box query follows the mutation" []
+    (Finder.Cache.select cache ~volume:128 ~cap:1);
   check_int "MFP follows the mutation" 112 (Mfp.volume ~cache g);
   check_bool "masks follow the mutation" true (masks_match g cache);
   Grid.vacate_node g 0 ~owner:9;
   check_bool "masks follow the repair" true (masks_match g cache);
-  check_bool "exists_free again" true (Finder.Cache.exists_free cache ~volume:128)
+  check_bool "a one-box query follows the repair" true
+    (Finder.Cache.select cache ~volume:128 ~cap:1 <> [])
 
 let test_differential_mode_toggle () =
   check_bool "off by default" false (Finder.differential_enabled ());
@@ -250,8 +255,7 @@ let test_differential_mode_toggle () =
       let naive = ref_find Naive g ~volume:8 in
       Alcotest.check boxes "checked cache query" naive (Finder.Cache.find cache ~volume:8);
       Alcotest.check boxes "checked select" [ List.hd naive ]
-        (Finder.Cache.select cache ~volume:8 ~cap:1);
-      check_bool "checked exists_free" true (Finder.Cache.exists_free cache ~volume:64));
+        (Finder.Cache.select cache ~volume:8 ~cap:1));
   check_bool "restored" false (Finder.differential_enabled ())
 
 let test_differential_sampling () =
@@ -301,10 +305,10 @@ let test_gated_find_agrees_at_scale () =
       Alcotest.check boxes
         (Printf.sprintf "gated cache = naive at volume %d" v)
         naive (cache_find g ~volume:v);
-      check_bool
-        (Printf.sprintf "gated exists agrees at volume %d" v)
-        (naive <> [])
-        (Finder.Cache.exists_free (Finder.Cache.create g) ~volume:v))
+      Alcotest.check boxes
+        (Printf.sprintf "gated one-box query agrees at volume %d" v)
+        (List.filteri (fun i _ -> i = 0) naive)
+        (cache_select g ~volume:v ~cap:1))
     [ 1; 4; 8; 16; 32 ];
   check_int "gated MFP finds the larger pocket" 16 (Mfp.volume g)
 
@@ -459,24 +463,16 @@ let prop_mfp_box_is_free_and_maximal =
       | None -> Mfp.volume g = 0
       | Some b -> Grid.box_is_free g b && Box.volume b = Mfp.volume g)
 
-let prop_exists_free_agrees =
-  QCheck.Test.make ~name:"exists_free agrees with find" ~count:150
-    QCheck.(pair arb_scenario (int_range 1 40))
-    (fun (scenario, volume) ->
-      let g = build_grid scenario in
-      Finder.Cache.exists_free (Finder.Cache.create g) ~volume = (cache_find g ~volume <> []))
-
 let prop_shared_cache_matches_fresh =
-  (* One cache answering every query kind in turn must answer like a
-     fresh cache per query: the memos are keyed per query kind. *)
+  (* One cache answering an uncapped and a capped query in turn must
+     answer like a fresh cache per query: the memo is keyed per
+     (volume, cap). *)
   QCheck.Test.make ~name:"a shared cache answers like fresh ones" ~count:100
     QCheck.(pair arb_scenario (int_range 1 30))
     (fun (scenario, volume) ->
       let g = build_grid scenario in
       let shared = Finder.Cache.create g in
       Finder.Cache.find shared ~volume = cache_find g ~volume
-      && Finder.Cache.exists_free shared ~volume
-         = Finder.Cache.exists_free (Finder.Cache.create g) ~volume
       && Finder.Cache.select shared ~volume ~cap:3 = cache_select g ~volume ~cap:3)
 
 let prop_finders_agree_both_wraps =
@@ -574,7 +570,6 @@ let prop_differential_all_finders =
       List.for_all (fun (_, find) -> find g ~volume = reference) finders
       && Finder.Cache.find cache ~volume = reference
       && Finder.Cache.find cache ~volume = reference (* memo-hit path *)
-      && Finder.Cache.exists_free cache ~volume = (reference <> [])
       (* Validity of every returned partition: free, in-bounds base,
          exact volume. *)
       && List.for_all
@@ -899,7 +894,6 @@ let prop_kernel_matches_prefix =
       let agrees volume =
         let reference = prefix_find g ~volume in
         Finder.Cache.find cache ~volume = reference
-        && Finder.Cache.exists_free cache ~volume = (reference <> [])
         && List.for_all
              (fun cap -> Finder.Cache.select cache ~volume ~cap = cap_oracle cap reference)
              [ 1; 2; 7; 24; max_int ]
@@ -1035,8 +1029,8 @@ let prop_what_if_matches_ghost =
    and 96) beyond, and the background occupancy keeps other rows
    partial. Volumes 4 * sx hold shapes of depths 1, 2 and 4, so the
    z-erosion the count pass shares per depth is rebuilt between them.
-   find, exists_free, select and the MFP levels an MFP query forces
-   must all equal the summed-area scan. *)
+   find, select and the MFP levels an MFP query forces must all equal
+   the summed-area scan. *)
 let test_count_pass_wide_rows () =
   List.iter
     (fun (nx, wrap, busy) ->
@@ -1057,8 +1051,6 @@ let test_count_pass_wide_rows () =
             Printf.sprintf "%s: %dx2x4 wrap=%b busy=%.2f volume=%d" what nx wrap busy volume
           in
           Alcotest.check boxes (label "find") reference (Finder.Cache.find cache ~volume);
-          check_bool (label "exists_free") (reference <> [])
-            (Finder.Cache.exists_free cache ~volume);
           Alcotest.check boxes (label "uncapped select") reference
             (Finder.Cache.select cache ~volume ~cap:max_int);
           List.iter
@@ -1104,7 +1096,6 @@ let props =
       prop_finder_complete;
       prop_mfp_matches_naive;
       prop_mfp_box_is_free_and_maximal;
-      prop_exists_free_agrees;
       prop_differential_all_finders;
       prop_cache_mfp_agrees;
       prop_mfp_probes_match_reference;
@@ -1138,7 +1129,6 @@ let () =
           tc "wraparound matters" test_find_no_wrap_smaller;
           tc "infeasible volume" test_find_infeasible_volume;
           tc "rounded-up size finds candidates" test_rounded_up_size_candidates;
-          tc "exists_free" test_exists_free;
           tc "canonical dedup" test_canonical_dedup_full_dim;
           tc "gating never changes results" test_gated_find_agrees_at_scale;
           tc "counted enumeration edges" test_counted_edges;

@@ -463,6 +463,46 @@ let start_of (o : Engine.outcome) id =
   |> List.find_map (fun (j : Job.t) -> if j.spec.id = id then j.first_start else None)
   |> Option.get
 
+let test_declined_head_reserves_nothing () =
+  (* An 8-node line: A on 0-3 ends at 5, B on 4-7 at 100. Head H (2
+     nodes) arrives at 10 and the policy declines it until 20, although
+     0-1, 1-2 and 2-3 are free. L (4 nodes, estimate 5000, longer than
+     any shadow) arrives at 11: a declined head could start now, so it
+     reserves nothing and L backfills onto 0-3 at once. Had the engine
+     taken the decline for "no free box", it would release B's run into
+     a reservation at 0-1 from 100, which L's only candidate overlaps,
+     and L would wait until B ends. *)
+  let dims = Dims.make 8 1 1 in
+  let config = { Config.default with dims; wrap = false } in
+  let log =
+    mk_log
+      [
+        mk_job ~id:0 ~arrival:0. ~size:4 ~run_time:5.;
+        mk_job ~id:1 ~arrival:0. ~size:4 ~run_time:100.;
+        mk_job ~id:2 ~arrival:10. ~size:2 ~run_time:10.;
+        mk_job ~id:3 ~arrival:11. ~size:4 ~run_time:5000.;
+      ]
+  in
+  let declines = ref 0 in
+  let first_fit = Bgl_sched.Placement.first_fit in
+  let policy =
+    {
+      Policy.name = "decline-head-until-20";
+      choose =
+        (fun ctx ~job ~volume ~candidates ->
+          if job.id = 2 && ctx.now < 20. then begin
+            incr declines;
+            None
+          end
+          else first_fit.choose ctx ~job ~volume ~candidates);
+    }
+  in
+  let o = Engine.run ~config ~policy ~log ~failures:no_failures () in
+  check_bool "complete" true o.complete;
+  check_bool "the head was declined with free boxes" true (!declines > 0);
+  check_float "the long job backfills at once" 11. (start_of o 3);
+  check_float "the head starts when B ends" 100. (start_of o 2)
+
 let test_reservation_keeps_down_nodes_busy () =
   (* A 12-node line: A on 0-2, D on 3, B on 4-7, F on 8-11. D and F end
      at 5 and node 3 fails at 6, down for 10,000 s. Head H (8 nodes)
@@ -913,6 +953,7 @@ let () =
           tc "backfill depth zero" test_backfill_depth_zero;
           tc "adaptive checkpoint prediction" test_adaptive_checkpoint_uses_prediction;
           tc "empty log" test_empty_log_runs;
+          tc "declined head reserves nothing" test_declined_head_reserves_nothing;
         ] );
       ( "recorder",
         [
