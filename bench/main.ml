@@ -270,8 +270,8 @@ let finder_counted_tests () =
    nodes, so [first_free] runs after each, and only the eighth, which
    frees the lower half, finds a box. The cache is long-lived, as the
    engine's is. [select-1/fresh/4x4x8] is a one-off capped query on a
-   fresh cache of a half-busy 4x4x8 grid: its masks are built inside
-   the timed call. *)
+   fresh cache of a half-busy 4x4x8 grid: its masks and the x-base
+   tables of its shapes' widths are built inside the timed call. *)
 let what_if_tests () =
   let reservation (name, (d : Dims.t)) =
     let grid = Grid.create d in

@@ -109,6 +109,8 @@ let scenario =
             checkpoint;
       }
     in
+    (try Bgl_sim.Config.validate config
+     with Invalid_argument msg -> Bgl_resilience.Error.raise_usagef "%s" msg);
     Bgl_core.Scenario.make ~n_jobs ~load ?failures_paper:failures ~seed ~config ~profile algo
   in
   Term.(

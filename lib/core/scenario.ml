@@ -72,6 +72,14 @@ let algo_of_string s =
       float_of_string_opt (String.sub s plen (String.length s - plen))
     else None
   in
+  (* A predictor parameter out of [0, 1], or a half-life that is not
+     positive and finite, NaN included, is a parse error here rather
+     than a failure once the run starts. *)
+  let checked what v algo =
+    match Bgl_predict.Predictor.check_param what v with
+    | () -> Ok algo
+    | exception Invalid_argument msg -> Error msg
+  in
   match s with
   | "first-fit" -> Ok First_fit
   | "random" | "random-fit" -> Ok Random_fit
@@ -79,14 +87,20 @@ let algo_of_string s =
   | "mfp" | "oblivious" | "fault-oblivious" -> Ok Fault_oblivious
   | _ -> (
       match param "balancing:" with
-      | Some confidence -> Ok (Balancing { confidence })
+      | Some confidence -> checked "confidence" confidence (Balancing { confidence })
       | None -> (
           match param "tie-breaking:" with
-          | Some accuracy -> Ok (Tie_breaking { accuracy })
+          | Some accuracy -> checked "accuracy" accuracy (Tie_breaking { accuracy })
           | None -> (
               match param "history:" with
               | Some half_life_hours ->
-                  Ok (Balancing_history { half_life = half_life_hours *. 3600.; threshold = 0.5 })
+                  let half_life = half_life_hours *. 3600. in
+                  if Float.is_finite half_life && half_life > 0. then
+                    Ok (Balancing_history { half_life; threshold = 0.5 })
+                  else
+                    Error
+                      (Printf.sprintf "history half-life must be positive and finite, got %g"
+                         half_life_hours)
               | None ->
                   Error
                     (Printf.sprintf

@@ -44,16 +44,21 @@ let sort_boxes = List.sort Box.compare
    set iff the node is free: [nx] bits in [nw] words of [word_bits]. A
    box of shape (sx, sy, sz) based at (x, y, z) is free iff bits
    x .. x+sx-1 are set in every row (z+k, y+j), k < sz, j < sy, all
-   read cyclically under wraparound. ANDing those rows — eroding the
-   masks along z, then along y, a word at a time — leaves one mask per
-   base row, and one more erosion along x ([row_bases]) leaves one bit
-   per x base of that row. Every query reads a row's bases from that
-   x-eroded mask: a count popcounts it, an enumeration takes its set
-   bits lowest first, a what-if query takes its lowest set bit. The
-   masks are rebuilt from the grid's
-   occupancy words whenever its version moves, at O(volume / 32), so
-   there is no change log to keep in step and an unreported mutation
-   cannot leave them stale. The erosion buffers are scratch owned by
+   read cyclically under wraparound. One erosion along x ([row_bases])
+   leaves one bit per x base of a row; ANDing rows along z and y — a
+   word at a time — leaves one mask per base row. The two commute, so
+   the count, select and MFP level scans erode x once per box width
+   per occupancy, into that width's x-base table ([x_table]), and then
+   erode the table along z and y by log-step ([erode_shape]): each
+   eroded word is that row's x-base mask, popcounted for a count and
+   read lowest bit first for an enumeration. The masks and tables are
+   rebuilt from the grid's occupancy words whenever its version moves,
+   at O(volume / 32) each, so there is no change log to keep in step
+   and an unreported mutation cannot leave them stale. A what-if query
+   scans masks edited between queries, which share no table: it erodes
+   them along z and y by the same log-step, no further than its best
+   row so far, and x-erodes each base row it reads ([first_free_scan]).
+   The erosion buffers are scratch owned by
    one cache and grown on first use, so a warm query allocates no
    machine-sized array. *)
 
@@ -68,8 +73,11 @@ type rows = {
   nw : int;  (* words per row *)
   last_full : int;  (* the last word of a row whose every node is free *)
   free : int array;  (* word w of row r at (r * nw) + w *)
+  xbase : int array array;  (* width sx's x-base table, [||] until first use *)
+  xbase_version : int array;  (* the [version] each table reflects *)
   mutable eroded : int array array;  (* scratch: erosion buffers, grown on first use *)
   wide : int array;  (* scratch: one eroded row, extended past the seam *)
+  seam : int array;  (* scratch: the cells a cyclic in-place erosion step wraps round to *)
   counts : int array;  (* scratch: free boxes based in each row *)
   mutable version : int;  (* the Grid.version [free] reflects *)
 }
@@ -86,8 +94,11 @@ let make_rows grid =
     nw;
     last_full = (1 lsl (d.nx - (word_bits * (nw - 1)))) - 1;
     free = Array.make n 0;
+    xbase = Array.make (d.nx + 1) [||];
+    xbase_version = Array.make (d.nx + 1) (-1);
     eroded = [||];
     wide = Array.make (2 * nw) 0;
+    seam = Array.make (max 1 (d.nz / 2) * d.ny * nw) 0;
     counts = Array.make (d.ny * d.nz) 0;
     version = -1;
   }
@@ -117,15 +128,6 @@ let counted (d : Dims.t) ~wrap (s : Shape.t) =
     cz_hi = base_hi ~wrap s.sz d.nz;
   }
 
-(* AND of [acc] with the [src] words k*stride past [i], k in [k, ext):
-   one word of [ext] consecutive cells of an axis of [n] cells, read
-   cyclically from coordinate [c] at [i]. Stops once the AND is 0. *)
-let rec and_window src i ~c ~n ~stride ~ext acc k =
-  if acc = 0 || k = ext then acc
-  else
-    let c' = if c + k >= n then c + k - n else c + k in
-    and_window src i ~c ~n ~stride ~ext (acc land src.(i + ((c' - c) * stride))) (k + 1)
-
 (* Scratch buffer [!next] of the erosion pool, as large as [free];
    advances [next]. *)
 let take r next =
@@ -134,48 +136,6 @@ let take r next =
   done;
   incr next;
   r.eroded.(!next - 1)
-
-(* Shape [c]'s rows of the masks [free] eroded along z, in the next
-   buffer unless sz = 1: row (z, y), z <= z_hi <= cz_hi, holds the AND
-   of the sz rows from z on. Depends on sz alone, so shapes of one
-   depth share it. Rows z beyond z_hi are left stale. *)
-let erode_z r free c ~z_hi ~into =
-  let s = c.cs in
-  let plane = r.ny * r.nw in
-  if s.sz = 1 then free
-  else begin
-    let dst = take r into in
-    for z = 0 to z_hi do
-      for i = z * plane to ((z + 1) * plane) - 1 do
-        dst.(i) <- and_window free i ~c:z ~n:r.nz ~stride:plane ~ext:s.sz free.(i) 1
-      done
-    done;
-    dst
-  end
-
-(* Shape [c]'s base-row masks from its z-eroded rows [src], in the next
-   buffer unless sy = 1: row (z, y), z <= z_hi and y <= cy_hi, holds
-   the AND of every row a box based in it spans. y-erosion reads every
-   y of the rows it keeps. *)
-let erode_y r c src ~z_hi ~into =
-  let s = c.cs in
-  let plane = r.ny * r.nw in
-  if s.sy = 1 then src
-  else begin
-    let dst = take r into in
-    for z = 0 to z_hi do
-      for y = 0 to c.cy_hi do
-        for i = (z * plane) + (y * r.nw) to (z * plane) + ((y + 1) * r.nw) - 1 do
-          dst.(i) <- and_window src i ~c:y ~n:r.ny ~stride:r.nw ~ext:s.sy src.(i) 1
-        done
-      done
-    done;
-    dst
-  end
-
-let erode r c =
-  let next = ref 0 in
-  erode_y r c (erode_z r r.free c ~z_hi:c.cz_hi ~into:next) ~z_hi:c.cz_hi ~into:next
 
 let rec row_full r buf off k =
   if k = r.nw - 1 then buf.(off + k) = r.last_full
@@ -214,17 +174,17 @@ let append_seam r t n =
     if b > 0 then t.(dw + 1) <- t.(dw + 1) lor (v lsr (word_bits - b))
   done
 
-(* The one reader of a row's x bases: shape [c]'s bases in the eroded
-   row at [off] of [buf], written to [r.wide] as a mask (bit x mod 32
-   of word x / 32 set iff x is a base, nothing past cx_hi), returning
-   the index of its last word. A full row holds every base up to
-   cx_hi and an empty one none. Any other row is copied, extended past
-   the seam under wraparound, and eroded along x: after ANDing with
-   itself shifted by 1, 2, 4, ..., 2^k <= sx, and once more by
-   sx - 2^k (overlapping windows are harmless, AND being idempotent),
-   bit x is set iff bits x .. x+sx-1 all were. *)
-let row_bases r buf off c =
-  let t = r.wide and sx = c.cs.sx and last = c.cx_hi / word_bits in
+(* The x-erosion: the bases of boxes [sx] wide in the row at [off] of
+   [buf], written to [r.wide] as a mask (bit x mod 32 of word x / 32
+   set iff x is a base, nothing past [cx_hi]), returning the index of
+   its last word. A full row holds every base up to cx_hi and an empty
+   one none. Any other row is copied, extended past the seam under
+   wraparound, and eroded along x: after ANDing with itself shifted by
+   1, 2, 4, ..., 2^k <= sx, and once more by sx - 2^k (overlapping
+   windows are harmless, AND being idempotent), bit x is set iff bits
+   x .. x+sx-1 all were. *)
+let row_bases r buf off ~sx ~cx_hi =
+  let t = r.wide and last = cx_hi / word_bits in
   if row_full r buf off 0 then Array.fill t 0 (last + 1) full_word
   else begin
     let any = ref 0 in
@@ -244,21 +204,100 @@ let row_bases r buf off c =
       if sx > !w then shift_and t len (sx - !w)
     end
   end;
-  t.(last) <- t.(last) land ((1 lsl ((c.cx_hi mod word_bits) + 1)) - 1);
+  t.(last) <- t.(last) land ((1 lsl ((cx_hi mod word_bits) + 1)) - 1);
   last
 
-(* How many x bases of shape [c] the eroded row at [off] of [buf]
-   holds: the mask's popcount, or every base up to cx_hi in a full
-   row without building the mask. *)
-let count_row_bases r buf off c =
-  if row_full r buf off 0 then c.cx_hi + 1
+(* The x-base table of width [sx]: every row of the masks x-eroded by
+   [row_bases], laid out like [free], the words past the width's last
+   base 0. Built on first use and rebuilt only when the masks moved
+   since; width 1 is the masks themselves. *)
+let x_table r sx =
+  if sx = 1 then r.free
   else begin
-    let n = ref 0 in
-    for k = 0 to row_bases r buf off c do
-      n := !n + popcount r.wide.(k)
-    done;
-    !n
+    if Array.length r.xbase.(sx) = 0 then r.xbase.(sx) <- Array.make (Array.length r.free) 0;
+    let t = r.xbase.(sx) in
+    if r.xbase_version.(sx) <> r.version then begin
+      let cx_hi = base_hi ~wrap:r.wrap sx r.nx in
+      for row = 0 to (r.ny * r.nz) - 1 do
+        let off = row * r.nw in
+        let last = row_bases r r.free off ~sx ~cx_hi in
+        Array.blit r.wide 0 t off (last + 1);
+        Array.fill t (off + last + 1) (r.nw - last - 1) 0
+      done;
+      r.xbase_version.(sx) <- r.version
+    end;
+    t
   end
+
+(* One log-step along an axis of [n] cells of [blk] words, in each of
+   [planes] planes [pstride] words apart: cell c <= last of [dst]
+   becomes cell c of [src] ANDed with cell c + s, read cyclically.
+   Ascending, an in-place step (src == dst) reads cell c + s before
+   overwriting it, except past the seam: there it reads cells 0 .. s-1,
+   saved first in [r.seam]. *)
+let erode_step r ~src ~dst ~planes ~pstride ~n ~blk ~s ~last =
+  let direct = min last (n - 1 - s) in
+  let wrapped = (n - s) * blk in
+  let saved = last > direct && src == dst in
+  let from = if saved then r.seam else src in
+  for p = 0 to planes - 1 do
+    let base = p * pstride in
+    if saved then Array.blit dst base r.seam 0 (s * blk);
+    let shift = if saved then base + wrapped else wrapped in
+    for i = base to base + ((direct + 1) * blk) - 1 do
+      dst.(i) <- src.(i) land src.(i + (s * blk))
+    done;
+    for i = base + wrapped to base + ((last + 1) * blk) - 1 do
+      dst.(i) <- src.(i) land from.(i - shift)
+    done
+  done
+
+(* Log-step erosion of [ext] >= 2 cells along an axis, as [row_bases]
+   does along x: AND with the cells 1, 2, 4, ..., 2^k <= ext further
+   on, then once more with those ext - 2^k on. Afterwards cell c <= hi
+   of [dst] holds the AND of cells c .. c+ext-1 of [src]. The steps
+   after the one that makes windows of w cells reach ext - w cells
+   further, so that step computes cells up to hi + ext - w, or every
+   cell once that passes the axis. The first step reads [src], the
+   rest [dst]. *)
+let erode_axis r ~src ~dst ~planes ~pstride ~n ~blk ~ext ~hi =
+  let last w = min (n - 1) (hi + ext - w) in
+  let rec go src w =
+    if 2 * w <= ext then begin
+      erode_step r ~src ~dst ~planes ~pstride ~n ~blk ~s:w ~last:(last (2 * w));
+      go dst (2 * w)
+    end
+    else if ext > w then erode_step r ~src ~dst ~planes ~pstride ~n ~blk ~s:(ext - w) ~last:hi
+  in
+  go src 1
+
+(* Shape [c]'s base rows from the masks [src] x-eroded or not: [src]
+   eroded along z, then along y, in the next buffer unless the shape is
+   one row deep and high. Row (z, y), z <= z_hi <= cz_hi and y <= cy_hi,
+   holds the AND of every row a box based in it spans. Other rows are
+   stale. *)
+let erode_zy r src c ~z_hi ~into =
+  let s = c.cs in
+  if s.sy = 1 && s.sz = 1 then src
+  else begin
+    let dst = take r into and plane = r.ny * r.nw in
+    let src =
+      if s.sz = 1 then src
+      else begin
+        erode_axis r ~src ~dst ~planes:1 ~pstride:0 ~n:r.nz ~blk:plane ~ext:s.sz ~hi:z_hi;
+        dst
+      end
+    in
+    if s.sy > 1 then
+      erode_axis r ~src ~dst ~planes:(z_hi + 1) ~pstride:plane ~n:r.ny ~blk:r.nw ~ext:s.sy
+        ~hi:c.cy_hi;
+    dst
+  end
+
+(* Shape [c]'s x-base masks: its width's x-base table eroded along z
+   and y. Bit x mod 32 of word x / 32 of row (z, y), z <= cz_hi and
+   y <= cy_hi, is set iff box (x, y, z) is free. *)
+let erode_shape r c ~into = erode_zy r (x_table r c.cs.sx) c ~z_hi:c.cz_hi ~into
 
 (* The shapes of [volume] the summary admits, and how many it ruled
    out. *)
@@ -270,7 +309,7 @@ let possible_shapes grid ~volume =
 
 (* Every free box of the level's [shapes], packed as (index into
    [shapes], x, y, z) quadruples: shapes in array order, bases in
-   [iter_bases] order, each row's mask read lowest bit first. *)
+   [iter_bases] order, each base row's mask read lowest bit first. *)
 let level_scan r grid shapes =
   let d = Grid.dims grid and wrap = Grid.wrap grid in
   let acc = ref [] in
@@ -278,11 +317,12 @@ let level_scan r grid shapes =
     (fun i s ->
       if shape_possible grid s then begin
         let c = counted d ~wrap s in
-        let buf = erode r c in
+        let buf = erode_shape r c ~into:(ref 0) in
         for z = 0 to c.cz_hi do
           for y = 0 to c.cy_hi do
-            for k = 0 to row_bases r buf (((z * r.ny) + y) * r.nw) c do
-              let w = ref r.wide.(k) in
+            let off = ((z * r.ny) + y) * r.nw in
+            for k = 0 to r.nw - 1 do
+              let w = ref buf.(off + k) in
               while !w <> 0 do
                 acc := z :: y :: ((k * word_bits) + ctz !w) :: i :: !acc;
                 w := !w land (!w - 1)
@@ -296,11 +336,12 @@ let level_scan r grid shapes =
 
 (* ------------------------------------------------------------------ *)
 (* Counted enumeration: answer box-list queries without materialising
-   more boxes than they return. A count pass erodes each shape's masks
-   once and credits every base row with its free-box count
-   ([count_row_bases]); a select pass then walks only the rows holding
-   the selected ranks and emits those boxes directly. [Cache.find] is
-   the uncapped select, whose targets are every rank.
+   more boxes than they return. A count pass erodes each shape's
+   x-base table once ([erode_shape]) and credits every base row with
+   its free-box count, the popcount of its mask; a select pass then
+   walks only the rows holding the selected ranks and emits those
+   boxes directly. [Cache.find] is the uncapped select, whose targets
+   are every rank.
 
    The load-bearing invariant is that both passes enumerate in exactly
    sorted order, with no sort: [Box.compare] orders by
@@ -315,54 +356,43 @@ let level_scan r grid shapes =
 
 type count_plan = {
   p_shapes : counted_shape array;
-  p_rows : int array array;  (* each shape's eroded rows *)
+  p_rows : int array array;  (* each shape's base rows *)
   p_total : int;  (* the per-row counts are left in [rows.counts] *)
   p_skips : int;  (* shapes the summary ruled out *)
 }
 
-(* Indices of [shapes] grouped by depth, in array order within one. *)
-let by_depth shapes =
-  let order = Array.init (Array.length shapes) Fun.id in
-  Array.stable_sort (fun a b -> Int.compare shapes.(a).cs.sz shapes.(b).cs.sz) order;
-  order
-
-(* The count pass visits shapes grouped by depth, so the z-erosion is
-   built once per distinct sz; the per-row counts are sums, so visit
-   order cannot change them. [p_shapes] keeps [Shape.compare] order
-   for the select pass. Each erosion takes its own buffer, so every
-   shape's eroded rows outlive the pass. *)
+(* Each erosion takes its own buffer, so every shape's base rows
+   outlive the pass for the select pass to read. *)
 let count_plan r grid ~volume =
   let shapes, skips = possible_shapes grid ~volume in
   let shapes = Array.of_list shapes in
   Array.fill r.counts 0 (Array.length r.counts) 0;
-  let eroded = Array.make (Array.length shapes) r.free in
-  let total = ref 0 and depth = ref 0 and ez = ref r.free and next = ref 0 in
-  Array.iter
-    (fun i ->
-      let c = shapes.(i) in
-      if c.cs.sz <> !depth then begin
-        ez := erode_z r r.free c ~z_hi:c.cz_hi ~into:next;
-        depth := c.cs.sz
-      end;
-      let buf = erode_y r c !ez ~z_hi:c.cz_hi ~into:next in
-      eroded.(i) <- buf;
-      for z = 0 to c.cz_hi do
-        for y = 0 to c.cy_hi do
-          let row = (z * r.ny) + y in
-          let n = count_row_bases r buf (row * r.nw) c in
-          r.counts.(row) <- r.counts.(row) + n;
-          total := !total + n
-        done
-      done)
-    (by_depth shapes);
+  let total = ref 0 and next = ref 0 in
+  let eroded =
+    Array.map
+      (fun c ->
+        let buf = erode_shape r c ~into:next in
+        for z = 0 to c.cz_hi do
+          for y = 0 to c.cy_hi do
+            let row = (z * r.ny) + y in
+            let n = ref 0 in
+            for i = row * r.nw to ((row + 1) * r.nw) - 1 do
+              n := !n + popcount buf.(i)
+            done;
+            r.counts.(row) <- r.counts.(row) + !n;
+            total := !total + !n
+          done
+        done;
+        buf)
+      shapes
+  in
   { p_shapes = shapes; p_rows = eroded; p_total = !total; p_skips = skips }
 
-(* Shape [c]'s base bits in row (z, y) of its eroded rows [buf],
-   written to [dst] from [o]. *)
+(* Shape [c]'s base bits in row (z, y) of its base rows [buf], written
+   to [dst] from [o]. *)
 let row_base_bits r c buf ~z ~y dst o =
-  Array.fill dst o r.nw 0;
-  if z <= c.cz_hi && y <= c.cy_hi then
-    Array.blit r.wide 0 dst o (row_bases r buf (((z * r.ny) + y) * r.nw) c + 1)
+  if z <= c.cz_hi && y <= c.cy_hi then Array.blit buf (((z * r.ny) + y) * r.nw) dst o r.nw
+  else Array.fill dst o r.nw 0
 
 (* Select pass: walk rows in (z, y) order, using the per-row counts to
    skip whole rows by rank arithmetic, and emit bases (x ascending,
@@ -424,10 +454,11 @@ let select_scan r grid ~volume ~cap =
    have ended, or once every running job has been repacked? A what-if
    copy of the masks, laid out like [rows.free], is edited a box at a
    time ([set_box]) and scanned for its first free box
-   ([first_free_scan]) by the same erosion and [row_bases] kernels as
-   every other query, in the cache's erosion pool. Nothing here reads
-   the grid's Summary: it describes the grid's occupancy, not the
-   what-if one. *)
+   ([first_free_scan]) in the cache's erosion pool. Its masks change
+   between queries, so it shares no x-base table: it erodes the masks
+   along z and y ([erode_zy]) and x-erodes only the base rows it reads
+   ([row_bases]). Nothing here reads the grid's Summary: it describes
+   the grid's occupancy, not the what-if one. *)
 
 (* Set ([on]) or clear the bits of [box] in the masks [free], returning
    how many bits changed. A box's x extent is one interval of each of
@@ -471,33 +502,23 @@ let rec first_bit t last k =
 (* The first free box of [shapes] in sorted order on the masks [free],
    as Some (row, x, index into [shapes]). [shapes] must be in
    [Shape.compare] order, so (row, x, index) sorts like [Box.compare].
-   They are visited in [order] ([by_depth shapes]), so shapes of one
-   depth share a z-erosion, as in [count_plan]. A shape's rows are
-   read in (z, y) order and only up to the best box's row, and no
-   erosion goes past that row's plane: a later row cannot hold a box
-   that sorts first. *)
-let first_free_scan r free shapes ~order =
+   A shape's rows are read in (z, y) order and only up to the best
+   box's row, and no erosion goes past that row's plane: a later row
+   cannot hold a box that sorts first. *)
+let first_free_scan r free shapes =
   let b_row = ref max_int and b_x = ref 0 and b_i = ref 0 in
-  let depth = ref 0 and ez = ref free and next = ref 0 in
-  Array.iter
-    (fun i ->
-      let c = shapes.(i) in
+  Array.iteri
+    (fun i c ->
       let z_hi = min c.cz_hi (!b_row / r.ny) in
-      if c.cs.sz <> !depth then begin
-        next := 0;
-        ez := erode_z r free c ~z_hi ~into:next;
-        depth := c.cs.sz
-      end;
-      next := 1;
-      let buf = erode_y r c !ez ~z_hi ~into:next in
+      let buf = erode_zy r free c ~z_hi ~into:(ref 0) in
       let rec scan z y =
         if y > c.cy_hi then (if z < z_hi then scan (z + 1) 0)
         else
           let row = (z * r.ny) + y in
           if row <= !b_row then begin
-            let x = first_bit r.wide (row_bases r buf (row * r.nw) c) 0 in
+            let x = first_bit r.wide (row_bases r buf (row * r.nw) ~sx:c.cs.sx ~cx_hi:c.cx_hi) 0 in
             if x < 0 then scan z (y + 1)
-            else if row < !b_row || x < !b_x || (x = !b_x && i < !b_i) then begin
+            else if row < !b_row || x < !b_x then begin
               b_row := row;
               b_x := x;
               b_i := i
@@ -505,7 +526,7 @@ let first_free_scan r free shapes ~order =
           end
       in
       scan 0 0)
-    order;
+    shapes;
   if !b_row = max_int then None else Some (!b_row, !b_x, !b_i)
 
 (* ------------------------------------------------------------------ *)
@@ -832,13 +853,13 @@ module Cache = struct
 
   (* The what-if masks, their free count, the rows whose layout,
      erosion pool and x-base buffer they borrow, and the shapes of each
-     volume queried so far with their depth order. *)
+     volume queried so far. *)
   type scratch = {
     s_rows : rows;
     s_free : int array;
     mutable s_count : int;
     s_dims : Dims.t;
-    s_shapes : (int, counted_shape array * int array) Hashtbl.t;
+    s_shapes : (int, counted_shape array) Hashtbl.t;
   }
 
   type t = {
@@ -963,20 +984,19 @@ module Cache = struct
     if volume <= 0 then invalid_arg "Finder.Cache.first_free: volume must be positive";
     Bgl_resilience.Budget.check ~site:"finder.cache.first_free";
     let d = s.s_dims in
-    let shapes, order =
+    let shapes =
       match Hashtbl.find_opt s.s_shapes volume with
-      | Some plan -> plan
+      | Some shapes -> shapes
       | None ->
           let shapes =
             Array.of_list
               (List.map (counted d ~wrap:s.s_rows.wrap) (Shapes.shapes_of_volume d volume))
           in
-          let plan = (shapes, by_depth shapes) in
-          Hashtbl.replace s.s_shapes volume plan;
-          plan
+          Hashtbl.replace s.s_shapes volume shapes;
+          shapes
     in
     let result =
-      first_free_scan s.s_rows s.s_free shapes ~order
+      first_free_scan s.s_rows s.s_free shapes
       |> Option.map (fun (row, x, i) ->
              Box.make (Coord.make x (row mod d.ny) (row / d.ny)) shapes.(i).cs)
     in

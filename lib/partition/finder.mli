@@ -6,13 +6,18 @@
     structurally.
 
     {b Production.} Every query the simulator makes goes through
-    {!Cache}: memoised queries over per-row free bitmasks, eroded word
-    by word along z and y, then each base row once more along x into a
-    mask with one bit per x base. Every query reads a row's bases from
-    that mask: counts popcount it, enumerations take its set bits
-    lowest first, a what-if query takes its lowest set bit. Every
-    box-list query, capped or not, is one count-then-select walk that
-    emits boxes in sorted order and never builds or sorts more than it
+    {!Cache}: memoised queries over per-row free bitmasks. Erosion
+    along x, which turns a row into a mask with one bit per x base,
+    commutes with the word-by-word ANDs along z and y, so the cache
+    erodes x once per box width per occupancy, into that width's
+    x-base table, and a count, select or MFP level scan erodes the
+    table of its shape's width along z and y by log-step: each eroded
+    word is one base row's x-base mask, popcounted for a count and read
+    lowest bit first for an enumeration. A what-if query scans masks
+    edited between queries, so it erodes them along z and y with early
+    exit and x-erodes only the base rows it reads. Every box-list
+    query, capped or not, is one count-then-select walk that emits
+    boxes in sorted order and never builds or sorts more than it
     returns. At machine volumes of 512 and above ({!summary_gated})
     shapes are first filtered through the grid's {!Bgl_torus.Summary},
     so infeasible shapes never pay for an erosion.
@@ -31,7 +36,9 @@ open Bgl_torus
     long-lived grid. It owns the grid's free-row masks — row
     [z * ny + y] holds [nx] free bits in [ceil(nx / 32)] words, rebuilt
     from the grid's occupancy words whenever {!Bgl_torus.Grid.version}
-    moved — plus the erosion scratch every query reuses, and memoises
+    moved — plus one x-base table per box width queried (rebuilt on
+    the same version check) and the erosion scratch every query
+    reuses, and memoises
     query results keyed on the grid's occupancy
     {!Bgl_torus.Grid.fingerprint}, so a repeated query on unchanged
     occupancy is a hash lookup. No mutation needs reporting: the
@@ -82,10 +89,11 @@ module Cache : sig
   (** The engine's capped candidate query: every free box of [volume]
       when their number [n] ≤ [cap], else the [cap] boxes at sorted
       ranks [i*n/cap]. Computed by a count pass (exact free-box counts
-      per base row: the popcount of each row's x-base mask, with shapes
-      of one depth sharing one z-erosion) and a select pass that walks
-      only the rows holding those ranks, reading the eroded rows the
-      count pass kept for each shape. Memoised per (volume, cap).
+      per base row: each shape's x-base table, eroded along z and y,
+      holds one word of x bases per base row, and a row's count is
+      their popcount) and a select pass that walks only the rows
+      holding those ranks, reading the base rows the count pass kept
+      for each shape. Memoised per (volume, cap).
       [cap] must be ≥ 1. Counted queries are observable as
       [bgl_finder_counted_queries_total] /
       [bgl_finder_counted_skips_total] and the [finder.count.scan] /
@@ -98,8 +106,11 @@ module Cache : sig
       reservation), or once every running job has been repacked
       (migration)? Each cache owns one what-if scratch: a copy of its
       free-row masks plus a free count, edited a box at a time and
-      scanned by the same erosion kernels as every other query, in the
-      same erosion buffers. The grid is never touched, so its
+      scanned in the same erosion buffers as every other query. Its
+      masks change between queries, so it reads no x-base table: it
+      erodes them along z and y by the same log-step as every other
+      query, no further than its best row so far, and x-erodes only
+      the base rows it reads. The grid is never touched, so its
       {!Bgl_torus.Grid.version} and fingerprint stay put. *)
 
   type scratch
@@ -124,8 +135,8 @@ module Cache : sig
   val first_free : scratch -> volume:int -> Box.t option
   (** The first free box of [volume] in sorted order on the scratch
       occupancy, the box [select ~cap:1] would return on a grid
-      holding it, or [None]. One pass of the erosion and x-base
-      kernels, stopping at the row of the best box so far. Not
+      holding it, or [None]. One erosion pass per shape, stopping at
+      the row of the best box so far. Not
       memoised, not counted in the hit, miss or counted-query counters,
       and never gated by the grid's {!Bgl_torus.Summary}, which
       describes another occupancy. [volume] must be positive. In
@@ -143,8 +154,10 @@ module Cache : sig
 
   val mfp_levels : t -> mfp_level list
   (** The MFP level index: one entry per level of
-      {!Shapes.levels_desc}, volumes descending, each level scanned from
-      the refreshed masks on first force. Memoised on the occupancy
+      {!Shapes.levels_desc}, volumes descending, each level scanned on
+      first force: each of its shapes erodes the x-base table of its
+      width, built once per occupancy and shared by every level and
+      every count pass on it, along z and y. Memoised on the occupancy
       fingerprint, so every MFP query on one occupancy shares it. *)
 end
 

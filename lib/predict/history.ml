@@ -2,8 +2,9 @@
    index's count/first queries give them in O(log n). *)
 
 let check_params ~positive ~non_negative =
-  if positive <= 0. then invalid_arg "History: window/half_life must be positive";
-  if non_negative < 0. then invalid_arg "History: threshold must be non-negative"
+  if not (Float.is_finite positive && positive > 0.) then
+    invalid_arg "History: window/half_life must be positive and finite";
+  if not (non_negative >= 0.) then invalid_arg "History: threshold must be non-negative"
 
 let make ~name ~intensity ~threshold =
   let prob ~node ~now ~horizon = Float.min 1. (intensity ~node ~now *. horizon) in

@@ -12,7 +12,7 @@ let null =
   }
 
 let check_param what v =
-  if v < 0. || v > 1. then invalid_arg (Printf.sprintf "Predictor: %s must be in [0, 1]" what)
+  if not (v >= 0. && v <= 1.) then invalid_arg (Printf.sprintf "Predictor: %s must be in [0, 1]" what)
 
 let balancing ~confidence index =
   check_param "confidence" confidence;

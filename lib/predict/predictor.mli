@@ -27,6 +27,12 @@ val null : t
 (** Predicts nothing: probability 0, never "yes". Fault-oblivious
     scheduling (the a = 0 baseline). *)
 
+val check_param : string -> float -> unit
+(** [check_param what v] raises [Invalid_argument] unless [v] is in
+    [\[0, 1\]] (so NaN is rejected): the check {!balancing} and
+    {!tie_breaking} make of their quality parameter, named [what] in
+    the message. *)
+
 val balancing : confidence:float -> Failure_index.t -> t
 (** Section 4.1: probability [confidence] if the log has a failure for
     the node in the window, else 0. The boolean view answers

@@ -2,14 +2,20 @@ type spec =
   | Periodic of { interval : float; overhead : float }
   | Adaptive of { risky_interval : float; safe_interval : float; overhead : float }
 
+let positive v = Float.is_finite v && v > 0.
+
+let check_overhead o =
+  if not (Float.is_finite o && o >= 0.) then
+    invalid_arg "Checkpoint: overhead must be finite and non-negative"
+
 let validate = function
   | Periodic { interval; overhead } ->
-      if interval <= 0. then invalid_arg "Checkpoint: interval must be positive";
-      if overhead < 0. then invalid_arg "Checkpoint: overhead must be non-negative"
+      if not (positive interval) then invalid_arg "Checkpoint: interval must be finite and positive";
+      check_overhead overhead
   | Adaptive { risky_interval; safe_interval; overhead } ->
-      if risky_interval <= 0. || safe_interval <= 0. then
-        invalid_arg "Checkpoint: intervals must be positive";
-      if overhead < 0. then invalid_arg "Checkpoint: overhead must be non-negative"
+      if not (positive risky_interval && positive safe_interval) then
+        invalid_arg "Checkpoint: intervals must be finite and positive";
+      check_overhead overhead
 
 let interval_for spec ~risky =
   match spec with

@@ -15,8 +15,8 @@ type spec =
   | Adaptive of { risky_interval : float; safe_interval : float; overhead : float }
 
 val validate : spec -> unit
-(** @raise Invalid_argument on non-positive intervals or negative
-    overhead. *)
+(** @raise Invalid_argument on intervals that are not positive and
+    finite, or an overhead that is negative, infinite or NaN. *)
 
 val interval_for : spec -> risky:bool -> float
 (** The checkpoint interval a run uses. *)

@@ -34,7 +34,10 @@ let validate t =
   (match t.candidate_cap with
   | Some c when c <= 0 -> invalid_arg "Config: candidate_cap must be positive"
   | Some _ | None -> ());
-  if t.repair_time < 0. then invalid_arg "Config: repair_time must be non-negative";
-  if t.migration_overhead < 0. then invalid_arg "Config: migration_overhead must be non-negative";
-  if t.slowdown_tau <= 0. then invalid_arg "Config: slowdown_tau must be positive";
+  if not (Float.is_finite t.repair_time && t.repair_time >= 0.) then
+    invalid_arg "Config: repair_time must be finite and non-negative";
+  if not (Float.is_finite t.migration_overhead && t.migration_overhead >= 0.) then
+    invalid_arg "Config: migration_overhead must be finite and non-negative";
+  if not (Float.is_finite t.slowdown_tau && t.slowdown_tau > 0.) then
+    invalid_arg "Config: slowdown_tau must be finite and positive";
   Option.iter Checkpoint.validate t.checkpoint

@@ -34,4 +34,6 @@ type t = {
 val default : t
 
 val validate : t -> unit
-(** @raise Invalid_argument on inconsistent settings. *)
+(** @raise Invalid_argument on inconsistent settings, including a
+    repair time, migration overhead or slowdown threshold that is
+    NaN or infinite, and an invalid checkpoint spec. *)

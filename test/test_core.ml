@@ -50,6 +50,28 @@ let test_scenario_run_deterministic () =
   let a = (Scenario.run sc).report and b = (Scenario.run sc).report in
   check_bool "identical reports" true (a = b)
 
+(* A predictor parameter outside [0, 1], NaN included, fails to
+   parse instead of reaching the run. *)
+let test_algo_parameter_checked () =
+  List.iter
+    (fun spec ->
+      check_bool (spec ^ " rejected") true (Result.is_error (Scenario.algo_of_string spec)))
+    [
+      "balancing:nan";
+      "balancing:1.5";
+      "tie-breaking:nan";
+      "tie-breaking:-0.1";
+      "history:nan";
+      "history:inf";
+      "history:0";
+      "history:1e308";
+    ];
+  check_bool "balancing:0.5 accepted" true
+    (Scenario.algo_of_string "balancing:0.5" = Ok (Scenario.Balancing { confidence = 0.5 }));
+  check_bool "history:24 accepted" true
+    (Scenario.algo_of_string "history:24"
+    = Ok (Scenario.Balancing_history { half_life = 86_400.; threshold = 0.5 }))
+
 let test_scenario_runs_all_algos () =
   List.iter
     (fun algo ->
@@ -473,6 +495,7 @@ let () =
           tc "explicit inputs match run_on" test_run_explicit_inputs_match_run_on;
           tc "own failures match synthetic" test_run_own_failures_match_synthetic;
           tc "adaptive checkpointing sees predictor" test_adaptive_checkpointing_sees_predictor;
+          tc "algo parameter checked" test_algo_parameter_checked;
         ] );
       ( "series",
         [

@@ -1020,6 +1020,113 @@ let prop_what_if_matches_ghost =
       && Finder.Cache.select cache ~volume:1 ~cap:1
          = Finder.Cache.select (Finder.Cache.create g) ~volume:1 ~cap:1)
 
+(* ------------------------------------------------------------------ *)
+(* The x-base tables against fresh caches and the reference: one
+   long-lived cache follows a grid through random occupy, vacate and
+   ABA steps (a box occupied and vacated again, so the fingerprint
+   returns but the version moves), with select, find, Mfp.volume,
+   Mfp.volume_after and a what-if first_free interleaved between
+   them. Extents 1-9 and 12 put axis lengths on both sides of each
+   doubling step of the log-step erosion, windows equal to the axis
+   and remainder steps; wraparound makes some steps cyclic and in
+   place. Every answer must equal a fresh cache's and the reference
+   finder's, so a table left stale by an earlier occupancy shows. *)
+
+let table_extents = [| 1; 2; 3; 4; 5; 6; 7; 8; 9; 12 |]
+
+type table_case = { t_dims : Dims.t; t_wrap : bool; t_ops : int; t_seed : int }
+
+let table_gen =
+  QCheck.Gen.(
+    let extent = oneofa table_extents in
+    let* nx = extent and* ny = extent and* nz = extent and* wrap = bool in
+    let* ops = int_range 1 12 and* seed = small_nat in
+    return { t_dims = Dims.make nx ny nz; t_wrap = wrap; t_ops = ops; t_seed = seed })
+
+let print_table_case t =
+  Printf.sprintf "dims=%s wrap=%b ops=%d seed=%d" (Dims.to_string t.t_dims) t.t_wrap t.t_ops
+    t.t_seed
+
+let prop_tables_follow_occupancy =
+  QCheck.Test.make ~name:"x-base tables follow the occupancy" ~count:300
+    (QCheck.make ~print:print_table_case table_gen)
+    (fun t ->
+      let d = t.t_dims and wrap = t.t_wrap in
+      let rng = Bgl_stats.Rng.create ~seed:t.t_seed in
+      let pick n = Bgl_stats.Rng.int rng n in
+      let g = Grid.create ~wrap d in
+      let cache = Finder.Cache.create g in
+      let volumes = Array.of_list (Shapes.feasible_volumes d) in
+      let live = ref [] and owner = ref 0 in
+      let occupy_random () =
+        let b = random_box rng d ~wrap in
+        if Grid.box_is_free g b then begin
+          incr owner;
+          Grid.occupy g b ~owner:!owner;
+          Some (b, !owner)
+        end
+        else None
+      in
+      let mutate () =
+        match (pick 3, !live) with
+        | 0, (_ :: _ as boxes) ->
+            let ((b, o) as job) = List.nth boxes (pick (List.length boxes)) in
+            Grid.vacate g b ~owner:o;
+            live := List.filter (( != ) job) boxes
+        | 1, _ -> Option.iter (fun (b, o) -> Grid.vacate g b ~owner:o) (occupy_random ())
+        | _ -> Option.iter (fun job -> live := job :: !live) (occupy_random ())
+      in
+      let volume () = volumes.(pick (Array.length volumes)) in
+      let query () =
+        let fresh = Finder.Cache.create g in
+        match pick 5 with
+        | 0 ->
+            let volume = volume () and cap = [| 1; 2; 7; max_int |].(pick 4) in
+            let got = Finder.Cache.select cache ~volume ~cap in
+            got = Finder.Cache.select fresh ~volume ~cap
+            && got = cap_oracle cap (Finder.Reference.find Finder.Reference.Shape_search g ~volume)
+        | 1 ->
+            let volume = volume () in
+            let got = Finder.Cache.find cache ~volume in
+            got = Finder.Cache.find fresh ~volume
+            && got = Finder.Reference.find Finder.Reference.Shape_search g ~volume
+        | 2 ->
+            let got = Mfp.box ~cache g in
+            got = Mfp.box ~cache:fresh g
+            && Mfp.volume ~cache g = Mfp.volume ~cache:fresh g
+            && got = Finder.Reference.mfp g
+        | 3 -> (
+            match Finder.Cache.find cache ~volume:(volume ()) with
+            | [] -> true
+            | boxes ->
+                let c = List.nth boxes (pick (List.length boxes)) in
+                let got = Mfp.volume_after ~cache g c in
+                got = Mfp.volume_after ~cache:fresh g c
+                && got = Option.fold ~none:0 ~some:Box.volume (Finder.Reference.mfp ~avoid:c g))
+        | _ ->
+            (* Release one running box, or none, in both scratches. *)
+            let released =
+              match !live with [] -> None | boxes -> Some (List.nth boxes (pick (List.length boxes)))
+            in
+            let s = Finder.Cache.what_if cache and s' = Finder.Cache.what_if fresh in
+            let ghost = Grid.create ~wrap d in
+            Grid.iter_owned g (fun node o ->
+                if not (Option.fold ~none:false ~some:(fun (_, r) -> r = o) released) then
+                  Grid.occupy_node ghost node ~owner:1);
+            Option.iter
+              (fun (b, _) ->
+                Finder.Cache.release s b;
+                Finder.Cache.release s' b)
+              released;
+            let volume = volume () in
+            let got = Finder.Cache.first_free s ~volume in
+            got = Finder.Cache.first_free s' ~volume
+            && got
+               = List.nth_opt (Finder.Reference.find Finder.Reference.Shape_search ghost ~volume) 0
+      in
+      let rec run k = k = 0 || (mutate (); query () && query () && run (k - 1)) in
+      query () && run t.t_ops)
+
 (* The word-parallel x-erosion every query reads ([row_bases]) on rows
    of two and three words: every window width around a word boundary
    (sx in 1, 31, 32, 33, 63, 64, 65) on x extents 64, 65 and 96,
@@ -1027,9 +1134,9 @@ let prop_what_if_matches_ghost =
    a whole word and more are exercised. A free run [nx - 20, nx) +
    [0, 41) crosses the seam and the word boundaries at 32 and (for 65
    and 96) beyond, and the background occupancy keeps other rows
-   partial. Volumes 4 * sx hold shapes of depths 1, 2 and 4, so the
-   z-erosion the count pass shares per depth is rebuilt between them.
-   find, select and the MFP levels an MFP query forces must all equal
+   partial. Volumes 4 * sx hold shapes of depths 1, 2 and 4 and
+   heights 1 and 2, so each width's x-base table is eroded along z and
+   y by one and two log-steps, and is read uneroded. find, select and the MFP levels an MFP query forces must all equal
    the summed-area scan. *)
 let test_count_pass_wide_rows () =
   List.iter
@@ -1104,6 +1211,7 @@ let props =
       prop_gated_proofs_of_absence;
       prop_kernel_matches_prefix;
       prop_what_if_matches_ghost;
+      prop_tables_follow_occupancy;
     ]
 
 let () =

@@ -80,6 +80,16 @@ let test_predictor_param_validation () =
        false
      with Invalid_argument _ -> true)
 
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_confidence_not_nan () =
+  check_bool "confidence NaN" true
+    (raises_invalid (fun () -> Predictor.balancing ~confidence:Float.nan (index_of [])))
+
+let test_accuracy_not_nan () =
+  check_bool "accuracy NaN" true
+    (raises_invalid (fun () -> Predictor.tie_breaking ~accuracy:Float.nan ~seed:0 (index_of [])))
+
 let test_tie_breaking_no_false_positives () =
   let idx = index_of [ (100., 3) ] in
   let p = Predictor.tie_breaking ~accuracy:1.0 ~seed:1 idx in
@@ -243,6 +253,17 @@ let test_history_validation () =
        false
      with Invalid_argument _ -> true)
 
+let test_history_not_nan () =
+  List.iter
+    (fun v ->
+      check_bool "window" true
+        (raises_invalid (fun () -> History.rate ~window:v ~threshold:0.1 chronic_trace));
+      check_bool "half_life" true
+        (raises_invalid (fun () -> History.ewma ~half_life:v ~threshold:0.1 chronic_trace)))
+    [ Float.nan; infinity ];
+  check_bool "threshold" true
+    (raises_invalid (fun () -> History.ewma ~half_life:10. ~threshold:Float.nan chronic_trace))
+
 let test_history_beats_chance_on_skewed_trace () =
   (* On a skewed synthetic trace the learned predictor must have
      recall well above the fraction of flagged probes (i.e. it finds
@@ -350,4 +371,10 @@ let () =
           tc "beats chance on skewed trace" test_history_beats_chance_on_skewed_trace;
         ] );
       ("properties", props);
+      ( "validation",
+        [
+          tc "confidence not NaN" test_confidence_not_nan;
+          tc "accuracy not NaN" test_accuracy_not_nan;
+          tc "history parameters not NaN or infinite" test_history_not_nan;
+        ] );
     ]

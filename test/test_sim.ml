@@ -141,6 +141,55 @@ let test_checkpoint_validate () =
        false
      with Invalid_argument _ -> true)
 
+(* [f v] must raise Invalid_argument for NaN and both infinities. *)
+let rejects_non_finite what f =
+  List.iter
+    (fun (label, v) ->
+      check_bool
+        (Printf.sprintf "%s = %s rejected" what label)
+        true
+        (match f v with () -> false | exception Invalid_argument _ -> true))
+    [ ("nan", Float.nan); ("inf", infinity); ("-inf", neg_infinity) ]
+
+let test_checkpoint_interval_finite () =
+  rejects_non_finite "interval" (fun interval ->
+      Checkpoint.validate (Checkpoint.Periodic { interval; overhead = 1. }))
+
+let test_checkpoint_overhead_finite () =
+  rejects_non_finite "overhead" (fun overhead ->
+      Checkpoint.validate (Checkpoint.Periodic { interval = 10.; overhead }))
+
+let test_checkpoint_adaptive_finite () =
+  rejects_non_finite "risky_interval" (fun risky_interval ->
+      Checkpoint.validate
+        (Checkpoint.Adaptive { risky_interval; safe_interval = 10.; overhead = 1. }));
+  rejects_non_finite "safe_interval" (fun safe_interval ->
+      Checkpoint.validate
+        (Checkpoint.Adaptive { risky_interval = 10.; safe_interval; overhead = 1. }));
+  rejects_non_finite "adaptive overhead" (fun overhead ->
+      Checkpoint.validate
+        (Checkpoint.Adaptive { risky_interval = 10.; safe_interval = 10.; overhead }))
+
+let test_config_repair_time_finite () =
+  rejects_non_finite "repair_time" (fun repair_time ->
+      Config.validate { Config.default with repair_time })
+
+let test_config_migration_overhead_finite () =
+  rejects_non_finite "migration_overhead" (fun migration_overhead ->
+      Config.validate { Config.default with migration_overhead })
+
+let test_config_slowdown_tau_finite () =
+  rejects_non_finite "slowdown_tau" (fun slowdown_tau ->
+      Config.validate { Config.default with slowdown_tau })
+
+let test_config_checkpoint_checked () =
+  rejects_non_finite "checkpoint interval" (fun interval ->
+      Config.validate
+        {
+          Config.default with
+          checkpoint = Some (Checkpoint.Periodic { interval; overhead = 60. });
+        })
+
 (* ------------------------------------------------------------------ *)
 (* Engine: hand-built scenarios *)
 
@@ -963,4 +1012,14 @@ let () =
           tc "streaming retains no entries" test_recorder_streaming_retains_nothing;
         ] );
       ("properties", props);
+      ( "validation",
+        [
+          tc "checkpoint interval not NaN or infinite" test_checkpoint_interval_finite;
+          tc "checkpoint overhead not NaN or infinite" test_checkpoint_overhead_finite;
+          tc "adaptive checkpoint not NaN or infinite" test_checkpoint_adaptive_finite;
+          tc "repair_time not NaN or infinite" test_config_repair_time_finite;
+          tc "migration_overhead not NaN or infinite" test_config_migration_overhead_finite;
+          tc "slowdown_tau not NaN or infinite" test_config_slowdown_tau_finite;
+          tc "config checks its checkpoint spec" test_config_checkpoint_checked;
+        ] );
     ]
