@@ -136,11 +136,11 @@ let finder_incremental_tests () =
 
 (* Machine-size scaling: the same operations at the paper's 4x4x8
    supernode view up to the full 64x32x32 node torus (512x the
-   volume). A node mutation with its summary upkeep stays near-flat as
-   the machine grows. Both probes are the one-box query
+   volume). A node mutation with its slab-count upkeep stays
+   near-flat as the machine grows. Both probes are the one-box query
    [select ~cap:1], the question "is any box of this volume free?".
-   The infeasible one, which the hierarchical summary rejects, runs on
-   a fresh cache, so it also pays the O(volume/32) free-row mask
+   The infeasible one, whose shapes the summary's slab counts rule out
+   before any erosion at every size, runs on a fresh cache, so it also pays the O(volume/32) free-row mask
    refresh and grows sublinearly, not flat (EXPERIMENTS.md has the
    numbers); the cached one is a memo hit. The full prefix-table build
    shows the O(volume) cost of a summed-area scan. 90% occupancy makes

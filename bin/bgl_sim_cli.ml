@@ -35,9 +35,12 @@ let failure_log =
          ~doc:"Replay a failure-log file instead of a synthetic trace.")
 
 let n_jobs =
-  Arg.(value & opt int 2000 & info [ "jobs"; "n" ] ~docv:"N" ~doc:"Number of synthetic jobs.")
+  Arg.(value & opt Bgl_core.Cli_flags.n_jobs_conv 2000 & info [ "jobs"; "n" ] ~docv:"N"
+         ~doc:"Number of synthetic jobs.")
 
-let load = Arg.(value & opt float 1.0 & info [ "load"; "c" ] ~docv:"C" ~doc:"Load-scale coefficient.")
+let load =
+  Arg.(value & opt Bgl_core.Cli_flags.load_conv 1.0 & info [ "load"; "c" ] ~docv:"C"
+         ~doc:"Load-scale coefficient (positive and finite).")
 
 let failures =
   Arg.(value & opt (some int) None & info [ "failures"; "f" ] ~docv:"N"

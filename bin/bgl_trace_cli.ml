@@ -34,10 +34,14 @@ let gen_jobs profile n_jobs max_nodes seed load out =
   Ok 0
 
 let jobs_cmd =
-  let n_jobs = Arg.(value & opt int 2000 & info [ "jobs"; "n" ] ~docv:"N") in
+  let n_jobs =
+    Arg.(value & opt Bgl_core.Cli_flags.n_jobs_conv 2000 & info [ "jobs"; "n" ] ~docv:"N")
+  in
   let max_nodes = Arg.(value & opt int 128 & info [ "nodes" ] ~docv:"N") in
   let seed = Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED") in
-  let load = Arg.(value & opt float 1.0 & info [ "load"; "c" ] ~docv:"C") in
+  let load =
+    Arg.(value & opt Bgl_core.Cli_flags.load_conv 1.0 & info [ "load"; "c" ] ~docv:"C")
+  in
   let profile = Arg.(value & opt profile_conv Bgl_workload.Profile.sdsc & info [ "profile" ]) in
   let out = Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE") in
   Cmd.v

@@ -9,6 +9,17 @@ let format_conv =
   let print ppf f = Format.pp_print_string ppf (match f with Human -> "human" | Jsonl -> "jsonl") in
   Cmdliner.Arg.conv (parse, print)
 
+let checked_conv base check =
+  let parse s =
+    match Cmdliner.Arg.conv_parser base s with
+    | Ok v -> Result.map_error (fun m -> `Msg m) (check v)
+    | Error _ as e -> e
+  in
+  Cmdliner.Arg.conv (parse, Cmdliner.Arg.conv_printer base)
+
+let n_jobs_conv = checked_conv Cmdliner.Arg.int Scenario.check_n_jobs
+let load_conv = checked_conv Cmdliner.Arg.float Scenario.check_load
+
 let format =
   Cmdliner.Arg.(
     value

@@ -12,6 +12,14 @@ type format = Human | Jsonl
 
 val format_conv : format Cmdliner.Arg.conv
 
+val n_jobs_conv : int Cmdliner.Arg.conv
+(** A job count, refused unless {!Scenario.check_n_jobs} accepts it. *)
+
+val load_conv : float Cmdliner.Arg.conv
+(** A load-scale coefficient, refused unless {!Scenario.check_load}
+    accepts it. Both refusals are parse errors (exit 124), before any
+    run starts. *)
+
 val format : format Cmdliner.Term.t
 (** [--format human|jsonl], default human. *)
 

@@ -107,6 +107,17 @@ let algo_of_string s =
                        "unknown algorithm %S (first-fit, random, mfp, safest, balancing:<a>, \
                         tie-breaking:<a>, history:<half-life-hours>)" s))))
 
+(* One check per numeric run parameter, shared by bgl-sim's and
+   bgl-trace's flags (and, for the load, the service protocol's
+   field), so a bad value is refused before a run starts or a request
+   is admitted, not inside the workload generator. *)
+let check_n_jobs n =
+  if n > 0 then Ok n else Error (Printf.sprintf "job count must be positive, got %d" n)
+
+let check_load c =
+  if Float.is_finite c && c > 0. then Ok c
+  else Error (Printf.sprintf "load-scale coefficient must be positive and finite, got %g" c)
+
 let label t =
   let combine = match t.combine with `Product -> "prod" | `Max -> "max" in
   (* The config is plain data, so a structural digest distinguishes

@@ -77,6 +77,15 @@ val algo_of_string : string -> (algo, string) result
     ["history:<half-life-hours>"] — the one parser behind bgl-sim's
     [--algo] and the service protocol's ["algo"] field. *)
 
+val check_n_jobs : int -> (int, string) result
+(** [Ok n] for a positive job count, an [Error] message otherwise. *)
+
+val check_load : float -> (float, string) result
+(** [Ok c] for a positive, finite load-scale coefficient; an [Error]
+    message for zero, negative, NaN or infinite [c]. The one check
+    behind bgl-sim's and bgl-trace's [--load] and the service
+    protocol's ["load"] field. *)
+
 val label : t -> string
 
 val run :

@@ -1,20 +1,12 @@
 open Bgl_torus
 
 (* ------------------------------------------------------------------ *)
-(* Scale selection: at [summary_gate_volume] and above every scan first
-   consults the grid's Summary to reject shapes without enumerating
-   bases — on the full 64x32x32 machine a shape has up to 65,536 bases,
-   so the O(nx + ny + nz + #blocks) summary probe is the difference
-   between a feasibility check and a machine-size scan. Below the gate
-   the probe would cost more than the scan it saves. *)
-
-let summary_gate_volume = 512
-
-let summary_gated grid = Grid.volume grid >= summary_gate_volume
+(* Every scan of the grid's own masks first asks the grid's Summary
+   whether the shape can fit at all: an O(nx + ny + nz) slab probe
+   that rules a shape out before its x-base table is eroded. *)
 
 let shape_possible grid shape =
-  (not (summary_gated grid))
-  || Summary.shape_feasible (Grid.summary grid) ~wrap:(Grid.wrap grid) shape
+  Summary.shape_feasible (Grid.summary grid) ~wrap:(Grid.wrap grid) shape
 
 (* Inclusive upper base bound along one axis: every coordinate with
    wraparound (collapsed to 0 when the shape spans the whole axis), or

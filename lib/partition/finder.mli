@@ -18,9 +18,9 @@
     exit and x-erodes only the base rows it reads. Every box-list
     query, capped or not, is one count-then-select walk that emits
     boxes in sorted order and never builds or sorts more than it
-    returns. At machine volumes of 512 and above ({!summary_gated})
-    shapes are first filtered through the grid's {!Bgl_torus.Summary},
-    so infeasible shapes never pay for an erosion.
+    returns. At every machine size, shapes are first filtered through
+    the slab counts of the grid's {!Bgl_torus.Summary}, so shapes
+    with no room in some run of slabs never pay for an erosion.
 
     {b Reference.} The paper's Appendix 9 lineage lives in {!Reference}:
     the naive O(M⁹) enumeration, Krevat's projection of partitions and
@@ -168,10 +168,6 @@ val iter_bases : Dims.t -> wrap:bool -> Shape.t -> f:(int -> int -> int -> unit)
     of shape [s] (x fastest, then y, then z): every in-bounds
     coordinate with wraparound (collapsed to 0 along dimensions the
     shape spans fully), or only non-overflowing bases without. *)
-
-val summary_gated : Grid.t -> bool
-(** Whether finder scans on this grid consult the occupancy summary
-    before enumerating bases (machine volume ≥ 512). *)
 
 (** {1:differential Differential mode}
 

@@ -74,7 +74,11 @@ let parse_sim v =
   let* n_jobs = pos_int_field "jobs" v in
   let* seed = int_field "seed" v in
   let* failures_paper = int_field "failures" v in
-  let load = num_field "load" v in
+  let* load =
+    match num_field "load" v with
+    | None -> Ok None
+    | Some c -> Result.map Option.some (Scenario.check_load c)
+  in
   let* dims = dims_field v in
   let scenario =
     Scenario.make ?n_jobs ?seed ?failures_paper ?load ?dims ~profile algo

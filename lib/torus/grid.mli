@@ -9,7 +9,7 @@
     Occupancy is bit-packed (32 nodes per word), so freeness probes
     stream through a cache-resident bitset even on the full 64×32×32
     machine; owner ids live in a side array consulted only on cold
-    paths. A {!Summary} of slab/block free counts is maintained in
+    paths. A {!Summary} of per-slab free counts is maintained in
     O(1) per mutation. *)
 
 type t
@@ -45,9 +45,9 @@ val fingerprint : t -> int
 
 val summary : t -> Summary.t
 (** The coarse occupancy summary maintained inline by every mutation
-    (slab and block free counts). Read-only for callers: the finders
-    use {!Summary.shape_feasible} to reject shapes early on large
-    machines. Mutating the grid through anything but this module's
+    (per-slab free counts). Read-only for callers: the finders use
+    {!Summary.shape_feasible} to reject shapes before eroding any
+    masks, at every machine size. Mutating the grid through anything but this module's
     operations would desynchronise it. *)
 
 val owner : t -> int -> int option

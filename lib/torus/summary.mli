@@ -1,11 +1,9 @@
-(** Coarse hierarchical occupancy summary.
+(** Coarse occupancy summary.
 
     Maintained in O(1) per grid mutation by {!Grid}: free-node counts
-    per axis slab (each yz-, xz- and xy-plane) and per 8×8×8 block,
-    plus a lazily rebuilt cumulative table over the block grid. The
-    finders consult it through {!shape_feasible} to reject candidate
-    shapes on large machines before paying for a base enumeration or a
-    mask erosion.
+    per axis slab (each yz-, xz- and xy-plane). The finders consult it
+    through {!shape_feasible} to reject candidate shapes before paying
+    for a mask erosion.
 
     All probes are conservative: [false] proves no free box of the
     shape exists; [true] only licenses the exact search. *)
@@ -21,16 +19,14 @@ val occupy : t -> Coord.t -> unit
 val vacate : t -> Coord.t -> unit
 (** Record that the cell just became free. *)
 
-val version : t -> int
-(** Number of updates applied. *)
-
 val slab_free : t -> axis:[ `X | `Y | `Z ] -> int -> int
 (** [slab_free t ~axis:`X x] is the number of free nodes in the plane
     of all cells with that x coordinate. *)
 
 val shape_feasible : t -> wrap:bool -> Shape.t -> bool
 (** Necessary condition for a free box of exactly this shape to exist
-    (with or without torus wraparound): every slab window the box
-    would span must hold enough free nodes, and some block window big
-    enough to contain the box must hold at least its volume. A [false]
-    is definitive; a [true] must be confirmed by an exact finder. *)
+    (with or without torus wraparound): along each axis, some run of
+    consecutive slabs as long as the box's extent there (cyclic when
+    wrapped) must hold, in every slab, at least the box's
+    cross-section of free nodes. A [false] is definitive; a [true]
+    must be confirmed by an exact finder. *)

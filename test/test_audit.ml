@@ -175,8 +175,8 @@ let prop_every_run_audits_clean =
 
 (* ------------------------------------------------------------------ *)
 (* One engine property over every size: x extents on both sides of the
-   32-bit mask word boundaries (31-33, 63-65, 96), machine volumes on
-   both sides of the finder's 512-node Summary gate, axes of length 1,
+   32-bit mask word boundaries (31-33, 63-65, 96), machine volumes
+   from 165 to 585 nodes, axes of length 1,
    both wrap modes, four policies, and migration with repair downtime
    on some cases. Every run is differential-checked and must audit
    clean. Each MFP check rescans the reference MFP, so the MFP-family

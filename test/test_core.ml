@@ -72,6 +72,21 @@ let test_algo_parameter_checked () =
     (Scenario.algo_of_string "history:24"
     = Ok (Scenario.Balancing_history { half_life = 86_400.; threshold = 0.5 }))
 
+(* A job count or load-scale coefficient the workload generator would
+   refuse is refused by the shared check first. *)
+let test_run_parameters_checked () =
+  List.iter
+    (fun n ->
+      check_bool (Printf.sprintf "n=%d rejected" n) true
+        (Result.is_error (Scenario.check_n_jobs n)))
+    [ 0; -3 ];
+  check_bool "n=1 accepted" true (Scenario.check_n_jobs 1 = Ok 1);
+  List.iter
+    (fun c ->
+      check_bool (Printf.sprintf "c=%g rejected" c) true (Result.is_error (Scenario.check_load c)))
+    [ 0.; -1.; Float.nan; Float.infinity; Float.neg_infinity ];
+  check_bool "c=0.5 accepted" true (Scenario.check_load 0.5 = Ok 0.5)
+
 let test_scenario_runs_all_algos () =
   List.iter
     (fun algo ->
@@ -429,9 +444,8 @@ let test_fig3_golden_parallel () =
    must reproduce the engine's historical materialise-then-subsample
    byte-for-byte, so the cap ablation figure — which exercises every
    cap setting including the uncapped one — is pinned against fixtures
-   generated before the counted path existed. Two grid sizes cover both
-   finder representations: 4x4x8 (volume 128, direct scan) and 8x8x16
-   (volume 1024, free-row mask scan).
+   generated before the counted path existed, at two grid sizes: 4x4x8
+   (volume 128) and 8x8x16 (volume 1024).
 
    After an INTENTIONAL result change, regenerate with:
 
@@ -496,6 +510,7 @@ let () =
           tc "own failures match synthetic" test_run_own_failures_match_synthetic;
           tc "adaptive checkpointing sees predictor" test_adaptive_checkpointing_sees_predictor;
           tc "algo parameter checked" test_algo_parameter_checked;
+          tc "run parameters checked" test_run_parameters_checked;
         ] );
       ( "series",
         [

@@ -289,12 +289,11 @@ let test_orientations_non_cubic () =
   check_int "cube keeps all three" 3
     (List.length (Shapes.orientations (Dims.make 4 4 4) (Shape.make 1 1 4)))
 
-(* Summary gating switches on at volume >= 512; the gate must never
-   change what the finders return, only how fast they reject. *)
+(* The summary gate must never change what the finders return, only
+   how fast they reject. *)
 let test_gated_find_agrees_at_scale () =
   let d = Dims.make 8 8 16 in
   let g = Grid.create d in
-  check_bool "summary gating active at 1024 nodes" true (Finder.summary_gated g);
   (* Mostly-occupied grid keeps the naive reference affordable. *)
   Grid.occupy g (Box.make (Coord.make 0 0 0) (Shape.make 8 8 16)) ~owner:1;
   Grid.vacate g (Box.make (Coord.make 0 0 0) (Shape.make 2 2 2)) ~owner:1;
@@ -597,8 +596,8 @@ let prop_cache_mfp_agrees =
           && Grid.fingerprint g = fp (* probes left the grid alone *)
           && Mfp.volume ~cache g = plain (* the index survived the probes *))
 
-(* The paper's 4x4x8 torus, and the summary-gated 12x8x8 whose x axis
-   is not a multiple of the 8-node block; both wrapped and not. *)
+(* The paper's 4x4x8 torus, and a 12x8x8 machine with an x axis of
+   three times four; both wrapped and not. *)
 let mfp_sizes = [| Dims.bgl; Dims.make 12 8 8 |]
 
 let arb_mfp_scenario =
@@ -697,13 +696,12 @@ let test_counted_edges () =
   check_bool "cap = n-1 walks the sorted order" true
     (select ~volume:4 ~cap:(n - 1) = List.init (n - 1) (fun i -> List.nth all (i * n / (n - 1))))
 
-(* Same agreement above the summary-gating threshold, where the
-   counted passes additionally gate shapes through the summary: the
-   regime the full-scale engine runs in. *)
+(* Same agreement with the summary gate in play: on a 1024-node
+   machine the summary rules out more of the shapes the counted passes
+   would otherwise erode. *)
 let test_counted_agrees_at_scale () =
   let d = Dims.make 8 8 16 in
   let g = Grid.create d in
-  check_bool "summary gating active at 1024 nodes" true (Finder.summary_gated g);
   let check_all_volumes () =
     List.iter
       (fun v ->
@@ -730,15 +728,13 @@ let test_counted_agrees_at_scale () =
   check_all_volumes ()
 
 (* ------------------------------------------------------------------ *)
-(* The summary-gated regime on awkward sizes: machines of at least 512
-   nodes (so every scan consults the Summary) whose axes are not
-   multiples of the 8-node summary block, so edge blocks are clipped.
-   Every proof of absence the summary offers must hold there, in both
-   wrap modes. *)
+(* The summary gate on awkward sizes: every scan consults the Summary,
+   so every proof of absence it offers must hold at every size — the
+   paper's 4x4x8 cell, odd and prime axes, axes of length 1 and 2 —
+   in both wrap modes. *)
 
-(* Regression: on a wrapped 28-wide axis the 4-wide edge block let a
-   box crossing the seam span one block more than the block-window
-   bound allowed, so the summary rejected a free 14x1x1 strip. *)
+(* A free 14x1x1 strip crossing the seam of a wrapped 28-wide axis:
+   the summary must find its slab run by wrapping round the axis. *)
 let test_clipped_seam_strip () =
   let d = Dims.make 28 8 8 in
   let g = Grid.create d in
@@ -753,7 +749,18 @@ let test_clipped_seam_strip () =
   Alcotest.check boxes "naive finds the strip" [ strip ] naive;
   Alcotest.check boxes "cache = naive" naive (cache_find g ~volume:14)
 
-let gated_dims = [| Dims.make 9 8 8; Dims.make 12 7 7; Dims.make 20 8 4; Dims.make 28 8 8 |]
+let gated_dims =
+  [|
+    Dims.make 9 8 8;
+    Dims.make 12 7 7;
+    Dims.make 20 8 4;
+    Dims.make 28 8 8;
+    Dims.make 4 4 8;
+    Dims.make 3 5 7;
+    Dims.make 1 6 5;
+    Dims.make 2 7 3;
+    Dims.make 6 1 2;
+  |]
 
 (* A mostly occupied grid with one random free box carved into it —
    wrapping across the seam when the torus wraps — plus a few freed
@@ -770,8 +777,8 @@ let carved_gen (dims : Dims.t array) =
     let* d = oneofa dims in
     let* wrap = bool in
     (* Extents lean large, up to a whole axis, and on a torus bases
-       lean onto the seam: a box crossing it is where a clipped edge
-       block does damage. *)
+       lean onto the seam: a box crossing it needs the summary's slab
+       runs to wrap. *)
     let extent n = oneof [ int_range 1 n; int_range ((n + 1) / 2) n; return n ] in
     let base e n =
       if not wrap then int_range 0 (n - e)
@@ -810,7 +817,7 @@ let build_gated ?(busy = 1.) ?(seed = 0) c =
   g
 
 let prop_gated_proofs_of_absence =
-  QCheck.Test.make ~name:"summary proofs hold on clipped sizes" ~count:1000
+  QCheck.Test.make ~name:"summary proofs hold at every size" ~count:1000
     (QCheck.make ~print:print_gated gated_gen)
     (fun c ->
       let g = build_gated c in
@@ -824,21 +831,20 @@ let prop_gated_proofs_of_absence =
         Summary.shape_feasible summary ~wrap s
         || not (List.exists (fun (b : Box.t) -> Shape.equal b.shape s) reference)
       in
-      Finder.summary_gated g
-      && List.mem (Box.canonical d ~wrap c.g_box) reference
+      List.mem (Box.canonical d ~wrap c.g_box) reference
       && List.for_all shape_sound (Shapes.shapes_of_volume d volume)
       && cache_find g ~volume = reference
       && List.length (cache_select g ~volume ~cap:max_int) = List.length reference)
 
 (* ------------------------------------------------------------------ *)
-(* The free-row kernel against a summed-area reference: the clipped
+(* The free-row kernel against a summed-area reference: the awkward
    sizes above plus rows just under, at and over one 32-bit word (x
    extents 31, 32 and 33) and of two and three words (40, 64, 65 and
-   96), where a box leaning onto the x seam of a torus wraps
-   across a word boundary, and random background occupancy instead of
-   a full machine, with and without wraparound, above and below the
-   summary gate. Every query kind must equal a scan of a freshly built
-   Prefix table over every base of every shape. *)
+   96), where a box leaning onto the x seam of a torus wraps across a
+   word boundary, and random background occupancy instead of a full
+   machine, with and without wraparound. Every query kind must equal a
+   scan of a freshly built Prefix table over every base of every
+   shape. *)
 
 let kernel_dims =
   Array.append gated_dims
@@ -924,8 +930,8 @@ let prop_kernel_matches_prefix =
    free count is the ghost's, and [first_free] is the first box of
    [select ~cap:1] on a fresh cache of the ghost, whose uncapped
    answer is in turn the summed-area scan's. Row lengths 31 to 65 put
-   box edges on both sides of a 32-bit word boundary, and 9x9x9 is
-   summary-gated; the real grid must never move. *)
+   box edges on both sides of a 32-bit word boundary; the real grid
+   must never move. *)
 
 let what_if_dims =
   [|

@@ -169,6 +169,11 @@ let test_protocol_rejects () =
   bad {|{"op":"launch-missiles"}|};
   bad {|{"op":"sim","algo":"quantum"}|};
   bad {|{"op":"sim","jobs":0}|};
+  (* a load the workload generator would refuse is refused here, before
+     the request is admitted and journaled *)
+  bad {|{"op":"sim","load":0}|};
+  bad {|{"op":"sim","load":-1.5}|};
+  bad {|{"op":"sim","load":1e999}|};
   bad {|{"op":"sweep"}|};
   bad {|{"op":"sweep","figure":"42"}|};
   bad {|{"op":"sim","failure_log":"x"}|};
