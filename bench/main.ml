@@ -3,7 +3,8 @@
      main.exe [micro]   partition finders (the paper's Appendix 9
                         lineage), engine kernels, obs overhead, pool,
                         service kernels (default)
-     main.exe scale     machine-size scaling group
+     main.exe scale     machine-size scaling group, what-if
+                        queries and the MFP probe path
      main.exe serve     bgl-served request-path kernels only
 
    The paper's figures, ablations and baseline study are regenerated
@@ -318,6 +319,43 @@ let what_if_tests () =
                ignore (Finder.Cache.select (Finder.Cache.create half) ~volume:32 ~cap:1)));
       ])
 
+(* The balancing policy's loss path on a warm cache: one [Mfp.volume]
+   and then a [volume_after] probe for each of 12 candidates from a
+   capped [select], as a placement pass scores a job. The machine is
+   half busy with randomly placed job-like boxes, so the probes read
+   packed level boxes rather than only empty levels. The cache has
+   answered the same queries once before timing, so its masks, tables
+   and forced levels are all warm. *)
+let mfp_probe_tests () =
+  let probes (name, (d : Dims.t)) =
+    let grid = Grid.create d in
+    let rng = Bgl_stats.Rng.create ~seed:9 in
+    let owner = ref 0 in
+    while 2 * Grid.busy_count grid < Dims.volume d do
+      let pick n = Bgl_stats.Rng.int rng n in
+      let extent n = 1 + pick (max 1 (n / 2)) in
+      let box =
+        Box.make (Coord.make (pick d.nx) (pick d.ny) (pick d.nz))
+          (Shape.make (extent d.nx) (extent d.ny) (extent d.nz))
+      in
+      if Grid.box_is_free grid box then begin
+        incr owner;
+        Grid.occupy grid box ~owner:!owner
+      end
+    done;
+    let cache = Finder.Cache.create grid in
+    let candidates = Finder.Cache.select cache ~volume:4 ~cap:12 in
+    assert (List.length candidates = 12);
+    let probe () =
+      ignore (Mfp.volume ~cache grid);
+      List.iter (fun c -> ignore (Mfp.volume_after ~cache grid c)) candidates
+    in
+    probe ();
+    Bechamel.Test.make ~name:(Printf.sprintf "probes-12/%s" name) (Bechamel.Staged.stage probe)
+  in
+  Bechamel.Test.make_grouped ~name:"mfp"
+    (List.map probes [ ("4x4x8", Dims.bgl); ("8x8x16", Dims.make 8 8 16) ])
+
 let event_queue_tests () =
   Bechamel.Test.make_grouped ~name:"engine"
     [
@@ -481,7 +519,7 @@ let run_scale_micro () =
   run_micro_groups
     ~cfg:(Bechamel.Benchmark.cfg ~stabilize:false ~limit:300 ~quota:(Bechamel.Time.second 0.25) ())
     ~banner:"micro: machine-size scaling (4x4x8 .. 64x32x32)"
-    [ torus_scale_tests (); finder_counted_tests (); what_if_tests () ]
+    [ torus_scale_tests (); finder_counted_tests (); what_if_tests (); mfp_probe_tests () ]
 
 let () =
   let t0 = Bgl_obs.Clock.now () in

@@ -43,8 +43,8 @@ let load =
          ~doc:"Load-scale coefficient (positive and finite).")
 
 let failures =
-  Arg.(value & opt (some int) None & info [ "failures"; "f" ] ~docv:"N"
-         ~doc:"Failure count on the paper's scale (default: the profile's).")
+  Arg.(value & opt (some Bgl_core.Cli_flags.failures_conv) None & info [ "failures"; "f" ] ~docv:"N"
+         ~doc:"Failure count on the paper's scale, zero or more (default: the profile's).")
 
 let algo =
   Arg.(value & opt algo_conv Bgl_core.Scenario.Fault_oblivious & info [ "algo"; "a" ] ~docv:"ALGO"

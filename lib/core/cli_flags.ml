@@ -19,6 +19,7 @@ let checked_conv base check =
 
 let n_jobs_conv = checked_conv Cmdliner.Arg.int Scenario.check_n_jobs
 let load_conv = checked_conv Cmdliner.Arg.float Scenario.check_load
+let failures_conv = checked_conv Cmdliner.Arg.int Scenario.check_failures
 
 let format =
   Cmdliner.Arg.(

@@ -17,8 +17,12 @@ val n_jobs_conv : int Cmdliner.Arg.conv
 
 val load_conv : float Cmdliner.Arg.conv
 (** A load-scale coefficient, refused unless {!Scenario.check_load}
-    accepts it. Both refusals are parse errors (exit 124), before any
-    run starts. *)
+    accepts it. *)
+
+val failures_conv : int Cmdliner.Arg.conv
+(** A failure count on the paper's scale, refused unless
+    {!Scenario.check_failures} accepts it. All three refusals are
+    parse errors (exit 124), before any run starts. *)
 
 val format : format Cmdliner.Term.t
 (** [--format human|jsonl], default human. *)

@@ -108,15 +108,19 @@ let algo_of_string s =
                         tie-breaking:<a>, history:<half-life-hours>)" s))))
 
 (* One check per numeric run parameter, shared by bgl-sim's and
-   bgl-trace's flags (and, for the load, the service protocol's
-   field), so a bad value is refused before a run starts or a request
-   is admitted, not inside the workload generator. *)
+   bgl-trace's flags (and, for the load and the failure count, the
+   service protocol's fields), so a bad value is refused before a run
+   starts or a request is admitted, not inside the workload or failure
+   generator. *)
 let check_n_jobs n =
   if n > 0 then Ok n else Error (Printf.sprintf "job count must be positive, got %d" n)
 
 let check_load c =
   if Float.is_finite c && c > 0. then Ok c
   else Error (Printf.sprintf "load-scale coefficient must be positive and finite, got %g" c)
+
+let check_failures n =
+  if n >= 0 then Ok n else Error (Printf.sprintf "failure count must be >= 0, got %d" n)
 
 let label t =
   let combine = match t.combine with `Product -> "prod" | `Max -> "max" in

@@ -86,6 +86,13 @@ val check_load : float -> (float, string) result
     behind bgl-sim's and bgl-trace's [--load] and the service
     protocol's ["load"] field. *)
 
+val check_failures : int -> (int, string) result
+(** [Ok n] for a failure count on the paper's scale that is zero or
+    more; an [Error] message for a negative one, which
+    {!injected_failures} would otherwise scale into a negative event
+    count or round to none. The one check behind bgl-sim's
+    [--failures] and the service protocol's ["failures"] field. *)
+
 val label : t -> string
 
 val run :

@@ -7,7 +7,8 @@
     candidate placement. Every query reads the cache's MFP level index
     ({!Finder.Cache.mfp_levels}): free boxes grouped by volume, levels
     descending, so a query answers from the first level holding a box
-    it accepts. No query mutates the grid.
+    it accepts. Levels are read as packed coordinates: a box is built
+    only for the answer. No query mutates the grid.
 
     Every entry point takes an optional {!Finder.Cache.t}. A cache
     bound to the queried grid lends its index, which every query on
@@ -30,4 +31,8 @@ val box : ?cache:Finder.Cache.t -> Grid.t -> Box.t option
 val volume_after : ?cache:Finder.Cache.t -> Grid.t -> Box.t -> int
 (** [volume_after grid candidate] is the MFP volume once [candidate]
     (which must be free) is occupied: the largest free box disjoint
-    from it. The grid is only read. *)
+    from it. The grid is only read. The scan starts at the highest
+    level no larger than the free count less the candidate's volume
+    (levels above the current MFP hold no box, so no MFP query comes
+    first) and, per shape, tests each packed base against the cyclic
+    window of bases along each axis whose boxes meet the candidate. *)

@@ -73,7 +73,11 @@ let parse_sim v =
   in
   let* n_jobs = pos_int_field "jobs" v in
   let* seed = int_field "seed" v in
-  let* failures_paper = int_field "failures" v in
+  let* failures_paper =
+    match int_field "failures" v with
+    | Ok (Some n) -> Result.map Option.some (Scenario.check_failures n)
+    | r -> r
+  in
   let* load =
     match num_field "load" v with
     | None -> Ok None

@@ -8,7 +8,7 @@
       format;
     - [{"op":"sim", ...}] — one scenario run: [profile], [algo]
       (through {!Bgl_core.Scenario.algo_of_string}), [jobs], [load],
-      [failures] (paper scale), [seed], [dims] ("8x8x8"), optional
+      [failures] (paper scale, zero or more), [seed], [dims] ("8x8x8"), optional
       inline [swf] and [failure_log] payloads, optional [fuel] /
       [deadline] budget;
     - [{"op":"sweep", ...}] — one figure sweep: [figure] (an

@@ -17,7 +17,24 @@ let cells (d : Dims.t) t =
   done;
   !acc
 
-let indices d t = List.map (Coord.index d) (cells d t)
+(* The node ids of [cells], in its order, built without a [Coord]:
+   an in-bounds base plus an extent that fits the axis stays below
+   twice the axis length, so one conditional subtraction wraps it. *)
+let indices (d : Dims.t) t =
+  assert (Coord.in_bounds d t.base);
+  assert (Shape.fits d t.shape);
+  let wrap v n = if v >= n then v - n else v in
+  let acc = ref [] in
+  for dz = t.shape.sz - 1 downto 0 do
+    let z = wrap (t.base.z + dz) d.nz in
+    for dy = t.shape.sy - 1 downto 0 do
+      let row = d.nx * (wrap (t.base.y + dy) d.ny + (d.ny * z)) in
+      for dx = t.shape.sx - 1 downto 0 do
+        acc := (row + wrap (t.base.x + dx) d.nx) :: !acc
+      done
+    done
+  done;
+  !acc
 
 let canonical (d : Dims.t) ~wrap t =
   if not wrap then t

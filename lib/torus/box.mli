@@ -14,7 +14,10 @@ val cells : Dims.t -> t -> Coord.t list
     be in bounds and the shape must fit the torus. *)
 
 val indices : Dims.t -> t -> int list
-(** Linear indices of {!cells}. *)
+(** Linear indices of {!cells}, in the same order (x fastest, then y,
+    then z), under the same preconditions. Built directly, with no
+    intermediate coordinate: every predictor query and every
+    {!Grid.occupy}/{!Grid.vacate} calls it. *)
 
 val canonical : Dims.t -> wrap:bool -> t -> t
 (** Normal form used to deduplicate finder output: when wraparound is

@@ -68,31 +68,40 @@ let occupied_bits t ~pos ~len =
 
 let box_is_free t box = List.for_all (is_free t) (Box.indices t.dims box)
 
-let occupy_node t node ~owner =
-  if owner < 0 && owner <> down_owner then invalid_arg "Grid.occupy_node: invalid owner id";
-  let w = node lsr 5 and bit = 1 lsl (node land 31) in
-  let word = Bigarray.Array1.get t.occ w in
-  if word land bit <> 0 then
-    invalid_arg
-      (Printf.sprintf "Grid.occupy_node: node %d already owned by %d" node t.owners.(node));
-  Bigarray.Array1.set t.occ w (word lor bit);
+let check_owner owner =
+  if owner < 0 && owner <> down_owner then invalid_arg "Grid.occupy_node: invalid owner id"
+
+(* Flip one validated node; the callers bring the Summary up to date,
+   a node at a time or a box at a time. *)
+let[@inline] set_node t node ~owner =
+  let w = node lsr 5 in
+  Bigarray.Array1.set t.occ w (Bigarray.Array1.get t.occ w lor (1 lsl (node land 31)));
   t.owners.(node) <- owner;
   t.free <- t.free - 1;
   t.version <- t.version + 1;
-  t.fingerprint <- t.fingerprint lxor node_key node;
-  Summary.occupy t.summary (Coord.of_index t.dims node)
+  t.fingerprint <- t.fingerprint lxor node_key node
 
-let vacate_node t node ~owner =
-  let w = node lsr 5 and bit = 1 lsl (node land 31) in
-  let word = Bigarray.Array1.get t.occ w in
-  let current = if word land bit = 0 then free_marker else t.owners.(node) in
-  if current <> owner then
-    invalid_arg (Printf.sprintf "Grid.vacate_node: node %d owned by %d, not %d" node current owner);
-  Bigarray.Array1.set t.occ w (word lxor bit);
+let[@inline] clear_node t node =
+  let w = node lsr 5 in
+  Bigarray.Array1.set t.occ w (Bigarray.Array1.get t.occ w lxor (1 lsl (node land 31)));
   t.owners.(node) <- free_marker;
   t.free <- t.free + 1;
   t.version <- t.version + 1;
-  t.fingerprint <- t.fingerprint lxor node_key node;
+  t.fingerprint <- t.fingerprint lxor node_key node
+
+let occupy_node t node ~owner =
+  check_owner owner;
+  if not (is_free t node) then
+    invalid_arg
+      (Printf.sprintf "Grid.occupy_node: node %d already owned by %d" node t.owners.(node));
+  set_node t node ~owner;
+  Summary.occupy t.summary (Coord.of_index t.dims node)
+
+let vacate_node t node ~owner =
+  let current = if is_free t node then free_marker else t.owners.(node) in
+  if current <> owner then
+    invalid_arg (Printf.sprintf "Grid.vacate_node: node %d owned by %d, not %d" node current owner);
+  clear_node t node;
   Summary.vacate t.summary (Coord.of_index t.dims node)
 
 let occupy t box ~owner =
@@ -103,7 +112,9 @@ let occupy t box ~owner =
       if not (is_free t node) then
         invalid_arg (Printf.sprintf "Grid.occupy: node %d already owned" node))
     idx;
-  List.iter (fun node -> occupy_node t node ~owner) idx
+  check_owner owner;
+  List.iter (fun node -> set_node t node ~owner) idx;
+  Summary.occupy_box t.summary box
 
 let vacate t box ~owner =
   let idx = Box.indices t.dims box in
@@ -112,7 +123,8 @@ let vacate t box ~owner =
       if is_free t node || t.owners.(node) <> owner then
         invalid_arg (Printf.sprintf "Grid.vacate: node %d not owned by %d" node owner))
     idx;
-  List.iter (fun node -> vacate_node t node ~owner) idx
+  List.iter (clear_node t) idx;
+  Summary.vacate_box t.summary box
 
 let iter_owned t f =
   let n = volume t in

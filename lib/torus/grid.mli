@@ -9,8 +9,9 @@
     Occupancy is bit-packed (32 nodes per word), so freeness probes
     stream through a cache-resident bitset even on the full 64×32×32
     machine; owner ids live in a side array consulted only on cold
-    paths. A {!Summary} of per-slab free counts is maintained in
-    O(1) per mutation. *)
+    paths. A {!Summary} of per-slab free counts is maintained inline:
+    once per box for {!occupy}/{!vacate} (O(sx + sy + sz)), once per
+    node for {!occupy_node}/{!vacate_node}. *)
 
 type t
 

@@ -33,6 +33,24 @@ let update t (c : Coord.t) delta =
 let occupy t c = update t c (-1)
 let vacate t c = update t c 1
 
+(* A box of shape sx×sy×sz takes sy·sz nodes from each of the sx
+   x-slabs it spans (cyclically from its base), and likewise along y
+   and z: O(sx + sy + sz) per box instead of three updates per node. *)
+let add_run counts n base extent delta =
+  for i = base to base + extent - 1 do
+    let j = if i >= n then i - n else i in
+    counts.(j) <- counts.(j) + delta
+  done
+
+let update_box t (b : Box.t) sign =
+  let d = t.dims and s = b.shape in
+  add_run t.free_x d.nx b.base.x s.sx (sign * s.sy * s.sz);
+  add_run t.free_y d.ny b.base.y s.sy (sign * s.sx * s.sz);
+  add_run t.free_z d.nz b.base.z s.sz (sign * s.sx * s.sy)
+
+let occupy_box t b = update_box t b (-1)
+let vacate_box t b = update_box t b 1
+
 let slab_free t ~axis i =
   match axis with `X -> t.free_x.(i) | `Y -> t.free_y.(i) | `Z -> t.free_z.(i)
 
@@ -47,7 +65,7 @@ let axis_ok ~wrap counts n extent threshold =
     let run = ref 0 and ok = ref false in
     let i = ref 0 in
     while (not !ok) && !i < limit do
-      if counts.(!i mod n) >= threshold then begin
+      if counts.(if !i >= n then !i - n else !i) >= threshold then begin
         incr run;
         if !run >= extent then ok := true
       end

@@ -1,7 +1,8 @@
 (** Coarse occupancy summary.
 
-    Maintained in O(1) per grid mutation by {!Grid}: free-node counts
-    per axis slab (each yz-, xz- and xy-plane). The finders consult it
+    Maintained inline by {!Grid}: free-node counts per axis slab (each
+    yz-, xz- and xy-plane), updated in O(sx + sy + sz) per box
+    occupied or vacated and in O(1) per single node. The finders consult it
     through {!shape_feasible} to reject candidate shapes before paying
     for a mask erosion.
 
@@ -18,6 +19,15 @@ val occupy : t -> Coord.t -> unit
 
 val vacate : t -> Coord.t -> unit
 (** Record that the cell just became free. *)
+
+val occupy_box : t -> Box.t -> unit
+(** Record that every cell of the (in-bounds) box just became
+    occupied: each of the box's sx x-slabs, counted cyclically from
+    its base, loses sy·sz free nodes, and likewise along y and z. The
+    same counts as {!occupy} on each cell, in O(sx + sy + sz). *)
+
+val vacate_box : t -> Box.t -> unit
+(** The inverse of {!occupy_box}. *)
 
 val slab_free : t -> axis:[ `X | `Y | `Z ] -> int -> int
 (** [slab_free t ~axis:`X x] is the number of free nodes in the plane

@@ -87,6 +87,26 @@ let test_run_parameters_checked () =
     [ 0.; -1.; Float.nan; Float.infinity; Float.neg_infinity ];
   check_bool "c=0.5 accepted" true (Scenario.check_load 0.5 = Ok 0.5)
 
+(* A negative failure count is refused by the shared check and by
+   bgl-sim's --failures flag at parse time, instead of reaching the
+   failure generator as a negative event count (or, once scaled and
+   rounded, running with no failures at all). *)
+let test_failure_count_checked () =
+  let parse = Cmdliner.Arg.conv_parser Bgl_core.Cli_flags.failures_conv in
+  List.iter
+    (fun n ->
+      check_bool (Printf.sprintf "f=%d rejected" n) true
+        (Result.is_error (Scenario.check_failures n));
+      check_bool (Printf.sprintf "--failures=%d rejected" n) true
+        (Result.is_error (parse (string_of_int n))))
+    [ -1; -5; -5000 ];
+  List.iter
+    (fun n ->
+      check_bool (Printf.sprintf "f=%d accepted" n) true (Scenario.check_failures n = Ok n);
+      check_bool (Printf.sprintf "--failures=%d accepted" n) true
+        (parse (string_of_int n) = Ok n))
+    [ 0; 5; 2000 ]
+
 let test_scenario_runs_all_algos () =
   List.iter
     (fun algo ->
@@ -511,6 +531,7 @@ let () =
           tc "adaptive checkpointing sees predictor" test_adaptive_checkpointing_sees_predictor;
           tc "algo parameter checked" test_algo_parameter_checked;
           tc "run parameters checked" test_run_parameters_checked;
+          tc "failure count checked" test_failure_count_checked;
         ] );
       ( "series",
         [

@@ -596,9 +596,19 @@ let prop_cache_mfp_agrees =
           && Grid.fingerprint g = fp (* probes left the grid alone *)
           && Mfp.volume ~cache g = plain (* the index survived the probes *))
 
-(* The paper's 4x4x8 torus, and a 12x8x8 machine with an x axis of
-   three times four; both wrapped and not. *)
-let mfp_sizes = [| Dims.bgl; Dims.make 12 8 8 |]
+(* The paper's 4x4x8 torus, a 12x8x8 machine with an x axis of three
+   times four, and small machines with axes of length 1 and 2 and odd
+   and prime axes, where a probe's window along an axis wraps past the
+   seam or covers the whole axis; both wrapped and not. *)
+let mfp_sizes =
+  [|
+    Dims.bgl;
+    Dims.make 12 8 8;
+    Dims.make 3 5 7;
+    Dims.make 1 6 5;
+    Dims.make 2 7 3;
+    Dims.make 6 1 2;
+  |]
 
 let arb_mfp_scenario =
   QCheck.(
@@ -622,7 +632,7 @@ let build_mfp_scenario (size, wrap, (p, ops), (seed, cap)) =
   (g, cache, Finder.Cache.select cache ~volume ~cap)
 
 let prop_mfp_probes_match_reference =
-  QCheck.Test.make ~name:"MFP box, volume and probes match the rescan reference" ~count:120
+  QCheck.Test.make ~name:"MFP box, volume and probes match the rescan reference" ~count:300
     arb_mfp_scenario (fun scenario ->
       let g, cache, candidates = build_mfp_scenario scenario in
       (* The reference is the MFP by its definition, the one copy

@@ -174,6 +174,10 @@ let test_protocol_rejects () =
   bad {|{"op":"sim","load":0}|};
   bad {|{"op":"sim","load":-1.5}|};
   bad {|{"op":"sim","load":1e999}|};
+  (* a negative failure count is refused rather than run as no
+     failures or left for the failure generator to reject *)
+  bad {|{"op":"sim","failures":-5}|};
+  bad {|{"op":"sim","failures":-5000}|};
   bad {|{"op":"sweep"}|};
   bad {|{"op":"sweep","figure":"42"}|};
   bad {|{"op":"sim","failure_log":"x"}|};

@@ -501,9 +501,96 @@ let prop_fingerprint_tracks_occupancy =
       Grid.fingerprint reference = Grid.fingerprint g
       && Grid.version g >= Grid.busy_count g)
 
+(* Axis lengths 1 to 9 and 12: unit, even, odd and prime axes, each
+   long enough for a box to cross the seam. *)
+let axis_gen = QCheck.Gen.oneofl [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 12 ]
+
+let arb_axes_dims =
+  QCheck.make ~print:Dims.to_string (QCheck.Gen.map3 Dims.make axis_gen axis_gen axis_gen)
+
+let prop_indices_match_cells =
+  (* Every fitting shape, from the origin, from a random in-bounds base
+     and from the last cell of every axis, where each box with an
+     extent above 1 crosses the seam. *)
+  QCheck.Test.make ~name:"Box.indices equals the indices of Box.cells" ~count:100
+    QCheck.(pair arb_axes_dims small_nat)
+    (fun (d, seed) ->
+      let vol = Dims.volume d in
+      let ok = ref true and k = ref 0 in
+      for sx = 1 to d.nx do
+        for sy = 1 to d.ny do
+          for sz = 1 to d.nz do
+            incr k;
+            let s = Shape.make sx sy sz in
+            List.iter
+              (fun base ->
+                let b = Box.make base s in
+                if Box.indices d b <> List.map (Coord.index d) (Box.cells d b) then ok := false)
+              [
+                Coord.make 0 0 0;
+                Coord.of_index d ((seed + (!k * 7919)) mod vol);
+                Coord.make (d.nx - 1) (d.ny - 1) (d.nz - 1);
+              ]
+          done
+        done
+      done;
+      !ok)
+
+(* Each axis's slab counts against a recount from [Grid.is_free]. *)
+let summary_matches_recount g =
+  let d = Grid.dims g and s = Grid.summary g in
+  let counts axis n =
+    let a = Array.make n 0 in
+    for i = 0 to Dims.volume d - 1 do
+      if Grid.is_free g i then begin
+        let c = Coord.of_index d i in
+        let j = match axis with `X -> c.x | `Y -> c.y | `Z -> c.z in
+        a.(j) <- a.(j) + 1
+      end
+    done;
+    a
+  in
+  List.for_all
+    (fun (axis, n) ->
+      let a = counts axis n in
+      List.for_all (fun i -> Summary.slab_free s ~axis i = a.(i)) (List.init n Fun.id))
+    [ (`X, d.nx); (`Y, d.ny); (`Z, d.nz) ]
+
+let prop_summary_tracks_box_and_node_ops =
+  (* Boxes are claimed and released whole (one Summary update per box),
+     single nodes are taken down and brought back (one per node). *)
+  QCheck.Test.make ~name:"summary slab counts equal a recount after box and node ops"
+    ~count:300
+    QCheck.(triple arb_axes_dims bool (small_list (pair (int_range 0 9999) (int_range 0 9999))))
+    (fun (d, wrap, ops) ->
+      let g = Grid.create ~wrap d in
+      let owner = 5 in
+      List.for_all
+        (fun (bseed, sseed) ->
+          let s =
+            Shape.make
+              (1 + (sseed mod d.nx))
+              (1 + (sseed / 13 mod d.ny))
+              (1 + (sseed / 169 mod d.nz))
+          in
+          let b = Box.make (Coord.of_index d (bseed mod Dims.volume d)) s in
+          let cells = Box.indices d b in
+          (if List.for_all (Grid.is_free g) cells then Grid.occupy g b ~owner
+           else if List.for_all (fun i -> Grid.owner g i = Some owner) cells then
+             Grid.vacate g b ~owner
+           else
+             let node = bseed mod Dims.volume d in
+             match Grid.owner g node with
+             | None -> Grid.occupy_node g node ~owner:Grid.down_owner
+             | Some o -> Grid.vacate_node g node ~owner:o);
+          summary_matches_recount g)
+        ops)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_indices_match_cells;
+      prop_summary_tracks_box_and_node_ops;
       prop_coord_round_trip;
       prop_box_cells_distinct;
       prop_overlap_matches_cells;
