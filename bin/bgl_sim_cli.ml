@@ -124,8 +124,11 @@ let load_swf path =
   match Bgl_trace.Swf.load path with
   | Ok (log, report) ->
       if report.skipped > 0 || report.malformed <> [] then
-        Bgl_core.Cli_flags.notef "note: %d jobs skipped, %d malformed lines@." report.skipped
-          (List.length report.malformed);
+        Bgl_core.Cli_flags.notef "note: %d jobs skipped, %d malformed lines%s@." report.skipped
+          (List.length report.malformed)
+          (match report.malformed with
+          | line :: _ -> Printf.sprintf " (first at line %d)" line
+          | [] -> "");
       Ok log
   | Error detail -> Error (Bgl_resilience.Error.Parse { name = path; detail })
 

@@ -40,6 +40,25 @@ let zipf_table ~n ~skew =
       Atomic.set last_zipf (Some { n; skew; table });
       table
 
+(* The permutation and node-weight arrays of the last trace this domain
+   generated, reused by the next trace of the same volume: at 64x32x32
+   each is 512 KB, and allocating both afresh per trace cost more than
+   filling them. Every cell is overwritten before it is read, so no
+   trace sees another's values. Domain-local, so parallel sweeps never
+   share a buffer. *)
+type scratch = { mutable perm : int array; mutable node_weights : float array }
+
+let scratch_key : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { perm = [||]; node_weights = [||] })
+
+let scratch volume =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.perm <> volume then begin
+    s.perm <- Array.make volume 0;
+    s.node_weights <- Array.make volume 0.
+  end;
+  s
+
 let generate spec =
   validate spec;
   let master = Rng.create ~seed:spec.seed in
@@ -49,10 +68,14 @@ let generate spec =
      nodes are scattered across the torus rather than clustered at
      index 0. *)
   let weights = zipf_table ~n:spec.volume ~skew:spec.node_skew in
-  let perm = Array.init spec.volume Fun.id in
+  let { perm; node_weights } = scratch spec.volume in
+  for i = 0 to spec.volume - 1 do
+    perm.(i) <- i
+  done;
   Rng.shuffle node_rng perm;
-  let node_weights = Array.make spec.volume 0. in
-  Array.iteri (fun rank node -> node_weights.(node) <- weights.(rank)) perm;
+  for rank = 0 to spec.volume - 1 do
+    node_weights.(perm.(rank)) <- weights.(rank)
+  done;
   let sample = Dist.sampler_in_place node_weights in
   let draw_node () = sample node_rng in
   (* Bursts until the event budget is spent; the last burst is trimmed,

@@ -33,7 +33,13 @@ val default : span:float -> volume:int -> n_events:int -> seed:int -> spec
     Zipf skew 1.4. *)
 
 val generate : spec -> Bgl_trace.Failure_log.t
-(** Deterministic in [seed]. Produces exactly [n_events] events. *)
+(** Deterministic in [seed]. Produces exactly [n_events] events.
+
+    The node permutation and per-node weights live in a per-domain
+    scratch ([Domain.DLS]) of [volume] cells, reused by every trace of
+    the same volume the domain generates and reallocated when the
+    volume changes. Each trace overwrites every cell before reading
+    it, so the output depends on [spec] alone. *)
 
 val poisson_uniform : span:float -> volume:int -> n_events:int -> seed:int -> Bgl_trace.Failure_log.t
 (** Baseline trace with no burstiness and no skew (independent uniform

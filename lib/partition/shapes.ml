@@ -26,8 +26,10 @@ let shapes_of_volume (d : Dims.t) v =
     (divisors v);
   List.sort Shape.compare !acc
 
-(* Catalogue of every fitting shape, computed once per dimension. *)
-type catalogue = { volumes : int list; desc : Shape.t list; levels : (int * Shape.t array) list }
+(* Catalogue of every fitting shape, computed once per dimension:
+   the realisable volumes ascending, and the shapes grouped by volume,
+   volumes descending, each group in [Shape.compare] order. *)
+type catalogue = { volumes : int list; levels : (int * Shape.t array) list }
 
 (* An immutable assoc list behind an Atomic rather than a Hashtbl:
    every domain of a parallel sweep hits this cache on its placement
@@ -43,47 +45,45 @@ let rec publish key c =
   if List.mem_assoc key seen then ()
   else if not (Atomic.compare_and_set catalogues seen ((key, c) :: seen)) then publish key c
 
+(* A counting sort on volume: one pass counts the shapes of each
+   volume, a second fills one array per volume. Both passes visit
+   (sx, sy, sz) lexicographically, which is [Shape.compare] order, so
+   every array comes out sorted without a comparison. *)
+let build (d : Dims.t) =
+  let top = d.nx * d.ny * d.nz in
+  let count = Array.make (top + 1) 0 in
+  for sx = 1 to d.nx do
+    for sy = 1 to d.ny do
+      for sz = 1 to d.nz do
+        let v = sx * sy * sz in
+        count.(v) <- count.(v) + 1
+      done
+    done
+  done;
+  let unit = Shape.make 1 1 1 in
+  let level = Array.map (fun n -> Array.make n unit) count in
+  let filled = Array.make (top + 1) 0 in
+  for sx = 1 to d.nx do
+    for sy = 1 to d.ny do
+      for sz = 1 to d.nz do
+        let v = sx * sy * sz in
+        level.(v).(filled.(v)) <- Shape.make sx sy sz;
+        filled.(v) <- filled.(v) + 1
+      done
+    done
+  done;
+  let levels = ref [] in
+  for v = 1 to top do
+    if count.(v) > 0 then levels := (v, level.(v)) :: !levels
+  done;
+  { volumes = List.rev_map fst !levels; levels = !levels }
+
 let catalogue (d : Dims.t) =
   let key = (d.nx, d.ny, d.nz) in
   match List.assoc_opt key (Atomic.get catalogues) with
   | Some c -> c
   | None ->
-      let all = ref [] in
-      for sx = 1 to d.nx do
-        for sy = 1 to d.ny do
-          for sz = 1 to d.nz do
-            all := Shape.make sx sy sz :: !all
-          done
-        done
-      done;
-      let volumes = List.map Shape.volume !all |> List.sort_uniq Int.compare in
-      let desc =
-        List.sort
-          (fun a b ->
-            match Int.compare (Shape.volume b) (Shape.volume a) with
-            | 0 -> Shape.compare a b
-            | c -> c)
-          !all
-      in
-      let levels =
-        (* [desc] is sorted by volume descending, so each level is a
-           consecutive run — one grouping pass instead of one full-list
-           filter per distinct volume, which is quadratic in the shape
-           count and costs seconds at 64x32x32. *)
-        let rec group = function
-          | [] -> []
-          | s :: _ as l ->
-              let v = Shape.volume s in
-              let rec take acc = function
-                | s' :: rest when Shape.volume s' = v -> take (s' :: acc) rest
-                | rest -> (List.rev acc, rest)
-              in
-              let run, rest = take [] l in
-              (v, Array.of_list run) :: group rest
-        in
-        group desc
-      in
-      let c = { volumes; desc; levels } in
+      let c = build d in
       publish key c;
       c
 
@@ -93,9 +93,9 @@ let round_up_volume d s =
   if s <= 0 then invalid_arg "Shapes.round_up_volume: size must be positive";
   List.find_opt (fun v -> v >= s) (feasible_volumes d)
 
-let shapes_desc d = (catalogue d).desc
-
 let levels_desc d = (catalogue d).levels
+
+let shapes_desc d = List.concat_map (fun (_, shapes) -> Array.to_list shapes) (levels_desc d)
 
 (* Rotations guarded by the machine: [Shape.rotations] enumerates all
    axis permutations, which is only safe verbatim on a cubic torus —

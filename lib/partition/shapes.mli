@@ -23,13 +23,16 @@ val round_up_volume : Dims.t -> int -> int option
 (** [round_up_volume d s] is the smallest realisable volume [>= s], or
     [None] when [s] exceeds the torus volume. [s] must be positive. *)
 
-val shapes_desc : Dims.t -> Shape.t list
-(** Every fitting shape, sorted by decreasing volume (ties in shape
-    order); the scan order used by the maximal-free-partition search. *)
-
 val levels_desc : Dims.t -> (int * Shape.t array) list
-(** The same shapes grouped by volume, volumes descending. Cached;
-    callers must not mutate the arrays. *)
+(** Every fitting shape grouped by volume, volumes descending, each
+    group in shape order. Cached per dimension; callers must not
+    mutate the arrays. *)
+
+val shapes_desc : Dims.t -> Shape.t list
+(** The shapes of {!levels_desc} flattened into one list: decreasing
+    volume, ties in shape order. Not cached: each call builds the list
+    afresh from the levels, so it suits reference scans (the naive
+    maximal-free-partition search), not hot paths. *)
 
 val orientations : Dims.t -> Shape.t -> Shape.t list
 (** The axis permutations of a shape that actually fit the torus: on a

@@ -52,17 +52,17 @@ let zipf_weights ~n ~skew =
    weights they never decrease, so [target < cum.(i)] is monotone in
    [i] and a binary search finds the scan's index. [cum] holds the
    weights on entry and is overwritten. *)
-let prefix_sampler ~fn cum =
+let sampler_in_place cum =
   let n = Array.length cum in
   let acc = ref 0. in
   for i = 0 to n - 1 do
     let w = cum.(i) in
-    if not (w >= 0.) then invalid_arg (fn ^ ": weights must be non-negative, not NaN");
+    if not (w >= 0.) then invalid_arg "Dist.sampler: weights must be non-negative, not NaN";
     acc := !acc +. w;
     cum.(i) <- !acc
   done;
   let total = !acc in
-  if total <= 0. then invalid_arg (fn ^ ": weights must include a positive entry");
+  if total <= 0. then invalid_arg "Dist.sampler: weights must include a positive entry";
   fun rng ->
     let target = Rng.unit_float rng *. total in
     (* The first i <= n-2 with target < cum.(i), else n-1. *)
@@ -73,10 +73,4 @@ let prefix_sampler ~fn cum =
     done;
     !lo
 
-let sampler_in_place weights = prefix_sampler ~fn:"Dist.sampler" weights
 let sampler weights = sampler_in_place (Array.copy weights)
-let categorical rng weights = prefix_sampler ~fn:"Dist.categorical" (Array.copy weights) rng
-
-let discrete rng pairs =
-  let idx = categorical rng (Array.map snd pairs) in
-  fst pairs.(idx)

@@ -34,20 +34,13 @@ val zipf_weights : n:int -> skew:float -> float array
 
 val sampler : float array -> Rng.t -> int
 (** [sampler weights] takes the prefix sums of unnormalised weights
-    once; each draw of the result is then O(log n). It returns the
-    index a linear scan of [weights] returns for the same draw, so it
-    is a drop-in replacement for repeated {!categorical} calls. Every
-    weight must be non-negative and not NaN, and one must be positive;
+    once; each draw of the result is then O(log n) and returns an
+    index drawn with probability proportional to its weight: the index
+    a linear scan of [weights] returns for the same draw. Every weight
+    must be non-negative and not NaN, and one must be positive;
     otherwise [Invalid_argument] is raised. *)
 
 val sampler_in_place : float array -> Rng.t -> int
 (** As {!sampler}, but overwrites [weights] with their prefix sums
     instead of copying them: for callers that built the array only to
     draw from it. *)
-
-val categorical : Rng.t -> float array -> int
-(** [categorical rng weights] is [sampler weights rng]: one index drawn
-    from unnormalised weights. *)
-
-val discrete : Rng.t -> ('a * float) array -> 'a
-(** [discrete rng pairs] draws a value from weighted pairs. *)

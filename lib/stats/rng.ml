@@ -2,22 +2,33 @@
    generators" (OOPSLA 2014). State advances by the golden-gamma
    constant; output is a finalizing mix of the state. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state in 8 bytes rather than a mutable [int64] field: a
+   record field holds its [int64] boxed, so every draw allocated a new
+   box (and, with [bits64] and [mix] not inlined, a boxed result too).
+   Read and written through [Bytes.get_int64_ne]/[set_int64_ne], the
+   state stays unboxed and a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (mix (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let copy = Bytes.copy
+
+let[@inline] bits64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix state
 
 (* FNV-1a over the label bytes, folded into the parent's next output. *)
 let split t ~label =
@@ -27,24 +38,30 @@ let split t ~label =
       h := Int64.logxor !h (Int64.of_int (Char.code c));
       h := Int64.mul !h 0x100000001b3L)
     label;
-  { state = mix (Int64.logxor (bits64 t) !h) }
+  of_state (mix (Int64.logxor (bits64 t) !h))
+
+(* Unbiased bounded draw by rejection (the bounded-draw debiasing of
+   Lemire 2019, in the divisionless-free form): [v mod bound] is
+   uniform iff [v] lands below the largest multiple of [bound] in
+   [0, 2^62), so the partial block at the top — fewer than [bound]
+   values — is redrawn. [max_int] is 2^62 - 1, hence
+   [2^62 mod bound = ((max_int mod bound) + 1) mod bound]; the shift
+   by 2 keeps the draw within OCaml's 63-bit non-negative range.
+   The partial block holds at most [bound - 1] values, so a draw
+   [v <= max_int - bound + 1] lies below it whatever its size; only
+   draws in the top [bound - 1] values pay the two divisions that
+   size it. A top-level function rather than a local loop, so a call
+   allocates no closure. *)
+let rec draw t bound =
+  let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
+  if v <= max_int - bound + 1 then v mod bound
+  else
+    let rem = ((max_int mod bound) + 1) mod bound in
+    if v <= max_int - rem then v mod bound else draw t bound
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Unbiased bounded draw by rejection (the bounded-draw debiasing of
-     Lemire 2019, in the divisionless-free form): [v mod bound] is
-     uniform iff [v] lands below the largest multiple of [bound] in
-     [0, 2^62), so the partial block at the top — fewer than [bound]
-     values — is redrawn. [max_int] is 2^62 - 1, hence
-     [2^62 mod bound = ((max_int mod bound) + 1) mod bound]; the shift
-     by 2 keeps the draw within OCaml's 63-bit non-negative range. *)
-  let rem = ((max_int mod bound) + 1) mod bound in
-  let lim = max_int - rem in
-  let rec go () =
-    let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-    if v <= lim then v mod bound else go ()
-  in
-  go ()
+  draw t bound
 
 let unit_float t =
   (* 53 random bits scaled into [0, 1). *)
@@ -55,7 +72,7 @@ let float t bound = unit_float t *. bound
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let shuffle t a =
+let shuffle t (a : int array) =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
     let tmp = a.(i) in

@@ -40,8 +40,10 @@ val unit_float : t -> float
 val bool : t -> bool
 (** A fair coin. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
+val shuffle : t -> int array -> unit
+(** In-place Fisher–Yates shuffle. Every caller shuffles indices, and
+    an [int array] lets each swap skip the float-array check and the
+    write barrier a polymorphic array pays. *)
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. Raises [Invalid_argument] on

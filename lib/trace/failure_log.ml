@@ -5,7 +5,8 @@ let make ~name events =
   let arr = Array.of_list events in
   Array.iter
     (fun e ->
-      if e.time < 0. then invalid_arg "Failure_log: negative event time";
+      if not (Float.is_finite e.time && e.time >= 0.) then
+        invalid_arg "Failure_log: event time must be finite and non-negative";
       if e.node < 0 then invalid_arg "Failure_log: negative node id")
     arr;
   Array.sort (fun a b -> match compare a.time b.time with 0 -> Int.compare a.node b.node | c -> c) arr;
@@ -57,7 +58,7 @@ let of_string ~name text =
         match Fields.split line with
         | [ time; node ] -> (
             match (float_of_string_opt time, int_of_string_opt node) with
-            | Some time, Some node when time >= 0. && node >= 0 ->
+            | Some time, Some node when Float.is_finite time && time >= 0. && node >= 0 ->
                 events := { time; node } :: !events
             | _ -> if !bad = None then bad := Some (lineno + 1))
         | _ -> if !bad = None then bad := Some (lineno + 1))

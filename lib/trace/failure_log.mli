@@ -10,7 +10,9 @@ type event = { time : float; node : int }
 type t = { name : string; events : event array }
 
 val make : name:string -> event list -> t
-(** Sorts by time and validates non-negative times and node ids. *)
+(** Sorts by time and validates node ids (non-negative) and times
+    (finite and non-negative): a NaN or infinite time raises
+    [Invalid_argument] instead of sorting to an end of the log. *)
 
 val length : t -> int
 val span : t -> float
@@ -37,6 +39,10 @@ val merge : name:string -> t list -> t
 (** Union of the events of several logs, re-sorted. *)
 
 val of_string : name:string -> string -> (t, string) result
+(** Parses the on-disk format. A line whose time is not a finite,
+    non-negative float (["nan"], ["inf"], ["-1"]) or whose node is not
+    a non-negative int is an [Error] naming its line number. *)
+
 val to_string : t -> string
 val load : string -> (t, string) result
 val save : t -> string -> unit

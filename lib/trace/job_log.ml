@@ -8,14 +8,16 @@ type job = {
 
 type t = { name : string; jobs : job array }
 
+(* Each time is checked positively, so NaN fails with the rest; an
+   infinite one would never finish or never arrive. *)
 let validate_job j =
   if j.size <= 0 then invalid_arg (Printf.sprintf "Job_log: job %d has size %d" j.id j.size);
-  if j.run_time <= 0. then
+  if not (Float.is_finite j.run_time && j.run_time > 0.) then
     invalid_arg (Printf.sprintf "Job_log: job %d has run_time %g" j.id j.run_time);
-  if j.estimate <= 0. then
+  if not (Float.is_finite j.estimate && j.estimate > 0.) then
     invalid_arg (Printf.sprintf "Job_log: job %d has estimate %g" j.id j.estimate);
-  if j.arrival < 0. then
-    invalid_arg (Printf.sprintf "Job_log: job %d has negative arrival" j.id)
+  if not (Float.is_finite j.arrival && j.arrival >= 0.) then
+    invalid_arg (Printf.sprintf "Job_log: job %d has arrival %g" j.id j.arrival)
 
 let make ~name jobs =
   let arr = Array.of_list jobs in

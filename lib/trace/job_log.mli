@@ -18,8 +18,9 @@ type job = {
 type t = { name : string; jobs : job array }
 
 val make : name:string -> job list -> t
-(** Sorts by [(arrival, id)] and validates: positive sizes and
-    runtimes, non-negative arrivals, positive estimates, unique ids.
+(** Sorts by [(arrival, id)] and validates: positive sizes, finite
+    positive runtimes and estimates, finite non-negative arrivals
+    (NaN fails every check), unique ids.
     @raise Invalid_argument on violation. *)
 
 val length : t -> int

@@ -12,28 +12,38 @@ let float_field fs i =
   | None -> None
   | Some s -> ( match float_of_string_opt s with Some v when v >= 0. -> Some v | _ -> None)
 
+(* A time field that parses to NaN or an infinity: no SWF writer emits
+   one (unknown values are -1), so the line is malformed rather than a
+   job with an unknown field. *)
+let non_finite fs i =
+  match Option.bind (field fs i) float_of_string_opt with
+  | Some v -> not (Float.is_finite v)
+  | None -> false
+
 let int_field fs i =
   match field fs i with
   | None -> None
   | Some s -> ( match int_of_string_opt s with Some v when v >= 0 -> Some v | _ -> None)
 
 let parse_job fs =
-  match (int_field fs 1, float_field fs 2, float_field fs 4) with
-  | Some id, Some submit, Some run_time when run_time > 0. ->
-      let size =
-        match int_field fs 5 with
-        | Some p when p > 0 -> Some p
-        | _ -> ( match int_field fs 8 with Some p when p > 0 -> Some p | _ -> None)
-      in
-      (match size with
-      | None -> `Skip
-      | Some size ->
-          let estimate =
-            match float_field fs 9 with Some e when e > 0. -> max e run_time | _ -> run_time
-          in
-          `Job { Job_log.id; arrival = submit; size; run_time; estimate })
-  | Some _, Some _, _ -> `Skip
-  | _ -> `Malformed
+  if List.exists (non_finite fs) [ 2; 4; 9 ] then `Malformed
+  else
+    match (int_field fs 1, float_field fs 2, float_field fs 4) with
+    | Some id, Some submit, Some run_time when run_time > 0. ->
+        let size =
+          match int_field fs 5 with
+          | Some p when p > 0 -> Some p
+          | _ -> ( match int_field fs 8 with Some p when p > 0 -> Some p | _ -> None)
+        in
+        (match size with
+        | None -> `Skip
+        | Some size ->
+            let estimate =
+              match float_field fs 9 with Some e when e > 0. -> max e run_time | _ -> run_time
+            in
+            `Job { Job_log.id; arrival = submit; size; run_time; estimate })
+    | Some _, Some _, _ -> `Skip
+    | _ -> `Malformed
 
 let of_string ~name text =
   let lines = String.split_on_char '\n' text in

@@ -11,7 +11,9 @@
     4 run time, 5 allocated processors, 8 requested processors
     (fallback when 5 is -1), 9 requested time (estimate; falls back to
     run time when absent). Jobs with unknown (-1) run time or
-    processor count are skipped and counted in the report. *)
+    processor count are skipped and counted in the report; a line
+    whose submit, run or requested time is NaN or infinite is
+    malformed, and its line number is reported. *)
 
 type parse_report = {
   parsed : int;

@@ -27,6 +27,7 @@ let generate spec =
   let runtime_rng = Rng.split master ~label:"runtimes" in
   let estimate_rng = Rng.split master ~label:"estimates" in
   let sizes = Profile.sizes_for p ~max_nodes:spec.max_nodes in
+  let draw_size = Dist.sampler (Array.map snd sizes) in
   let base_rate = arrival_rate p ~max_nodes:spec.max_nodes in
   (* Thinning: generate candidate arrivals at the peak rate and accept
      with probability rate(t) / peak. *)
@@ -57,7 +58,7 @@ let generate spec =
     if id >= spec.n_jobs then List.rev acc
     else
       let t = next_arrival t in
-      let size = Dist.discrete size_rng sizes in
+      let size = fst sizes.(draw_size size_rng) in
       let run_time = draw_runtime () in
       let job =
         { Bgl_trace.Job_log.id; arrival = t; size; run_time; estimate = draw_estimate run_time }

@@ -68,6 +68,60 @@ let test_shapes_desc_order () =
     (List.for_all2 (fun a b -> a >= b) (List.filteri (fun i _ -> i < List.length volumes - 1) volumes)
        (List.tl volumes))
 
+(* The catalogue as it was first built: every shape in one list,
+   sorted by volume descending then shape order, grouped into
+   consecutive runs. The bucketed [Shapes] catalogue must match it
+   exactly, order within each level included. *)
+let reference_catalogue (d : Dims.t) =
+  let all = ref [] in
+  for sx = 1 to d.nx do
+    for sy = 1 to d.ny do
+      for sz = 1 to d.nz do
+        all := Shape.make sx sy sz :: !all
+      done
+    done
+  done;
+  let volumes = List.sort_uniq Int.compare (List.map Shape.volume !all) in
+  let desc =
+    List.sort
+      (fun a b ->
+        match Int.compare (Shape.volume b) (Shape.volume a) with 0 -> Shape.compare a b | c -> c)
+      !all
+  in
+  let rec group = function
+    | [] -> []
+    | s :: _ as l ->
+        let v = Shape.volume s in
+        let rec take acc = function
+          | s' :: rest when Shape.volume s' = v -> take (s' :: acc) rest
+          | rest -> (List.rev acc, rest)
+        in
+        let run, rest = take [] l in
+        (v, run) :: group rest
+  in
+  (volumes, desc, group desc)
+
+let check_catalogue d =
+  let name = Format.asprintf "%a" Dims.pp d in
+  let volumes, desc, levels = reference_catalogue d in
+  Alcotest.(check (list int)) (name ^ " feasible_volumes") volumes (Shapes.feasible_volumes d);
+  check_bool (name ^ " shapes_desc") true (desc = Shapes.shapes_desc d);
+  check_bool (name ^ " levels_desc") true
+    (levels = List.map (fun (v, a) -> (v, Array.to_list a)) (Shapes.levels_desc d))
+
+(* Axes of length 1 and 2, odd and prime axes, in random
+   combinations, then the three sizes the goldens pin. *)
+let test_catalogue_matches_reference () =
+  let rng = Bgl_stats.Rng.create ~seed:29 in
+  let axes = [| 1; 2; 3; 4; 5; 6; 7; 8; 9; 11; 12; 13; 16; 17 |] in
+  let axis () = Bgl_stats.Rng.choose rng axes in
+  let sizes =
+    [ Dims.make 1 1 1; Dims.make 1 2 1; Dims.make 2 1 7; Dims.make 13 1 2 ]
+    @ List.init 40 (fun _ -> Dims.make (axis ()) (axis ()) (axis ()))
+    @ [ Dims.bgl; Dims.make 8 8 16; Dims.bgl_full ]
+  in
+  List.iter check_catalogue sizes
+
 (* ------------------------------------------------------------------ *)
 (* Finders: hand-built scenarios *)
 
@@ -1243,6 +1297,7 @@ let () =
           tc "feasible volumes" test_feasible_volumes;
           tc "round_up_volume" test_round_up_volume;
           tc "shapes_desc order" test_shapes_desc_order;
+          tc "catalogue equals the sorted reference" test_catalogue_matches_reference;
           tc "orientations on non-cubic dims" test_orientations_non_cubic;
         ] );
       ( "finder",

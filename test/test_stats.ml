@@ -80,6 +80,83 @@ let test_rng_int_huge_bound () =
     check_bool "in range" true (v >= 0)
   done
 
+(* The rejection draw as written before the fast path: size the
+   partial top block with two divisions on every draw, redraw inside
+   it. Also counts the draws that take [Rng.int]'s slow path (above
+   [max_int - bound + 1]) and the ones rejected. *)
+let reference_int ~slow ~rejected r bound =
+  let rem = ((max_int mod bound) + 1) mod bound in
+  let rec go () =
+    let v = Int64.to_int (Int64.shift_right_logical (Rng.bits64 r) 2) in
+    if v > max_int - bound + 1 then incr slow;
+    if v <= max_int - rem then v mod bound
+    else begin
+      incr rejected;
+      go ()
+    end
+  in
+  go ()
+
+let test_rng_int_matches_reference () =
+  List.iter
+    (fun (bound, must_reject) ->
+      let r = Rng.create ~seed:bound in
+      let reference = Rng.copy r in
+      let slow = ref 0 and rejected = ref 0 in
+      for i = 1 to 2000 do
+        check_int (Printf.sprintf "bound %d draw %d" bound i)
+          (reference_int ~slow ~rejected reference bound)
+          (Rng.int r bound)
+      done;
+      Alcotest.(check int64) (Printf.sprintf "bound %d: same raw draws consumed" bound)
+        (Rng.bits64 reference) (Rng.bits64 r);
+      if bound > 1 lsl 60 then check_bool (Printf.sprintf "bound %d takes the slow path" bound) true (!slow > 0);
+      if must_reject then check_bool (Printf.sprintf "bound %d redraws" bound) true (!rejected > 0))
+    [
+      (1, false); (2, false); (3, false); (17, false); (1000, false); (65_536, false);
+      ((1 lsl 31) - 1, false);
+      (max_int, false); (max_int - 1, false);
+      ((1 lsl 61) + 1, true); (3 * (1 lsl 60), true);
+    ]
+
+(* The state lives unboxed and [Rng.int] loops without a closure, so
+   the 65,535 draws of a full-machine shuffle allocate nothing; a boxed
+   state and a local loop cost 11 minor words per draw. Integer and
+   boolean draws only: a [float] result is boxed on return. The margin
+   covers the boxed floats [Gc.minor_words] itself returns. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Rng.create ~seed:37 in
+  let a = Array.init 65_536 Fun.id in
+  let before = Gc.minor_words () in
+  Rng.shuffle r a;
+  let heads = ref 0 in
+  for _ = 1 to 10_000 do
+    if Rng.bool r then incr heads
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "%.0f minor words for 75,535 draws" words) true (words < 64.);
+  check_bool "draws used" true (!heads > 0)
+
+(* Fisher–Yates over the reference draw: the shuffle of 0..65535 (one
+   full-machine permutation) is a permutation and the same one. *)
+let test_rng_shuffle_full_machine () =
+  let n = 65_536 in
+  let r = Rng.create ~seed:31 in
+  let reference = Rng.copy r in
+  let a = Array.init n Fun.id in
+  Rng.shuffle r a;
+  let sorted = Array.copy a in
+  Array.sort Int.compare sorted;
+  check_bool "a permutation of 0..65535" true (sorted = Array.init n Fun.id);
+  let b = Array.init n Fun.id and slow = ref 0 and rejected = ref 0 in
+  for i = n - 1 downto 1 do
+    let j = reference_int ~slow ~rejected reference (i + 1) in
+    let tmp = b.(i) in
+    b.(i) <- b.(j);
+    b.(j) <- tmp
+  done;
+  check_bool "the reference draws' permutation" true (a = b)
+
 let test_rng_unit_float_range () =
   let r = Rng.create ~seed:11 in
   for _ = 1 to 1000 do
@@ -224,8 +301,9 @@ let test_categorical_distribution () =
   let r = Rng.create ~seed:112 in
   let counts = Array.make 3 0 in
   let n = 30_000 in
+  let draw = Dist.sampler [| 1.; 2.; 1. |] in
   for _ = 1 to n do
-    let i = Dist.categorical r [| 1.; 2.; 1. |] in
+    let i = draw r in
     counts.(i) <- counts.(i) + 1
   done;
   let frac i = float_of_int counts.(i) /. float_of_int n in
@@ -234,17 +312,18 @@ let test_categorical_distribution () =
 
 let test_categorical_zero_weight_skipped () =
   let r = Rng.create ~seed:113 in
+  let draw = Dist.sampler [| 0.; 5.; 0. |] in
   for _ = 1 to 1000 do
-    check_int "only positive weight drawn" 1 (Dist.categorical r [| 0.; 5.; 0. |])
+    check_int "only positive weight drawn" 1 (draw r)
   done
 
 let test_categorical_invalid () =
-  let r = Rng.create ~seed:1 in
   Alcotest.check_raises "all zero"
-    (Invalid_argument "Dist.categorical: weights must include a positive entry") (fun () ->
-      ignore (Dist.categorical r [| 0.; 0. |]))
+    (Invalid_argument "Dist.sampler: weights must include a positive entry") (fun () ->
+      let (_ : Rng.t -> int) = Dist.sampler [| 0.; 0. |] in
+      ())
 
-(* The linear scan Dist.categorical ran before prefix sums: the
+(* The linear scan categorical draws ran before prefix sums: the
    reference every sampler draw must reproduce. *)
 let scan_draw rng weights =
   let total = Array.fold_left ( +. ) 0. weights in
@@ -306,13 +385,6 @@ let test_sampler_rejects_bad_weights () =
     (Invalid_argument "Dist.sampler: weights must include a positive entry") (fun () ->
       let (_ : Rng.t -> int) = Dist.sampler [| 0.; -0. |] in
       ())
-
-let test_discrete () =
-  let r = Rng.create ~seed:114 in
-  for _ = 1 to 100 do
-    let v = Dist.discrete r [| ("a", 0.); ("b", 1.) |] in
-    Alcotest.(check string) "picks b" "b" v
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Summary *)
@@ -475,7 +547,7 @@ let prop_categorical_picks_positive =
       let weights = Array.of_list weights in
       QCheck.assume (Array.exists (fun w -> w > 0.) weights);
       let r = Rng.create ~seed in
-      let i = Dist.categorical r weights in
+      let i = Dist.sampler weights r in
       weights.(i) > 0.)
 
 (* Zero runs, ties, inexact sums and magnitudes from 1e-300 to 1e301,
@@ -521,10 +593,13 @@ let () =
           tc "int invalid" test_rng_int_invalid;
           tc "int unbiased" test_rng_int_unbiased;
           tc "int huge bound" test_rng_int_huge_bound;
+          tc "int matches the reference rejection draw" test_rng_int_matches_reference;
           tc "unit_float range" test_rng_unit_float_range;
           tc "unit_float mean" test_rng_unit_float_mean;
           tc "bool balance" test_rng_bool_balance;
           tc "shuffle permutation" test_rng_shuffle_permutation;
+          tc "shuffle of a full machine" test_rng_shuffle_full_machine;
+          tc "draws allocate nothing" test_rng_draws_allocate_nothing;
           tc "choose empty" test_rng_choose_empty;
           tc "hash_float stable" test_hash_float_stable;
           tc "hash_float uniform-ish" test_hash_float_uniformish;
@@ -545,12 +620,11 @@ let () =
           tc "poisson zero" test_poisson_zero;
           tc "zipf weights" test_zipf_weights;
           tc "categorical distribution" test_categorical_distribution;
-          tc "categorical skips zero" test_categorical_zero_weight_skipped;
           tc "categorical invalid" test_categorical_invalid;
+          tc "categorical skips zero" test_categorical_zero_weight_skipped;
           tc "sampler edge cases" test_sampler_edge_cases;
           tc "sampler in place" test_sampler_in_place;
           tc "sampler rejects bad weights" test_sampler_rejects_bad_weights;
-          tc "discrete" test_discrete;
         ] );
       ( "summary",
         [

@@ -38,6 +38,24 @@ let test_make_validates () =
        false
      with Invalid_argument _ -> true)
 
+let non_finite = [ ("nan", Float.nan); ("inf", Float.infinity); ("-inf", Float.neg_infinity) ]
+
+let raises f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+let test_make_rejects_non_finite () =
+  List.iter
+    (fun (label, x) ->
+      check_bool ("arrival " ^ label) true (raises (fun () -> Job_log.make ~name:"t" [ job ~arrival:x () ]));
+      check_bool ("run_time " ^ label) true
+        (raises (fun () -> Job_log.make ~name:"t" [ job ~run_time:x ~estimate:100. () ]));
+      check_bool ("estimate " ^ label) true
+        (raises (fun () -> Job_log.make ~name:"t" [ job ~estimate:x () ])))
+    non_finite
+
 let test_span_and_work () =
   let log =
     Job_log.make ~name:"t"
@@ -145,6 +163,28 @@ let test_swf_file_io () =
 let test_swf_load_missing () =
   check_bool "missing file is an error" true (Result.is_error (Swf.load "/nonexistent/x.swf"))
 
+(* A NaN or infinite submit, run or requested time makes its line
+   malformed: the good line around it still parses, and the bad line's
+   number is reported. *)
+let test_swf_non_finite_malformed () =
+  let good = "1 0 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n" in
+  List.iter
+    (fun bad ->
+      match Swf.of_string ~name:"t" (good ^ bad ^ "\n") with
+      | Error e -> Alcotest.fail e
+      | Ok (log, report) ->
+          check_int ("one job beside " ^ bad) 1 (Job_log.length log);
+          Alcotest.(check (list int)) ("line 2 malformed: " ^ bad) [ 2 ] report.malformed)
+    [
+      "2 inf -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1";
+      "2 nan -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1";
+      "2 -inf -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1";
+      "2 10 -1 inf 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1";
+      "2 10 -1 nan 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1";
+      "2 10 -1 100 4 -1 -1 4 inf -1 1 -1 -1 -1 -1 -1 -1 -1";
+      "2 10 -1 100 4 -1 -1 4 nan -1 1 -1 -1 -1 -1 -1 -1 -1";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Failure_log *)
 
@@ -171,6 +211,17 @@ let test_failure_log_validation () =
        ignore (Failure_log.make ~name:"t" [ { time = 1.; node = -2 } ]);
        false
      with Invalid_argument _ -> true)
+
+let test_failure_log_rejects_non_finite () =
+  List.iter
+    (fun (label, time) ->
+      check_bool ("make " ^ label) true
+        (raises (fun () -> Failure_log.make ~name:"t" [ { time = 1.; node = 0 }; { time; node = 5 } ]));
+      match Failure_log.of_string ~name:"t" (Printf.sprintf "1 0\n%s 5\n" label) with
+      | Error msg ->
+          Alcotest.(check string) ("parse " ^ label) "t: malformed failure event at line 2" msg
+      | Ok log -> Alcotest.failf "%s parsed to %d events" label (Failure_log.length log))
+    non_finite
 
 let test_failure_truncate_and_scale () =
   let events = List.init 100 (fun i -> { Failure_log.time = float_of_int i; node = i mod 5 }) in
@@ -260,6 +311,7 @@ let () =
         [
           tc "sorts" test_make_sorts;
           tc "validates" test_make_validates;
+          tc "non-finite times rejected" test_make_rejects_non_finite;
           tc "span and work" test_span_and_work;
           tc "empty" test_empty_log;
           tc "scale_runtime" test_scale_runtime;
@@ -273,11 +325,13 @@ let () =
           tc "round trip" test_swf_round_trip;
           tc "file io" test_swf_file_io;
           tc "missing file" test_swf_load_missing;
+          tc "non-finite times malformed" test_swf_non_finite_malformed;
         ] );
       ( "failure_log",
         [
           tc "sorting" test_failure_log_sorting;
           tc "validation" test_failure_log_validation;
+          tc "non-finite times rejected" test_failure_log_rejects_non_finite;
           tc "truncate and scale" test_failure_truncate_and_scale;
           tc "shift" test_failure_shift;
           tc "validate nodes" test_failure_validate_nodes;
