@@ -153,33 +153,24 @@ let run ids full n_jobs jobs seeds dims out chart metrics_out trace_out progress
       dims = Bgl_core.Cli_flags.parse_dims ~default:scale.Bgl_core.Figures.dims dims;
     }
   in
-  let* producer =
-    let resolve id =
-      match (String.lowercase_ascii (String.trim id), Bgl_core.Figures.by_id id) with
-      | "ablate", _ -> Ok Bgl_core.Ablations.all
-      | "baseline", _ -> Ok Bgl_core.Baseline.all
-      | _, Some f -> Ok f
-      | _, None -> (
-          match Bgl_core.Ablations.by_id id with
-          | Some f -> Ok (fun scale -> [ f scale ])
-          | None -> (
-              match Bgl_core.Baseline.by_id id with
-              | Some f -> Ok (fun scale -> [ f scale ])
-              | None -> Error.usagef "unknown id %S" id))
+  let* chosen =
+    let open Bgl_core in
+    let catalogue =
+      Figures.catalogue @ Ablations.catalogue @ Baseline.catalogue
+      @ [
+          ([ "ablate" ], Figures.concat Ablations.catalogue);
+          ([ "baseline" ], Figures.concat Baseline.catalogue);
+        ]
     in
-    match ids with
-    | [] -> Ok Bgl_core.Figures.all
-    | ids ->
-        let* fs =
-          List.fold_left
-            (fun acc id ->
-              let* fs = acc in
-              let* f = resolve id in
-              Ok (f :: fs))
-            (Ok []) ids
-        in
-        let fs = List.rev fs in
-        Ok (fun scale -> List.concat_map (fun f -> f scale) fs)
+    List.fold_right
+      (fun id rest ->
+        match Figures.find catalogue id with
+        | Some p -> Result.map (List.cons ([ id ], p)) rest
+        | None -> Error.usagef "unknown id %S" id)
+      ids (Ok [])
+  in
+  let producer =
+    Bgl_core.Figures.concat (if ids = [] then Bgl_core.Figures.catalogue else chosen)
   in
   if not (Sys.file_exists out) then Sys.mkdir out 0o755;
   let obs = Bgl_core.Obs_cli.setup ?metrics_out ?trace_out ?progress () in

@@ -1,15 +1,7 @@
-let mean = Bgl_stats.Summary.mean
-let sdsc = Bgl_workload.Profile.sdsc
+open Bgl_workload
+open Figures
 
-let avg (scale : Figures.scale) mk (metric : Bgl_sim.Metrics.report -> float) =
-  mean (List.map (fun seed -> metric (Figures.cached_report (mk ~seed))) scale.seeds)
-
-let slowdown (r : Bgl_sim.Metrics.report) = r.avg_bounded_slowdown
-let util (r : Bgl_sim.Metrics.report) = r.util
-
-let a_grid (scale : Figures.scale) = scale.a_values
-
-let combine_rule (scale : Figures.scale) =
+let combine_rule report scale =
   let series combine label =
     Series.series ~label
       (List.filter_map
@@ -17,11 +9,12 @@ let combine_rule (scale : Figures.scale) =
            if a <= 0. then None
            else
              let mk ~seed =
-               Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~combine ~profile:sdsc
+               Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~combine
+                 ~profile:Profile.sdsc
                  (Scenario.Balancing { confidence = a })
              in
-             Some (a, avg scale mk slowdown))
-         (a_grid scale))
+             Some (a, avg report scale mk slowdown))
+         scale.a_values)
   in
   Series.figure ~id:"ablate-combine"
     ~title:"P_f combination rule in the balancing algorithm (SDSC)" ~xlabel:"confidence"
@@ -29,7 +22,7 @@ let combine_rule (scale : Figures.scale) =
     ~notes:[ "paper Section 4.1 says max, Section 5.2.1 says 1-prod(1-p); we default to product" ]
     [ series `Product "product"; series `Max "max" ]
 
-let false_positives (scale : Figures.scale) =
+let false_positives report scale =
   let series fp =
     Series.series ~label:(Printf.sprintf "p_f+=%g" fp)
       (List.filter_map
@@ -37,11 +30,12 @@ let false_positives (scale : Figures.scale) =
            if a <= 0. then None
            else
              let mk ~seed =
-               Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~false_positive:fp ~profile:sdsc
+               Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~false_positive:fp
+                 ~profile:Profile.sdsc
                  (Scenario.Tie_breaking { accuracy = a })
              in
-             Some (a, avg scale mk slowdown))
-         (a_grid scale))
+             Some (a, avg report scale mk slowdown))
+         scale.a_values)
   in
   Series.figure ~id:"ablate-fpos"
     ~title:"Tie-breaking under predictor false positives (SDSC)" ~xlabel:"accuracy"
@@ -51,7 +45,7 @@ let false_positives (scale : Figures.scale) =
 
 let with_checkpoint spec (config : Bgl_sim.Config.t) = { config with checkpoint = spec }
 
-let checkpointing (scale : Figures.scale) =
+let checkpointing report scale =
   let intervals = [ (0., "none"); (1800., "30min"); (3600., "1h"); (14400., "4h") ] in
   let point (interval, _) metric =
     let config =
@@ -61,9 +55,10 @@ let checkpointing (scale : Figures.scale) =
           Bgl_sim.Config.default
     in
     let mk ~seed =
-      Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config ~profile:sdsc Scenario.Fault_oblivious
+      Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config
+        ~profile:Profile.sdsc Scenario.Fault_oblivious
     in
-    avg scale mk metric
+    avg report scale mk metric
   in
   Series.figure ~id:"ablate-checkpoint"
     ~title:"Periodic checkpointing interval (SDSC, fault-oblivious, 60 s overhead)"
@@ -75,7 +70,7 @@ let checkpointing (scale : Figures.scale) =
       Series.series ~label:"utilization" (List.map (fun p -> (fst p, point p util)) intervals);
     ]
 
-let adaptive_checkpointing (scale : Figures.scale) =
+let adaptive_checkpointing report scale =
   let series label spec =
     Series.series ~label
       (List.filter_map
@@ -84,11 +79,12 @@ let adaptive_checkpointing (scale : Figures.scale) =
            else
              let config = with_checkpoint spec Bgl_sim.Config.default in
              let mk ~seed =
-               Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config ~profile:sdsc
+               Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config
+                 ~profile:Profile.sdsc
                  (Scenario.Tie_breaking { accuracy = a })
              in
-             Some (a, avg scale mk slowdown))
-         (a_grid scale))
+             Some (a, avg report scale mk slowdown))
+         scale.a_values)
   in
   Series.figure ~id:"ablate-adaptive"
     ~title:"Adaptive (prediction-coupled) vs periodic checkpointing (SDSC, tie-breaking)"
@@ -103,14 +99,15 @@ let adaptive_checkpointing (scale : Figures.scale) =
               { risky_interval = 1800.; safe_interval = 14400.; overhead = 60. }));
     ]
 
-let backfilling (scale : Figures.scale) =
+let backfilling report scale =
   let point ~backfill ~failures metric =
     let config = { Bgl_sim.Config.default with backfill } in
     let mk ~seed =
-      Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config ~failures_paper:failures ~profile:sdsc
+      Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config ~failures_paper:failures
+        ~profile:Profile.sdsc
         Scenario.Fault_oblivious
     in
-    avg scale mk metric
+    avg report scale mk metric
   in
   let xs = [ (0., 0); (4000., 4000) ] in
   Series.figure ~id:"ablate-backfill" ~title:"EASY backfilling on/off (SDSC, fault-oblivious)"
@@ -123,14 +120,14 @@ let backfilling (scale : Figures.scale) =
         (List.map (fun (x, f) -> (x, point ~backfill:false ~failures:f slowdown)) xs);
     ]
 
-let migration (scale : Figures.scale) =
+let migration report scale =
   let point ~migration metric =
     let config = { Bgl_sim.Config.default with migration; migration_overhead = 60. } in
     let mk ~seed =
-      Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config ~profile:sdsc
+      Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config ~profile:Profile.sdsc
         (Scenario.Balancing { confidence = 0.1 })
     in
-    avg scale mk metric
+    avg report scale mk metric
   in
   Series.figure ~id:"ablate-migration"
     ~title:"Job migration (defragmentation) on/off (SDSC, balancing a=0.1)" ~xlabel:"migration"
@@ -143,7 +140,7 @@ let migration (scale : Figures.scale) =
         [ (0., point ~migration:false util); (1., point ~migration:true util) ];
     ]
 
-let failure_model (scale : Figures.scale) =
+let failure_model report scale =
   let uniform_spec ~span ~volume ~n_events ~seed =
     {
       (Bgl_failure.Generator.default ~span ~volume ~n_events ~seed) with
@@ -154,10 +151,11 @@ let failure_model (scale : Figures.scale) =
   in
   let point ~uniform ~algo =
     let mk ~seed =
-      let sc = Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~profile:sdsc algo in
+      let sc = Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed
+                 ~profile:Profile.sdsc algo in
       if uniform then { sc with failure_spec_of = uniform_spec; variant_tag = "uniform" } else sc
     in
-    avg scale mk slowdown
+    avg report scale mk slowdown
   in
   let algos =
     [ (0., Scenario.Fault_oblivious); (1., Scenario.Balancing { confidence = 0.5 }) ]
@@ -177,15 +175,15 @@ let failure_model (scale : Figures.scale) =
         (List.map (fun (x, algo) -> (x, point ~uniform:true ~algo)) algos);
     ]
 
-let repair_time (scale : Figures.scale) =
+let repair_time report scale =
   let times = [ 0.; 600.; 3600. ] in
   let point repair metric =
     let config = { Bgl_sim.Config.default with repair_time = repair } in
     let mk ~seed =
-      Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config ~profile:sdsc
+      Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config ~profile:Profile.sdsc
         (Scenario.Balancing { confidence = 0.5 })
     in
-    avg scale mk metric
+    avg report scale mk metric
   in
   Series.figure ~id:"ablate-repair"
     ~title:"Node downtime after failure (SDSC, balancing a=0.5)" ~xlabel:"repair time (s)"
@@ -196,15 +194,15 @@ let repair_time (scale : Figures.scale) =
       Series.series ~label:"utilization" (List.map (fun r -> (r, point r util)) times);
     ]
 
-let candidate_cap (scale : Figures.scale) =
+let candidate_cap report scale =
   let caps = [ (4., Some 4); (8., Some 8); (16., Some 16); (24., Some 24); (64., None) ] in
   let point cap =
     let config = { Bgl_sim.Config.default with candidate_cap = cap } in
     let mk ~seed =
-      Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config ~profile:sdsc
+      Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~config ~profile:Profile.sdsc
         (Scenario.Balancing { confidence = 0.5 })
     in
-    avg scale mk slowdown
+    avg report scale mk slowdown
   in
   Series.figure ~id:"ablate-candidates"
     ~title:"Candidate-partition cap (SDSC, balancing a=0.5)" ~xlabel:"cap (64 = unlimited)"
@@ -212,15 +210,16 @@ let candidate_cap (scale : Figures.scale) =
     ~notes:[ "engine-level optimisation: evenly subsampled candidate partitions" ]
     [ Series.series ~label:"avg slowdown" (List.map (fun (x, c) -> (x, point c)) caps) ]
 
-let history_predictor (scale : Figures.scale) =
+let history_predictor report scale =
   (* x axis: EWMA half-life in hours. The balancing variant consumes
      the predictor's probability, so the decision threshold (only
      meaningful for the boolean view) is fixed at 0.5 for the
      tie-breaking variant. *)
   let half_lives_h = [ 6.; 24.; 48.; 168.; 672. ] in
   let slow algo =
-    let mk ~seed = Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~profile:sdsc algo in
-    avg scale mk slowdown
+    let mk ~seed = Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed
+                     ~profile:Profile.sdsc algo in
+    avg report scale mk slowdown
   in
   let baseline = slow Scenario.Fault_oblivious in
   let simulated = slow (Scenario.Balancing { confidence = 0.5 }) in
@@ -244,7 +243,7 @@ let history_predictor (scale : Figures.scale) =
       Series.series ~label:"balancing(a=0.5)" (List.map (fun t -> (t, simulated)) half_lives_h);
     ]
 
-let policy_zoo (scale : Figures.scale) =
+let policy_zoo report scale =
   let policies =
     [
       (0., "random", Scenario.Random_fit);
@@ -258,8 +257,9 @@ let policy_zoo (scale : Figures.scale) =
   let measure metric =
     List.map
       (fun (x, _, algo) ->
-        let mk ~seed = Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed ~profile:sdsc algo in
-        (x, avg scale mk metric))
+        let mk ~seed = Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~seed
+                         ~profile:Profile.sdsc algo in
+        (x, avg report scale mk metric))
       policies
   in
   let labels = String.concat ", " (List.map (fun (x, l, _) -> Printf.sprintf "%g=%s" x l) policies) in
@@ -271,33 +271,19 @@ let policy_zoo (scale : Figures.scale) =
       Series.series ~label:"utilization" (measure util);
     ]
 
-let by_id id =
-  let id = String.lowercase_ascii (String.trim id) in
-  match id with
-  | "combine" | "ablate-combine" -> Some combine_rule
-  | "fpos" | "ablate-fpos" -> Some false_positives
-  | "checkpoint" | "ablate-checkpoint" -> Some checkpointing
-  | "adaptive" | "ablate-adaptive" -> Some adaptive_checkpointing
-  | "backfill" | "ablate-backfill" -> Some backfilling
-  | "migration" | "ablate-migration" -> Some migration
-  | "failure-model" | "ablate-failure-model" -> Some failure_model
-  | "repair" | "ablate-repair" -> Some repair_time
-  | "candidates" | "ablate-candidates" -> Some candidate_cap
-  | "history" | "ablate-history" -> Some history_predictor
-  | "zoo" | "policy-zoo" | "ablate-policy-zoo" -> Some policy_zoo
-  | _ -> None
-
-let all scale =
-  [
-    combine_rule scale;
-    false_positives scale;
-    checkpointing scale;
-    adaptive_checkpointing scale;
-    backfilling scale;
-    migration scale;
-    failure_model scale;
-    repair_time scale;
-    candidate_cap scale;
-    history_predictor scale;
-    policy_zoo scale;
-  ]
+let catalogue =
+  List.map
+    (fun (names, f) -> (names, fun report scale -> [ f report scale ]))
+    [
+      ([ "ablate-combine"; "combine" ], combine_rule);
+      ([ "ablate-fpos"; "fpos" ], false_positives);
+      ([ "ablate-checkpoint"; "checkpoint" ], checkpointing);
+      ([ "ablate-adaptive"; "adaptive" ], adaptive_checkpointing);
+      ([ "ablate-backfill"; "backfill" ], backfilling);
+      ([ "ablate-migration"; "migration" ], migration);
+      ([ "ablate-failure-model"; "failure-model" ], failure_model);
+      ([ "ablate-repair"; "repair" ], repair_time);
+      ([ "ablate-candidates"; "candidates" ], candidate_cap);
+      ([ "ablate-history"; "history" ], history_predictor);
+      ([ "ablate-policy-zoo"; "policy-zoo"; "zoo" ], policy_zoo);
+    ]

@@ -9,67 +9,58 @@ let variants =
       fun c -> { c with backfill = true; migration = true; migration_overhead = 60. } );
   ]
 
-let avg = Ablations.avg
-
-let point (scale : Figures.scale) ~profile ~failures ~variant metric =
+let point report (scale : Figures.scale) ~profile ~failures ~variant metric =
   let config = variant Bgl_sim.Config.default in
   let mk ~seed =
     Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~failures_paper:failures ~seed ~config ~profile
       Scenario.Fault_oblivious
   in
-  avg scale mk metric
+  Figures.avg report scale mk metric
 
-let sweep scale ~failures metric =
+let sweep report scale ~failures metric =
   List.map
     (fun (label, variant) ->
       Series.series ~label
-        (List.map (fun (x, profile) -> (x, point scale ~profile ~failures ~variant metric)) profiles))
+        (List.map
+           (fun (x, profile) -> (x, point report scale ~profile ~failures ~variant metric))
+           profiles))
     variants
 
 let profile_note = "x axis: 0=NASA, 1=SDSC, 2=LLNL"
 
-let slowdown scale =
+let slowdown report scale =
   Series.figure ~id:"baseline-slowdown"
     ~title:"Krevat baseline: FCFS vs backfilling vs migration (failure-free)" ~xlabel:"workload"
     ~ylabel:"avg bounded slowdown"
     ~notes:[ profile_note ]
-    (sweep scale ~failures:0 (fun r -> r.Bgl_sim.Metrics.avg_bounded_slowdown))
+    (sweep report scale ~failures:0 Figures.slowdown)
 
-let utilisation scale =
+let utilisation report scale =
   Series.figure ~id:"baseline-util"
     ~title:"Krevat baseline: utilised capacity (failure-free)" ~xlabel:"workload"
     ~ylabel:"utilised fraction"
     ~notes:[ profile_note ]
-    (sweep scale ~failures:0 (fun r -> r.Bgl_sim.Metrics.util))
+    (sweep report scale ~failures:0 Figures.util)
 
-let under_failures scale =
+let under_failures report scale =
   let sdsc = Bgl_workload.Profile.sdsc in
   Series.figure ~id:"baseline-failures"
     ~title:"Krevat baseline under failures (SDSC, paper failure count)" ~xlabel:"variant"
     ~ylabel:"metric"
     ~notes:[ "x axis: 0=fcfs, 1=+backfill, 2=+migration" ]
-    [
-      Series.series ~label:"avg slowdown"
-        (List.mapi
-           (fun i (_, variant) ->
-             ( float_of_int i,
-               point scale ~profile:sdsc ~failures:sdsc.paper_failures ~variant (fun r ->
-                   r.Bgl_sim.Metrics.avg_bounded_slowdown) ))
-           variants);
-      Series.series ~label:"utilization"
-        (List.mapi
-           (fun i (_, variant) ->
-             ( float_of_int i,
-               point scale ~profile:sdsc ~failures:sdsc.paper_failures ~variant (fun r ->
-                   r.Bgl_sim.Metrics.util) ))
-           variants);
-    ]
+    (List.map
+       (fun (label, metric) ->
+         Series.series ~label
+           (List.mapi
+              (fun i (_, variant) ->
+                ( float_of_int i,
+                  point report scale ~profile:sdsc ~failures:sdsc.paper_failures ~variant metric ))
+              variants))
+       [ ("avg slowdown", Figures.slowdown); ("utilization", Figures.util) ])
 
-let by_id id =
-  match String.lowercase_ascii (String.trim id) with
-  | "baseline-slowdown" -> Some slowdown
-  | "baseline-util" -> Some utilisation
-  | "baseline-failures" -> Some under_failures
-  | _ -> None
-
-let all scale = [ slowdown scale; utilisation scale; under_failures scale ]
+let catalogue =
+  [
+    ([ "baseline-slowdown" ], fun report scale -> [ slowdown report scale ]);
+    ([ "baseline-util" ], fun report scale -> [ utilisation report scale ]);
+    ([ "baseline-failures" ], fun report scale -> [ under_failures report scale ]);
+  ]

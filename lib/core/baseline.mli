@@ -7,16 +7,16 @@
     Each figure sweeps the three scheduler variants over the three
     workload profiles, with and without failures. *)
 
-val slowdown : Figures.scale -> Series.figure
+val slowdown : Figures.lookup -> Figures.scale -> Series.figure
 (** Avg bounded slowdown of plain FCFS / +backfilling / +migration per
     profile (failure-free). *)
 
-val utilisation : Figures.scale -> Series.figure
+val utilisation : Figures.lookup -> Figures.scale -> Series.figure
 (** Utilised capacity for the same grid. *)
 
-val under_failures : Figures.scale -> Series.figure
+val under_failures : Figures.lookup -> Figures.scale -> Series.figure
 (** The same three variants on SDSC with the profile's failure count —
     scheduling throughput still dominates fault losses. *)
 
-val by_id : string -> (Figures.scale -> Series.figure) option
-val all : Figures.scale -> Series.figure list
+val catalogue : (string list * Figures.producer) list
+(** The three studies above, in that order, named by figure id. *)

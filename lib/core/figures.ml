@@ -28,87 +28,17 @@ let full =
     dims = Bgl_torus.Dims.bgl;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Memoised scenario runs: sweeps share many (profile, load, failures,
-   algo, seed) combinations. *)
+type lookup = Scenario.t -> Bgl_sim.Metrics.report
+type producer = lookup -> scale -> Series.figure list
 
-let cache : (string, Bgl_sim.Metrics.report) Hashtbl.t = Hashtbl.create 256
+let find catalogue id =
+  let id = String.lowercase_ascii (String.trim id) in
+  List.find_map (fun (names, p) -> if List.mem id names then Some p else None) catalogue
 
-let clear_cache () = Hashtbl.reset cache
+let concat catalogue report scale = List.concat_map (fun (_, p) -> p report scale) catalogue
 
-(* Parallelism works by replaying a figure producer twice. A first
-   "collect" pass runs it with simulation stubbed out — [report_of]
-   records each scenario it is asked for and answers with a dummy
-   report — which yields the cell list without running anything. The
-   cells are then simulated on the domain pool ({!Sweep.run}), their
-   reports installed in [cache] from the main domain only (no locking,
-   no cross-domain table), and the producer re-runs normally, all
-   hits. Scenario runs are deterministic in the scenario value, so the
-   result is bit-identical to a sequential sweep. *)
-let collecting : Scenario.t list ref option ref = ref None
-
-let dummy_report : Bgl_sim.Metrics.report =
-  {
-    total_jobs = 0;
-    completed_jobs = 0;
-    avg_wait = 0.;
-    avg_response = 0.;
-    avg_bounded_slowdown = 0.;
-    median_bounded_slowdown = 0.;
-    p90_bounded_slowdown = 0.;
-    util = 0.;
-    unused = 0.;
-    lost = 0.;
-    busy_fraction = 0.;
-    makespan = 0.;
-    failures_injected = 0;
-    job_kills = 0;
-    restarts = 0;
-    lost_work = 0.;
-    migrations = 0;
-    checkpoints = 0;
-  }
-
-let report_of scenario =
-  let key = Scenario.label scenario in
-  match Hashtbl.find_opt cache key with
-  | Some r -> r
-  | None -> (
-      match !collecting with
-      | Some acc ->
-          acc := scenario :: !acc;
-          dummy_report
-      | None ->
-          let r = (Scenario.run scenario).report in
-          Hashtbl.replace cache key r;
-          r)
-
-let cells_of f scale =
-  let acc = ref [] in
-  collecting := Some acc;
-  Fun.protect ~finally:(fun () -> collecting := None) (fun () -> ignore (f scale));
-  (* Dedupe cells the producer asks for repeatedly (and any already
-     cached): one simulation per distinct scenario label. *)
-  let seen = Hashtbl.create 256 in
-  List.filter
-    (fun s ->
-      let key = Scenario.label s in
-      if Hashtbl.mem cache key || Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.replace seen key ();
-        true
-      end)
-    (List.rev !acc)
-  |> Array.of_list
-
-let install_report s r = Hashtbl.replace cache (Scenario.label s) r
-let placeholder_report = dummy_report
-
-let cached_report = report_of
-let mean = Bgl_stats.Summary.mean
-
-let avg scale mk (metric : Bgl_sim.Metrics.report -> float) =
-  mean (List.map (fun seed -> metric (report_of (mk ~seed))) scale.seeds)
+let avg report scale mk (metric : Bgl_sim.Metrics.report -> float) =
+  Bgl_stats.Summary.mean (List.map (fun seed -> metric (report (mk ~seed))) scale.seeds)
 
 let slowdown (r : Bgl_sim.Metrics.report) = r.avg_bounded_slowdown
 let util (r : Bgl_sim.Metrics.report) = r.util
@@ -130,12 +60,12 @@ let sdsc = Bgl_workload.Profile.sdsc
 let nasa = Bgl_workload.Profile.nasa
 let llnl = Bgl_workload.Profile.llnl
 
-let intro_claim scale =
+let intro_claim report scale =
   let point failures ~seed =
     Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~failures_paper:failures ~seed ~profile:sdsc
       Scenario.Fault_oblivious
   in
-  let at f = avg scale (point f) slowdown in
+  let at f = avg report scale (point f) slowdown in
   let base = at 0 and faulty = at 1000 in
   let increase = if base > 0. then 100. *. (faulty -. base) /. base else 0. in
   Series.figure ~id:"intro" ~title:"Slowdown cost of ignoring faults (Section 1)"
@@ -149,7 +79,7 @@ let intro_claim scale =
       ]
     [ Series.series ~label:"fault-oblivious" [ (0., base); (1000., faulty) ] ]
 
-let fig3 scale =
+let fig3 report scale =
   let algo_of a =
     if a <= 0. then Scenario.Fault_oblivious else Scenario.Balancing { confidence = a }
   in
@@ -162,7 +92,7 @@ let fig3 scale =
              Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~failures_paper:failures ~seed ~profile:sdsc
                (algo_of a)
            in
-           (float_of_int failures, avg scale mk slowdown))
+           (float_of_int failures, avg report scale mk slowdown))
          (fail_points scale sdsc))
   in
   Series.figure ~id:"fig3" ~title:"Avg bounded slowdown vs failure rate (SDSC, balancing)"
@@ -170,7 +100,7 @@ let fig3 scale =
     ~notes:[ provenance scale ]
     [ series 0.; series 0.1; series 0.9 ]
 
-let fig4 scale =
+let fig4 report scale =
   let series c =
     Series.series ~label:(Printf.sprintf "c=%g" c)
       (List.map
@@ -180,7 +110,7 @@ let fig4 scale =
                ~profile:sdsc
                (Scenario.Balancing { confidence = 0.1 })
            in
-           (float_of_int failures, avg scale mk slowdown))
+           (float_of_int failures, avg report scale mk slowdown))
          (fail_points scale sdsc))
   in
   Series.figure ~id:"fig4"
@@ -189,15 +119,13 @@ let fig4 scale =
     ~notes:[ provenance scale ]
     [ series 1.0; series 1.2 ]
 
-let capacity_series scale ~profile ~load ~x_of mk =
+(* One series per capacity share; [point x metric] is the (x, y) pair. *)
+let capacity_series xs point =
   List.map
-    (fun (label, metric) ->
-      Series.series ~label
-        (List.map (fun x -> (x_of x, avg scale (mk x) metric)) (fail_points scale profile)))
+    (fun (label, metric) -> Series.series ~label (List.map (fun x -> point x metric) xs))
     [ ("utilized", util); ("unused", unused); ("lost", lost) ]
-  |> fun series -> ignore load; series
 
-let fig5 scale =
+let fig5 report scale =
   List.map
     (fun (sub, c) ->
       let mk failures ~seed =
@@ -209,21 +137,22 @@ let fig5 scale =
         ~title:(Printf.sprintf "Utilization vs failure rate (SDSC, balancing a=0.1, c=%g)" c)
         ~xlabel:"failures" ~ylabel:"fraction of capacity"
         ~notes:[ provenance scale ]
-        (capacity_series scale ~profile:sdsc ~load:c ~x_of:float_of_int mk))
+        (capacity_series (fail_points scale sdsc) (fun failures metric ->
+             (float_of_int failures, avg report scale (mk failures) metric))))
     [ ("a", 1.0); ("b", 1.2) ]
 
-let confidence_sweep scale ~profile ~load metric a =
+let confidence_sweep report scale ~profile ~load metric a =
   let algo = if a <= 0. then Scenario.Fault_oblivious else Scenario.Balancing { confidence = a } in
   let mk ~seed = Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~load ~seed ~profile algo in
-  avg scale mk metric
+  avg report scale mk metric
 
-let fig6 scale =
+let fig6 report scale =
   List.map
     (fun (sub, profile) ->
       let series c =
         Series.series ~label:(Printf.sprintf "c=%g" c)
           (List.map
-             (fun a -> (a, confidence_sweep scale ~profile ~load:c slowdown a))
+             (fun a -> (a, confidence_sweep report scale ~profile ~load:c slowdown a))
              scale.a_values)
       in
       Series.figure
@@ -236,46 +165,43 @@ let fig6 scale =
         [ series 1.0; series 1.2 ])
     [ ("a", sdsc); ("b", nasa); ("c", llnl) ]
 
-let util_vs_confidence scale ~id ~profile ~load =
+let util_vs_confidence report scale ~id ~profile ~load =
   Series.figure ~id
     ~title:
       (Printf.sprintf "Utilization vs confidence (%s, balancing, c=%g)"
          profile.Bgl_workload.Profile.name load)
     ~xlabel:"confidence" ~ylabel:"fraction of capacity"
     ~notes:[ provenance scale ]
-    (List.map
-       (fun (label, metric) ->
-         Series.series ~label
-           (List.map
-              (fun a -> (a, confidence_sweep scale ~profile ~load metric a))
-              scale.a_values))
-       [ ("utilized", util); ("unused", unused); ("lost", lost) ])
+    (capacity_series scale.a_values (fun a metric ->
+         (a, confidence_sweep report scale ~profile ~load metric a)))
 
-let fig7 scale =
+let fig7 report scale =
   [
-    util_vs_confidence scale ~id:"fig7a" ~profile:sdsc ~load:1.0;
-    util_vs_confidence scale ~id:"fig7b" ~profile:sdsc ~load:1.2;
+    util_vs_confidence report scale ~id:"fig7a" ~profile:sdsc ~load:1.0;
+    util_vs_confidence report scale ~id:"fig7b" ~profile:sdsc ~load:1.2;
   ]
 
-let fig8 scale =
+let fig8 report scale =
   [
-    util_vs_confidence scale ~id:"fig8a" ~profile:llnl ~load:1.0;
-    util_vs_confidence scale ~id:"fig8b" ~profile:llnl ~load:1.2;
+    util_vs_confidence report scale ~id:"fig8a" ~profile:llnl ~load:1.0;
+    util_vs_confidence report scale ~id:"fig8b" ~profile:llnl ~load:1.2;
   ]
 
-let accuracy_sweep scale ~profile ~load metric a =
+let accuracy_sweep report scale ~profile ~load metric a =
   let algo =
     if a <= 0. then Scenario.Fault_oblivious else Scenario.Tie_breaking { accuracy = a }
   in
   let mk ~seed = Scenario.make ~n_jobs:scale.n_jobs ~dims:scale.dims ~load ~seed ~profile algo in
-  avg scale mk metric
+  avg report scale mk metric
 
-let fig9 scale =
+let fig9 report scale =
   List.map
     (fun (sub, profile) ->
       let series c =
         Series.series ~label:(Printf.sprintf "c=%g" c)
-          (List.map (fun a -> (a, accuracy_sweep scale ~profile ~load:c slowdown a)) scale.a_values)
+          (List.map
+             (fun a -> (a, accuracy_sweep report scale ~profile ~load:c slowdown a))
+             scale.a_values)
       in
       Series.figure
         ~id:(Printf.sprintf "fig9%s" sub)
@@ -287,7 +213,7 @@ let fig9 scale =
         [ series 1.0; series 1.2 ])
     [ ("a", sdsc); ("b", nasa); ("c", llnl) ]
 
-let fig10 scale =
+let fig10 report scale =
   List.map
     (fun (sub, load) ->
       Series.figure
@@ -295,41 +221,20 @@ let fig10 scale =
         ~title:(Printf.sprintf "Utilization vs accuracy (LLNL, tie-breaking, c=%g)" load)
         ~xlabel:"accuracy" ~ylabel:"fraction of capacity"
         ~notes:[ provenance scale ]
-        (List.map
-           (fun (label, metric) ->
-             Series.series ~label
-               (List.map
-                  (fun a -> (a, accuracy_sweep scale ~profile:llnl ~load metric a))
-                  scale.a_values))
-           [ ("utilized", util); ("unused", unused); ("lost", lost) ]))
+        (capacity_series scale.a_values (fun a metric ->
+             (a, accuracy_sweep report scale ~profile:llnl ~load metric a))))
     [ ("a", 1.0); ("b", 1.2) ]
 
-let by_id id =
-  let id = String.lowercase_ascii (String.trim id) in
-  let single f = Some (fun scale -> [ f scale ]) in
-  match id with
-  | "intro" | "1" -> single intro_claim
-  | "3" | "fig3" -> single fig3
-  | "4" | "fig4" -> single fig4
-  | "5" | "fig5" -> Some fig5
-  | "6" | "fig6" -> Some fig6
-  | "7" | "fig7" -> Some fig7
-  | "8" | "fig8" -> Some fig8
-  | "9" | "fig9" -> Some fig9
-  | "10" | "fig10" -> Some fig10
-  | _ -> None
-
-let producers =
+let catalogue =
+  let one f report scale = [ f report scale ] in
   [
-    ("intro", fun scale -> [ intro_claim scale ]);
-    ("fig3", fun scale -> [ fig3 scale ]);
-    ("fig4", fun scale -> [ fig4 scale ]);
-    ("fig5", fig5);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("fig9", fig9);
-    ("fig10", fig10);
+    ([ "intro"; "1" ], one intro_claim);
+    ([ "fig3"; "3" ], one fig3);
+    ([ "fig4"; "4" ], one fig4);
+    ([ "fig5"; "5" ], fig5);
+    ([ "fig6"; "6" ], fig6);
+    ([ "fig7"; "7" ], fig7);
+    ([ "fig8"; "8" ], fig8);
+    ([ "fig9"; "9" ], fig9);
+    ([ "fig10"; "10" ], fig10);
   ]
-
-let all scale = List.concat_map (fun (_, f) -> f scale) producers

@@ -1,8 +1,12 @@
 (** Reproduction of every data figure in the paper's evaluation
     (Section 7). Each function regenerates one plot as a
-    {!Series.figure}; {!all} runs the full set. Sub-plots (a)/(b)/(c)
-    of a paper figure are emitted as separate figures with suffixed
-    ids.
+    {!Series.figure}; {!catalogue} names the full set. Sub-plots
+    (a)/(b)/(c) of a paper figure are emitted as separate figures with
+    suffixed ids.
+
+    A figure never runs a simulation itself: it reads every report
+    through the {!lookup} it is given. {!Sweep.run} hands it one that
+    answers from the sweep's own report table.
 
     X axes use the paper's units: failure counts on the paper's scale
     (converted internally to preserve failures-per-job, see
@@ -27,59 +31,53 @@ val quick : scale
 val full : scale
 (** 3000 jobs, three seeds, the paper's full 0.1-step grids. *)
 
-val intro_claim : scale -> Series.figure
+type lookup = Scenario.t -> Bgl_sim.Metrics.report
+(** Where a producer reads a scenario's report. *)
+
+type producer = lookup -> scale -> Series.figure list
+(** A figure, ablation or baseline study: the unit {!Sweep.run} runs. *)
+
+val find : (string list * producer) list -> string -> producer option
+(** [find catalogue id]: the producer one of whose names is [id]
+    (case and surrounding blanks ignored). *)
+
+val concat : (string list * producer) list -> producer
+(** Every producer of a catalogue, in catalogue order. *)
+
+val avg : lookup -> scale -> (seed:int -> Scenario.t) -> (Bgl_sim.Metrics.report -> float) -> float
+(** [avg report scale mk metric]: [metric] averaged over
+    [scale.seeds], reading each seed's report through [report] — the
+    one point estimate of every figure, ablation and baseline study. *)
+
+val slowdown : Bgl_sim.Metrics.report -> float
+(** Average bounded slowdown. *)
+
+val util : Bgl_sim.Metrics.report -> float
+(** Utilised fraction of capacity. *)
+
+val intro_claim : lookup -> scale -> Series.figure
 (** Section 1's motivating number: slowdown increase of a
     fault-oblivious scheduler at the 1000-failure rate (paper: ≈70%). *)
 
-val fig3 : scale -> Series.figure
+val fig3 : lookup -> scale -> Series.figure
 
-val fig4 : scale -> Series.figure
+val fig4 : lookup -> scale -> Series.figure
 
-val fig5 : scale -> Series.figure list
+val fig5 : lookup -> scale -> Series.figure list
 (** (a) c=1.0, (b) c=1.2 *)
 
-val fig6 : scale -> Series.figure list
+val fig6 : lookup -> scale -> Series.figure list
 (** (a) SDSC, (b) NASA, (c) LLNL *)
 
-val fig7 : scale -> Series.figure list
+val fig7 : lookup -> scale -> Series.figure list
 
-val fig8 : scale -> Series.figure list
+val fig8 : lookup -> scale -> Series.figure list
 
-val fig9 : scale -> Series.figure list
+val fig9 : lookup -> scale -> Series.figure list
 
-val fig10 : scale -> Series.figure list
+val fig10 : lookup -> scale -> Series.figure list
 
-val by_id : string -> (scale -> Series.figure list) option
-(** Lookup by ["3"], ["fig3"], ["intro"], ... *)
-
-val all : scale -> Series.figure list
-(** Every figure, in paper order. Called directly it simulates
-    sequentially; {!Sweep.run} runs it with the cells on a domain pool. *)
-
-val producers : (string * (scale -> Series.figure list)) list
-(** The figures as named producers, in paper order; {!all}
-    concatenates them and every name resolves through {!by_id}. *)
-
-val cached_report : Scenario.t -> Bgl_sim.Metrics.report
-(** Run a scenario through the shared memo table (used by the ablation
-    suite so overlapping sweep points are simulated once). *)
-
-val cells_of : (scale -> Series.figure list) -> scale -> Scenario.t array
-(** The distinct scenario cells [f scale] would simulate, discovered
-    by the collect pass (simulation stubbed out), minus any already in
-    the memo table — the unit of work {!Sweep} journals and
-    supervises. *)
-
-val install_report : Scenario.t -> Bgl_sim.Metrics.report -> unit
-(** Install a report in the memo table, so a subsequent producer run
-    replays it instead of simulating (journal resume, cells simulated
-    on the pool). Call from the main domain only. *)
-
-val placeholder_report : Bgl_sim.Metrics.report
-(** The all-zero report the collect pass answers with; {!Sweep}
-    installs it for quarantined cells so a degraded sweep can still
-    emit its remaining figures. *)
-
-val clear_cache : unit -> unit
-(** Figures share scenario runs through a memo table; clear it to force
-    re-simulation (e.g. between scales in one process). *)
+val catalogue : (string list * producer) list
+(** Every figure in paper order. The first name is the canonical id
+    (["intro"], ["fig3"], ...); the rest are aliases (["1"], ["3"],
+    ...). *)

@@ -15,11 +15,51 @@ type outcome = {
 
 let fingerprint s = Digest.to_hex (Digest.string (Scenario.label s))
 
-(* Restore journaled reports for the cells this sweep will ask for.
-   Later records win (a resumed run may re-journal a cell); records
-   whose report fails to decode count as dropped and the cell is
-   simply simulated again. *)
-let restore entries cells =
+(* The all-zero report the collect pass answers with, and the one a
+   quarantined cell's points read, so a degraded sweep still renders. *)
+let placeholder : Bgl_sim.Metrics.report =
+  {
+    total_jobs = 0;
+    completed_jobs = 0;
+    avg_wait = 0.;
+    avg_response = 0.;
+    avg_bounded_slowdown = 0.;
+    median_bounded_slowdown = 0.;
+    p90_bounded_slowdown = 0.;
+    util = 0.;
+    unused = 0.;
+    lost = 0.;
+    busy_fraction = 0.;
+    makespan = 0.;
+    failures_injected = 0;
+    job_kills = 0;
+    restarts = 0;
+    lost_work = 0.;
+    migrations = 0;
+    checkpoints = 0;
+  }
+
+(* The collect pass: run the producer with every lookup answering the
+   placeholder, and keep the distinct cells it asks for, by label, in
+   first-asked order. *)
+let collect (f : Figures.producer) scale =
+  let seen = Hashtbl.create 256 and cells = ref [] in
+  let ask s =
+    let key = Scenario.label s in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      cells := s :: !cells
+    end;
+    placeholder
+  in
+  ignore (f ask scale);
+  Array.of_list (List.rev !cells)
+
+(* Restore journaled reports for the cells this sweep will ask for into
+   [table]. Later records win (a resumed run may re-journal a cell);
+   records whose report fails to decode count as dropped and the cell
+   is simply simulated again. *)
+let restore table entries cells =
   let by_key = Hashtbl.create (List.length entries) in
   List.iter (fun (e : Journal.entry) -> Hashtbl.replace by_key e.key e.value) entries;
   let bad = ref 0 in
@@ -35,7 +75,7 @@ let restore entries cells =
                  |> Fun.flip Result.bind Bgl_sim.Metrics.report_of_json
                with
                | Ok report ->
-                   Figures.install_report cell report;
+                   Hashtbl.replace table (Scenario.label cell) report;
                    false
                | Error _ ->
                    incr bad;
@@ -50,14 +90,17 @@ let run ?(policy = Supervise.default) ?(journal = No_journal) ?on_cell ~pool f s
   (match journal with
   | Resume path -> Bgl_obs.Runtime.set_trace_parent (Some (Digest.to_hex (Digest.string path)))
   | No_journal | Fresh _ -> ());
-  let cells = Figures.cells_of f scale in
+  let cells = collect f scale in
+  (* This sweep's reports, keyed by scenario label: restored from the
+     journal, simulated, or the placeholder for a quarantined cell. *)
+  let table = Hashtbl.create (Array.length cells) in
   let restored =
     match journal with
     | No_journal | Fresh _ -> Ok (cells, 0)
     | Resume path -> (
         match Journal.load ~path with
         | Ok (entries, dropped) ->
-            let remaining, bad = restore entries cells in
+            let remaining, bad = restore table entries cells in
             Ok (remaining, dropped + bad)
         | Error detail -> Error (Error.Io { path; detail }))
   in
@@ -124,20 +167,24 @@ let run ?(policy = Supervise.default) ?(journal = No_journal) ?on_cell ~pool f s
               | None ->
                   let quarantined = ref [] in
                   Array.iteri
-                    (fun i -> function
+                    (fun i outcome ->
+                      let cell = remaining.(i) in
+                      match outcome with
                       | Supervise.Completed { value = report; _ } ->
-                          Figures.install_report remaining.(i) report
+                          Hashtbl.replace table (Scenario.label cell) report
                       | Supervise.Quarantined error ->
-                          Figures.install_report remaining.(i) Figures.placeholder_report;
+                          Hashtbl.replace table (Scenario.label cell) placeholder;
                           quarantined :=
-                            {
-                              label = Scenario.label remaining.(i);
-                              fingerprint = fingerprint remaining.(i);
-                              error;
-                            }
+                            { label = Scenario.label cell; fingerprint = fingerprint cell; error }
                             :: !quarantined)
                     outcomes;
-                  let figures = f scale in
+                  let lookup s =
+                    let key = Scenario.label s in
+                    match Hashtbl.find_opt table key with
+                    | Some report -> report
+                    | None -> invalid_arg ("Sweep.run: cell not collected: " ^ key)
+                  in
+                  let figures = f lookup scale in
                   Ok
                     {
                       figures;

@@ -86,21 +86,19 @@ let tie_breaking ~predictor () =
     Policy.name;
     choose =
       (fun ctx ~job ~volume:_ ~candidates ->
-        match candidates with
-        | [] -> None
-        | _ ->
-            let dims = Grid.dims ctx.grid in
-            let scored = List.map (fun c -> (c, mfp_loss ctx c)) candidates in
-            let best_loss = List.fold_left (fun acc (_, l) -> min acc l) max_int scored in
-            let tied = List.filter (fun (_, l) -> l = best_loss) scored in
-            let safe (c, _) =
-              not
-                (Bgl_predict.Predictor.partition_will_fail predictor
-                   ~nodes:(Box.indices dims c) ~now:ctx.now ~horizon:job.estimate)
-            in
-            (match List.find_opt safe tied with
-            | Some (c, _) -> Some c
-            | None -> ( match tied with (c, _) :: _ -> Some c | [] -> None)));
+        (* Least MFP loss first, then a predicted survivor: doubling
+           the loss leaves room for the unit failure penalty, so the
+           earliest safe candidate among the tied wins, else the
+           earliest tied. *)
+        let dims = Grid.dims ctx.grid in
+        let score candidate =
+          let doomed =
+            Bgl_predict.Predictor.partition_will_fail predictor
+              ~nodes:(Box.indices dims candidate) ~now:ctx.now ~horizon:job.estimate
+          in
+          float_of_int ((2 * mfp_loss ctx candidate) + Bool.to_int doomed)
+        in
+        Option.map fst (argmin ~stop:0. score candidates));
   }
 
 let random ~seed =

@@ -15,7 +15,8 @@
     - {!tie_breaking}: Section 5.2.2 — minimise L_MFP, and break ties
       among equal-L_MFP candidates by preferring partitions the boolean
       predictor expects to survive; if every tied candidate is
-      predicted to fail, the choice is arbitrary (first).
+      predicted to fail, the choice is arbitrary (first). One argmin
+      over 2·L_MFP + [1 if predicted to fail].
 
     Ties are always resolved toward the earlier candidate in the
     finder's canonical order, so runs are deterministic. *)

@@ -113,7 +113,7 @@ let parse_sweep v =
     match str_field "figure" v with
     | None -> Error "sweep requires a \"figure\" field"
     | Some id -> (
-        match Figures.by_id id with
+        match Figures.(find catalogue id) with
         | Some _ -> Ok (String.lowercase_ascii (String.trim id))
         | None -> Error (Printf.sprintf "unknown figure %S" id))
   in

@@ -11,8 +11,9 @@
       [failures] (paper scale, zero or more), [seed], [dims] ("8x8x8"), optional
       inline [swf] and [failure_log] payloads, optional [fuel] /
       [deadline] budget;
-    - [{"op":"sweep", ...}] — one figure sweep: [figure] (an
-      {!Bgl_core.Figures.by_id} id), [jobs], [seeds] (replication
+    - [{"op":"sweep", ...}] — one figure sweep: [figure] (a name in
+      {!Bgl_core.Figures.catalogue}; ablations and baseline studies
+      are bgl-sweep only), [jobs], [seeds] (replication
       count), [dims], [fuel], [deadline].
 
     Responses are frames with an ["ev"] field: [pong], [health],

@@ -168,14 +168,8 @@ let exec_sim job policy (s : Protocol.sim) =
         false )
 
 let exec_sweep t job policy (s : Protocol.sweep) =
-  (* Cell-level sharing is per-request: each sweep starts from a clean
-     figure memo so a previous request's quarantine placeholders can
-     never leak into this one's points. Cross-request sharing happens
-     at whole-request granularity ({!Memo} / {!Store}) and through
-     this request's own journal on resume. *)
-  Bgl_core.Figures.clear_cache ();
   let producer =
-    match Bgl_core.Figures.by_id s.figure with
+    match Bgl_core.Figures.(find catalogue s.figure) with
     | Some p -> p
     | None -> assert false (* validated at parse *)
   in

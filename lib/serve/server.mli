@@ -11,8 +11,8 @@
       means a [rejected] frame with [retry_after], never unbounded
       buffering;
     - a single {e executor thread} runs admitted requests in order.
-      Requests execute one at a time (the figure memo, journal and
-      trace plumbing are single-writer state); each request's {e
+      Requests execute one at a time (the journal and trace
+      plumbing are single-writer state); each request's {e
       cells} fan out across a persistent {!Bgl_parallel.Pool}, so the
       machine is saturated by one request, not by request
       concurrency.

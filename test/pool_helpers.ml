@@ -6,12 +6,9 @@ let with_pool ~domains f =
   let pool = Bgl_parallel.Pool.create ~domains in
   Fun.protect ~finally:(fun () -> Bgl_parallel.Pool.shutdown pool) (fun () -> f pool)
 
-(* The figures [f scale] renders when its cells are simulated on a
-   fresh [domains]-sized pool, starting (and leaving) an empty memo. *)
+(* The figures producer [f] renders at [scale] when its cells are
+   simulated on a fresh [domains]-sized pool. *)
 let sweep_figures ~domains f scale =
-  Bgl_core.Figures.clear_cache ();
-  let result = with_pool ~domains (fun pool -> Bgl_core.Sweep.run ~pool f scale) in
-  Bgl_core.Figures.clear_cache ();
-  match result with
+  match with_pool ~domains (fun pool -> Bgl_core.Sweep.run ~pool f scale) with
   | Ok o -> o.Bgl_core.Sweep.figures
   | Error e -> Alcotest.failf "sweep failed: %s" (Bgl_resilience.Error.to_string e)

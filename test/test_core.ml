@@ -260,9 +260,11 @@ let tiny = { Figures.n_jobs = 200; seeds = [ 11 ]; a_values = [ 0.; 0.5; 1. ]; f
 
 let series_values (s : Series.series) = List.map snd s.points
 
+(* The figures a producer renders at [tiny], swept on one domain. *)
+let sweep_tiny f = Pool_helpers.sweep_figures ~domains:1 f tiny
+
 let test_fig3_shape () =
-  Figures.clear_cache ();
-  let fig = Figures.fig3 tiny in
+  let fig = List.hd (sweep_tiny (fun r s -> [ Figures.fig3 r s ])) in
   check_int "three series" 3 (List.length fig.series);
   List.iter (fun (s : Series.series) -> check_int "three points" 3 (List.length s.points)) fig.series;
   (* all series share the zero-failure point *)
@@ -277,8 +279,7 @@ let test_fig3_shape () =
   check_bool "failures hurt" true (worst >= base)
 
 let test_fig5_capacity_identity () =
-  Figures.clear_cache ();
-  match Figures.fig5 tiny with
+  match sweep_tiny Figures.fig5 with
   | [ a; b ] ->
       List.iter
         (fun (f : Series.figure) ->
@@ -296,8 +297,7 @@ let test_fig5_capacity_identity () =
   | _ -> Alcotest.fail "expected two sub-figures"
 
 let test_fig6_structure () =
-  Figures.clear_cache ();
-  let figs = Figures.fig6 tiny in
+  let figs = sweep_tiny Figures.fig6 in
   check_int "three sub-figures" 3 (List.length figs);
   List.iter
     (fun (f : Series.figure) ->
@@ -306,27 +306,33 @@ let test_fig6_structure () =
         (List.for_all (fun s -> List.for_all (fun v -> v >= 1.) (series_values s)) f.series))
     figs
 
-let test_by_id_lookup () =
-  check_bool "fig3" true (Figures.by_id "3" <> None);
-  check_bool "fig10" true (Figures.by_id "fig10" <> None);
-  check_bool "intro" true (Figures.by_id "intro" <> None);
-  check_bool "unknown" true (Figures.by_id "fig99" = None);
-  check_bool "ablation" true (Ablations.by_id "combine" <> None);
-  check_bool "history ablation" true (Ablations.by_id "history" <> None);
-  check_bool "policy zoo" true (Ablations.by_id "zoo" <> None);
-  check_bool "ablation unknown" true (Ablations.by_id "nope" = None)
+let test_find () =
+  let found catalogue id = Figures.find catalogue id <> None in
+  check_bool "fig3" true (found Figures.catalogue "3");
+  check_bool "fig10" true (found Figures.catalogue "fig10");
+  check_bool "intro" true (found Figures.catalogue "intro");
+  check_bool "case and blanks" true (found Figures.catalogue " FIG3 ");
+  check_bool "unknown" true (not (found Figures.catalogue "fig99"));
+  check_bool "ablation" true (found Ablations.catalogue "combine");
+  check_bool "history ablation" true (found Ablations.catalogue "history");
+  check_bool "policy zoo" true (found Ablations.catalogue "zoo");
+  check_bool "ablation unknown" true (not (found Ablations.catalogue "nope"));
+  check_bool "ablations are not figures" true (not (found Figures.catalogue "combine"))
 
-let test_producers_cover_by_id () =
+(* Every name resolves to its own entry, and no name is listed twice
+   across the three catalogues bgl-sweep resolves against. *)
+let test_catalogue_names_resolve () =
+  let all = Figures.catalogue @ Ablations.catalogue @ Baseline.catalogue in
   List.iter
-    (fun (name, _) -> check_bool (name ^ " resolvable") true (Figures.by_id name <> None))
-    Figures.producers
-
-let test_cache_reuse () =
-  Figures.clear_cache ();
-  let sc = Scenario.make ~n_jobs:100 ~profile:Bgl_workload.Profile.nasa Scenario.Fault_oblivious in
-  let a = Figures.cached_report sc in
-  let b = Figures.cached_report sc in
-  check_bool "same physical report (cached)" true (a == b)
+    (fun (names, p) ->
+      List.iter
+        (fun name ->
+          check_bool (name ^ " resolves to its entry") true
+            (match Figures.find all name with Some q -> q == p | None -> false))
+        names)
+    all;
+  let names = List.concat_map fst all in
+  check_int "names unique" (List.length names) (List.length (List.sort_uniq compare names))
 
 (* ------------------------------------------------------------------ *)
 (* Timeline *)
@@ -395,18 +401,21 @@ let test_timeline_busy_profile_conserves () =
 (* Baseline *)
 
 let test_baseline_structure () =
-  Figures.clear_cache ();
-  let figs = Baseline.all tiny in
+  let figs = sweep_tiny (Figures.concat Baseline.catalogue) in
   check_int "three figures" 3 (List.length figs);
   List.iter
     (fun (f : Series.figure) -> check_bool (f.id ^ " non-empty") true (f.series <> []))
     figs;
-  check_bool "by_id" true (Baseline.by_id "baseline-slowdown" <> None);
-  check_bool "unknown" true (Baseline.by_id "nope" = None)
+  check_bool "find" true (Figures.find Baseline.catalogue "baseline-slowdown" <> None);
+  check_bool "unknown" true (Figures.find Baseline.catalogue "nope" = None)
 
 let test_baseline_backfill_wins () =
-  Figures.clear_cache ();
-  let fig = Baseline.slowdown { tiny with n_jobs = 300 } in
+  let fig =
+    List.hd
+      (Pool_helpers.sweep_figures ~domains:1
+         (fun r s -> [ Baseline.slowdown r s ])
+         { tiny with n_jobs = 300 })
+  in
   match fig.series with
   | [ fcfs; backfill; _migration ] ->
       (* On the SDSC point (x=1), plain FCFS must be strictly worse
@@ -439,7 +448,7 @@ let golden_path =
   | None -> List.hd candidates
 
 let render_fig3 ~domains =
-  let figs = Pool_helpers.sweep_figures ~domains (fun s -> [ Figures.fig3 s ]) golden_scale in
+  let figs = Pool_helpers.sweep_figures ~domains (fun r s -> [ Figures.fig3 r s ]) golden_scale in
   String.concat "" (List.map (Format.asprintf "%a@." Series.pp_figure) figs)
 
 let read_golden () =
@@ -479,13 +488,13 @@ let ablation_scales =
   ]
 
 let render_cap_ablation dims n_jobs =
-  Figures.clear_cache ();
   let scale =
     { Figures.n_jobs; seeds = [ 7 ]; a_values = []; fail_fracs = []; dims }
   in
-  let text = Format.asprintf "%a@." Series.pp_figure (Ablations.candidate_cap scale) in
-  Figures.clear_cache ();
-  text
+  let cap r s = [ Ablations.candidate_cap r s ] in
+  match Pool_helpers.sweep_figures ~domains:1 cap scale with
+  | [ fig ] -> Format.asprintf "%a@." Series.pp_figure fig
+  | _ -> Alcotest.fail "expected one figure"
 
 let ablation_fixture_path name =
   let candidates = [ "fixtures/" ^ name; "test/fixtures/" ^ name ] in
@@ -509,6 +518,19 @@ let test_cap_ablation_pinned (label, dims, n_jobs) () =
     (label ^ " cap ablation matches pre-counted fixture")
     (read_ablation_golden ~name ~render:(fun () -> render_cap_ablation dims n_jobs))
     (render_cap_ablation dims n_jobs)
+
+(* Baseline pin: the three Krevat-baseline figures at [tiny] scale.
+   With the fig-3 and candidate-cap goldens this pins one producer of
+   each catalogue. Regenerate like the ablation fixtures. *)
+let test_baseline_golden () =
+  let render () =
+    String.concat ""
+      (List.map (Format.asprintf "%a@." Series.pp_figure)
+         (sweep_tiny (Figures.concat Baseline.catalogue)))
+  in
+  Alcotest.(check string) "baseline figures match fixture"
+    (read_ablation_golden ~name:"baseline_tiny_golden.txt" ~render)
+    (render ())
 
 (* ------------------------------------------------------------------ *)
 
@@ -548,9 +570,8 @@ let () =
           slow "fig3 shape" test_fig3_shape;
           slow "fig5 capacity identity" test_fig5_capacity_identity;
           slow "fig6 structure" test_fig6_structure;
-          tc "by_id" test_by_id_lookup;
-          tc "producers cover by_id" test_producers_cover_by_id;
-          tc "cache reuse" test_cache_reuse;
+          tc "find" test_find;
+          tc "catalogue names resolve" test_catalogue_names_resolve;
         ] );
       ( "timeline",
         [
@@ -562,6 +583,7 @@ let () =
         [
           slow "structure" test_baseline_structure;
           slow "backfill wins" test_baseline_backfill_wins;
+          slow "golden tiny" test_baseline_golden;
         ] );
       ( "golden",
         [

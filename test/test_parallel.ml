@@ -128,7 +128,7 @@ let test_fig3_deterministic_across_domains () =
     { Figures.n_jobs = 300; seeds = [ 11; 12 ]; a_values = [ 0.; 0.5; 1. ];
       fail_fracs = [ 0.; 0.5; 1. ]; dims = Bgl_torus.Dims.bgl }
   in
-  let sweep domains = Pool_helpers.sweep_figures ~domains (fun s -> [ Figures.fig3 s ]) scale in
+  let sweep domains = Pool_helpers.sweep_figures ~domains (fun r s -> [ Figures.fig3 r s ]) scale in
   let sequential = sweep 1 in
   let parallel = sweep 4 in
   check_bool "fig3 identical with 1 and 4 domains" true (parallel = sequential)

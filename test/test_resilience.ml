@@ -9,15 +9,11 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* Every test runs with a clean failpoint table and memo cache; a
-   leaked armed site would poison unrelated tests. *)
+(* Every test runs with a clean failpoint table; a leaked armed site
+   would poison unrelated tests. *)
 let wrap f () =
   Failpoint.reset ();
-  Bgl_core.Figures.clear_cache ();
-  Fun.protect ~finally:(fun () ->
-      Failpoint.reset ();
-      Bgl_core.Figures.clear_cache ())
-    f
+  Fun.protect ~finally:Failpoint.reset f
 
 (* ------------------------------------------------------------------ *)
 (* Error *)
@@ -393,7 +389,7 @@ let tiny_scale =
   { Bgl_core.Figures.n_jobs = 60; seeds = [ 7 ]; a_values = [ 0.9 ]; fail_fracs = [ 0.5 ];
     dims = Bgl_torus.Dims.bgl }
 
-let intro = Option.get (Bgl_core.Figures.by_id "intro")
+let intro = Option.get Bgl_core.Figures.(find catalogue "intro")
 
 let figures_text figs =
   String.concat "\n" (List.map (Format.asprintf "%a" Bgl_core.Series.pp_figure) figs)
@@ -401,7 +397,6 @@ let figures_text figs =
 let quiet_policy = fst (test_policy ())
 
 let run_sweep ?policy ?journal () =
-  Bgl_core.Figures.clear_cache ();
   Pool_helpers.with_pool ~domains:2 (fun pool ->
       Bgl_core.Sweep.run ?policy ?journal ~pool intro tiny_scale)
 
@@ -473,6 +468,56 @@ let test_sweep_degraded_then_fixed () =
   check_string "fixed resume is byte-identical to clean"
     (figures_text clean.figures) (figures_text fixed.figures);
   Sys.remove path
+
+(* Sweeps share nothing: each [Sweep.run] owns its report table, so
+   two sweeps in one process, with no reset between them, each
+   simulate every cell. *)
+let test_sweep_after_degraded_is_clean () =
+  let expected =
+    figures_text
+      [ Bgl_core.Figures.intro_claim (fun s -> (Bgl_core.Scenario.run s).report) tiny_scale ]
+  in
+  Failpoint.arm { site = "pool.cell"; mode = Index 1 };
+  let degraded = expect_ok (run_sweep ~policy:(fst (test_policy ~max_attempts:1 ())) ()) in
+  Failpoint.reset ();
+  check_int "first sweep quarantined one cell" 1 (List.length degraded.quarantined);
+  let clean = expect_ok (run_sweep ()) in
+  check_bool "second sweep not degraded" true (clean.quarantined = []);
+  check_int "second sweep simulates every cell" degraded.degradation.total clean.simulated;
+  check_string "second sweep equals a clean one" expected (figures_text clean.figures)
+
+let test_sweep_fresh_journal_after_sweep () =
+  let path = temp_path "bgl_test_sweep_second.jsonl" in
+  let first = expect_ok (run_sweep ()) in
+  let journaled = expect_ok (run_sweep ~journal:(Fresh path) ()) in
+  let records =
+    String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+    |> List.filter (( <> ) "")
+  in
+  check_int "second sweep simulates every cell" first.simulated journaled.simulated;
+  check_int "nothing replayed" 0 journaled.replayed;
+  check_int "one journal record per cell" first.simulated (List.length records);
+  Sys.remove path
+
+(* The replay reads only what the collect pass saw: a producer that
+   asks for a different cell the second time is refused by name. *)
+let test_sweep_replay_miss_names_cell () =
+  let cell n_jobs =
+    Bgl_core.Scenario.make ~n_jobs ~seed:7 ~profile:Bgl_workload.Profile.sdsc
+      Bgl_core.Scenario.Fault_oblivious
+  in
+  let passes = ref 0 in
+  let fickle report _scale =
+    incr passes;
+    ignore (report (cell (if !passes = 1 then 40 else 50)));
+    []
+  in
+  let label = Bgl_core.Scenario.label (cell 50) in
+  match Pool_helpers.with_pool ~domains:1 (fun pool -> Bgl_core.Sweep.run ~pool fickle tiny_scale)
+  with
+  | _ -> Alcotest.fail "replay of an uncollected cell returned"
+  | exception Invalid_argument msg ->
+      check_bool "message names the cell" true (String.ends_with ~suffix:label msg)
 
 (* A journaled report whose integer field is not an integer is
    rejected like a corrupt line, not truncated into a wrong replay:
@@ -584,6 +629,11 @@ let () =
           Alcotest.test_case "degraded then fixed" `Slow (wrap test_sweep_degraded_then_fixed);
           Alcotest.test_case "fractional count re-simulated" `Slow
             (wrap test_sweep_rejects_fractional_count);
+          Alcotest.test_case "clean after degraded" `Slow
+            (wrap test_sweep_after_degraded_is_clean);
+          Alcotest.test_case "fresh journal after sweep" `Slow
+            (wrap test_sweep_fresh_journal_after_sweep);
+          t "replay miss names the cell" test_sweep_replay_miss_names_cell;
         ] );
       ("qcheck", qcheck_tests);
     ]

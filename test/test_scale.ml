@@ -96,7 +96,7 @@ let sweep_identical dims () =
     }
   in
   let produce domains =
-    let figs = Pool_helpers.sweep_figures ~domains (fun s -> [ Figures.fig3 s ]) scale in
+    let figs = Pool_helpers.sweep_figures ~domains (fun r s -> [ Figures.fig3 r s ]) scale in
     String.concat "" (List.map (Format.asprintf "%a@." Series.pp_figure) figs)
   in
   Alcotest.(check string) "1 vs 2 domains identical" (produce 1) (produce 2)

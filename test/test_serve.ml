@@ -15,12 +15,7 @@ let check_string = Alcotest.(check string)
 
 let wrap f () =
   Bgl_resilience.Failpoint.reset ();
-  Bgl_core.Figures.clear_cache ();
-  Fun.protect
-    ~finally:(fun () ->
-      Bgl_resilience.Failpoint.reset ();
-      Bgl_core.Figures.clear_cache ())
-    f
+  Fun.protect ~finally:Bgl_resilience.Failpoint.reset f
 
 let temp_dir name =
   let path =
