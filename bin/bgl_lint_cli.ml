@@ -1,8 +1,8 @@
 (* bgl-lint: the determinism & domain-safety static analyzer.
 
-     bgl-lint lib bin test                 # human report, .lint-waivers applied
-     bgl-lint --format jsonl lib           # one JSON object per finding
-     bgl-lint --no-waivers lib             # report waived findings too
+     bgl-lint lib bin bench test examples perfbench  # human report, .lint-waivers applied
+     bgl-lint --format jsonl lib                     # one JSON object per finding
+     bgl-lint --no-waivers lib                       # report waived findings too
 
    It reads the compiler's .cmt output, so build first (dune build).
    Exit codes follow the Bgl_resilience.Error conventions: 0 clean,
@@ -73,8 +73,10 @@ let cmd =
          (float-literal equality), R6 (stray stdout in lib/). A cross-module call graph supports \
          R7 (nondeterministic primitives reachable from deterministic roots, reported with the \
          call path), R8 (mutable state captured by closures crossing domains), R9 (catch-alls \
-         that can swallow typed control exceptions), and R10 (Job lifecycle writes outside \
-         Job.transition).";
+         that can swallow typed control exceptions), R10 (Job lifecycle writes outside \
+         Job.transition), and R11 (lib/ values no executable under bin/, bench/, examples/ or \
+         perfbench/ reaches; tests do not count). Pass every executable directory for an R11 \
+         verdict: a value only an unscanned executable calls reads as unreached.";
       `P
         "Findings a $(b,.lint-waivers) entry covers are suppressed; waivers that cover nothing \
          in a scanned file are stale and reported as findings themselves. An R7 waiver doubles \

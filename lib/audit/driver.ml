@@ -54,8 +54,6 @@ let audit_files paths =
   in
   Result.map (audit ~files:paths) (load ())
 
-let audit_lines ?(file = "<memory>") lines = audit ~files:[ file ] (Trace.of_lines [ (file, lines) ])
-
 let certificate_json c =
   let open Bgl_obs.Jsonl in
   obj

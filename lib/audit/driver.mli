@@ -30,9 +30,6 @@ val audit_files : string list -> (certificate, Bgl_resilience.Error.t) result
     resumed runs) and audit them. [Error] only on I/O failure;
     unparseable content becomes findings, not errors. *)
 
-val audit_lines : ?file:string -> string list -> certificate
-(** In-memory variant for tests and self-checks. *)
-
 val certificate_json : certificate -> string
 (** One [{"kind":"certificate",...}] JSON line. *)
 

@@ -20,8 +20,6 @@ let name = function
   | A7 -> "conservation"
   | A8 -> "metrics-mismatch"
 
-let all_rules = [ A1; A2; A3; A4; A5; A6; A7; A8 ]
-let rule_of_id s = List.find_opt (fun r -> id r = s) all_rules
 
 type t = {
   rule : rule;

@@ -18,8 +18,6 @@ type rule =
 
 val id : rule -> string
 val name : rule -> string
-val all_rules : rule list
-val rule_of_id : string -> rule option
 
 type t = {
   rule : rule;

@@ -87,7 +87,6 @@ let audit_trace ~audit ~trace_out =
 
 let quiet_state = Atomic.make false
 let set_quiet b = Atomic.set quiet_state b
-let quiet_enabled () = Atomic.get quiet_state
 
 let notef fmt =
   if Atomic.get quiet_state then Format.ifprintf Format.err_formatter fmt

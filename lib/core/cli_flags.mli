@@ -66,8 +66,6 @@ val set_quiet : bool -> unit
 (** Install the flag's value process-wide so library-level note paths
     ({!notef}) need no threading. *)
 
-val quiet_enabled : unit -> bool
-
 val notef : ('a, Format.formatter, unit) Stdlib.format -> 'a
 (** Informational note to stderr; dropped entirely under [--quiet]. *)
 

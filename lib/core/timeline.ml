@@ -87,17 +87,3 @@ let render segs ~volume ~width =
             let level = int_of_float (frac *. float_of_int (String.length glyphs - 1)) in
             glyphs.[level])
       end
-
-let utilisation_of_segments segs ~volume =
-  match segs with
-  | [] -> 0.
-  | _ ->
-      let span = observed_span segs in
-      if span <= 0. then 0.
-      else
-        let busy =
-          List.fold_left
-            (fun acc s -> acc +. (float_of_int (Box.volume s.box) *. (s.ended -. s.started)))
-            0. segs
-        in
-        busy /. (float_of_int volume *. span)

@@ -38,6 +38,3 @@ val busy_profile : segment list -> buckets:int -> span:float -> float array
 val render : segment list -> volume:int -> width:int -> string
 (** ASCII utilisation strip: one character per time slice, ' ' (idle)
     through '#' (full). Empty segments render an empty strip. *)
-
-val utilisation_of_segments : segment list -> volume:int -> float
-(** Busy node-seconds over volume × observed span; 0 for no segments. *)

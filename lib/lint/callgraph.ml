@@ -5,9 +5,15 @@
    (edges, after [resolve]), the exception constructors it raises
    directly, the closures it hands to spawn sites with their captured
    variables, its [Texp_setfield] writes, and its catch-all exception
-   handlers. Typedtree paths are already resolved through opens and
-   aliases, so edge resolution is a name lookup, not a scoping
-   problem. *)
+   handlers. Typedtree paths are resolved through opens; each unit's
+   module aliases are expanded here ([Cmt_loader.expand_aliases]), so
+   edge resolution is a name lookup, not a scoping problem.
+
+   Every path is named by the unit's [name] function. dune compiles
+   each executable module as [Dune__exe__M], so two directories' [Main]
+   would collide: an executable unit's modules are keyed by its source
+   directory instead ([bench.Main], [perfbench.Main]), which is also
+   how its references to sibling modules resolve. *)
 
 module SSet = Set.Make (String)
 
@@ -49,10 +55,10 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Small helpers over compiler types *)
 
-let type_head ty =
+let type_head ~name ty =
   let rec go ty =
     match Types.get_desc ty with
-    | Tconstr (p, _, _) -> Cmt_loader.normalize_path p
+    | Tconstr (p, _, _) -> name p
     | Tpoly (ty, _) -> go ty
     | _ -> ""
   in
@@ -69,9 +75,9 @@ let suffix_matches ~suffix name =
 
 let is_raise n = n = "raise" || n = "raise_notrace" || n = "Printexc.raise_with_backtrace"
 
-let raised_constructor (f : Typedtree.expression) args =
+let raised_constructor ~name (f : Typedtree.expression) args =
   match f.exp_desc with
-  | Texp_ident (p, _, _) when is_raise (Cmt_loader.normalize_path p) -> (
+  | Texp_ident (p, _, _) when is_raise (name p) -> (
       match args with
       | (_, Some { Typedtree.exp_desc = Texp_construct (_, cstr, _); _ }) :: _ ->
           Some cstr.Types.cstr_name
@@ -94,14 +100,18 @@ let rec exn_catch_all (p : Typedtree.computation Typedtree.general_pattern) =
 (* Paths referenced / constructors raised directly under [expr0]. Used
    for the guarded body of a [try], independently of the enclosing
    def's accumulation. *)
-let shallow_refs expr0 =
+let shallow_refs ~name expr0 =
   let refs = ref [] in
   let raises = ref [] in
   let expr iter (e : Typedtree.expression) =
     (match e.exp_desc with
-    | Texp_ident (p, _, _) -> refs := Cmt_loader.normalize_path p :: !refs
+    | Texp_ident (p, _, _) -> refs := name p :: !refs
+    | Texp_letop { let_; ands; _ } ->
+        List.iter
+          (fun (op : Typedtree.binding_op) -> refs := name op.bop_op_path :: !refs)
+          (let_ :: ands)
     | Texp_apply (f, args) -> (
-        match raised_constructor f args with
+        match raised_constructor ~name f args with
         | Some c -> raises := c :: !raises
         | None -> ())
     | _ -> ());
@@ -111,11 +121,11 @@ let shallow_refs expr0 =
   it.expr it expr0;
   (List.rev !refs, List.rev !raises)
 
-let expr_reraises expr0 =
+let expr_reraises ~name expr0 =
   let found = ref false in
   let expr iter (e : Typedtree.expression) =
     (match e.exp_desc with
-    | Texp_ident (p, _, _) -> if is_raise (Cmt_loader.normalize_path p) then found := true
+    | Texp_ident (p, _, _) -> if is_raise (name p) then found := true
     | _ -> ());
     Tast_iterator.default_iterator.expr iter e
   in
@@ -126,7 +136,7 @@ let expr_reraises expr0 =
 (* Free variables of a literal closure: idents used minus idents bound
    anywhere inside it. Exact, because [Ident.unique_name] carries the
    binder's stamp. *)
-let free_vars (fn : Typedtree.expression) =
+let free_vars ~name (fn : Typedtree.expression) =
   let used : (string, capture) Hashtbl.t = Hashtbl.create 16 in
   let bound : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let bind id = Hashtbl.replace bound (Ident.unique_name id) () in
@@ -136,7 +146,7 @@ let free_vars (fn : Typedtree.expression) =
         let key = Ident.unique_name id in
         if not (Hashtbl.mem used key) then
           Hashtbl.replace used key
-            { var = Ident.name id; ty = type_head e.exp_type; cap_loc = e.exp_loc }
+            { var = Ident.name id; ty = type_head ~name e.exp_type; cap_loc = e.exp_loc }
     | Texp_function { param; _ } -> bind param
     | Texp_for (id, _, _, _, _, _) -> bind id
     | Texp_letop { param; _ } -> bind param
@@ -163,25 +173,51 @@ let free_vars (fn : Typedtree.expression) =
 (* ------------------------------------------------------------------ *)
 (* Per-def collection *)
 
-let collect_into ~spawn_sites def expr0 =
+(* Where a walk stands: the enclosing module path, the source file,
+   and the unit's path namer (aliases expanded, mangling folded,
+   executable modules keyed by directory). *)
+type scope = { ctx : string; file : string; name : Path.t -> string }
+
+let exe_prefix = "Dune.exe."
+
+let unit_scope (u : Cmt_loader.unit_info) =
+  let dir = Filename.dirname u.source in
+  let rekey n =
+    if String.starts_with ~prefix:exe_prefix n then
+      let k = String.length exe_prefix in
+      dir ^ "." ^ String.sub n k (String.length n - k)
+    else n
+  in
+  {
+    ctx = rekey (Cmt_loader.normalize_dotted u.modname);
+    file = u.source;
+    name = (fun p -> rekey (Cmt_loader.normalize_path (Cmt_loader.expand_aliases u.aliases p)));
+  }
+
+let collect_into ~spawn_sites ~name def expr0 =
+  let add_ref path ref_loc = def.refs <- { path; ref_loc } :: def.refs in
   let expr iter (e : Typedtree.expression) =
     (match e.exp_desc with
-    | Texp_ident (p, _, _) ->
-        def.refs <- { path = Cmt_loader.normalize_path p; ref_loc = e.exp_loc } :: def.refs
+    | Texp_ident (p, _, _) -> add_ref (name p) e.exp_loc
+    | Texp_letop { let_; ands; _ } ->
+        (* [let*] calls its operator, which is no [Texp_ident] *)
+        List.iter
+          (fun (op : Typedtree.binding_op) -> add_ref (name op.bop_op_path) op.bop_loc)
+          (let_ :: ands)
     | Texp_apply (f, args) -> (
-        (match raised_constructor f args with
+        (match raised_constructor ~name f args with
         | Some c -> def.raises <- c :: def.raises
         | None -> ());
         match f.exp_desc with
         | Texp_ident (p, _, _) ->
-            let callee = Cmt_loader.normalize_path p in
+            let callee = name p in
             if List.exists (fun s -> suffix_matches ~suffix:s callee) spawn_sites then begin
               let captures =
                 List.concat_map
                   (fun (_, arg) ->
                     match arg with
                     | Some ({ Typedtree.exp_desc = Texp_function _; _ } as closure) ->
-                        free_vars closure
+                        free_vars ~name closure
                     | Some _ | None -> [])
                   args
               in
@@ -190,21 +226,25 @@ let collect_into ~spawn_sites def expr0 =
         | _ -> ())
     | Texp_setfield (record, _, label, _) ->
         def.setfields <-
-          { record_ty = type_head record.exp_type; field = label.Types.lbl_name; set_loc = e.exp_loc }
+          {
+            record_ty = type_head ~name record.exp_type;
+            field = label.Types.lbl_name;
+            set_loc = e.exp_loc;
+          }
           :: def.setfields
     | Texp_try (body, cases) ->
         let catchers = List.filter (fun c -> catch_all_value c.Typedtree.c_lhs) cases in
         if catchers <> [] then begin
-          let reraises = List.exists (fun c -> expr_reraises c.Typedtree.c_rhs) catchers in
-          let body_refs, body_raises = shallow_refs body in
+          let reraises = List.exists (fun c -> expr_reraises ~name c.Typedtree.c_rhs) catchers in
+          let body_refs, body_raises = shallow_refs ~name body in
           let try_loc = (List.hd catchers).Typedtree.c_lhs.pat_loc in
           def.tries <- { reraises; body_refs; body_raises; try_loc } :: def.tries
         end
     | Texp_match (scrutinee, cases, _) ->
         let catchers = List.filter (fun c -> exn_catch_all c.Typedtree.c_lhs) cases in
         if catchers <> [] then begin
-          let reraises = List.exists (fun c -> expr_reraises c.Typedtree.c_rhs) catchers in
-          let body_refs, body_raises = shallow_refs scrutinee in
+          let reraises = List.exists (fun c -> expr_reraises ~name c.Typedtree.c_rhs) catchers in
+          let body_refs, body_raises = shallow_refs ~name scrutinee in
           let try_loc = (List.hd catchers).Typedtree.c_lhs.pat_loc in
           def.tries <- { reraises; body_refs; body_raises; try_loc } :: def.tries
         end
@@ -225,16 +265,16 @@ type builder = {
   spawn_sites : string list;
 }
 
-let new_def b ~ctx ~file ~name loc =
-  let qualified = ctx ^ "." ^ name in
+let new_def b sc ~name loc =
+  let qualified = sc.ctx ^ "." ^ name in
   match Hashtbl.find_opt b.tbl qualified with
   | Some d -> d
   | None ->
       let d =
         {
           name = qualified;
-          ctx;
-          file;
+          ctx = sc.ctx;
+          file = sc.file;
           def_loc = loc;
           refs = [];
           raises = [];
@@ -247,19 +287,19 @@ let new_def b ~ctx ~file ~name loc =
       b.rev_order <- qualified :: b.rev_order;
       d
 
-let note_type_decl b ~ctx (decl : Typedtree.type_declaration) =
+let note_type_decl b sc (decl : Typedtree.type_declaration) =
   match decl.typ_kind with
   | Ttype_record labels ->
       let mutable_field =
         List.exists (fun (l : Typedtree.label_declaration) -> l.ld_mutable = Mutable) labels
       in
       if mutable_field then begin
-        let tyname = ctx ^ "." ^ decl.typ_name.txt in
+        let tyname = sc.ctx ^ "." ^ decl.typ_name.txt in
         b.mut_records <- SSet.add tyname b.mut_records;
         let has_lock =
           List.exists
             (fun (l : Typedtree.label_declaration) ->
-              type_head l.ld_type.ctyp_type = "Mutex.t")
+              type_head ~name:sc.name l.ld_type.ctyp_type = "Mutex.t")
             labels
         in
         if has_lock then b.lock_records <- SSet.add tyname b.lock_records
@@ -271,41 +311,38 @@ let binding_name (vb : Typedtree.value_binding) =
   | [ id ] -> Some (Ident.name id)
   | _ -> None
 
-let rec walk_structure b ~ctx ~file (str : Typedtree.structure) =
-  List.iter (walk_item b ~ctx ~file) str.str_items
+let rec walk_structure b sc (str : Typedtree.structure) = List.iter (walk_item b sc) str.str_items
 
-and walk_item b ~ctx ~file (item : Typedtree.structure_item) =
+and walk_item b sc (item : Typedtree.structure_item) =
+  let collect def e = collect_into ~spawn_sites:b.spawn_sites ~name:sc.name def e in
   match item.str_desc with
   | Tstr_value (_, vbs) ->
       List.iter
         (fun (vb : Typedtree.value_binding) ->
           let def =
             match binding_name vb with
-            | Some name -> new_def b ~ctx ~file ~name vb.vb_pat.pat_loc
-            | None -> new_def b ~ctx ~file ~name:"(init)" item.str_loc
+            | Some name -> new_def b sc ~name vb.vb_pat.pat_loc
+            | None -> new_def b sc ~name:"(init)" item.str_loc
           in
-          collect_into ~spawn_sites:b.spawn_sites def vb.vb_expr)
+          collect def vb.vb_expr)
         vbs
-  | Tstr_eval (e, _) ->
-      collect_into ~spawn_sites:b.spawn_sites
-        (new_def b ~ctx ~file ~name:"(init)" item.str_loc)
-        e
-  | Tstr_type (_, decls) -> List.iter (note_type_decl b ~ctx) decls
-  | Tstr_module mb -> walk_module_binding b ~ctx ~file mb
-  | Tstr_recmodule mbs -> List.iter (walk_module_binding b ~ctx ~file) mbs
-  | Tstr_include incl -> walk_module_expr b ~ctx ~file incl.incl_mod
+  | Tstr_eval (e, _) -> collect (new_def b sc ~name:"(init)" item.str_loc) e
+  | Tstr_type (_, decls) -> List.iter (note_type_decl b sc) decls
+  | Tstr_module mb -> walk_module_binding b sc mb
+  | Tstr_recmodule mbs -> List.iter (walk_module_binding b sc) mbs
+  | Tstr_include incl -> walk_module_expr b sc incl.incl_mod
   | _ -> ()
 
-and walk_module_binding b ~ctx ~file (mb : Typedtree.module_binding) =
+and walk_module_binding b sc (mb : Typedtree.module_binding) =
   match mb.mb_name.txt with
-  | Some name -> walk_module_expr b ~ctx:(ctx ^ "." ^ name) ~file mb.mb_expr
+  | Some name -> walk_module_expr b { sc with ctx = sc.ctx ^ "." ^ name } mb.mb_expr
   | None -> ()
 
-and walk_module_expr b ~ctx ~file (me : Typedtree.module_expr) =
+and walk_module_expr b sc (me : Typedtree.module_expr) =
   match me.mod_desc with
-  | Tmod_structure str -> walk_structure b ~ctx ~file str
-  | Tmod_constraint (me, _, _, _) -> walk_module_expr b ~ctx ~file me
-  | Tmod_functor (_, me) -> walk_module_expr b ~ctx ~file me
+  | Tmod_structure str -> walk_structure b sc str
+  | Tmod_constraint (me, _, _, _) -> walk_module_expr b sc me
+  | Tmod_functor (_, me) -> walk_module_expr b sc me
   | _ -> ()
 
 let build ~spawn_sites (units : Cmt_loader.unit_info list) =
@@ -326,9 +363,7 @@ let build ~spawn_sites (units : Cmt_loader.unit_info list) =
         | n -> n)
       units
   in
-  List.iter
-    (fun (u : Cmt_loader.unit_info) -> walk_structure b ~ctx:u.modname ~file:u.source u.structure)
-    units;
+  List.iter (fun (u : Cmt_loader.unit_info) -> walk_structure b (unit_scope u) u.structure) units;
   List.iter (fun name -> (Hashtbl.find b.tbl name).refs <- List.rev (Hashtbl.find b.tbl name).refs)
     b.rev_order;
   {

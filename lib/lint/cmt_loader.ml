@@ -10,6 +10,7 @@ type unit_info = {
   modname : string;  (* normalized dotted module path, e.g. "Bgl_sim.Engine" *)
   source : string;  (* source path as recorded by the compiler *)
   structure : Typedtree.structure;
+  aliases : (Ident.t * Path.t) list;  (* module alias binders -> targets *)
 }
 
 (* Dune mangles wrapped-library modules as `Lib__Module` and the
@@ -48,17 +49,60 @@ let normalize_dotted s =
 
 let normalize_path p = normalize_dotted (Path.name p)
 
+(* Every module alias a unit binds ([module X = Y], [let module X = Y
+   in ...]), as (binder, target) pairs. Binder stamps are unique per
+   unit, so one table serves every scope of it. *)
+let module_aliases (str : Typedtree.structure) =
+  let aliases = ref [] in
+  let note id (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) | Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, _) ->
+        aliases := (id, p) :: !aliases
+    | _ -> ()
+  in
+  let expr iter (e : Typedtree.expression) =
+    (match e.exp_desc with Texp_letmodule (Some id, _, _, me, _) -> note id me | _ -> ());
+    Tast_iterator.default_iterator.expr iter e
+  in
+  let module_binding iter (mb : Typedtree.module_binding) =
+    Option.iter (fun id -> note id mb.mb_expr) mb.mb_id;
+    Tast_iterator.default_iterator.module_binding iter mb
+  in
+  let it = { Tast_iterator.default_iterator with expr; module_binding } in
+  it.structure it str;
+  !aliases
+
+(* [p] with each alias binder it starts from replaced by the alias
+   target, transitively: [module R = Random] makes [R.int] name
+   [Random.int]. Typedtree paths are resolved through opens but not
+   through the unit's own aliases, so every rule names paths through
+   this. *)
+let rec expand_aliases aliases (p : Path.t) : Path.t =
+  match p with
+  | Pident id -> (
+      match List.find_opt (fun (binder, _) -> Ident.same binder id) aliases with
+      | Some (_, target) -> expand_aliases aliases target
+      | None -> p)
+  | Pdot (q, s) -> Pdot (expand_aliases aliases q, s)
+  | _ -> p
+
+let make_unit ~modname ~source structure =
+  { modname; source; structure; aliases = module_aliases structure }
+
 (* Corrupt or alien `.cmt` files are skipped, not fatal: the analyzer
-   must stay total over whatever `_build` happens to contain. *)
+   must stay total over whatever `_build` happens to contain. So are
+   the alias units dune generates (`dune__exe.ml-gen`,
+   `bgl_sim__.ml-gen`): they hold module aliases, no code of ours. *)
 let load path =
   match Cmt_format.read_cmt path with
+  | { cmt_sourcefile = Some s; _ } when Filename.check_suffix s ".ml-gen" -> None
   | { cmt_annots = Implementation structure; cmt_modname; cmt_sourcefile; _ } ->
       let source =
         match cmt_sourcefile with
         | Some s -> s
         | None -> String.uncapitalize_ascii cmt_modname ^ ".ml"
       in
-      Some { modname = normalize_dotted cmt_modname; source; structure }
+      Some (make_unit ~modname:(normalize_dotted cmt_modname) ~source structure)
   | _ -> None
   | exception Cmt_format.Error _
   | exception Cmi_format.Error _
@@ -180,7 +224,7 @@ let typecheck_source ?(modname = "Fixture") ?(deps = []) ~path src =
            (Bgl_resilience.Error.Parse { name = path; detail = "parse: " ^ Printexc.to_string exn }))
   | parsetree -> (
       match Typemod.type_structure env parsetree with
-      | structure, _, _, _, _ -> finish (Ok { modname; source = path; structure })
+      | structure, _, _, _, _ -> finish (Ok (make_unit ~modname ~source:path structure))
       | exception exn ->
           let detail =
             match Location.error_of_exn exn with

@@ -7,9 +7,10 @@ type outcome = {
 
 let clean outcome = outcome.findings = [] && outcome.stale = []
 
-(* Load the compiled units behind the given paths and run R1-R10 over
+(* Load the compiled units behind the given paths and run R1-R11 over
    them. R7 waiver entries double as taint barriers; the ones the
-   analysis consumed that way are exempt from staleness. *)
+   analysis consumed that way are exempt from staleness, as are R11
+   entries when no executable was scanned. *)
 let run ?(waivers = []) paths =
   Result.map
     (fun units ->

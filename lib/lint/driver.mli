@@ -1,5 +1,5 @@
 (** The analysis driver: loads the compiler's [.cmt] output for the
-    given paths, runs every rule (R1-R10) over it, applies the waivers
+    given paths, runs every rule (R1-R11) over it, applies the waivers
     and renders the outcome.
 
     Failures route through {!Bgl_resilience.Error}: unreadable inputs
@@ -26,7 +26,8 @@ val run : ?waivers:Waivers.t -> string list -> (outcome, Bgl_resilience.Error.t)
     [.cmt] is silently skipped (the analyzer is total over whatever
     [_build] contains). Only the scanned files' waivers can go stale.
     R7 waiver entries double as taint barriers and are exempt from
-    staleness when consumed that way. *)
+    staleness when consumed that way, and so are R11 entries in a run
+    with no executable among its units (nothing is judged reached). *)
 
 val pp_human : Format.formatter -> outcome -> unit
 (** One ["file:line:col"] line per finding, then stale waivers. *)

@@ -1,4 +1,4 @@
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11
 type severity = Error | Warning
 
 let id = function
@@ -12,6 +12,7 @@ let id = function
   | R8 -> "R8"
   | R9 -> "R9"
   | R10 -> "R10"
+  | R11 -> "R11"
 
 let name = function
   | R1 -> "wall-clock"
@@ -24,14 +25,15 @@ let name = function
   | R8 -> "cross-domain-escape"
   | R9 -> "exception-flow"
   | R10 -> "lifecycle-protocol"
+  | R11 -> "unreached-export"
 
 let severity = function
-  | R1 | R2 | R3 | R4 | R7 | R8 | R9 | R10 -> Error
+  | R1 | R2 | R3 | R4 | R7 | R8 | R9 | R10 | R11 -> Error
   | R5 | R6 -> Warning
 
 let severity_label = function Error -> "error" | Warning -> "warning"
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11 ]
 let rule_of_id s = List.find_opt (fun r -> id r = s) all_rules
 
 type t = {

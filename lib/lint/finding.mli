@@ -21,8 +21,8 @@
       [Printf.printf] in [lib/]; output must go through [Bgl_obs]
       sinks or a [Format.formatter] passed in by the caller.
 
-    All ten rules run over the compiler's [.cmt] output. The last
-    four are interprocedural, computed over the cross-module call
+    All eleven rules run over the compiler's [.cmt] output. The last
+    five are interprocedural, computed over the cross-module call
     graph:
 
     - R7 [determinism-taint] — a nondeterministic primitive (wall
@@ -36,13 +36,17 @@
       ([Budget_exceeded], [Injected], [Divergence]).
     - R10 [lifecycle-protocol] — a protocol-controlled field
       ([Job.t]'s [state]) is written outside its blessed transition
-      function. *)
+      function.
+    - R11 [unreached-export] — a [lib/] value that no executable
+      (a unit outside [lib/] and [test/]: [bin/], [bench/],
+      [examples/], [perfbench/]) reaches through calls; tests do not
+      count as callers. *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11
 type severity = Error | Warning
 
 val id : rule -> string
-(** ["R1"] .. ["R10"]. *)
+(** ["R1"] .. ["R11"]. *)
 
 val name : rule -> string
 (** Short kebab-case rule name, e.g. ["wall-clock"]. *)

@@ -1,4 +1,4 @@
-(* The rule catalogue, R1-R10, over typechecked units.
+(* The rule catalogue, R1-R11, over typechecked units.
 
    R1-R6 are per-unit checks on the Typedtree. They match resolved
    paths, not spellings: an ident counts only when its path starts at a
@@ -8,7 +8,7 @@
    mutability from each label's description, so a record type declared
    in another unit counts as much as a local one.
 
-   R7-R10 are interprocedural, over a Callgraph.t.
+   R7-R11 are interprocedural, over a Callgraph.t.
 
    R7 determinism taint — no nondeterministic primitive (wall clock,
    Random, environment) may be reachable through calls from a
@@ -32,7 +32,14 @@
 
    R10 lifecycle protocol — every write to a protocol-controlled field
    (Job.t's [state]) must happen inside its blessed transition
-   function. *)
+   function.
+
+   R11 unreached export — every top-level def of a unit outside lib/
+   and test/ (the executables of bin/, bench/, examples/, perfbench/)
+   is a root; a lib/ def that no root reaches through calls is
+   flagged. Tests are not roots: a value only a test calls is dead
+   code with a test. A value its own module does not export is the
+   compiler's business (warning 32), so R11 reads no interface. *)
 
 module SSet = Callgraph.SSet
 
@@ -131,32 +138,25 @@ let mutable_makers =
    neighbours. *)
 let safe_makers = [ "Atomic.make"; "Mutex.create"; "Domain.DLS.new_key" ]
 
-let in_lib path =
-  String.starts_with ~prefix:"lib/" path
+(* [path] lies under a directory named [dir], at the root or below. *)
+let under dir path =
+  String.starts_with ~prefix:(dir ^ "/") path
   ||
-  let needle = "/lib/" in
+  let needle = "/" ^ dir ^ "/" in
   let n = String.length needle and len = String.length path in
   let rec scan i = i + n <= len && (String.sub path i n = needle || scan (i + 1)) in
   scan 0
 
+let in_lib = under "lib"
+
 (* The normalized name of [p] when it starts at a compilation unit,
-   after expanding the unit's module aliases (binder -> target); [None]
-   for anything bound in the unit itself. Binder stamps are unique per
-   unit, so one alias table serves every scope. *)
+   after expanding the unit's module aliases; [None] for anything bound
+   in the unit itself. *)
 let global_name aliases p =
-  let rec expand (p : Path.t) : Path.t =
-    match p with
-    | Pident id -> (
-        match List.find_opt (fun (binder, _) -> Ident.same binder id) aliases with
-        | Some (_, target) -> expand target
-        | None -> p)
-    | Pdot (q, s) -> Pdot (expand q, s)
-    | _ -> p
-  in
   let rec global (p : Path.t) =
     match p with Pident id -> Ident.persistent id | Pdot (q, _) -> global q | _ -> false
   in
-  let p = expand p in
+  let p = Cmt_loader.expand_aliases aliases p in
   if global p then Some (Cmt_loader.normalize_path p) else None
 
 (* Unlike R9, a named handler ([with e -> h e]) is not a catch-all
@@ -310,26 +310,13 @@ let unit_rules (u : Cmt_loader.unit_info) findings =
   let add rule loc message =
     findings := Finding.make rule ~file:u.source loc message :: !findings
   in
-  let aliases = ref [] in
-  let note_alias id (me : Typedtree.module_expr) =
-    match me.mod_desc with
-    | Tmod_ident (p, _) | Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, _) ->
-        aliases := (id, p) :: !aliases
-    | _ -> ()
-  in
-  let name p = global_name !aliases p in
+  let name p = global_name u.aliases p in
   let lib = in_lib u.source in
   let expr iter (e : Typedtree.expression) =
-    (match e.exp_desc with
-    | Texp_letmodule (Some id, _, _, me, _) -> note_alias id me
-    | _ -> expr_rules ~lib ~name add e);
+    expr_rules ~lib ~name add e;
     Tast_iterator.default_iterator.expr iter e
   in
-  let module_binding iter (mb : Typedtree.module_binding) =
-    Option.iter (fun id -> note_alias id mb.mb_expr) mb.mb_id;
-    Tast_iterator.default_iterator.module_binding iter mb
-  in
-  let it = { Tast_iterator.default_iterator with expr; module_binding } in
+  let it = { Tast_iterator.default_iterator with expr } in
   it.structure it u.structure;
   structure_rule ~name add u.structure.str_items
 
@@ -513,6 +500,48 @@ let r10 cfg graph findings =
         d.setfields)
 
 (* ------------------------------------------------------------------ *)
+(* R11 *)
+
+let r11 ~waivers graph findings consumed =
+  let lib (d : Callgraph.def) = in_lib d.file in
+  let init (d : Callgraph.def) = String.ends_with ~suffix:".(init)" d.name in
+  let exe_roots = ref [] and lib_inits = ref [] in
+  Callgraph.iter_defs graph (fun d ->
+      if lib d then (if init d then lib_inits := d :: !lib_inits)
+      else if not (under "test" d.file) then exe_roots := d :: !exe_roots);
+  (* Without an executable among the units (a partial run such as one
+     library file) nothing is reached, so no R11 waiver can be judged
+     stale either. *)
+  if !exe_roots = [] then
+    consumed := !consumed @ List.filter (fun (e : Waivers.entry) -> e.rule = Finding.R11) waivers
+  else begin
+    (* A library unit's top-level effects run whenever an executable
+       links it, so they reach what they call. *)
+    let visited = Hashtbl.create 256 in
+    let pending = Queue.create () in
+    let visit (d : Callgraph.def) =
+      if not (Hashtbl.mem visited d.name) then begin
+        Hashtbl.replace visited d.name ();
+        Queue.add d pending
+      end
+    in
+    List.iter visit (List.rev_append !exe_roots !lib_inits);
+    while not (Queue.is_empty pending) do
+      List.iter visit (Callgraph.callees graph (Queue.pop pending))
+    done;
+    Callgraph.iter_defs graph (fun (d : Callgraph.def) ->
+        if lib d && not (init d || Hashtbl.mem visited d.name) then
+          findings :=
+            Finding.make Finding.R11 ~trail:[ d.name ] ~file:d.file d.def_loc
+              (Printf.sprintf
+                 "%s is reached from no executable (bin/, bench/, examples/, perfbench/), only \
+                  from tests or not at all; delete it, or waive the file with the reason it \
+                  must stay"
+                 d.name)
+            :: !findings)
+  end
+
+(* ------------------------------------------------------------------ *)
 
 let check ?(config = default) ~waivers units =
   let findings = ref [] in
@@ -523,4 +552,5 @@ let check ?(config = default) ~waivers units =
   r8 graph findings;
   r9 config graph findings;
   r10 config graph findings;
+  r11 ~waivers graph findings consumed;
   (List.sort_uniq Finding.compare !findings, List.rev !consumed)

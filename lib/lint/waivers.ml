@@ -33,7 +33,9 @@ let of_string ~name src =
             let rule_id = String.sub s 0 sp in
             let rest = String.trim (String.sub s (sp + 1) (String.length s - sp - 1)) in
             match Finding.rule_of_id rule_id with
-            | None -> err line "unknown rule id %S (known: R1..R10)" rule_id
+            | None ->
+                err line "unknown rule id %S (known: %s)" rule_id
+                  (String.concat ", " (List.map Finding.id Finding.all_rules))
             | Some rule -> (
                 match String.index_opt rest ' ' with
                 | None ->

@@ -5,7 +5,6 @@ type t = {
   out : Format.formatter;
   m : Mutex.t;  (* one heartbeat may be shared by every worker domain *)
   mutable events : int;
-  mutable nbeats : int;
   mutable last_wall : float;
   mutable last_events : int;
   mutable last_snapshot : snapshot option;
@@ -18,7 +17,6 @@ let create ?(out = Format.err_formatter) ~every () =
     out;
     m = Mutex.create ();
     events = 0;
-    nbeats = 0;
     last_wall = Clock.now ();
     last_events = 0;
     last_snapshot = None;
@@ -36,12 +34,9 @@ let tick t snapshot =
         in
         t.last_wall <- wall;
         t.last_events <- t.events;
-        t.nbeats <- t.nbeats + 1;
         t.last_snapshot <- Some s;
         Format.fprintf t.out "[obs] events=%d sim_t=%.1f queue=%d running=%d free=%d ev/s=%.0f@."
           t.events s.sim_time s.queue_depth s.running s.free_nodes rate
       end)
 
-let ticks t = t.events
-let beats t = t.nbeats
 let last t = Mutex.protect t.m (fun () -> t.last_snapshot)

@@ -18,12 +18,6 @@ val create : ?out:Format.formatter -> every:int -> unit -> t
 
 val tick : t -> (unit -> snapshot) -> unit
 
-val ticks : t -> int
-(** Total ticks seen. *)
-
-val beats : t -> int
-(** Lines printed so far. *)
-
 val last : t -> snapshot option
 (** The snapshot forced on the most recent beat — the engine state a
     health endpoint can report without touching the engine itself.

@@ -199,8 +199,6 @@ let parse s =
       if !pos = n then Ok v else Error (Printf.sprintf "trailing bytes at offset %d" !pos)
   | exception Bad (at, msg) -> Error (Printf.sprintf "%s at offset %d" msg at)
 
-let valid s = Result.is_ok (parse s)
-
 let member key = function
   | Object fields -> List.assoc_opt key fields
   | Null | Bool _ | Number _ | String _ | Array _ -> None

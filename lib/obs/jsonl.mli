@@ -3,9 +3,7 @@
     Emission side: tiny combinators producing compact one-line JSON
     without an AST (the trace hot path formats straight into strings).
     Consumption side: {!parse} into a small {!value} AST — the sweep
-    journal reads its records back through it — and {!valid}, the
-    parser with the value thrown away, used by the tests and the CI
-    smoke check. *)
+    journal reads its records back through it. *)
 
 val escape : string -> string
 (** JSON string-escape the contents (no surrounding quotes). *)
@@ -48,6 +46,3 @@ val to_int : value -> int option
     [None]. *)
 
 val to_string_opt : value -> string option
-
-val valid : string -> bool
-(** Whether the string is exactly one well-formed JSON value. *)

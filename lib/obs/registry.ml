@@ -125,9 +125,6 @@ let observe h v =
           cell.sum <- cell.sum +. v;
           cell.observations <- cell.observations + 1)
 
-let histogram_count = function No_histogram -> 0 | Histogram c -> c.observations
-let histogram_sum = function No_histogram -> 0. | Histogram c -> c.sum
-
 (* ------------------------------------------------------------------ *)
 (* Exposition *)
 
@@ -136,9 +133,6 @@ let base_name name = match String.index_opt name '{' with None -> name | Some i 
 let sorted_series tbl =
   Hashtbl.fold (fun name (help, instr) acc -> (name, help, instr) :: acc) tbl []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-let names t =
-  match t with Noop -> [] | Real { tbl; _ } -> List.map (fun (n, _, _) -> n) (sorted_series tbl)
 
 (* Prometheus floats: integral values print without a fraction so
    counters read naturally; everything else keeps full precision. *)

@@ -58,12 +58,6 @@ val histogram : t -> ?help:string -> ?buckets:float array -> string -> histogram
 val observe : histogram -> float -> unit
 (** Count [v] into the first bucket whose upper bound is [>= v]. *)
 
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
-val names : t -> string list
-(** Registered series names, sorted. *)
-
 val to_prometheus : t -> string
 (** Prometheus text exposition format, version 0.0.4. Histogram
     buckets are cumulative and include the [+Inf] bucket, [_sum] and

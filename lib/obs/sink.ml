@@ -1,62 +1,11 @@
-type 'a kind =
-  | Null
+type 'a t =
   | Buffer of { mutable rev : 'a list }
-  | Stream of { to_json : 'a -> string; write : string -> unit; flush_out : unit -> unit }
-  | Tee of 'a t * 'a t
+  | Stream of { to_json : 'a -> string; write : string -> unit }
 
-and 'a t = { kind : 'a kind; mutable emitted : int }
+let buffer () = Buffer { rev = [] }
+let jsonl_writer ~to_json write = Stream { to_json; write }
 
-let null () = { kind = Null; emitted = 0 }
-let buffer () = { kind = Buffer { rev = [] }; emitted = 0 }
+let emit t x =
+  match t with Buffer b -> b.rev <- x :: b.rev | Stream s -> s.write (s.to_json x)
 
-let jsonl_writer ~to_json write =
-  { kind = Stream { to_json; write; flush_out = (fun () -> ()) }; emitted = 0 }
-
-let jsonl_channel ~to_json oc =
-  {
-    kind =
-      Stream
-        {
-          to_json;
-          write =
-            (fun line ->
-              output_string oc line;
-              output_char oc '\n');
-          flush_out = (fun () -> flush oc);
-        };
-    emitted = 0;
-  }
-
-let tee a b = { kind = Tee (a, b); emitted = 0 }
-
-let rec emit t x =
-  t.emitted <- t.emitted + 1;
-  match t.kind with
-  | Null -> ()
-  | Buffer b -> b.rev <- x :: b.rev
-  | Stream s -> s.write (s.to_json x)
-  | Tee (a, b) ->
-      emit a x;
-      emit b x
-
-let count t = t.emitted
-
-let rec contents t =
-  match t.kind with
-  | Buffer b -> List.rev b.rev
-  | Null | Stream _ -> []
-  | Tee (a, b) -> ( match contents a with [] -> contents b | l -> l)
-
-let rec is_buffered t =
-  match t.kind with
-  | Buffer _ -> true
-  | Null | Stream _ -> false
-  | Tee (a, b) -> is_buffered a || is_buffered b
-
-let rec flush t =
-  match t.kind with
-  | Null | Buffer _ -> ()
-  | Stream s -> s.flush_out ()
-  | Tee (a, b) ->
-      flush a;
-      flush b
+let contents = function Buffer b -> List.rev b.rev | Stream _ -> []

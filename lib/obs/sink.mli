@@ -2,39 +2,21 @@
 
     A sink consumes a stream of typed events. The buffered sink
     retains them (recording-order access via {!contents}); the JSONL
-    sinks serialise each event to one line and hand it to a writer or
-    channel, retaining nothing — so arbitrarily long runs stream to
-    disk in constant memory. {!tee} fans one stream out to two sinks
-    (e.g. buffer for in-process analysis + JSONL to disk). *)
+    sink serialises each event to one line and hands it to a writer,
+    retaining nothing — so arbitrarily long runs stream to disk in
+    constant memory. *)
 
 type 'a t
-
-val null : unit -> 'a t
-(** Count-only: events are dropped. *)
 
 val buffer : unit -> 'a t
 (** Retain every event in memory. *)
 
 val jsonl_writer : to_json:('a -> string) -> (string -> unit) -> 'a t
 (** Serialise each event with [to_json] (which must produce one JSON
-    value without a trailing newline) and pass it to the writer. *)
-
-val jsonl_channel : to_json:('a -> string) -> out_channel -> 'a t
-(** {!jsonl_writer} onto a channel, one line per event. The channel
-    remains owned by the caller; {!flush} flushes it. *)
-
-val tee : 'a t -> 'a t -> 'a t
+    value without a trailing newline) and pass it to the writer. The
+    writer owns its output, flushing included. *)
 
 val emit : 'a t -> 'a -> unit
 
-val count : 'a t -> int
-(** Events emitted into this sink so far. *)
-
 val contents : 'a t -> 'a list
-(** Buffered events, oldest first. Empty for non-buffered sinks; for a
-    tee, the first buffered branch wins. *)
-
-val is_buffered : 'a t -> bool
-(** Whether {!contents} reflects the full stream. *)
-
-val flush : 'a t -> unit
+(** Buffered events, oldest first. Empty for the JSONL sink. *)

@@ -19,8 +19,6 @@ let on = Atomic.make false
 let enabled () = Atomic.get on
 let set_enabled b = Atomic.set on b
 
-let reset () = Mutex.protect all_tables_mutex (fun () -> List.iter Hashtbl.reset !all_tables)
-
 let cell name =
   let table = Domain.DLS.get table_key in
   match Hashtbl.find_opt table name with

@@ -36,10 +36,6 @@ val stats : unit -> stat list
     mutex-guarded against table {e registration}, but reads entries
     without synchronising against in-flight {!time} calls. *)
 
-val reset : unit -> unit
-(** Drop all accumulated spans, in every domain's table (the enabled
-    flag is unchanged). *)
-
 val export : Registry.t -> unit
 (** Publish every span as [bgl_span_seconds_total{span="..."}],
     [bgl_span_calls{span="..."}] and [bgl_span_max_seconds{span="..."}]

@@ -704,8 +704,6 @@ let set_differential ?(sample = 1) on =
   Atomic.set differential (if on then sample else 0);
   Atomic.set diff_tick 0
 
-let differential_enabled () = Atomic.get differential > 0
-
 (* Whether this particular guarded query gets checked. *)
 let differential_armed () =
   match Atomic.get differential with

@@ -203,8 +203,6 @@ val set_differential : ?sample:int -> bool -> unit
     checks affordable on full-machine runs, though not the MFP checks
     (see {!guard_mfp}). [sample] must be ≥ 1. *)
 
-val differential_enabled : unit -> bool
-
 val guard_mfp : site:string -> ?avoid:Box.t -> Grid.t -> Box.t option -> unit
 (** [guard_mfp ~site ?avoid grid found] is the MFP half of differential
     mode, called by every {!Bgl_partition.Mfp} entry point with the box

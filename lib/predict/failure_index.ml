@@ -19,8 +19,6 @@ let of_log (log : Bgl_trace.Failure_log.t) =
     tmp;
   { by_node; all = Array.copy log.events }
 
-let event_count t = Array.length t.all
-
 (* Index of the first element strictly greater than [x], or length. *)
 let upper_bound arr x =
   let rec go lo hi =

@@ -10,8 +10,6 @@ type t
 
 val of_log : Bgl_trace.Failure_log.t -> t
 
-val event_count : t -> int
-
 val has_failure_in : t -> node:int -> t0:float -> t1:float -> bool
 (** Any event for [node] with time in the half-open window [(t0, t1\]].
     An empty or inverted window yields [false]. *)

@@ -32,8 +32,6 @@ let clock_every = 256
 let ambient : installed option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let active () = !(Domain.DLS.get ambient) <> None
-
 let with_budget spec f =
   match spec with
   | None -> f ()

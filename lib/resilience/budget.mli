@@ -35,6 +35,3 @@ val check : site:string -> unit
 (** Burn one unit of the installed fuel, and every 256 calls compare
     the clock against the deadline. No-op when nothing is installed.
     @raise Budget_exceeded when the budget is spent. *)
-
-val active : unit -> bool
-(** Whether a budget is installed on the current domain. *)

@@ -20,8 +20,6 @@ let default =
     budget = None;
   }
 
-let no_retry = { default with max_attempts = 1 }
-
 let run policy f =
   if policy.max_attempts < 1 then invalid_arg "Supervise.run: max_attempts must be >= 1";
   let budget () = Option.map (fun mk -> mk ()) policy.budget in

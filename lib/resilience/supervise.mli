@@ -38,9 +38,6 @@ val default : policy
 (** 3 attempts, exponential backoff from 50 ms, everything but
     [Budget_exceeded] retryable, no budget. *)
 
-val no_retry : policy
-(** [default] with a single attempt. *)
-
 val run : policy -> (unit -> 'a) -> 'a outcome
 
 (* ------------------------------------------------------------------ *)

@@ -44,4 +44,3 @@ let add t key value =
 
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)
-let length t = locked t (fun () -> Hashtbl.length t.table)

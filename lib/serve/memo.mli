@@ -24,4 +24,3 @@ val add : t -> string -> string -> unit
 
 val hits : t -> int
 val misses : t -> int
-val length : t -> int

@@ -45,9 +45,6 @@ let checkpoints_completed ~interval ~overhead ~work ~elapsed =
     let k = int_of_float (elapsed /. (interval +. overhead)) in
     min k (checkpoints_for_work ~interval ~work)
 
-let persisted_at ~interval ~overhead ~work ~elapsed =
-  float_of_int (checkpoints_completed ~interval ~overhead ~work ~elapsed) *. interval
-
 let young_interval ~mtbf ~overhead =
   if mtbf <= 0. || overhead <= 0. then
     invalid_arg "Checkpoint.young_interval: mtbf and overhead must be positive";

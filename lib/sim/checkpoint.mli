@@ -35,13 +35,8 @@ val wall_time : interval:float -> overhead:float -> work:float -> float
 val checkpoints_completed : interval:float -> overhead:float -> work:float -> elapsed:float -> int
 (** Checkpoints that fully completed within the first [elapsed]
     wall-clock seconds of a run doing [work] seconds of computation —
-    the single credit calculation behind both {!persisted_at} and the
-    engine's per-kill checkpoint accounting. *)
-
-val persisted_at : interval:float -> overhead:float -> work:float -> elapsed:float -> float
-(** Useful work safely persisted when a failure interrupts the run
-    [elapsed] wall-clock seconds after it started:
-    [checkpoints_completed * interval]. *)
+    the credit calculation behind the engine's per-kill checkpoint
+    accounting (work persisted = this many intervals). *)
 
 val young_interval : mtbf:float -> overhead:float -> float
 (** Young's first-order optimal checkpoint interval,

@@ -642,7 +642,6 @@ let run ?(config = Config.default) ?(predictor = Bgl_predict.Predictor.null) ?re
   let completed = Array.to_list jobs |> List.filter Job.is_completed in
   let report = Metrics.report st.metrics ~jobs:completed ~total_jobs:(Array.length jobs) in
   record st (Recorder.Run_summary { time = st.now; report });
-  Option.iter Recorder.flush trace;
   {
     name = Printf.sprintf "%s vs %s under %s" log.name failures.name policy.name;
     report;

@@ -14,7 +14,6 @@ type 'a t = {
 
 let create () = { heap = [||]; len = 0; next_seq = 0; dummy = { time = 0.; seq = -1; payload = Obj.magic 0 } }
 let is_empty t = t.len = 0
-let size t = t.len
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 

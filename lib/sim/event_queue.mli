@@ -7,7 +7,6 @@ type 'a t
 
 val create : unit -> 'a t
 val is_empty : 'a t -> bool
-val size : 'a t -> int
 
 val push : 'a t -> time:float -> 'a -> unit
 (** @raise Invalid_argument on NaN time. *)
@@ -21,6 +20,6 @@ val pop_if_at : 'a t -> time:float -> 'a option
 
 val retains : 'a t -> 'a -> bool
 (** Whether the backing array still holds a physically-equal reference
-    to [x] anywhere — including vacated slots beyond {!size}. Exposed
+    to [x] anywhere — including vacated slots beyond the live heap. Exposed
     for the space-leak regression tests; only meaningful for boxed
     payloads. *)

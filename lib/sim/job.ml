@@ -83,8 +83,6 @@ let transition t edge =
   | Kill -> t.state <- Queued);
   emit_transition edge
 
-let is_queued t = t.state = Queued
-let is_running t = match t.state with Running _ -> true | Queued | Completed -> false
 let is_completed t = t.state = Completed
 let current_run t = match t.state with Running r -> Some r | Queued | Completed -> None
 

@@ -52,8 +52,6 @@ val transition : t -> edge -> unit
     obs counter increment, and raises {!Illegal_transition} otherwise,
     leaving the job untouched. *)
 
-val is_queued : t -> bool
-val is_running : t -> bool
 val is_completed : t -> bool
 
 val current_run : t -> run option

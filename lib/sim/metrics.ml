@@ -159,15 +159,6 @@ let report_to_registry reg r =
   gi "bgl_report_migrations" "jobs migrated" r.migrations;
   gi "bgl_report_checkpoints" "checkpoints taken" r.checkpoints
 
-let report_to_csv_header =
-  "total_jobs,completed_jobs,avg_wait,avg_response,avg_bounded_slowdown,median_bounded_slowdown,p90_bounded_slowdown,util,unused,lost,busy_fraction,makespan,failures_injected,job_kills,restarts,lost_work,migrations,checkpoints"
-
-let report_to_csv_row r =
-  Printf.sprintf "%d,%d,%.3f,%.3f,%.4f,%.4f,%.4f,%.5f,%.5f,%.5f,%.5f,%.1f,%d,%d,%d,%.1f,%d,%d"
-    r.total_jobs r.completed_jobs r.avg_wait r.avg_response r.avg_bounded_slowdown
-    r.median_bounded_slowdown r.p90_bounded_slowdown r.util r.unused r.lost r.busy_fraction
-    r.makespan r.failures_injected r.job_kills r.restarts r.lost_work r.migrations r.checkpoints
-
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip for the sweep journal. Floats go out with 17
    significant digits (enough to reconstruct any float64 exactly), so

@@ -63,9 +63,6 @@ val report_to_registry : Bgl_obs.Registry.t -> report -> unit
     [--metrics-out] snapshot carries the paper's capacity and timing
     metrics next to the live engine counters. *)
 
-val report_to_csv_header : string
-val report_to_csv_row : report -> string
-
 val report_to_json : report -> string
 (** One-line JSON object, one member per field. Floats are emitted
     with 17 significant digits so {!report_of_json} round-trips them

@@ -234,13 +234,8 @@ let entry_of_json line =
   in
   Ok (run, entry)
 
-let jsonl channel = create ~sink:(Bgl_obs.Sink.jsonl_channel ~to_json:entry_to_json channel) ()
-
 let record t entry = Bgl_obs.Sink.emit t.sink entry
 let entries t = Bgl_obs.Sink.contents t.sink
-let length t = Bgl_obs.Sink.count t.sink
-let is_buffered t = Bgl_obs.Sink.is_buffered t.sink
-let flush t = Bgl_obs.Sink.flush t.sink
 
 let pp_entry ppf = function
   | Run_meta m ->

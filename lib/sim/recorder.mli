@@ -87,27 +87,14 @@ type t
 val create : ?sink:entry Bgl_obs.Sink.t -> unit -> t
 (** Defaults to a buffered sink, which retains every entry in memory —
     fine for figure-scale runs, unbounded for long sweeps. Pass a
-    JSONL sink (or {!jsonl}) to stream entries to disk in constant
-    memory instead, or a tee to do both. *)
-
-val jsonl : out_channel -> t
-(** A recorder streaming one JSON line per entry to the channel (the
-    schema is {!entry_to_json}'s). The caller owns the channel. *)
+    JSONL sink to stream entries to disk in constant memory
+    instead. *)
 
 val record : t -> entry -> unit
 (** Append an entry (engine-facing). *)
 
 val entries : t -> entry list
 (** All entries in recording order — for recorders over a buffered
-    sink; streaming recorders return [] (see {!is_buffered}). *)
-
-val length : t -> int
-(** Entries recorded so far (maintained by every sink kind). *)
-
-val is_buffered : t -> bool
-(** Whether {!entries} reflects the full run. *)
-
-val flush : t -> unit
-(** Flush a streaming recorder's underlying channel. *)
+    sink; streaming recorders return []. *)
 
 val pp_entry : Format.formatter -> entry -> unit

@@ -3,23 +3,9 @@ type t = { base : Coord.t; shape : Shape.t }
 let make base shape = { base; shape }
 let volume t = Shape.volume t.shape
 
-let cells (d : Dims.t) t =
-  assert (Coord.in_bounds d t.base);
-  assert (Shape.fits d t.shape);
-  let acc = ref [] in
-  for dz = t.shape.sz - 1 downto 0 do
-    for dy = t.shape.sy - 1 downto 0 do
-      for dx = t.shape.sx - 1 downto 0 do
-        let c = Coord.make (t.base.x + dx) (t.base.y + dy) (t.base.z + dz) in
-        acc := Coord.wrap d c :: !acc
-      done
-    done
-  done;
-  !acc
-
-(* The node ids of [cells], in its order, built without a [Coord]:
-   an in-bounds base plus an extent that fits the axis stays below
-   twice the axis length, so one conditional subtraction wraps it. *)
+(* The node ids of the box, x fastest, built without a [Coord]: an
+   in-bounds base plus an extent that fits the axis stays below twice
+   the axis length, so one conditional subtraction wraps it. *)
 let indices (d : Dims.t) t =
   assert (Coord.in_bounds d t.base);
   assert (Shape.fits d t.shape);
@@ -60,11 +46,6 @@ let overlap (d : Dims.t) a b =
   ring_overlap d.nx a.base.x a.shape.sx b.base.x b.shape.sx
   && ring_overlap d.ny a.base.y a.shape.sy b.base.y b.shape.sy
   && ring_overlap d.nz a.base.z a.shape.sz b.base.z b.shape.sz
-
-let member (d : Dims.t) t (c : Coord.t) =
-  ring_member d.nx t.base.x t.shape.sx c.x
-  && ring_member d.ny t.base.y t.shape.sy c.y
-  && ring_member d.nz t.base.z t.shape.sz c.z
 
 let equal a b = Coord.equal a.base b.base && Shape.equal a.shape b.shape
 

@@ -7,8 +7,6 @@ let make nx ny nz =
 let bgl = make 4 4 8
 let bgl_full = make 64 32 32
 let volume t = t.nx * t.ny * t.nz
-let max_dim t = max t.nx (max t.ny t.nz)
-let equal a b = a.nx = b.nx && a.ny = b.ny && a.nz = b.nz
 let pp ppf t = Format.fprintf ppf "%dx%dx%d" t.nx t.ny t.nz
 let to_string t = Format.asprintf "%a" pp t
 

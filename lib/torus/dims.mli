@@ -20,9 +20,6 @@ val bgl_full : t
 val volume : t -> int
 (** Total number of supernodes, [nx * ny * nz]. *)
 
-val max_dim : t -> int
-
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -126,22 +126,8 @@ let vacate t box ~owner =
   List.iter (clear_node t) idx;
   Summary.vacate_box t.summary box
 
-let iter_owned t f =
-  let n = volume t in
-  for w = 0 to Bigarray.Array1.dim t.occ - 1 do
-    let word = Bigarray.Array1.get t.occ w in
-    if word <> 0 then begin
-      let base = w lsl 5 in
-      for b = 0 to min 31 (n - 1 - base) do
-        if word land (1 lsl b) <> 0 then f (base + b) t.owners.(base + b)
-      done
-    end
-  done
-
 let owners t =
-  let tbl = Hashtbl.create 16 in
-  iter_owned t (fun _ o -> Hashtbl.replace tbl o ());
-  Hashtbl.fold (fun o () acc -> o :: acc) tbl [] |> List.sort Int.compare
+  List.init (volume t) (owner t) |> List.filter_map Fun.id |> List.sort_uniq Int.compare
 
 let pp ppf t =
   let d = t.dims in

@@ -76,9 +76,6 @@ val vacate : t -> Box.t -> owner:int -> unit
 val occupy_node : t -> int -> owner:int -> unit
 val vacate_node : t -> int -> owner:int -> unit
 
-val iter_owned : t -> (int -> int -> unit) -> unit
-(** [iter_owned t f] calls [f node owner] for every owned node. *)
-
 val owners : t -> int list
 (** Sorted distinct owner ids present in the grid. *)
 

@@ -12,6 +12,9 @@ open Bgl_audit
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Audit a trace held in memory, as one file. *)
+let audit_lines lines = Driver.audit ~files:[ "<memory>" ] (Trace.of_lines [ ("<memory>", lines) ])
+
 (* ------------------------------------------------------------------ *)
 (* Capturing engine traces through the obs runtime *)
 
@@ -36,7 +39,7 @@ let fail_cert what (c : Driver.certificate) =
   Alcotest.failf "%s:@.%a" what (fun ppf c -> Driver.pp ppf c) c
 
 let expect_rule rule lines =
-  let c = Driver.audit_lines lines in
+  let c = audit_lines lines in
   if not (has_rule rule c) then
     fail_cert (Printf.sprintf "expected a %s finding" (Finding.name rule)) c
 
@@ -91,7 +94,7 @@ let edit_first sel f lines =
 
 let test_clean_sequential () =
   let outcome, lines = capture ~failures:5000 () in
-  let c = Driver.audit_lines lines in
+  let c = audit_lines lines in
   if not (Driver.pass c) then fail_cert "clean run must audit clean" c;
   check_int "one section" 1 c.sections;
   check_int "complete" 1 c.complete;
@@ -130,7 +133,7 @@ let test_clean_parallel_two_domains () =
       let d1 = spawn 1 and d2 = spawn 2 in
       Domain.join d1;
       Domain.join d2);
-  let c = Driver.audit_lines (List.rev !lines) in
+  let c = audit_lines (List.rev !lines) in
   if not (Driver.pass c) then fail_cert "parallel runs must audit clean" c;
   check_int "two sections" 2 c.sections;
   check_int "both complete" 2 c.complete
@@ -145,7 +148,7 @@ let test_clean_repair_checkpoint_migration () =
     }
   in
   let _, lines = capture ~failures:8000 ~config () in
-  let c = Driver.audit_lines lines in
+  let c = audit_lines lines in
   if not (Driver.pass c) then fail_cert "repair+migration+checkpoint run must audit clean" c;
   check_int "complete" 1 c.complete
 
@@ -168,7 +171,7 @@ let prop_every_run_audits_clean =
               }
       in
       let _, lines = capture ~seed ~n_jobs:50 ~load ~failures ?config () in
-      let c = Driver.audit_lines lines in
+      let c = audit_lines lines in
       if not (Driver.pass c) then
         QCheck.Test.fail_reportf "audit failed:@.%a" (fun ppf c -> Driver.pp ppf c) c
       else c.sections = 1 && c.complete = 1)
@@ -254,7 +257,7 @@ let prop_every_size_audits_clean registry =
           (capture ~registry ~seed:c.seed ~n_jobs:c.n_jobs ~load:2.0 ~failures:4000 ~config
              ~algo:c.algo)
       in
-      let cert = Driver.audit_lines lines in
+      let cert = audit_lines lines in
       if not (Driver.pass cert) then
         QCheck.Test.fail_reportf "audit failed:@.%a" (fun ppf c -> Driver.pp ppf c) cert
       else cert.sections = 1 && cert.complete = 1)
@@ -295,7 +298,7 @@ let test_crash_tail_tolerated () =
   let lines = corrupted () in
   (* Dropping the summary truncates the run (A2), but an unparseable
      final line alone is dropped silently, like the journal reader. *)
-  let c = Driver.audit_lines (lines @ [ "{\"ev\":\"job_fin" ]) in
+  let c = audit_lines (lines @ [ "{\"ev\":\"job_fin" ]) in
   if not (Driver.pass c) then fail_cert "crash tail must not fail the audit" c;
   check_int "tail dropped" 1 c.dropped_tail
 
@@ -365,7 +368,7 @@ let test_detects_non_integral_id () =
         go 1 lines
       in
       let seeded = edit_first (( = ) target) (fun l -> [ patch_member name value l ]) lines in
-      match findings_of Finding.A1 (Driver.audit_lines seeded) with
+      match findings_of Finding.A1 (audit_lines seeded) with
       | [ f ] -> check_int (Printf.sprintf "%s %s=%s flagged at its line" ev name value) lineno f.line
       | fs -> Alcotest.failf "%s %s=%s: expected one A1, got %d" ev name value (List.length fs))
     [ ("job_finish", "job", "7.9"); ("job_finish", "job", "1e300"); ("node_fail", "node", "-0.5") ]
@@ -380,7 +383,7 @@ let test_schema_version () =
           (fun l -> [ patch_member "schema" (string_of_int schema) l ])
           lines
       in
-      let a2 = findings_of Finding.A2 (Driver.audit_lines seeded) in
+      let a2 = findings_of Finding.A2 (audit_lines seeded) in
       check_int (Printf.sprintf "A2 findings for schema %d" schema) expected (List.length a2);
       List.iter (fun (f : Finding.t) -> check_int "anchored at the run_meta line" 1 f.line) a2)
     [ (1, 1); (2, 0); (3, 1) ]
@@ -407,7 +410,7 @@ let test_stitched_resume_certifies () =
 
 let test_truncated_without_resume_fails () =
   let _, first = capture ~failures:5000 () in
-  let c = Driver.audit_lines (split_half first) in
+  let c = audit_lines (split_half first) in
   check_bool "truncated-only trace must not certify" true (has_rule Finding.A2 c)
 
 let test_resume_must_declare_parent () =
@@ -450,7 +453,7 @@ let test_obs_counters () =
       Bgl_obs.Runtime.set_registry reg;
       let _, lines = capture ~failures:4000 ~n_jobs:30 () in
       Bgl_obs.Runtime.set_registry reg;
-      let c = Driver.audit_lines lines in
+      let c = audit_lines lines in
       let value name = Bgl_obs.Registry.counter_value (Bgl_obs.Registry.counter reg name) in
       check_bool "checks counted" true (value "bgl_audit_checks_total" = float_of_int c.checks);
       check_bool "violations counted" true (value "bgl_audit_violations_total" < 0.5))

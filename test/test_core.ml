@@ -140,7 +140,7 @@ let test_run_recorder_observes_only () =
   let sc = small_scenario (Scenario.Balancing { confidence = 0.5 }) in
   let recorder = Bgl_sim.Recorder.create () in
   let traced = (Scenario.run ~recorder sc).report in
-  check_bool "recorder filled" true (Bgl_sim.Recorder.length recorder > 0);
+  check_bool "recorder filled" true (Bgl_sim.Recorder.entries recorder <> []);
   check_bool "same report" true (traced = (Scenario.run sc).report)
 
 let test_run_explicit_inputs_match_run_on () =
@@ -377,7 +377,9 @@ let test_timeline_render_and_util () =
   let strip = Timeline.render segs ~volume:128 ~width:40 in
   check_int "strip width" 40 (String.length strip);
   check_bool "start fully busy" true (strip.[0] = '#');
-  let util = Timeline.utilisation_of_segments segs ~volume:128 in
+  let span = List.fold_left (fun acc (s : Timeline.segment) -> Float.max acc s.ended) 0. segs in
+  let busy = Array.fold_left ( +. ) 0. (Timeline.busy_profile segs ~buckets:40 ~span) in
+  let util = busy /. (128. *. span) in
   check_bool "util in (0,1]" true (util > 0. && util <= 1.);
   Alcotest.(check string) "empty trace renders empty" "" (Timeline.render [] ~volume:128 ~width:10)
 

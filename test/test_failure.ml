@@ -82,13 +82,13 @@ let test_uniform_times_pass_ks () =
   in
   let uniform = Generator.poisson_uniform ~span:1e6 ~volume:128 ~n_events:800 ~seed:9 in
   check_bool "uniform passes" true
-    (Bgl_stats.Ks.test ~samples:(times uniform) ~cdf:(Bgl_stats.Ks.uniform_cdf ~lo:0. ~hi:1e6)
+    (Ks.test ~samples:(times uniform) ~cdf:(Ks.uniform_cdf ~lo:0. ~hi:1e6)
        ~alpha:0.01);
   let bursty = Generator.generate (spec ~n_events:800 ~seed:9 ()) in
   (* bursty times are still roughly uniform at burst level, but the
      within-burst clustering shows up in the KS distance; assert only
      that the uniform trace is at least as close to uniformity *)
-  let d log = Bgl_stats.Ks.statistic ~samples:(times log) ~cdf:(Bgl_stats.Ks.uniform_cdf ~lo:0. ~hi:1e6) in
+  let d log = Ks.statistic ~samples:(times log) ~cdf:(Ks.uniform_cdf ~lo:0. ~hi:1e6) in
   check_bool "bursty is no closer to uniform" true (d bursty >= d uniform -. 0.01)
 
 (* Each bad field must be caught by [validate] itself, not downstream

@@ -1,15 +1,18 @@
-(* Tests for the bgl-lint static analyzer: each rule R1-R10 fires on a
+(* Tests for the bgl-lint static analyzer: each rule R1-R11 fires on a
    known-bad snippet and stays silent on the fixed form; the module
    aliases, opens and cross-unit records the old syntactic pass could
-   not see now fire; the waiver file round-trips, requires reasons, and
-   reports stale entries; the driver resolves directories and single
-   source files to compiled units; the JSONL report parses; and
-   (qcheck) the analyzer never raises on generated well-typed source. *)
+   not see now fire; module aliases and [let*] are call edges, and
+   same-named executable modules stay apart; the waiver file
+   round-trips, requires reasons, and reports stale entries; the
+   driver resolves directories and single source files to compiled
+   units; the JSONL report parses; and (qcheck) the analyzer never
+   raises on generated well-typed source. *)
 
 open Bgl_lint
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let json_valid s = Result.is_ok (Bgl_obs.Jsonl.parse s)
 
 (* Fixtures are typechecked in-process by the same front end that
    produced the real `.cmt` files, then pushed through the full rule
@@ -176,7 +179,7 @@ let test_spans () =
       check_int "line" 2 f.line;
       check_bool "cols ordered" true (f.col < f.end_col);
       Alcotest.(check string) "file" "lib/probe.ml" f.file;
-      check_bool "jsonl parses" true (Bgl_obs.Jsonl.valid (Finding.to_json f))
+      check_bool "jsonl parses" true (json_valid (Finding.to_json f))
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
 (* ------------------------------------------------------------------ *)
@@ -200,7 +203,7 @@ let test_waiver_roundtrip () =
   let applied = Waivers.apply w clean ~scanned:[ fixture_path ] in
   check_int "stale reported" 1 (List.length applied.stale);
   check_bool "stale jsonl parses" true
-    (Bgl_obs.Jsonl.valid (Waivers.stale_to_json (List.hd applied.stale)));
+    (json_valid (Waivers.stale_to_json (List.hd applied.stale)));
   (* A waiver whose file was not scanned is ignored, not stale. *)
   let applied = Waivers.apply w clean ~scanned:[ "lib/other.ml" ] in
   check_int "unscanned not stale" 0 (List.length applied.stale)
@@ -208,10 +211,16 @@ let test_waiver_roundtrip () =
 let test_waiver_syntax () =
   check_bool "reason required" true
     (Result.is_error (Waivers.of_string ~name:"w" "R1 lib/x.ml"));
-  check_bool "rule id validated" true
-    (Result.is_error (Waivers.of_string ~name:"w" "R11 lib/x.ml some reason"));
+  (match Waivers.of_string ~name:"w" "R12 lib/x.ml some reason" with
+  | Error msg ->
+      (* the known ids come from the rule catalogue *)
+      check_bool "rule id validated against the catalogue" true
+        (String.ends_with ~suffix:"(known: R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, R11)" msg)
+  | Ok _ -> Alcotest.fail "R12 accepted");
   check_bool "typed rule ids accepted" true
     (Result.is_ok (Waivers.of_string ~name:"w" "R9 lib/x.ml some reason"));
+  check_bool "R11 accepted" true
+    (Result.is_ok (Waivers.of_string ~name:"w" "R11 lib/x.ml some reason"));
   check_bool "comments and blanks ok" true
     (Result.is_ok (Waivers.of_string ~name:"w" "# only a comment\n\n"));
   let w = parse_waivers "R1 lib/obs/span.ml the default clock\n" in
@@ -259,13 +268,18 @@ let run_ok ?waivers paths =
 let test_driver_tree () =
   let dir, lib = compiled_tree [ ("one", "let d = Random.int 6\n"); ("two", "let ok = 1\n") ] in
   ignore (write_file lib "notml.txt" "Random.int is only flagged in compiled units\n");
+  (* dune's generated alias units hold no code and are not scanned. *)
+  let generated = write_file lib "dune__exe.ml-gen" "let generated = ()\n" in
+  let alias = typecheck ~path:generated ~modname:"Dune__exe" "let generated = ()\n" in
+  Cmt_format.save_cmt (Filename.concat lib ".objs/dune__exe.cmt") alias.modname
+    (Implementation alias.structure) (Some generated) Env.empty None None;
   let outcome = run_ok [ dir ] in
   check_int "scanned both units" 2 outcome.files_scanned;
   check_int "one finding" 1 (List.length outcome.findings);
   check_bool "not clean" false (Driver.clean outcome);
   check_int "jsonl line per finding" 1 (List.length (Driver.to_jsonl outcome));
   List.iter
-    (fun line -> check_bool "jsonl line parses" true (Bgl_obs.Jsonl.valid line))
+    (fun line -> check_bool "jsonl line parses" true (json_valid line))
     (Driver.to_jsonl outcome);
   (* A source file resolves to the one unit compiled from it, and a
      partial run leaves the other files' waivers alone. *)
@@ -302,7 +316,7 @@ let test_driver_errors () =
   | Ok _ -> Alcotest.fail "expected a parse error"
 
 (* ------------------------------------------------------------------ *)
-(* Interprocedural rules R7-R10 *)
+(* Interprocedural rules R7-R11 *)
 
 (* The R7 findings alone: the fixtures' sinks also trip R1/R2. *)
 let r7_of (findings, consumed) =
@@ -356,17 +370,31 @@ let test_clock_sink () =
     typecheck ~path:"lib/fixture/helper.ml" ~modname:"Helper" ~deps:[ clock ]
       "let helper () = Monotonic_clock.now ()"
   in
-  let root = typecheck ~deps:[ clock; helper ] "let root () = Helper.helper ()" in
-  let r7 ?(waivers = []) () =
+  let r7 ?(waivers = []) src =
+    let root = typecheck ~deps:[ clock; helper ] src in
     r7_of (Typed_rules.check ~config:fixture_config ~waivers [ helper; root ])
   in
-  (match fst (r7 ()) with
-  | [ f ] ->
-      Alcotest.(check (list string))
-        "call trail" [ "Fixture.root"; "Helper.helper"; "Monotonic_clock.now" ] f.trail
-  | fs -> Alcotest.failf "expected exactly one R7 finding, got %d" (List.length fs));
+  let trails src = List.map (fun (f : Finding.t) -> f.trail) (fst (r7 src)) in
+  let via_helper = [ [ "Fixture.root"; "Helper.helper"; "Monotonic_clock.now" ] ] in
+  Alcotest.(check (list (list string)))
+    "call trail" via_helper
+    (trails "let root () = Helper.helper ()");
+  (* Module aliases and binding operators are call edges too. *)
+  Alcotest.(check (list (list string)))
+    "through a helper alias" via_helper
+    (trails "module H = Helper\nlet root () = H.helper ()");
+  Alcotest.(check (list (list string)))
+    "through a clock alias"
+    [ [ "Fixture.root"; "Monotonic_clock.now" ] ]
+    (trails "module C = Monotonic_clock\nlet root () = C.now ()");
+  Alcotest.(check (list (list string)))
+    "through let*"
+    [ [ "Fixture.root"; "Fixture.let*"; "Monotonic_clock.now" ] ]
+    (trails
+       "let ( let* ) x f = ignore (Monotonic_clock.now ()); f x\n\
+        let root () = let* y = 1 in y");
   let waivers = parse_waivers "R7 lib/fixture/helper.ml consumer of the clock\n" in
-  let findings, consumed = r7 ~waivers () in
+  let findings, consumed = r7 ~waivers "let root () = Helper.helper ()" in
   check_int "helper's barrier suppresses" 0 (List.length findings);
   check_int "helper's barrier consumed" 1 (List.length consumed)
 
@@ -448,6 +476,87 @@ let test_r10 () =
   (* Type-keyed: an unrelated record with a [state] field is free. *)
   check_silent "R10"
     "type rngst = { mutable state : int }\nlet bump (r : rngst) = r.state <- r.state + 1"
+
+(* ------------------------------------------------------------------ *)
+(* R11 unreached export *)
+
+(* R11 findings over fixture units: a library unit (lib/fixture/) and
+   the units that may reach it, each with its own path and modname. *)
+let r11_of ?(waivers = []) units =
+  let findings, consumed = Typed_rules.check ~config:fixture_config ~waivers units in
+  ( List.filter_map
+      (fun (f : Finding.t) -> if f.rule = Finding.R11 then Some (List.hd f.trail) else None)
+      findings,
+    consumed )
+
+let test_r11 () =
+  let lib src = typecheck src in
+  let unit_at path modname ~lib src = typecheck ~path ~modname ~deps:[ lib ] src in
+  let unreached ?waivers units = fst (r11_of ?waivers units) in
+  let names = Alcotest.(check (list string)) in
+  (* A value only a test reaches is dead: tests are not roots. *)
+  let l = lib "let used = 1\nlet only_tested = 2" in
+  names "test-only value fires" [ "Fixture.only_tested" ]
+    (unreached
+       [
+         l;
+         unit_at "bin/probe.ml" "Probe" ~lib:l "let () = ignore Fixture.used";
+         unit_at "test/probe_test.ml" "Probe_test" ~lib:l "let () = ignore Fixture.only_tested";
+       ]);
+  (* Reached from an executable through a module alias or a [let*]. *)
+  let l = lib "let via_alias () = 1\nlet ( let* ) o f = Option.bind o f" in
+  names "alias and let* reach" []
+    (unreached
+       [
+         l;
+         unit_at "examples/probe.ml" "Probe" ~lib:l
+           "module F = Fixture\n\
+            let () = ignore (F.via_alias ())\n\
+            let () = ignore Fixture.(let* x = Some 1 in Some (x + 1))";
+       ]);
+  (* Reached transitively, through another library def. *)
+  let l = lib "let inner () = 1\nlet outer () = inner () + 1" in
+  names "transitive reach" []
+    (unreached
+       [ l; unit_at "perfbench/probe.ml" "Probe" ~lib:l "let () = ignore (Fixture.outer ())" ]);
+  (* Library defs that only reach each other are all dead. *)
+  let l = lib "let a () = 1\nlet b () = a () + 1\nlet c () = b () + 1\nlet live = 0" in
+  names "closed chain fires" [ "Fixture.a"; "Fixture.b"; "Fixture.c" ]
+    (unreached [ l; unit_at "bin/probe.ml" "Probe" ~lib:l "let () = ignore Fixture.live" ]);
+  (* With no executable among the units nothing is judged, and an R11
+     waiver is consumed rather than stale. *)
+  let waivers = parse_waivers "R11 lib/fixture/fixture.ml fixture-declared keep\n" in
+  let found, consumed = r11_of ~waivers [ lib "let orphan = 1" ] in
+  names "rootless run is silent" [] found;
+  check_int "rootless run consumes the waiver" 1 (List.length consumed)
+
+(* dune names every executable module [Dune__exe__M]: bench/main.ml and
+   perfbench/main.ml are both [Dune__exe__Main]. Their defs stay apart,
+   and a finding in one is reported against its own file. *)
+let test_same_named_executables () =
+  let main dir src =
+    typecheck ~path:(dir ^ "/main.ml") ~modname:"Dune__exe__Main" src
+  in
+  let units =
+    [
+      main "bench" "let () = print_endline \"bench\"";
+      main "perfbench"
+        "let () =\n\
+        \  let counter = ref 0 in\n\
+        \  Domain.join (Domain.spawn (fun () -> incr counter))";
+    ]
+  in
+  let graph = Callgraph.build ~spawn_sites:Typed_rules.default.spawn_sites units in
+  let file_of name =
+    Option.map (fun (d : Callgraph.def) -> d.file) (Hashtbl.find_opt graph.defs name)
+  in
+  Alcotest.(check (option string)) "bench def" (Some "bench/main.ml") (file_of "bench.Main.(init)");
+  Alcotest.(check (option string))
+    "perfbench def" (Some "perfbench/main.ml") (file_of "perfbench.Main.(init)");
+  let findings = fst (Typed_rules.check ~waivers:[] units) in
+  match List.filter (fun (f : Finding.t) -> f.rule = Finding.R8) findings with
+  | [ f ] -> Alcotest.(check string) "R8 reported in its own file" "perfbench/main.ml" f.file
+  | fs -> Alcotest.failf "expected exactly one R8 finding, got %d" (List.length fs)
 
 let test_modname_normalization () =
   let check_norm input expect =
@@ -569,7 +678,7 @@ let prop_never_raises =
       | Ok u -> (
           match Typed_rules.check ~waivers:[] [ u ] with
           | findings, _ ->
-              List.for_all (fun (f : Finding.t) -> Bgl_obs.Jsonl.valid (Finding.to_json f)) findings
+              List.for_all (fun (f : Finding.t) -> json_valid (Finding.to_json f)) findings
           | exception e ->
               QCheck.Test.fail_reportf "analyzer raised %s on:\n%s" (Printexc.to_string e) src))
 
@@ -611,7 +720,7 @@ let prop_typed_total =
           match Typed_rules.check ~waivers:[] units with
           | findings, _ ->
               List.for_all
-                (fun (f : Finding.t) -> Bgl_obs.Jsonl.valid (Finding.to_json f))
+                (fun (f : Finding.t) -> json_valid (Finding.to_json f))
                 findings
           | exception e ->
               QCheck.Test.fail_reportf "typed analyzer raised %s on a %d-unit subset"
@@ -646,6 +755,8 @@ let () =
           Alcotest.test_case "R8 cross-domain escape" `Quick test_r8;
           Alcotest.test_case "R9 exception flow" `Quick test_r9;
           Alcotest.test_case "R10 lifecycle protocol" `Quick test_r10;
+          Alcotest.test_case "R11 unreached export" `Quick test_r11;
+          Alcotest.test_case "same-named executable modules" `Quick test_same_named_executables;
           Alcotest.test_case "module-name normalization" `Quick test_modname_normalization;
           Alcotest.test_case "run_typed error mapping" `Quick test_run_typed_errors;
         ] );

@@ -10,6 +10,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 let check_float = Alcotest.(check (float 1e-9))
+let json_valid s = Result.is_ok (Jsonl.parse s)
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -45,7 +46,6 @@ let test_noop_registry () =
   check_float "noop counter stays 0" 0. (Registry.counter_value c);
   let h = Registry.histogram Registry.noop "h" in
   Registry.observe h 1.;
-  check_int "noop histogram stays empty" 0 (Registry.histogram_count h);
   check_bool "is_noop" true (Registry.is_noop Registry.noop);
   check_bool "real not noop" false (Registry.is_noop (Registry.create ()));
   check_string "noop exposition empty" "" (Registry.to_prometheus Registry.noop)
@@ -54,8 +54,6 @@ let test_histogram_bucketing () =
   let reg = Registry.create () in
   let h = Registry.histogram reg ~buckets:[| 1.; 5.; 10. |] "lat" in
   List.iter (Registry.observe h) [ 0.5; 1.; 3.; 7.; 20. ];
-  check_int "count" 5 (Registry.histogram_count h);
-  check_float "sum" 31.5 (Registry.histogram_sum h);
   let text = Registry.to_prometheus reg in
   let expect_line line =
     check_bool (Printf.sprintf "exposition has %S" line) true
@@ -127,7 +125,6 @@ let test_clock () =
 (* Span timers *)
 
 let test_span_disabled_and_enabled () =
-  Span.reset ();
   Span.set_enabled false;
   check_int "disabled run passes value through" 7 (Span.time ~name:"t.off" (fun () -> 7));
   check_bool "disabled records nothing" true
@@ -148,45 +145,37 @@ let test_span_disabled_and_enabled () =
   let reg = Registry.create () in
   Span.export reg;
   check_bool "export publishes gauges" true
-    (List.mem "bgl_span_calls{span=\"t.on\"}" (Registry.names reg));
-  Span.reset ();
-  check_int "reset clears" 0 (List.length (Span.stats ()))
+    (List.mem "bgl_span_calls{span=\"t.on\"} 3"
+       (String.split_on_char '\n' (Registry.to_prometheus reg)))
 
 (* ------------------------------------------------------------------ *)
 (* Sinks *)
 
-let test_sink_buffer_and_tee () =
+let test_sink_buffer_and_writer () =
   let b = Sink.buffer () in
   Sink.emit b 1;
   Sink.emit b 2;
   Sink.emit b 3;
   Alcotest.(check (list int)) "buffer keeps order" [ 1; 2; 3 ] (Sink.contents b);
-  check_int "count" 3 (Sink.count b);
-  check_bool "buffered" true (Sink.is_buffered b);
-  let n = Sink.null () in
-  Sink.emit n 9;
-  check_int "null counts" 1 (Sink.count n);
-  Alcotest.(check (list int)) "null retains nothing" [] (Sink.contents n);
   let lines = ref [] in
   let j = Sink.jsonl_writer ~to_json:string_of_int (fun l -> lines := l :: !lines) in
-  let t = Sink.tee b j in
-  Sink.emit t 4;
-  Alcotest.(check (list int)) "tee reaches buffer" [ 1; 2; 3; 4 ] (Sink.contents t);
-  Alcotest.(check (list string)) "tee reaches writer" [ "4" ] !lines;
-  check_bool "tee buffered if a branch is" true (Sink.is_buffered t)
+  Sink.emit j 4;
+  Sink.emit j 5;
+  Alcotest.(check (list string)) "writer gets one line per event" [ "5"; "4" ] !lines;
+  Alcotest.(check (list int)) "writer retains nothing" [] (Sink.contents j)
 
 (* ------------------------------------------------------------------ *)
 (* JSONL helpers and validator *)
 
 let test_jsonl_valid () =
   List.iter
-    (fun s -> check_bool (Printf.sprintf "valid: %s" s) true (Jsonl.valid s))
+    (fun s -> check_bool (Printf.sprintf "valid: %s" s) true (json_valid s))
     [
       "{}"; "[]"; "null"; "true"; "-1.5e3"; "\"a\\n\\u0041\"";
       "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\"}"; "  [ 1 , 2 ]  ";
     ];
   List.iter
-    (fun s -> check_bool (Printf.sprintf "invalid: %s" s) false (Jsonl.valid s))
+    (fun s -> check_bool (Printf.sprintf "invalid: %s" s) false (json_valid s))
     [ ""; "{"; "{\"a\":}"; "[1,]"; "nul"; "1 2"; "{'a':1}"; "{\"a\":1}}"; "\"\\x\"" ];
   check_string "escape" "a\\\"b\\\\c\\nd" (Jsonl.escape "a\"b\\c\nd");
   check_string "float null for nan" "null" (Jsonl.float Float.nan);
@@ -231,7 +220,7 @@ let test_recorder_trace_schema () =
     (fun (entry, expected) ->
       let json = entry_to_json entry in
       check_string "schema line" expected json;
-      check_bool "line is valid JSON" true (Jsonl.valid json))
+      check_bool "line is valid JSON" true (json_valid json))
     cases;
   (* The run tag prefixes the object without disturbing the rest. *)
   check_string "run-tagged line"
@@ -246,11 +235,9 @@ let test_recorder_streaming () =
   let r = Bgl_sim.Recorder.create ~sink () in
   Bgl_sim.Recorder.record r (Bgl_sim.Recorder.Job_finished { job = 1; time = 1. });
   Bgl_sim.Recorder.record r (Bgl_sim.Recorder.Job_finished { job = 2; time = 2. });
-  check_int "length counts streamed entries" 2 (Bgl_sim.Recorder.length r);
-  check_bool "not buffered" false (Bgl_sim.Recorder.is_buffered r);
   check_int "entries empty for streaming sinks" 0 (List.length (Bgl_sim.Recorder.entries r));
   check_int "two lines written" 2 (List.length !lines);
-  List.iter (fun l -> check_bool "streamed line valid" true (Jsonl.valid l)) !lines
+  List.iter (fun l -> check_bool "streamed line valid" true (json_valid l)) !lines
 
 (* ------------------------------------------------------------------ *)
 (* Recorder: the parser beside the printer *)
@@ -439,22 +426,19 @@ let test_heartbeat () =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   let snap () = { Heartbeat.sim_time = 100.; queue_depth = 3; running = 2; free_nodes = 10 } in
-  let hb =
-    Clock.with_fake ~step:0.5 (fun () ->
-        let hb = Heartbeat.create ~out:ppf ~every:2 () in
-        for _ = 1 to 5 do
-          Heartbeat.tick hb snap
-        done;
-        hb)
-  in
+  Clock.with_fake ~step:0.5 (fun () ->
+      let hb = Heartbeat.create ~out:ppf ~every:2 () in
+      for _ = 1 to 5 do
+        Heartbeat.tick hb snap
+      done);
   Format.pp_print_flush ppf ();
-  check_int "5 ticks" 5 (Heartbeat.ticks hb);
-  check_int "2 beats" 2 (Heartbeat.beats hb);
   let lines = String.split_on_char '\n' (Buffer.contents buf) |> List.filter (( <> ) "") in
   check_int "2 lines" 2 (List.length lines);
   (* 2 events per 0.5 s of fake wall clock = 4 ev/s. *)
   check_string "beat line" "[obs] events=2 sim_t=100.0 queue=3 running=2 free=10 ev/s=4"
     (List.hd lines);
+  check_bool "second beat at the fourth tick" true
+    (String.starts_with ~prefix:"[obs] events=4 " (List.nth lines 1));
   check_bool "every < 1 rejected" true
     (try
        ignore (Heartbeat.create ~every:0 ());
@@ -480,8 +464,9 @@ let test_engine_registry_wiring () =
   check_float "finishes = completions" (float_of_int outcome.report.completed_jobs)
     (value "bgl_sim_job_finishes_total");
   check_bool "wait histogram saw every completion" true
-    (Registry.histogram_count (Registry.histogram reg "bgl_sim_job_wait_seconds")
-    = outcome.report.completed_jobs);
+    (List.mem
+       (Printf.sprintf "bgl_sim_job_wait_seconds_count %d" outcome.report.completed_jobs)
+       (String.split_on_char '\n' (Registry.to_prometheus reg)));
   check_bool "snapshot renders" true (String.length (Registry.to_prometheus reg) > 0)
 
 let test_engine_trace_wiring () =
@@ -490,7 +475,7 @@ let test_engine_trace_wiring () =
   let outcome = Fun.protect ~finally:Runtime.reset (fun () -> run_scenario ()) in
   let lines = List.rev !lines in
   check_bool "trace non-empty" true (List.length lines > 0);
-  List.iter (fun l -> check_bool "trace line valid JSON" true (Jsonl.valid l)) lines;
+  List.iter (fun l -> check_bool "trace line valid JSON" true (json_valid l)) lines;
   let member name l =
     match Jsonl.parse l with
     | Ok v -> Option.bind (Jsonl.member name v) Jsonl.to_string_opt
@@ -537,7 +522,7 @@ let () =
       ("clock", [ Alcotest.test_case "monotonic, fake is scoped" `Quick test_clock ]);
       ( "span",
         [ Alcotest.test_case "disabled and enabled" `Quick test_span_disabled_and_enabled ] );
-      ( "sink", [ Alcotest.test_case "buffer, null, tee" `Quick test_sink_buffer_and_tee ] );
+      ( "sink", [ Alcotest.test_case "buffer and writer" `Quick test_sink_buffer_and_writer ] );
       ( "jsonl", [ Alcotest.test_case "validator and emitters" `Quick test_jsonl_valid ] );
       ( "recorder",
         [

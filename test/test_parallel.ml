@@ -83,7 +83,6 @@ let test_engine_counters_after_parallel_runs () =
         (int_of_float (Bgl_obs.Registry.counter_value arrivals)))
 
 let test_spans_merge_across_domains () =
-  Bgl_obs.Span.reset ();
   Bgl_obs.Span.set_enabled true;
   Fun.protect ~finally:(fun () -> Bgl_obs.Span.set_enabled false) (fun () ->
       ignore

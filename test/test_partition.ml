@@ -165,7 +165,8 @@ let test_find_respects_occupancy () =
       let found = find g ~volume:16 in
       check_bool (name ^ " avoids z=0") true
         (List.for_all
-           (fun b -> List.for_all (fun (c : Coord.t) -> c.z <> 0) (Box.cells Dims.bgl b))
+           (fun b ->
+             List.for_all (fun i -> (Coord.of_index Dims.bgl i).z <> 0) (Box.indices Dims.bgl b))
            found);
       check_bool (name ^ " finds some") true (found <> []))
     finders
@@ -295,42 +296,60 @@ let test_cache_self_heals_unnoted () =
   check_bool "a one-box query follows the repair" true
     (Finder.Cache.select cache ~volume:128 ~cap:1 <> [])
 
+(* Finder queries cross-checked while [f] runs, read from the obs
+   counter the differential checker increments. *)
+let differential_checks f =
+  let reg = Bgl_obs.Registry.create () in
+  Fun.protect ~finally:Bgl_obs.Runtime.reset @@ fun () ->
+  Bgl_obs.Runtime.set_registry reg;
+  f ();
+  int_of_float
+    (Bgl_obs.Registry.counter_value
+       (Bgl_obs.Registry.counter reg "bgl_finder_differential_checks_total"))
+
 let test_differential_mode_toggle () =
-  check_bool "off by default" false (Finder.differential_enabled ());
+  let g = Grid.create Dims.bgl in
+  Grid.occupy g (Box.make (Coord.make 0 0 0) (Shape.make 2 2 2)) ~owner:1;
+  let naive = ref_find Naive g ~volume:8 in
+  let queries () =
+    let cache = Finder.Cache.create g in
+    Alcotest.check boxes "cache query" naive (Finder.Cache.find cache ~volume:8);
+    Alcotest.check boxes "select" [ List.hd naive ] (Finder.Cache.select cache ~volume:8 ~cap:1)
+  in
+  check_int "off by default" 0 (differential_checks queries);
   Finder.set_differential true;
-  Fun.protect
-    ~finally:(fun () -> Finder.set_differential false)
-    (fun () ->
-      check_bool "enabled" true (Finder.differential_enabled ());
-      (* Checked queries still agree on a non-trivial grid. *)
-      let g = Grid.create Dims.bgl in
-      Grid.occupy g (Box.make (Coord.make 0 0 0) (Shape.make 2 2 2)) ~owner:1;
-      let cache = Finder.Cache.create g in
-      let naive = ref_find Naive g ~volume:8 in
-      Alcotest.check boxes "checked cache query" naive (Finder.Cache.find cache ~volume:8);
-      Alcotest.check boxes "checked select" [ List.hd naive ]
-        (Finder.Cache.select cache ~volume:8 ~cap:1));
-  check_bool "restored" false (Finder.differential_enabled ())
+  (* Checked queries still agree on a non-trivial grid. *)
+  let checked =
+    Fun.protect
+      ~finally:(fun () -> Finder.set_differential false)
+      (fun () -> differential_checks queries)
+  in
+  check_bool "enabled" true (checked > 0);
+  check_int "restored" 0 (differential_checks queries)
 
 let test_differential_sampling () =
   Alcotest.check_raises "zero sample rejected"
     (Invalid_argument "Finder.set_differential: sample must be >= 1") (fun () ->
       Finder.set_differential ~sample:0 true);
+  (* Sampled queries must stay correct whether or not a given one is
+     the checked one. *)
+  let g = Grid.create Dims.bgl in
+  Grid.occupy g (Box.make (Coord.make 1 1 1) (Shape.make 2 2 2)) ~owner:1;
+  let queries () =
+    let cache = Finder.Cache.create g in
+    for _ = 1 to 7 do
+      Alcotest.check boxes "sampled cache query" (ref_find Naive g ~volume:8)
+        (Finder.Cache.find cache ~volume:8)
+    done
+  in
   Finder.set_differential ~sample:3 true;
-  Fun.protect
-    ~finally:(fun () -> Finder.set_differential false)
-    (fun () ->
-      check_bool "sampling counts as enabled" true (Finder.differential_enabled ());
-      (* Sampled queries must stay correct whether or not a given one
-         is the checked one. *)
-      let g = Grid.create Dims.bgl in
-      Grid.occupy g (Box.make (Coord.make 1 1 1) (Shape.make 2 2 2)) ~owner:1;
-      let cache = Finder.Cache.create g in
-      for _ = 1 to 7 do
-        Alcotest.check boxes "sampled cache query" (ref_find Naive g ~volume:8)
-          (Finder.Cache.find cache ~volume:8)
-      done);
-  check_bool "restored" false (Finder.differential_enabled ())
+  let checked =
+    Fun.protect
+      ~finally:(fun () -> Finder.set_differential false)
+      (fun () -> differential_checks queries)
+  in
+  check_bool "sampling counts as enabled" true (checked > 0);
+  check_int "restored" 0 (differential_checks queries)
 
 let test_orientations_non_cubic () =
   let d = Dims.make 2 3 4 in
@@ -1029,6 +1048,12 @@ let random_box rng (d : Dims.t) ~wrap =
   Box.canonical d ~wrap
     (Box.make (Coord.make (base sx d.nx) (base sy d.ny) (base sz d.nz)) (Shape.make sx sy sz))
 
+(* [f node owner] for every owned node of [g]. *)
+let iter_owned g f =
+  for node = 0 to Grid.volume g - 1 do
+    Option.iter (f node) (Grid.owner g node)
+  done
+
 let prop_what_if_matches_ghost =
   QCheck.Test.make ~name:"what-if first_free equals select on a ghost grid" ~count:300
     (QCheck.make ~print:print_what_if what_if_gen)
@@ -1053,7 +1078,7 @@ let prop_what_if_matches_ghost =
       let version = Grid.version g and fingerprint = Grid.fingerprint g in
       let cache = Finder.Cache.create g in
       let ghost = Grid.create ~wrap d in
-      Grid.iter_owned g (fun node _ -> Grid.occupy_node ghost node ~owner:1);
+      iter_owned g (fun node _ -> Grid.occupy_node ghost node ~owner:1);
       let scratch = Finder.Cache.what_if cache in
       let volumes = Array.of_list (Shapes.feasible_volumes d) in
       let agrees box =
@@ -1180,7 +1205,7 @@ let prop_tables_follow_occupancy =
             in
             let s = Finder.Cache.what_if cache and s' = Finder.Cache.what_if fresh in
             let ghost = Grid.create ~wrap d in
-            Grid.iter_owned g (fun node o ->
+            iter_owned g (fun node o ->
                 if not (Option.fold ~none:false ~some:(fun (_, r) -> r = o) released) then
                   Grid.occupy_node ghost node ~owner:1);
             Option.iter

@@ -29,8 +29,7 @@ let test_index_first_and_count () =
   Alcotest.(check (option (float 1e-9))) "first" (Some 200.)
     (Failure_index.first_failure_in idx ~node:3 ~t0:100. ~t1:1000.);
   check_int "count" 2 (Failure_index.count_in idx ~node:3 ~t0:100. ~t1:1000.);
-  check_int "count all" 3 (Failure_index.count_in idx ~node:3 ~t0:0. ~t1:1000.);
-  check_int "event_count" 3 (Failure_index.event_count idx)
+  check_int "count all" 3 (Failure_index.count_in idx ~node:3 ~t0:0. ~t1:1000.)
 
 let test_index_next_event () =
   let idx = index_of [ (100., 3); (200., 7) ] in

@@ -6,6 +6,7 @@ open Bgl_sim
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let box_t = Alcotest.testable Box.pp Box.equal
+let member dims box c = List.mem (Coord.index dims c) (Box.indices dims box)
 
 let job ?(size = 4) ?(run_time = 1000.) ?(estimate = 1000.) () =
   { Bgl_trace.Job_log.id = 0; arrival = 0.; size; run_time; estimate }
@@ -137,7 +138,7 @@ let test_balancing_avoids_doomed_when_tied () =
   match choose balancing grid ~j:(job ~size:2 ()) 2 with
   | None -> Alcotest.fail "no placement"
   | Some box ->
-      check_bool "avoids x=0 column" false (Box.member dims box (Coord.make 0 0 0))
+      check_bool "avoids x=0 column" false (member dims box (Coord.make 0 0 0))
 
 let test_balancing_confidence_crossover () =
   (* The walkthrough scenario: low confidence accepts the doomed
@@ -155,8 +156,8 @@ let test_balancing_confidence_crossover () =
     in
     Option.get (choose balancing grid ~j:(job ~size:4 ()) 4)
   in
-  check_bool "low confidence takes the doomed column" true (Box.member dims (pick 0.1) doomed);
-  check_bool "high confidence pays for stability" false (Box.member dims (pick 0.9) doomed)
+  check_bool "low confidence takes the doomed column" true (member dims (pick 0.1) doomed);
+  check_bool "high confidence pays for stability" false (member dims (pick 0.9) doomed)
 
 let test_balancing_decline_threshold () =
   let dims = Dims.make 2 1 1 in
@@ -214,7 +215,7 @@ let test_tie_breaking_prefers_safe_tie () =
   in
   match choose tb grid ~j:(job ~size:2 ~run_time:600. ~estimate:600. ()) 2 with
   | None -> Alcotest.fail "no placement"
-  | Some box -> check_bool "picks the safe column" false (Box.member dims box (Coord.make 0 0 0))
+  | Some box -> check_bool "picks the safe column" false (member dims box (Coord.make 0 0 0))
 
 let test_tie_breaking_all_doomed_still_places () =
   let dims = Dims.make 2 1 1 in
@@ -246,7 +247,7 @@ let test_tie_breaking_ignores_non_tied_safe () =
   | None -> Alcotest.fail "no placement"
   | Some box ->
       check_bool "still takes the min-loss doomed column" true
-        (Box.member dims box (Coord.make 2 0 0))
+        (member dims box (Coord.make 2 0 0))
 
 let test_random_policy () =
   let grid = Grid.create Dims.bgl in
@@ -280,7 +281,7 @@ let test_safest_policy () =
   in
   match choose safest grid ~j:(job ~size:4 ()) 4 with
   | None -> Alcotest.fail "no placement"
-  | Some box -> check_bool "avoids doomed even at low confidence" false (Box.member dims box doomed)
+  | Some box -> check_bool "avoids doomed even at low confidence" false (member dims box doomed)
 
 (* ------------------------------------------------------------------ *)
 (* Orientation handling: partitions are rectangular and the finder

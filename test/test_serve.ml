@@ -224,7 +224,7 @@ let test_memo () =
   check_bool "kept" true (Memo.find m "c" = Some "rc");
   check_int "hits" 2 (Memo.hits m);
   check_int "misses" 2 (Memo.misses m);
-  check_int "bounded" 2 (Memo.length m)
+  check_bool "bounded: the two newest kept" true (Memo.find m "b" = Some "rb")
 
 let test_store () =
   let dir = temp_dir "bgl_test_store" in

@@ -36,7 +36,8 @@ let test_eq_pop_if_at () =
   Alcotest.(check (option string)) "match" (Some "a") (Event_queue.pop_if_at q ~time:1.);
   Alcotest.(check (option string)) "again" (Some "b") (Event_queue.pop_if_at q ~time:1.);
   Alcotest.(check (option string)) "no match" None (Event_queue.pop_if_at q ~time:1.);
-  check_int "c remains" 1 (Event_queue.size q)
+  Alcotest.(check (option string)) "c remains" (Some "c") (Option.map snd (Event_queue.pop q));
+  check_bool "nothing else" true (Event_queue.is_empty q)
 
 let test_eq_nan_rejected () =
   let q = Event_queue.create () in
@@ -104,13 +105,17 @@ let test_checkpoint_wall_time () =
   check_float "3 checkpoints" (10. +. 6.) (Checkpoint.wall_time ~interval:3. ~overhead:2. ~work:10.)
 
 let test_checkpoint_persisted () =
-  (* interval 10, overhead 2: checkpoint k completes at 12k elapsed. *)
-  check_float "before first" 0. (Checkpoint.persisted_at ~interval:10. ~overhead:2. ~work:100. ~elapsed:11.);
-  check_float "after first" 10. (Checkpoint.persisted_at ~interval:10. ~overhead:2. ~work:100. ~elapsed:12.);
-  check_float "after third" 30. (Checkpoint.persisted_at ~interval:10. ~overhead:2. ~work:100. ~elapsed:40.);
+  (* interval 10, overhead 2: checkpoint k completes at 12k elapsed,
+     persisting 10k seconds of work. *)
+  let persisted ~work ~elapsed =
+    Checkpoint.checkpoints_completed ~interval:10. ~overhead:2. ~work ~elapsed
+  in
+  check_int "before first" 0 (persisted ~work:100. ~elapsed:11.);
+  check_int "after first" 1 (persisted ~work:100. ~elapsed:12.);
+  check_int "after third" 3 (persisted ~work:100. ~elapsed:40.);
   (* capped at the number of checkpoints the job actually takes *)
-  check_float "capped" 10. (Checkpoint.persisted_at ~interval:10. ~overhead:2. ~work:15. ~elapsed:1000.);
-  check_float "non-positive elapsed" 0. (Checkpoint.persisted_at ~interval:10. ~overhead:2. ~work:100. ~elapsed:0.)
+  check_int "capped" 1 (persisted ~work:15. ~elapsed:1000.);
+  check_int "non-positive elapsed" 0 (persisted ~work:100. ~elapsed:0.)
 
 let test_checkpoint_interval_for () =
   let adaptive = Checkpoint.Adaptive { risky_interval = 5.; safe_interval = 50.; overhead = 1. } in
@@ -256,15 +261,16 @@ let test_transition_targets () =
   (* Each legal edge lands in the documented state, and a killed job
      can be restarted: the queued -> running -> queued -> running cycle
      is the engine's failure-restart path. *)
+  let running (j : Job.t) = match j.state with Running _ -> true | Queued | Completed -> false in
   let j = job_in `Queued in
   Job.transition j (Job.Start (mk_run ()));
-  check_bool "start -> running" true (Job.is_running j);
+  check_bool "start -> running" true (running j);
   Job.transition j (Job.Migrate (mk_run ()));
-  check_bool "migrate -> running" true (Job.is_running j);
+  check_bool "migrate -> running" true (running j);
   Job.transition j Job.Kill;
-  check_bool "kill -> queued" true (Job.is_queued j);
+  check_bool "kill -> queued" true (j.state = Queued);
   Job.transition j (Job.Start (mk_run ()));
-  check_bool "restart after kill" true (Job.is_running j);
+  check_bool "restart after kill" true (running j);
   Job.transition j Job.Complete;
   check_bool "complete -> completed" true (Job.is_completed j);
   check_bool "completed is terminal" false
@@ -762,7 +768,7 @@ let test_recorder_lifecycle () =
       ~failures:(mk_failures [ (40., 3) ]) ()
   in
   (* meta, arrival, start, node-failed+kill, restart, finish, summary *)
-  check_int "entry count" 8 (Recorder.length recorder);
+  check_int "entry count" 8 (List.length (Recorder.entries recorder));
   (match Recorder.entries recorder with
   | [ Recorder.Run_meta m; Recorder.Job_arrived a; Recorder.Job_started s1; Recorder.Job_killed k;
       Recorder.Node_failed nf; Recorder.Job_started s2; Recorder.Job_finished f;
@@ -799,15 +805,15 @@ let test_recorder_repair_entries () =
     (List.exists (function Recorder.Node_repaired { node = 99; _ } -> true | _ -> false) entries)
 
 let test_recorder_streaming_retains_nothing () =
-  (* A streaming recorder retains no entries, and says so: replay
-     consumers check [is_buffered] instead of reading an empty run. *)
-  let null = Bgl_obs.Sink.null () in
-  let recorder = Recorder.create ~sink:null () in
+  (* A streaming recorder hands every entry to its writer and retains
+     none of them. *)
+  let lines = ref 0 in
+  let sink = Bgl_obs.Sink.jsonl_writer ~to_json:Recorder.entry_to_json (fun _ -> incr lines) in
+  let recorder = Recorder.create ~sink () in
   let log = mk_log [ mk_job ~id:0 ~arrival:0. ~size:1 ~run_time:5. ] in
   let _ = Engine.run ~recorder ~policy:Bgl_sched.Placement.first_fit ~log ~failures:no_failures () in
-  check_bool "not buffered" false (Recorder.is_buffered recorder);
   check_bool "entries empty" true (Recorder.entries recorder = []);
-  check_bool "length still counts" true (Recorder.length recorder > 0)
+  check_bool "every entry streamed" true (!lines > 0)
 
 let test_recorder_migration_entry () =
   let dims = Dims.make 4 1 1 in

@@ -1,4 +1,5 @@
-(* Unit and property tests for the bgl_stats substrate. *)
+(* Unit and property tests for the bgl_stats substrate, and for the
+   Kolmogorov–Smirnov helper (test/ks.ml) the generator tests use. *)
 
 open Bgl_stats
 
@@ -436,29 +437,6 @@ let test_online_matches_batch () =
   check_bool "std matches" true (abs_float (batch.std -. Summary.Online.std acc) < 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* Histogram *)
-
-let test_histogram_basic () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Histogram.add h) [ 0.; 1.; 2.5; 9.99; -1.; 10.; 11. ];
-  check_int "total" 7 (Histogram.total h);
-  check_int "underflow" 1 (Histogram.underflow h);
-  check_int "overflow" 2 (Histogram.overflow h);
-  Alcotest.(check (array int)) "counts" [| 2; 1; 0; 0; 1 |] (Histogram.counts h)
-
-let test_histogram_bounds () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  let lo, hi = Histogram.bin_bounds h 1 in
-  check_float "lo" 2. lo;
-  check_float "hi" 4. hi
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "bins" (Invalid_argument "Histogram.create: bins must be positive")
-    (fun () -> ignore (Histogram.create ~lo:0. ~hi:1. ~bins:0));
-  Alcotest.check_raises "range" (Invalid_argument "Histogram.create: need lo < hi") (fun () ->
-      ignore (Histogram.create ~lo:1. ~hi:1. ~bins:3))
-
-(* ------------------------------------------------------------------ *)
 (* Ks *)
 
 let samples n f =
@@ -532,14 +510,6 @@ let prop_summary_min_le_max =
       let s = Summary.of_list values in
       s.min <= s.median && s.median <= s.max && s.min <= s.mean && s.mean <= s.max)
 
-let prop_histogram_conserves =
-  QCheck.Test.make ~name:"Histogram conserves sample count" ~count:200
-    QCheck.(list (float_range (-50.) 50.))
-    (fun values ->
-      let h = Histogram.create ~lo:(-10.) ~hi:10. ~bins:7 in
-      List.iter (Histogram.add h) values;
-      Histogram.total h = List.length values)
-
 let prop_categorical_picks_positive =
   QCheck.Test.make ~name:"categorical never picks zero weight" ~count:300
     QCheck.(pair small_int (list_of_size Gen.(int_range 1 10) (float_bound_inclusive 5.)))
@@ -575,7 +545,7 @@ let prop_sampler_matches_scan =
       sampler_matches_scan ~seed ~draws:64 weights)
 
 let props = List.map QCheck_alcotest.to_alcotest
-    [ prop_int_in_bounds; prop_summary_min_le_max; prop_histogram_conserves;
+    [ prop_int_in_bounds; prop_summary_min_le_max;
       prop_categorical_picks_positive; prop_sampler_matches_scan ]
 
 let () =
@@ -635,12 +605,6 @@ let () =
           tc "percentile invalid" test_percentile_invalid;
           tc "mean list" test_mean_list;
           tc "online matches batch" test_online_matches_batch;
-        ] );
-      ( "histogram",
-        [
-          tc "basic" test_histogram_basic;
-          tc "bin bounds" test_histogram_bounds;
-          tc "invalid" test_histogram_invalid;
         ] );
       ( "ks",
         [
